@@ -23,10 +23,3 @@ class OpCounter:
 
     def count_add(self, n: int = 1) -> None:
         self.add += n
-
-    def merge(self, other: "OpCounter") -> None:
-        self.mul += other.mul
-        self.add += other.add
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.mul, self.add)

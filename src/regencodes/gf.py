@@ -27,6 +27,7 @@ import numpy as np
 
 from .counting import OpCounter
 from .errors import (
+    DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
     FieldTooSmall,
@@ -335,7 +336,8 @@ class BinaryField(Field):
         b = np.asarray(b, np.int64)
         r, inner = a.shape
         inner2, c = b.shape
-        assert inner == inner2
+        if inner != inner2:
+            raise DimensionMismatch(f"({r}x{inner}) @ ({inner2}x{c})")
         if r * inner * c == 0:
             return np.zeros((r, c), dtype=np.int64)
         out = np.zeros((r, c), dtype=np.int64)

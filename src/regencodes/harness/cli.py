@@ -14,36 +14,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from .. import codec
 from ..errors import InsufficientSymbols, ParamsInvalid, RegenError
+from ..fragments import CODEC_TAGS
 from ..gf import Field, field_new
-from ..mbr import (
-    MbrParams,
-    mbr_encode,
-    mbr_extract_payloads,
-    mbr_partial_plan,
-    mbr_reconstruct_full,
-    mbr_reconstruct_partial,
-    repair_from_fragments,
-)
-from ..rbt import (
-    RbtParams,
-    fragment_symbol,
-    helper_repair_symbol,
-    rbt_encode,
-    rbt_encode_systematic,
-    rbt_partial_plan,
-    rbt_reconstruct_full,
-    rbt_reconstruct_partial,
-    rbt_repair,
-    source_block,
-)
-from ..shah import ShahParams, helper_repair_packet, shah_encode, shah_reconstruct, shah_repair
 from .bench import FAMILIES, bench_compare, report_to_csv
-from .fragio import params_for, read_fragment, read_message, write_fragment, write_message
+from .fragio import read_fragment, read_message, write_fragment, write_message
 from .selftest import run_selftest
-
-CODECS = ("rbt", "rbt-sys", "mbr-psrs", "mbr-vdm", "shah")
-SCHEMES = ("full", "partial", "lower", "upper", "gong", "timeshare")
 
 
 def parse_field(spec: str) -> Field:
@@ -56,22 +33,6 @@ def parse_field(spec: str) -> Field:
         except ValueError:
             pass
     raise ParamsInvalid(f"bad field spec {spec!r}; use prime:<p>, binary:<m> or fermat")
-
-
-def _build_params(codec: str, field: Field, n: int, k: int, d: int | None):
-    if codec in ("rbt", "rbt-sys"):
-        if d is not None and d != n - 1:
-            raise ParamsInvalid(f"codec {codec} has d = n-1 = {n - 1}, got --d {d}")
-        return RbtParams(field, n, k, systematic=(codec == "rbt-sys"))
-    if codec in ("mbr-psrs", "mbr-vdm"):
-        if d is None:
-            raise ParamsInvalid(f"codec {codec} requires --d")
-        return MbrParams(field, n, k, d, backend="psrs" if codec == "mbr-psrs" else "vandermonde")
-    if codec == "shah":
-        if d is not None and d != n - 1:
-            raise ParamsInvalid(f"codec shah has d = n-1 = {n - 1}, got --d {d}")
-        return ShahParams(field, n, k)
-    raise ParamsInvalid(f"unknown codec {codec!r}")
 
 
 def _frag_path(out_dir: Path, node: int) -> Path:
@@ -93,23 +54,15 @@ def _load_fragments(frags_dir: Path):
         elif meta != header:
             raise ParamsInvalid(f"{path}: header disagrees with other fragments")
         frags[frag.node] = frag
-    codec, field, n, k, d = meta
-    return params_for(codec, field, n, k, d), field, (n, k, d), frags
+    tag, field, n, k, d = meta
+    return codec.params_for(tag, field, n, k, d), field, (n, k, d), frags
 
 
 def _cmd_encode(args) -> int:
     field = parse_field(args.field)
-    params = _build_params(args.codec, field, args.n, args.k, args.d)
+    params = codec.params_for(args.codec, field, args.n, args.k, args.d)
     u = read_message(args.message, field, params.B)
-    if isinstance(params, RbtParams):
-        if params.systematic:
-            frags = rbt_encode_systematic(params, source_block(params, u)).fragments()
-        else:
-            frags = rbt_encode(params, u).fragments()
-    elif isinstance(params, MbrParams):
-        frags = mbr_encode(params, u)
-    else:
-        frags = shah_encode(params, u)
+    frags = codec.encode(params, u)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n, k, d = params.n, params.k, params.d
@@ -122,20 +75,9 @@ def _cmd_encode(args) -> int:
 def _cmd_repair(args) -> int:
     frags_dir = Path(args.frags)
     params, field, (n, k, d), frags = _load_fragments(frags_dir)
-    failed = args.failed
-    helpers = {i: f for i, f in frags.items() if i != failed}
-    if isinstance(params, RbtParams):
-        responses = [(i, helper_repair_symbol(f, failed)) for i, f in sorted(helpers.items())]
-        frag = rbt_repair(params, responses, failed)
-    elif isinstance(params, MbrParams):
-        chosen = [helpers[i] for i in sorted(helpers)[: params.d]]
-        frag = repair_from_fragments(params, chosen, failed)
-    else:
-        responses = [(i, helper_repair_packet(params, f, failed))
-                     for i, f in sorted(helpers.items())]
-        frag = shah_repair(params, responses, failed)
-    write_fragment(_frag_path(frags_dir, failed), field, n, k, d, frag)
-    print(f"repaired node {failed} from {len(helpers)} helpers")
+    frag, per_node = codec.repair(params, frags, args.failed)
+    write_fragment(_frag_path(frags_dir, args.failed), field, n, k, d, frag)
+    print(f"repaired node {args.failed} from {len(per_node)} helpers")
     return 0
 
 
@@ -146,34 +88,10 @@ def _cmd_reconstruct(args) -> int:
     missing = [i for i in nodes if i not in frags]
     if missing:
         raise InsufficientSymbols(f"fragments missing for nodes {missing}")
-    chosen = [frags[i] for i in nodes]
-    scheme = args.scheme
-    if isinstance(params, RbtParams):
-        if scheme == "full":
-            u = rbt_reconstruct_full(params, chosen)
-        elif scheme == "partial":
-            plan = rbt_partial_plan(params, nodes)
-            payloads = [[fragment_symbol(frags[node], c) for c in pos]
-                        for node, pos in zip(plan.nodes, plan.positions)]
-            u = rbt_reconstruct_partial(params, plan, payloads)
-        else:
-            raise ParamsInvalid(f"scheme {scheme!r} not supported by codec {params.codec}")
-    elif isinstance(params, MbrParams):
-        if scheme == "full":
-            u = mbr_reconstruct_full(params, chosen)
-        elif scheme in ("lower", "upper", "gong", "timeshare"):
-            # a one-shot reconstruction uses the first time-sharing phase
-            actual = "lower" if scheme == "timeshare" else scheme
-            plan = mbr_partial_plan(params, nodes, actual)
-            u = mbr_reconstruct_partial(params, plan, mbr_extract_payloads(chosen, plan))
-        else:
-            raise ParamsInvalid(f"scheme {scheme!r} not supported by codec {params.codec}")
-    else:
-        if scheme != "full":
-            raise ParamsInvalid("codec shah supports only --scheme full")
-        u = shah_reconstruct(params, chosen)
+    # a one-shot reconstruction uses the first time-sharing phase
+    u, _ = codec.reconstruct(params, frags, nodes, args.scheme)
     write_message(args.out, field, u)
-    print(f"reconstructed B={len(u)} symbols from nodes {nodes} (scheme {scheme})")
+    print(f"reconstructed B={len(u)} symbols from nodes {nodes} (scheme {args.scheme})")
     return 0
 
 
@@ -198,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="encode a message file into fragment files")
     enc.add_argument("message", help="raw little-endian message file of exactly B symbols")
-    enc.add_argument("--codec", required=True, choices=CODECS)
+    enc.add_argument("--codec", required=True, choices=CODEC_TAGS)
     enc.add_argument("--n", required=True, type=int)
     enc.add_argument("--k", required=True, type=int)
     enc.add_argument("--d", type=int, default=None)
@@ -213,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("reconstruct", help="rebuild the message from fragments")
     rec.add_argument("--nodes", required=True)
-    rec.add_argument("--scheme", default="full", choices=SCHEMES)
+    schemes = dict.fromkeys(s for row in codec.SCHEMES.values() for s in row)
+    rec.add_argument("--scheme", default="full", choices=list(schemes))
     rec.add_argument("--frags", required=True)
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=_cmd_reconstruct)

@@ -23,9 +23,6 @@ from pathlib import Path
 from ..errors import ParamsInvalid, WrongMessageLength
 from ..fragments import CODEC_TAGS, Fragment
 from ..gf import Field, field_new
-from ..mbr import MbrParams
-from ..rbt import RbtParams
-from ..shah import ShahParams
 
 MAGIC = b"RGC1"
 _HEADER = struct.Struct("<4sBBIHHHHI")
@@ -93,21 +90,6 @@ def read_fragment(path: str | Path) -> tuple[Field, int, int, int, Fragment]:
     for s in symbols:
         field.check(s)
     return field, n, k, d, Fragment(codec, node, symbols)
-
-
-def params_for(codec: str, field: Field, n: int, k: int, d: int):
-    """Rebuild the parameter object a fragment header describes."""
-    if codec == "rbt":
-        return RbtParams(field, n, k)
-    if codec == "rbt-sys":
-        return RbtParams(field, n, k, systematic=True)
-    if codec == "mbr-psrs":
-        return MbrParams(field, n, k, d, backend="psrs")
-    if codec == "mbr-vdm":
-        return MbrParams(field, n, k, d, backend="vandermonde")
-    if codec == "shah":
-        return ShahParams(field, n, k)
-    raise ParamsInvalid(f"unknown codec {codec!r}")
 
 
 def write_message(path: str | Path, field: Field, symbols) -> None:

@@ -42,20 +42,26 @@ from ..shah import ShahParams, helper_repair_packet, shah_encode, shah_reconstru
 from .fragio import read_fragment, write_fragment
 
 
+def _check(ok: bool, what: str) -> None:
+    """An explicit raise, so the suites still check under `python -O`."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _suite_field_axioms():
     for field in (prime_field(7), binary_field(2)):
         q = field.q
         for a in range(q):
             for b in range(q):
-                assert field.add(a, b) == field.add(b, a)
+                _check(field.add(a, b) == field.add(b, a), f"{field!r}: {a}+{b} not commutative")
                 for c in range(q):
-                    assert field.mul(a, field.add(b, c)) == field.add(
-                        field.mul(a, b), field.mul(a, c)
-                    )
+                    _check(field.mul(a, field.add(b, c))
+                           == field.add(field.mul(a, b), field.mul(a, c)),
+                           f"{field!r}: {a}*({b}+{c}) not distributive")
                 if b:
-                    assert field.mul(field.inv(b), b) == 1
+                    _check(field.mul(field.inv(b), b) == 1, f"{field!r}: inverse of {b} wrong")
     ff = fermat_field()
-    assert ff.mul(65536, 65536) == 1
+    _check(ff.mul(65536, 65536) == 1, "Fermat field: (-1)^2 != 1")
 
 
 def _suite_mds_matrices():
@@ -74,7 +80,8 @@ def _suite_ntt():
     for size in (2, 8, 32, 64):
         pts = [int(e) for e in ntt_points(ff, size)]
         coeffs = [rng.randrange(ff.q) for _ in range(size)]
-        assert ntt_evaluate(ff, coeffs, size) == [poly_eval(ff, coeffs, x) for x in pts]
+        _check(ntt_evaluate(ff, coeffs, size) == [poly_eval(ff, coeffs, x) for x in pts],
+               f"size-{size} NTT disagrees with Horner evaluation")
 
 
 def _suite_psrs():
@@ -85,12 +92,14 @@ def _suite_psrs():
     for _ in range(3):
         msg = PsrsMessage(tuple(rng.randrange(7) for _ in range(3)), (rng.randrange(7),))
         cw = encode_eval(ev, msg)
-        assert tuple(cw[:3]) == msg.a
+        _check(tuple(cw[:3]) == msg.a, "evaluation-form codeword not systematic")
         for subset in itertools.combinations(range(1, 7), 4):
-            assert decode_full_eval(ev, [(p, cw[p - 1]) for p in subset]) == msg
+            _check(decode_full_eval(ev, [(p, cw[p - 1]) for p in subset]) == msg,
+                   f"evaluation-form decode from positions {subset} wrong")
         c = encode_genpoly(gp, msg)
         for subset in itertools.combinations(range(6), 4):
-            assert decode_full_genpoly(gp, [(t, c[t]) for t in subset]) == msg
+            _check(decode_full_genpoly(gp, [(t, c[t]) for t in subset]) == msg,
+                   f"generator-form decode from degrees {subset} wrong")
 
 
 def _suite_rbt():
@@ -102,13 +111,16 @@ def _suite_rbt():
     for failed in range(1, 6):
         counter = OpCounter()
         responses = [(i, helper_repair_symbol(frags[i], failed)) for i in frags if i != failed]
-        assert rbt_repair(params, responses, failed, counter) == frags[failed]
-        assert counter.mul == 0 and counter.add == 0
+        _check(rbt_repair(params, responses, failed, counter) == frags[failed],
+               f"repair of node {failed} wrong")
+        _check(counter.mul == 0 and counter.add == 0, f"repair of node {failed} cost field ops")
     for subset in itertools.combinations(range(1, 6), 3):
-        assert rbt_reconstruct_full(params, [frags[i] for i in subset]) == u
+        _check(rbt_reconstruct_full(params, [frags[i] for i in subset]) == u,
+               f"reconstruction from {subset} wrong")
     plan = rbt_partial_plan(params, [1, 3, 5])
-    assert plan.total_symbols == params.B
-    assert rbt_reconstruct_partial(params, plan, extract_payloads(cw, plan)) == u
+    _check(plan.total_symbols == params.B, "partial plan does not download B symbols")
+    _check(rbt_reconstruct_partial(params, plan, extract_payloads(cw, plan)) == u,
+           "partial reconstruction wrong")
 
 
 def _suite_mbr():
@@ -117,15 +129,17 @@ def _suite_mbr():
     u = [rng.randrange(7) for _ in range(params.B)]
     frags = mbr_encode(params, u)
     for subset in itertools.combinations(range(1, 7), 3):
-        assert mbr_reconstruct_full(params, [frags[i - 1] for i in subset]) == u
+        _check(mbr_reconstruct_full(params, [frags[i - 1] for i in subset]) == u,
+               f"reconstruction from {subset} wrong")
     for failed in range(1, 7):
         helpers = [i for i in range(1, 7) if i != failed][:4]
-        assert repair_from_fragments(params, [frags[i - 1] for i in helpers], failed) \
-            == frags[failed - 1]
+        _check(repair_from_fragments(params, [frags[i - 1] for i in helpers], failed)
+               == frags[failed - 1], f"repair of node {failed} wrong")
     for scheme in ("lower", "upper"):
         plan = mbr_partial_plan(params, [1, 2, 4], scheme)
-        assert plan.total_symbols == params.B
-        assert mbr_reconstruct_partial(params, plan, mbr_extract_payloads(frags, plan)) == u
+        _check(plan.total_symbols == params.B, f"{scheme} plan does not download B symbols")
+        _check(mbr_reconstruct_partial(params, plan, mbr_extract_payloads(frags, plan)) == u,
+               f"{scheme} partial reconstruction wrong")
 
 
 def _suite_shah():
@@ -137,16 +151,19 @@ def _suite_shah():
         counter = OpCounter()
         responses = [(i, helper_repair_packet(params, frags[i], failed))
                      for i in frags if i != failed]
-        assert shah_repair(params, responses, failed, counter) == frags[failed]
-        assert counter.mul == 0 and counter.add == 0
+        _check(shah_repair(params, responses, failed, counter) == frags[failed],
+               f"repair of node {failed} wrong")
+        _check(counter.mul == 0 and counter.add == 0, f"repair of node {failed} cost field ops")
     for subset in itertools.combinations(range(1, 6), 3):
-        assert shah_reconstruct(params, [frags[i] for i in subset]) == u
+        _check(shah_reconstruct(params, [frags[i] for i in subset]) == u,
+               f"reconstruction from {subset} wrong")
 
 
 def _suite_decision_tables():
     k5 = {(1, 5): 1, (1, 4): 4, (2, 5): 5, (2, 4): 2, (3, 5): 3,
           (3, 4): 4, (4, 5): 5, (1, 3): 1, (2, 3): 3, (1, 2): 2}
-    assert all(decision(j, l) == v for (j, l), v in k5.items())
+    for (j, l), v in k5.items():
+        _check(decision(j, l) == v, f"decision({j}, {l}) != {v}")
 
 
 def _suite_fragment_files():
@@ -156,7 +173,8 @@ def _suite_fragment_files():
             path = Path(tmp) / f"frag_{field.kind}.rgc"
             write_fragment(path, field, 6, 3, count, frag)
             rfield, n, k, d, rfrag = read_fragment(path)
-            assert (rfield, n, k, d, rfrag) == (field, 6, 3, count, frag)
+            _check((rfield, n, k, d, rfrag) == (field, 6, 3, count, frag),
+                   f"{field!r} fragment file does not read back")
 
 
 SUITES = [

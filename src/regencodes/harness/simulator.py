@@ -21,31 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+from .. import codec
 from ..counting import OpCounter
 from ..errors import RegenError, ReconstructionMismatch, ScriptInvalid
 from ..fragments import Fragment
-from ..mbr import (
-    MbrParams,
-    mbr_encode,
-    mbr_extract_payloads,
-    mbr_partial_plan,
-    mbr_reconstruct_full,
-    mbr_reconstruct_partial,
-    repair_from_fragments,
-)
-from ..rbt import (
-    RbtParams,
-    fragment_symbol,
-    helper_repair_symbol,
-    rbt_encode,
-    rbt_encode_systematic,
-    rbt_partial_plan,
-    rbt_reconstruct_full,
-    rbt_reconstruct_partial,
-    rbt_repair,
-    source_block,
-)
-from ..shah import ShahParams, helper_repair_packet, shah_encode, shah_reconstruct, shah_repair
 
 
 @dataclass
@@ -95,8 +74,8 @@ class ClusterState:
     original: dict[int, Fragment] = dc_field(default_factory=dict)
     timeshare_phase: int = 0
 
-    def alive(self) -> list[int]:
-        return [i for i, f in self.nodes.items() if f is not None]
+    def alive(self) -> dict[int, Fragment]:
+        return {i: f for i, f in self.nodes.items() if f is not None}
 
 
 def _parse_nodes(tok: str, lineno: int) -> list[int]:
@@ -115,15 +94,10 @@ def parse_script(script: str) -> list[tuple[int, list[str]]]:
     return out
 
 
-RBT_SCHEMES = ("full", "partial")
-MBR_SCHEMES = ("full", "lower", "upper", "gong", "timeshare")
-
-
 def sim_run(params, script: str, u: list[int] | None = None,
             seed: int = 2024) -> tuple[CostReport, ClusterState]:
     """Execute a scenario script against the codec selected by `params`."""
-    codec = params.codec
-    state = ClusterState(params=params, codec=codec)
+    state = ClusterState(params=params, codec=params.codec)
     report = CostReport()
     rng = random.Random(seed)
 
@@ -139,12 +113,12 @@ def sim_run(params, script: str, u: list[int] | None = None,
                     rng.randrange(params.field.q) for _ in range(params.B)
                 ]
                 counter = OpCounter()
-                frags = _encode(params, msg, counter)
+                frags = codec.encode(params, msg, counter)
                 state.message = msg
                 state.nodes = {f.node: f for f in frags}
                 state.original = dict(state.nodes)
                 report.events.append(EventRecord(
-                    index=idx, kind="encode", detail=codec,
+                    index=idx, kind="encode", detail=state.codec,
                     symbols=sum(len(f.symbols) for f in frags),
                     mul=counter.mul, add=counter.add,
                 ))
@@ -169,13 +143,18 @@ def sim_run(params, script: str, u: list[int] | None = None,
                 _require_encoded(state, lineno)
                 if state.nodes.get(node) is not None:
                     raise ScriptInvalid(f"line {lineno}: node {node} has not failed")
+                for i in helpers or ():
+                    if state.nodes.get(i) is None:
+                        raise ScriptInvalid(f"line {lineno}: helper {i} unavailable")
                 counter = OpCounter()
-                frag, symbols, per_node = _repair(params, state, node, helpers, counter)
+                frag, per_node = codec.repair(params, state.alive(), node,
+                                              helpers, counter)
                 if frag != state.original[node]:
                     raise ReconstructionMismatch(f"repair of node {node} altered the fragment")
                 state.nodes[node] = frag
                 report.events.append(EventRecord(
-                    index=idx, kind="repair", detail=str(node), symbols=symbols,
+                    index=idx, kind="repair", detail=str(node),
+                    symbols=sum(per_node.values()),
                     mul=counter.mul, add=counter.add, per_node=per_node,
                 ))
 
@@ -192,15 +171,20 @@ def sim_run(params, script: str, u: list[int] | None = None,
                 for i in nodes:
                     if state.nodes.get(i) is None:
                         raise ScriptInvalid(f"line {lineno}: node {i} unavailable")
+                codec.check_scheme(state.codec, scheme, ScriptInvalid)
                 counter = OpCounter()
-                got, symbols, per_node, kind = _reconstruct(params, state, nodes, scheme, counter)
+                got, per_node = codec.reconstruct(params, state.alive(), nodes, scheme,
+                                                  counter, state.timeshare_phase)
+                if scheme == "timeshare":
+                    state.timeshare_phase += 1
                 if got != state.message:
                     raise ReconstructionMismatch(
                         f"reconstruction from {nodes} does not match the message"
                     )
                 report.events.append(EventRecord(
-                    index=idx, kind=kind, detail=f"{nodes} scheme={scheme}",
-                    symbols=symbols, mul=counter.mul, add=counter.add, per_node=per_node,
+                    index=idx, kind="reconstruct" if scheme == "full" else "partial-reconstruct",
+                    detail=f"{nodes} scheme={scheme}", symbols=sum(per_node.values()),
+                    mul=counter.mul, add=counter.add, per_node=per_node,
                 ))
 
             else:
@@ -224,78 +208,3 @@ def _one_node(tokens, lineno) -> int:
 def _require_encoded(state: ClusterState, lineno: int):
     if state.message is None:
         raise ScriptInvalid(f"line {lineno}: encode must come first")
-
-
-def _encode(params, msg, counter) -> list[Fragment]:
-    if isinstance(params, RbtParams):
-        if params.systematic:
-            cw = rbt_encode_systematic(params, source_block(params, msg), counter)
-        else:
-            cw = rbt_encode(params, msg, counter)
-        return cw.fragments()
-    if isinstance(params, MbrParams):
-        return mbr_encode(params, msg, counter)
-    if isinstance(params, ShahParams):
-        return shah_encode(params, msg, counter)
-    raise ScriptInvalid(f"unsupported params {type(params).__name__}")
-
-
-def _repair(params, state: ClusterState, failed: int, helpers, counter):
-    alive = state.alive()
-    if isinstance(params, RbtParams):
-        if helpers is None:
-            helpers = alive
-        responses = [(i, helper_repair_symbol(state.nodes[i], failed)) for i in helpers]
-        frag = rbt_repair(params, responses, failed, counter)
-        return frag, len(responses), {i: 1 for i in helpers}
-    if isinstance(params, MbrParams):
-        if helpers is None:
-            helpers = [i for i in alive if i != failed][: params.d]
-        frags = [state.nodes[i] for i in helpers]
-        frag = repair_from_fragments(params, frags, failed, counter)
-        return frag, len(helpers), {i: 1 for i in helpers}
-    if isinstance(params, ShahParams):
-        if helpers is None:
-            helpers = alive
-        responses = [(i, helper_repair_packet(params, state.nodes[i], failed)) for i in helpers]
-        frag = shah_repair(params, responses, failed, counter)
-        return frag, len(responses), {i: 1 for i in helpers}
-    raise ScriptInvalid(f"unsupported params {type(params).__name__}")
-
-
-def _reconstruct(params, state: ClusterState, nodes, scheme, counter):
-    frags = [state.nodes[i] for i in nodes]
-    if isinstance(params, RbtParams):
-        if scheme not in RBT_SCHEMES:
-            raise ScriptInvalid(f"scheme {scheme!r} not supported by codec {params.codec}")
-        if scheme == "full":
-            got = rbt_reconstruct_full(params, frags, counter)
-            return got, len(nodes) * params.alpha, {i: params.alpha for i in nodes}, "reconstruct"
-        plan = rbt_partial_plan(params, nodes)
-        payloads = [
-            [fragment_symbol(state.nodes[node], c) for c in pos]
-            for node, pos in zip(plan.nodes, plan.positions)
-        ]
-        got = rbt_reconstruct_partial(params, plan, payloads, counter)
-        return got, plan.total_symbols, plan.per_node_counts(), "partial-reconstruct"
-    if isinstance(params, MbrParams):
-        if scheme not in MBR_SCHEMES:
-            raise ScriptInvalid(f"scheme {scheme!r} not supported by codec {params.codec}")
-        if scheme == "full":
-            got = mbr_reconstruct_full(params, frags, counter=counter)
-            return got, len(nodes) * params.alpha, {i: params.alpha for i in nodes}, "reconstruct"
-        if scheme == "timeshare":
-            actual = "lower" if state.timeshare_phase % 2 == 0 else "upper"
-            state.timeshare_phase += 1
-        else:
-            actual = scheme
-        plan = mbr_partial_plan(params, nodes, actual)
-        payloads = mbr_extract_payloads(frags, plan)
-        got = mbr_reconstruct_partial(params, plan, payloads, counter)
-        return got, plan.total_symbols, plan.per_node_counts(), "partial-reconstruct"
-    if isinstance(params, ShahParams):
-        if scheme != "full":
-            raise ScriptInvalid(f"scheme {scheme!r} not supported by codec shah")
-        got = shah_reconstruct(params, frags, counter)
-        return got, len(nodes) * params.alpha, {i: params.alpha for i in nodes}, "reconstruct"
-    raise ScriptInvalid(f"unsupported params {type(params).__name__}")

@@ -27,7 +27,8 @@ class DownloadPlan:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        assert len(self.nodes) == len(self.order) == len(self.positions)
+        if not len(self.nodes) == len(self.order) == len(self.positions):
+            raise ValueError("nodes, order and positions must have equal lengths")
 
     @property
     def total_symbols(self) -> int:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .counting import OpCounter
-from .errors import DivisionByZero
+from .errors import DimensionMismatch, DivisionByZero
 from .gf import Field
 
 
@@ -26,16 +28,6 @@ def padded(p: Sequence[int], length: int) -> list[int]:
     if len(p) > length:
         raise ValueError(f"polynomial of {len(p)} coefficients longer than {length}")
     return p + [0] * (length - len(p))
-
-
-def poly_add(field: Field, a: Sequence[int], b: Sequence[int],
-             counter: OpCounter | None = None) -> list[int]:
-    n = max(len(a), len(b))
-    a = padded(a, n)
-    b = padded(b, n)
-    if counter is not None:
-        counter.count_add(n)
-    return [field.add(x, y) for x, y in zip(a, b)]
 
 
 def poly_sub(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -54,19 +46,23 @@ def poly_scale(field: Field, a: Sequence[int], s: int,
 
 def poly_mul(field: Field, a: Sequence[int], b: Sequence[int],
              counter: OpCounter | None = None) -> list[int]:
+    """Schoolbook product; on prime fields one int64 convolution, exact
+    because q <= 65537 keeps every sum of products far below 2^63."""
     a = list(a)
     b = list(b)
     if not a or not b:
         return []
+    if counter is not None:
+        counter.count_mul(len(a) * len(b))
+        counter.count_add(max(0, len(a) * len(b) - (len(a) + len(b) - 1)))
+    if field.kind in ("prime", "fermat"):
+        return (np.convolve(np.asarray(a, np.int64), np.asarray(b, np.int64)) % field.q).tolist()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
             out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    if counter is not None:
-        counter.count_mul(len(a) * len(b))
-        counter.count_add(max(0, len(a) * len(b) - (len(a) + len(b) - 1)))
     return out
 
 
@@ -163,7 +159,8 @@ def lagrange_basis(field: Field, points: Sequence[int]) -> list[list[int]]:
 def lagrange_interpolate(field: Field, points: Sequence[int], values: Sequence[int],
                          counter: OpCounter | None = None) -> list[int]:
     """Unique polynomial of degree < n through the n (point, value) pairs."""
-    assert len(points) == len(values)
+    if len(points) != len(values):
+        raise DimensionMismatch(f"{len(points)} points but {len(values)} values")
     n = len(points)
     if n == 0:
         return []

@@ -53,10 +53,12 @@ from .matrix import FieldMatrix, mat_solve, submatrix_rows, transpose
 from .poly import (
     lagrange_basis,
     lagrange_interpolate,
+    poly_derivative,
     poly_divmod,
     poly_eval,
     poly_eval_many,
     poly_from_roots,
+    poly_mul,
     poly_sub,
 )
 
@@ -231,25 +233,6 @@ def _gen_coeff_map(params: PsrsParams) -> FieldMatrix:
 # evaluation form
 # ---------------------------------------------------------------------------
 
-def _convolve(field: Field, a: Sequence[int], b: Sequence[int],
-              counter: OpCounter | None = None) -> list[int]:
-    """Schoolbook polynomial product, vectorized where the field allows."""
-    if not a or not b:
-        return []
-    if counter is not None:
-        counter.count_mul(len(a) * len(b))
-        counter.count_add(max(0, len(a) * len(b) - (len(a) + len(b) - 1)))
-    if field.kind in ("prime", "fermat"):
-        out = np.convolve(np.asarray(a, np.int64), np.asarray(b, np.int64)) % field.q
-        return out.tolist()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return out
-
-
 def coding_polynomial(params: PsrsParams, msg: PsrsMessage,
                       counter: OpCounter | None = None) -> list[int]:
     """Coefficients of C(x) = Phi(x) + Gamma(x) B(x), length d."""
@@ -266,7 +249,7 @@ def coding_polynomial(params: PsrsParams, msg: PsrsMessage,
     c = np.zeros(d, dtype=np.int64)
     c[:k] = phi
     if d > k:
-        delta = _convolve(field, list(_gamma(params)), list(msg.b), counter)
+        delta = poly_mul(field, list(_gamma(params)), list(msg.b), counter)
         c = field.vadd(c, field.varray(delta + [0] * (d - len(delta))))
         if counter is not None:
             counter.count_add(d)
@@ -333,7 +316,7 @@ def decode_partial_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
     field = params.field
     if len(b) != params.d - params.k:
         raise ParamsInvalid(f"b has {len(b)} symbols, expected {params.d - params.k}")
-    delta = _convolve(field, list(_gamma(params)), list(b), counter)
+    delta = poly_mul(field, list(_gamma(params)), list(b), counter)
     zs = [params.points[pos - 1] for pos, _ in pairs]
     dz = poly_eval_many(field, delta, zs, counter) if delta else [0] * len(zs)
     phi_vals = [field.sub(val, dv) for (_, val), dv in zip(pairs, dz)]
@@ -404,14 +387,9 @@ def _erasure_decode(field: Field, received: list[int], known: set[int], alpha: i
             nxt[i] = field.add(nxt[i], c)
             nxt[i + 1] = field.sub(nxt[i + 1], field.mul(c, x))
         lam = nxt
-    omega_full = _convolve(field, syn, lam, counter)
+    omega_full = poly_mul(field, syn, lam, counter)
     omega = omega_full[:rho]
-    lam_deriv = []
-    for i in range(1, len(lam)):
-        coeff = 0
-        for _ in range(i):
-            coeff = field.add(coeff, lam[i])
-        lam_deriv.append(coeff)
+    lam_deriv = poly_derivative(field, lam)
     out = list(received)
     for e, x in zip(erased, locators):
         xi = field.inv(x)

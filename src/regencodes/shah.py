@@ -191,7 +191,8 @@ def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],
             )
         for p, v in zip(node_packets(params.n, frag.node), frag.symbols):
             values[p] = v
-    assert len(values) == params.B, "k stores must cover exactly B distinct packets"
+    if len(values) != params.B:
+        raise InsufficientSymbols(f"stores cover {len(values)} packets, need B={params.B}")
     gen = _generator_rows(params)
     chosen = sorted(values)
     rows = submatrix_rows(gen, [p - 1 for p in chosen])

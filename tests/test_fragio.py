@@ -1,10 +1,10 @@
 import pytest
 
+from regencodes.codec import params_for
 from regencodes.errors import WrongMessageLength
 from regencodes.fragments import Fragment
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.harness.fragio import (
-    params_for,
     read_fragment,
     read_message,
     symbol_width,

@@ -122,3 +122,11 @@ def test_rbt_repair_with_wrong_helper_set_is_annotated():
     params = RbtParams(F7, 6, 3)
     with pytest.raises(WrongHelperCount, match="event 2"):
         sim_run(params, "encode\nfail 4\nrepair 4 with 1,2")
+
+
+def test_repair_with_unavailable_helper_is_script_error():
+    params = MbrParams(F7, 6, 3, 4)
+    with pytest.raises(ScriptInvalid, match="helper 2 unavailable"):
+        sim_run(params, "encode\nfail 1\nfail 2\nrepair 1 with 2,3,4,5")
+    with pytest.raises(ScriptInvalid, match="helper 9 unavailable"):
+        sim_run(params, "encode\nfail 1\nrepair 1 with 2,3,4,9")
