@@ -23,6 +23,7 @@ from .mbr import (
     mbr_reconstruct_full,
     mbr_reconstruct_partial,
     repair_from_fragments,
+    timeshare_scheme,
 )
 from .rbt import (
     RbtParams,
@@ -39,6 +40,7 @@ from .rbt import (
 from .shah import ShahParams, helper_repair_packet, shah_encode, shah_reconstruct, shah_repair
 
 # `partial` is the pairwise rbt plan; `timeshare` alternates lower and upper
+# rounds as mbr.timeshare_scheme says
 SCHEMES = {
     "rbt": ("full", "partial"),
     "rbt-sys": ("full", "partial"),
@@ -112,8 +114,7 @@ def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], sch
                 phase: int = 0) -> tuple[list[int], dict[int, int]]:
     """Rebuild the message from the fragments of `nodes`.
 
-    A `timeshare` read runs the lower plan on even phases and the upper
-    plan on odd ones.
+    A `timeshare` read runs the plan `mbr.timeshare_scheme(phase)` picks.
     """
     check_scheme(params.codec, scheme)
     chosen = [frags[i] for i in nodes]
@@ -133,7 +134,7 @@ def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], sch
         u = rbt_reconstruct_partial(params, plan, payloads, counter)
     else:
         if scheme == "timeshare":
-            scheme = "lower" if phase % 2 == 0 else "upper"
+            scheme = timeshare_scheme(phase)
         plan = mbr_partial_plan(params, nodes, scheme)
         u = mbr_reconstruct_partial(params, plan, mbr_extract_payloads(chosen, plan), counter)
     return u, plan.per_node_counts()

@@ -580,6 +580,29 @@ def _check_size(size: int) -> int:
     return size.bit_length() - 1
 
 
+def _butterflies(a: np.ndarray, w: int, p: int) -> np.ndarray:
+    """Iterative radix-2 transform of `a` with root w of order len(a)."""
+    size = len(a)
+    a = a[_bit_reverse_permutation(size)]
+    span = 2
+    while span <= size:
+        half = span // 2
+        w_span = pow(w, size // span, p)
+        tw = np.empty(half, dtype=np.int64)
+        acc = 1
+        for i in range(half):
+            tw[i] = acc
+            acc = (acc * w_span) % p
+        blocks = a.reshape(-1, span)
+        even = blocks[:, :half].copy()
+        odd = (blocks[:, half:] * tw) % p
+        blocks[:, :half] = (even + odd) % p
+        blocks[:, half:] = (even - odd) % p
+        a = blocks.reshape(-1)
+        span *= 2
+    return a
+
+
 def ntt_evaluate(
     field: Field,
     coeffs: Sequence[int] | Iterable[int],
@@ -602,24 +625,7 @@ def ntt_evaluate(
         a[: len(coeffs)] = f.varray(coeffs)
     if size == 1:
         return [int(a[0])]
-    w = f.root_of_unity(size)
-    a = a[_bit_reverse_permutation(size)]
-    span = 2
-    while span <= size:
-        half = span // 2
-        w_span = pow(w, size // span, p)
-        tw = np.empty(half, dtype=np.int64)
-        acc = 1
-        for i in range(half):
-            tw[i] = acc
-            acc = (acc * w_span) % p
-        blocks = a.reshape(-1, span)
-        even = blocks[:, :half].copy()
-        odd = (blocks[:, half:] * tw) % p
-        blocks[:, :half] = (even + odd) % p
-        blocks[:, half:] = (even - odd) % p
-        a = blocks.reshape(-1)
-        span *= 2
+    a = _butterflies(a, f.root_of_unity(size), p)
     if counter is not None:
         counter.count_mul((size // 2) * stages)
         counter.count_add(size * stages)
@@ -639,24 +645,7 @@ def ntt_interpolate(
     if size == 1:
         return [int(f.check(evals[0]))]
     # transform with w^-1, then scale by size^-1
-    w_inv = f.inv(f.root_of_unity(size))
-    a = f.varray(evals)[_bit_reverse_permutation(size)]
-    span = 2
-    while span <= size:
-        half = span // 2
-        w_span = pow(w_inv, size // span, p)
-        tw = np.empty(half, dtype=np.int64)
-        acc = 1
-        for i in range(half):
-            tw[i] = acc
-            acc = (acc * w_span) % p
-        blocks = a.reshape(-1, span)
-        even = blocks[:, :half].copy()
-        odd = (blocks[:, half:] * tw) % p
-        blocks[:, :half] = (even + odd) % p
-        blocks[:, half:] = (even - odd) % p
-        a = blocks.reshape(-1)
-        span *= 2
+    a = _butterflies(f.varray(evals), f.inv(f.root_of_unity(size)), p)
     n_inv = f.inv(size % p)
     a = (a * n_inv) % p
     if counter is not None:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import ParamsInvalid, WrongMessageLength
 from ..fragments import CODEC_TAGS, Fragment
 from ..gf import Field, field_new
@@ -54,9 +56,31 @@ def _field_from(kind_id: int, parameter: int) -> Field:
     return field_new(kind, parameter if kind != "fermat" else None)
 
 
+# Every supported field's symbols fit 4 bytes, so symbols are packed and
+# unpacked through little-endian u32 arrays, keeping the low w bytes of each.
+
+def _pack(field: Field, symbols) -> bytes:
+    """Symbols as little-endian unsigned integers of symbol_width(field) bytes."""
+    symbols = list(symbols)
+    if symbols and (min(symbols) < 0 or max(symbols) >= field.q):
+        raise ValueError(f"symbols outside [0, {field.q})")
+    wide = np.array(symbols, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return wide[:, :symbol_width(field)].tobytes()
+
+
+def _unpack(field: Field, body: bytes, path) -> list[int]:
+    """Inverse of _pack; a symbol outside the field raises ParamsInvalid."""
+    w = symbol_width(field)
+    wide = np.zeros((len(body) // w, 4), dtype=np.uint8)
+    wide[:, :w] = np.frombuffer(body, dtype=np.uint8).reshape(-1, w)
+    symbols = wide.view("<u4")[:, 0].tolist()
+    if symbols and max(symbols) >= field.q:
+        raise ParamsInvalid(f"{path}: symbol {max(symbols)} outside [0, {field.q})")
+    return symbols
+
+
 def write_fragment(path: str | Path, field: Field, n: int, k: int, d: int,
                    fragment: Fragment) -> None:
-    w = symbol_width(field)
     header = _HEADER.pack(
         MAGIC,
         _CODEC_IDS[fragment.codec],
@@ -67,8 +91,7 @@ def write_fragment(path: str | Path, field: Field, n: int, k: int, d: int,
         fragment.node,
         len(fragment.symbols),
     )
-    body = b"".join(s.to_bytes(w, "little") for s in fragment.symbols)
-    Path(path).write_bytes(header + body)
+    Path(path).write_bytes(header + _pack(field, fragment.symbols))
 
 
 def read_fragment(path: str | Path) -> tuple[Field, int, int, int, Fragment]:
@@ -84,17 +107,13 @@ def read_fragment(path: str | Path) -> tuple[Field, int, int, int, Fragment]:
     body = raw[_HEADER.size:]
     if len(body) != count * w:
         raise ParamsInvalid(f"{path}: expected {count * w} symbol bytes, found {len(body)}")
-    symbols = tuple(
-        int.from_bytes(body[i * w: (i + 1) * w], "little") for i in range(count)
-    )
-    for s in symbols:
-        field.check(s)
-    return field, n, k, d, Fragment(codec, node, symbols)
+    if not 1 <= node <= n:
+        raise ParamsInvalid(f"{path}: node {node} outside [1, {n}]")
+    return field, n, k, d, Fragment(codec, node, tuple(_unpack(field, body, path)))
 
 
 def write_message(path: str | Path, field: Field, symbols) -> None:
-    w = symbol_width(field)
-    Path(path).write_bytes(b"".join(field.check(s).to_bytes(w, "little") for s in symbols))
+    Path(path).write_bytes(_pack(field, symbols))
 
 
 def read_message(path: str | Path, field: Field, count: int | None = None) -> list[int]:
@@ -102,9 +121,6 @@ def read_message(path: str | Path, field: Field, count: int | None = None) -> li
     w = symbol_width(field)
     if len(raw) % w:
         raise WrongMessageLength(f"{path}: length {len(raw)} is not a multiple of width {w}")
-    symbols = [int.from_bytes(raw[i: i + w], "little") for i in range(0, len(raw), w)]
-    if count is not None and len(symbols) != count:
-        raise WrongMessageLength(f"{path}: {len(symbols)} symbols, expected {count}")
-    for s in symbols:
-        field.check(s)
-    return symbols
+    if count is not None and len(raw) != count * w:
+        raise WrongMessageLength(f"{path}: {len(raw) // w} symbols, expected {count}")
+    return _unpack(field, raw, path)

@@ -38,6 +38,7 @@ from .errors import (
     InsufficientSymbols,
     OrderingInfeasible,
     ParamsInvalid,
+    PlanPayloadMismatch,
     SchemeBackendMismatch,
     SingularMatrix,
     SingularStageMatrix,
@@ -313,6 +314,15 @@ def assign_slots(params: MbrParams, nodes: Sequence[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _collector(params: MbrParams, nodes: Sequence[int],
+               order: Sequence[int]) -> tuple[FieldMatrix, FieldMatrix]:
+    """Phi_DC and Delta_DC: the encoding row of nodes[j] sits in row order[j]-1."""
+    f, k = params.field, params.k
+    rows = np.zeros((k, params.d), dtype=np.int64)
+    rows[[g - 1 for g in order]] = mbr_build_encoding(params).a[[i - 1 for i in nodes]]
+    return FieldMatrix(f, rows[:, :k]), FieldMatrix(f, rows[:, k:])
+
+
 def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
                          order: Sequence[int] | None = None,
                          counter: OpCounter | None = None) -> list[int]:
@@ -334,13 +344,9 @@ def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
     if sorted(order) != list(range(1, k + 1)):
         raise OrderingInfeasible(f"slot order {order} is not a permutation of 1..{k}")
     c_dc = np.zeros((k, d), dtype=np.int64)
-    psi_rows = np.zeros((k, d), dtype=np.int64)
-    psi = mbr_build_encoding(params)
     for fr, g in zip(fragments, order):
         c_dc[g - 1] = fr.symbols
-        psi_rows[g - 1] = psi.row(fr.node - 1)
-    phi_dc = FieldMatrix(f, psi_rows[:, :k])
-    delta_dc = FieldMatrix(f, psi_rows[:, k:])
+    phi_dc, delta_dc = _collector(params, nodes, order)
     c_phi = FieldMatrix(f, c_dc[:, :k])
     c_delta = FieldMatrix(f, c_dc[:, k:])
     try:
@@ -412,131 +418,102 @@ class StageRecord:
     solved: tuple[tuple[int, int], ...]  # new (row, col) message positions in S
 
 
+def timeshare_scheme(phase: int) -> str:
+    """Scheme of time-sharing round `phase`: lower on even rounds, upper on odd."""
+    return "lower" if phase % 2 == 0 else "upper"
+
+
 def mbr_timeshare_schedule(params: MbrParams, connected: Sequence[int],
                            rounds: int) -> list[DownloadPlan]:
     """Alternating lower/upper plans; over two consecutive rounds every node
     transmits 2d-(k-1) symbols."""
     if rounds < 1:
         raise ParamsInvalid("rounds must be >= 1")
-    plans = []
-    for r in range(rounds):
-        scheme = "lower" if r % 2 == 0 else "upper"
-        plan = mbr_partial_plan(params, connected, scheme)
-        plans.append(dataclasses.replace(plan, phase=r))
-    return plans
+    return [dataclasses.replace(mbr_partial_plan(params, connected, timeshare_scheme(r)), phase=r)
+            for r in range(rounds)]
 
 
 def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
                             counter: OpCounter | None = None,
                             trace: list[StageRecord] | None = None) -> list[int]:
     """Stage-wise reconstruction from a partial download; output matches
-    mbr_reconstruct_full exactly."""
+    mbr_reconstruct_full exactly.
+
+    Stage by stage one column c of S is solved, forward for `lower` and
+    backward for `upper` and `gong`.  Row r of a stage system is e_r when
+    column r is already known (S[r, c] = S[c, r] by symmetry) and row r of
+    Phi_DC otherwise; `gong` substitutes the known entries out instead and
+    solves only the rows and columns still to do.
+    """
     if plan.scheme not in PARTIAL_SCHEMES:
         raise ParamsInvalid(f"plan scheme {plan.scheme!r} is not a partial scheme")
     payloads = plan.check_payloads(payloads)
     f = params.field
     k, d = params.k, params.d
-    psi = mbr_build_encoding(params)
-    psi_rows = np.zeros((k, d), dtype=np.int64)
-    for node, g in zip(plan.nodes, plan.order):
-        psi_rows[g - 1] = psi.row(node - 1)
-    phi_dc = FieldMatrix(f, psi_rows[:, :k])
-    delta_dc = FieldMatrix(f, psi_rows[:, k:])
+    phi_dc, delta_dc = _collector(params, plan.nodes, plan.order)
 
     # scatter payloads: C^Delta is complete, C^Phi only on the plan's triangle
     c_delta = np.zeros((k, d - k), dtype=np.int64)
-    c_phi_known: dict[tuple[int, int], int] = {}
+    c_phi = np.zeros((k, k), dtype=np.int64)
+    downloaded = np.zeros((k, k), dtype=bool)
     for g, pos, pay in zip(plan.order, plan.positions, payloads):
         for p, v in zip(pos, pay):
             if p > k:
                 c_delta[g - 1, p - k - 1] = f.check(v)
             else:
-                c_phi_known[(g - 1, p - 1)] = f.check(v)
+                c_phi[g - 1, p - 1] = f.check(v)
+                downloaded[g - 1, p - 1] = True
 
     try:
         t = mat_solve(phi_dc, FieldMatrix(f, c_delta), counter)
     except SingularMatrix as exc:
         raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
     dt = mat_mul(delta_dc, transpose(t), counter)  # k x k
-    d_known = {
-        (r, c): f.sub(v, dt[r, c]) for (r, c), v in c_phi_known.items()
-    }
+    d_phi = f.vsub(c_phi, dt.a)  # meaningful where downloaded
     if counter is not None:
-        counter.count_add(len(d_known))
+        counter.count_add(int(downloaded.sum()))
 
     s = np.zeros((k, k), dtype=np.int64)
-    if plan.scheme == "lower":
-        for l in range(1, k + 1):
-            rows, rhs = [], []
-            for j in range(1, l):
-                e = [0] * k
-                e[j - 1] = 1
-                rows.append(e)
-                rhs.append(int(s[j - 1, l - 1]))
-            for slot in range(l, k + 1):
-                rows.append(phi_dc.row(slot - 1))
-                rhs.append(d_known[(slot - 1, l - 1)])
-            col = _solve_stage(f, rows, rhs, counter)
-            s[:, l - 1] = col
-            s[l - 1, :] = col
-            if trace is not None:
-                trace.append(StageRecord(
-                    scheme=plan.scheme, stage=l, s_column=l,
-                    matrix=FieldMatrix(f, rows), rhs=tuple(rhs),
-                    solved=tuple((l, j) for j in range(l, k + 1)),
-                ))
-    else:  # upper and gong walk the columns backward
-        for stage, c in enumerate(range(k, 0, -1), start=1):
-            if plan.scheme == "upper":
-                rows, rhs = [], []
-                for slot in range(1, c + 1):
-                    rows.append(phi_dc.row(slot - 1))
-                    rhs.append(d_known[(slot - 1, c - 1)])
-                for j in range(c + 1, k + 1):
-                    e = [0] * k
-                    e[j - 1] = 1
-                    rows.append(e)
-                    rhs.append(int(s[j - 1, c - 1]))
-                col = _solve_stage(f, rows, rhs, counter)
-                s[:, c - 1] = col
-                s[c - 1, :] = col
-                mat = FieldMatrix(f, rows)
-                stage_rhs = tuple(rhs)
-            else:
-                # substitute solved rows through symmetry: c x c system
-                rows = [phi_dc.row(m)[:c] for m in range(c)]
-                rhs = []
-                for m in range(c):
-                    acc = d_known[(m, c - 1)]
-                    for tcol in range(c, k):
-                        acc = f.sub(acc, f.mul(phi_dc[m, tcol], int(s[tcol, c - 1])))
-                        if counter is not None:
-                            counter.count_mul(1)
-                            counter.count_add(1)
-                    rhs.append(acc)
-                col = _solve_stage(f, rows, rhs, counter)
-                s[:c, c - 1] = col
-                s[c - 1, :c] = col
-                mat = FieldMatrix(f, rows)
-                stage_rhs = tuple(rhs)
-            if trace is not None:
-                trace.append(StageRecord(
-                    scheme=plan.scheme, stage=stage, s_column=c,
-                    matrix=mat, rhs=stage_rhs,
-                    solved=tuple((i, c) for i in range(1, c + 1)),
-                ))
+    known = np.zeros(k, dtype=bool)
+    eye = np.eye(k, dtype=np.int64)
+    columns = range(k) if plan.scheme == "lower" else range(k - 1, -1, -1)
+    for stage, c in enumerate(columns, start=1):
+        todo = np.flatnonzero(~known)
+        if not downloaded[todo, c].all():
+            raise PlanPayloadMismatch(f"plan leaves out C^Phi entries of column {c + 1}")
+        rhs = np.where(known, s[:, c], d_phi[:, c])
+        if plan.scheme == "gong":
+            done = np.flatnonzero(known)
+            rows = phi_dc.a[np.ix_(todo, todo)]
+            known_part = f.matmul(phi_dc.a[np.ix_(todo, done)], s[done, c][:, None])
+            rhs = f.vsub(rhs[todo], known_part[:, 0])
+            if counter is not None:
+                counter.count_mul(len(todo) * len(done))
+                counter.count_add(len(todo) * len(done))
+            unknowns = slice(None)
+        else:
+            rows = np.where(known[:, None], eye, phi_dc.a)
+            unknowns = todo
+        mat = FieldMatrix(f, rows)
+        col = _solve_stage(mat, rhs, counter)[unknowns]
+        s[todo, c] = col
+        s[c, todo] = col
+        known[c] = True
+        if trace is not None:
+            trace.append(StageRecord(
+                scheme=plan.scheme, stage=stage, s_column=c + 1,
+                matrix=mat, rhs=tuple(rhs.tolist()),
+                solved=tuple((min(r, c) + 1, max(r, c) + 1) for r in todo.tolist()),
+            ))
     block = np.concatenate([s, t.a], axis=1)
     return message_from_block(params, FieldMatrix(f, block))
 
 
-def _solve_stage(f: Field, rows: list, rhs: list[int],
-                 counter: OpCounter | None) -> np.ndarray:
-    a = FieldMatrix(f, rows)
-    b = FieldMatrix(f, [[v] for v in rhs])
+def _solve_stage(mat: FieldMatrix, rhs: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     try:
-        sol = mat_solve(a, b, counter)
+        sol = mat_solve(mat, FieldMatrix(mat.field, rhs[:, None]), counter)
     except SingularMatrix as exc:
         raise SingularStageMatrix(
             "stage matrix singular; slot ordering constraint violated"
         ) from exc
-    return np.asarray(sol.col(0), dtype=np.int64)
+    return sol.a[:, 0]

@@ -201,16 +201,11 @@ def _gen_matrix(params: PsrsParams) -> FieldMatrix:
 
 
 @lru_cache(maxsize=None)
-def _g0(params: PsrsParams) -> tuple[int, ...]:
+def _generator(params: PsrsParams, num_roots: int) -> tuple[int, ...]:
+    """Generator polynomial with roots alpha^0 .. alpha^(num_roots-1):
+    g0 has n-k roots, g1 has n-d."""
     field = params.field
-    roots = [field.pow_(params.alpha, i) for i in range(params.n - params.k)]
-    return tuple(poly_from_roots(field, roots))
-
-
-@lru_cache(maxsize=None)
-def _g1(params: PsrsParams) -> tuple[int, ...]:
-    field = params.field
-    roots = [field.pow_(params.alpha, i) for i in range(params.n - params.d)]
+    roots = [field.pow_(params.alpha, i) for i in range(num_roots)]
     return tuple(poly_from_roots(field, roots))
 
 
@@ -350,10 +345,10 @@ def encode_genpoly(params: PsrsParams, msg: PsrsMessage,
     params.check_message(msg)
     field = params.field
     n, k, d = params.n, params.k, params.d
-    c0 = _systematic_rs_poly(field, msg.a, _g0(params), n - k, counter)
+    c0 = _systematic_rs_poly(field, msg.a, _generator(params, n - k), n - k, counter)
     c = c0 + [0] * (n - len(c0))
     if d > k:
-        c1 = _systematic_rs_poly(field, msg.b, _g1(params), n - d, counter)
+        c1 = _systematic_rs_poly(field, msg.b, _generator(params, n - d), n - d, counter)
         c1 = c1 + [0] * (n - len(c1))
         c = [field.add(x, y) for x, y in zip(c, c1)]
         if counter is not None:
@@ -415,7 +410,7 @@ def decode_full_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],
         known.add(deg)
     c = _erasure_decode(field, received, known, params.alpha, n - d, counter)
     a = c[n - k:]
-    c0 = _systematic_rs_poly(field, a, _g0(params), n - k, counter)
+    c0 = _systematic_rs_poly(field, a, _generator(params, n - k), n - k, counter)
     c0 = c0 + [0] * (n - len(c0))
     c1 = poly_sub(field, c, c0)
     b = c1[n - d: n - k]
@@ -454,7 +449,7 @@ def decode_partial_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]]
     if len(b) != d - k:
         raise ParamsInvalid(f"b has {len(b)} symbols, expected {d - k}")
     if d > k:
-        c1 = _systematic_rs_poly(field, list(b), _g1(params), n - d, counter)
+        c1 = _systematic_rs_poly(field, list(b), _generator(params, n - d), n - d, counter)
         c1 = c1 + [0] * (n - len(c1))
     else:
         c1 = [0] * n

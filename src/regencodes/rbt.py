@@ -249,18 +249,9 @@ def rbt_encode(params: RbtParams, u: Sequence[int], counter: OpCounter | None = 
 
 
 def source_block(params: RbtParams, u: Sequence[int]) -> FieldMatrix:
-    """k x n source block [U_L U_R] with U_L skew-symmetric, from B source symbols."""
-    field = params.field
-    u = [field.check(v) for v in u]
-    if len(u) != params.B:
-        raise WrongMessageLength(f"got {len(u)} symbols, B={params.B}")
-    k, n = params.k, params.n
-    m = np.zeros((k, n), dtype=np.int64)
-    for (i, j), v in zip(_message_slots(params), u):
-        m[i, j] = v
-        if j < k:
-            m[j, i] = field.neg(v)
-    return FieldMatrix(field, m)
+    """k x n source block [U_L U_R] with U_L skew-symmetric, from B source symbols:
+    the first k rows of the message matrix."""
+    return FieldMatrix(params.field, rbt_build_message(params, u).a[: params.k])
 
 
 def rbt_encode_systematic(params: RbtParams, block: FieldMatrix,
@@ -302,8 +293,7 @@ def remapped_message(params: RbtParams, block: FieldMatrix) -> list[int]:
 
 def source_from_codeword(cw: RbtCodeword) -> list[int]:
     """Read the source symbols back out of a systematic codeword."""
-    params = cw.params
-    return [cw.check[i, j] for i, j in _message_slots(params)]
+    return message_from_block(cw.params, cw.check)
 
 
 # ---------------------------------------------------------------------------

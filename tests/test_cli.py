@@ -132,3 +132,36 @@ def test_cli_scheme_codec_mismatch(tmp_path, capsys):
                 "--frags", str(frags), "--out", str(tmp_path / "o.bin")])
     assert code == 1
     assert "ERROR SchemeBackendMismatch" in capsys.readouterr().err
+
+
+def _encode_gf7(tmp_path):
+    msg = tmp_path / "msg.bin"
+    write_message(msg, parse_field("prime:7"), [1, 2, 3, 4, 5, 6, 0, 1, 2])
+    frags = tmp_path / "frags"
+    assert run(["encode", str(msg), "--codec", "mbr-psrs", "--n", "6", "--k", "3",
+                "--d", "4", "--field", "prime:7", "--out-dir", str(frags)]) == 0
+    return frags
+
+
+def test_cli_message_symbol_out_of_field_exit1(tmp_path, capsys):
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(bytes([1, 2, 3, 4, 5, 6, 7, 1, 2]))  # 7 is not in GF(7)
+    code = run(["encode", str(msg), "--codec", "mbr-psrs", "--n", "6", "--k", "3",
+                "--d", "4", "--field", "prime:7", "--out-dir", str(tmp_path / "f")])
+    assert code == 1
+    assert "ERROR ParamsInvalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset,value", [(-1, b"\x07"), (16, b"\x00\x00")],
+                         ids=["symbol-out-of-field", "node-0-header"])
+def test_cli_malformed_fragment_file_exit1(tmp_path, capsys, offset, value):
+    # the damaged file is not among the --nodes read, yet it is refused
+    frags = _encode_gf7(tmp_path)
+    path = frags / "frag_0006.rgc"
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(value) or None] = value
+    path.write_bytes(bytes(raw))
+    code = run(["reconstruct", "--nodes", "1,2,4", "--frags", str(frags),
+                "--out", str(tmp_path / "o.bin")])
+    assert code == 1
+    assert "ERROR ParamsInvalid" in capsys.readouterr().err

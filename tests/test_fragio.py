@@ -1,7 +1,7 @@
 import pytest
 
 from regencodes.codec import params_for
-from regencodes.errors import WrongMessageLength
+from regencodes.errors import ParamsInvalid, WrongMessageLength
 from regencodes.fragments import Fragment
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.harness.fragio import (
@@ -22,6 +22,7 @@ def test_symbol_width():
     assert symbol_width(binary_field(4)) == 1
     assert symbol_width(binary_field(16)) == 2
     assert symbol_width(fermat_field()) == 4
+    assert symbol_width(prime_field(65537)) == 3
 
 
 @pytest.mark.parametrize(
@@ -32,6 +33,7 @@ def test_symbol_width():
         (binary_field(2), "rbt"),
         (binary_field(16), "rbt-sys"),
         (fermat_field(), "shah"),
+        (prime_field(65537), "mbr-vdm"),
     ],
     ids=lambda v: str(v),
 )
@@ -63,11 +65,12 @@ def test_params_for():
 
 
 def test_message_round_trip(tmp_path):
-    for field in (prime_field(7), binary_field(16), fermat_field()):
-        u = [(i * 101) % field.q for i in range(9)]
+    for field in (prime_field(7), binary_field(16), fermat_field(), prime_field(65537)):
+        u = [(i * 8191) % field.q for i in range(8)] + [field.q - 1]
         path = tmp_path / f"msg_{field.kind}.bin"
         write_message(path, field, u)
-        assert path.stat().st_size == 9 * symbol_width(field)
+        w = symbol_width(field)
+        assert path.read_bytes() == b"".join(v.to_bytes(w, "little") for v in u)
         assert read_message(path, field, 9) == u
 
 
@@ -80,3 +83,28 @@ def test_message_length_validation(tmp_path):
     write_message(path, field, [1, 2, 3])
     with pytest.raises(WrongMessageLength):
         read_message(path, field, 4)
+
+
+def test_symbols_outside_field_are_refused(tmp_path):
+    field = prime_field(7)
+    path = tmp_path / "msg.bin"
+    path.write_bytes(bytes([1, 7, 2]))
+    with pytest.raises(ParamsInvalid):
+        read_message(path, field)
+    write_fragment(path, field, 6, 3, 4, Fragment("mbr-psrs", 2, (1, 2, 3, 4)))
+    raw = bytearray(path.read_bytes())
+    raw[-1] = 7
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParamsInvalid):
+        read_fragment(path)
+
+
+@pytest.mark.parametrize("node", [0, 7])
+def test_fragment_node_outside_range(tmp_path, node):
+    path = tmp_path / "frag.rgc"
+    write_fragment(path, prime_field(7), 6, 3, 4, Fragment("mbr-psrs", 1, (1, 2, 3, 4)))
+    raw = bytearray(path.read_bytes())
+    raw[16:18] = node.to_bytes(2, "little")  # the header's node field
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParamsInvalid):
+        read_fragment(path)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regencodes.counting import OpCounter
 from regencodes.errors import (
@@ -402,3 +404,117 @@ def test_plan_payload_mismatch():
     payloads[0] = payloads[0] + [0]
     with pytest.raises(PlanPayloadMismatch):
         mbr_reconstruct_partial(REF7, plan, payloads)
+
+
+# ---------------------------------------------------------------------------
+# pinned partial-read behaviour: op counts, stage systems, random cases
+# ---------------------------------------------------------------------------
+
+REF7_VDM = MbrParams(F7, 6, 3, 4, backend="vandermonde")
+
+
+@pytest.mark.parametrize(
+    "params,nodes,scheme,mul,add",
+    [
+        (REF7, [1, 2, 4], "lower", 165, 102),
+        (REF7, [1, 2, 4], "upper", 165, 102),
+        (REF7_VDM, [2, 4, 6], "lower", 165, 102),
+        (REF7_VDM, [2, 4, 6], "upper", 165, 102),
+        (REF7_VDM, [2, 4, 6], "gong", 108, 64),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_partial_op_counts(params, nodes, scheme, mul, add):
+    u = rand_message(params, random.Random(17))
+    frags = mbr_encode(params, u)
+    plan = mbr_partial_plan(params, nodes, scheme)
+    counter = OpCounter()
+    assert mbr_reconstruct_partial(params, plan, mbr_extract_payloads(frags, plan), counter) == u
+    assert (counter.mul, counter.add) == (mul, add)
+
+
+@pytest.mark.parametrize(
+    "scheme,matrices",
+    [
+        ("upper", [[[1, 2, 4], [1, 4, 2], [1, 6, 1]],
+                   [[1, 2, 4], [1, 4, 2], [0, 0, 1]],
+                   [[1, 2, 4], [0, 1, 0], [0, 0, 1]]]),
+        ("gong", [[[1, 2, 4], [1, 4, 2], [1, 6, 1]],
+                  [[1, 2], [1, 4]],
+                  [[1]]]),
+    ],
+)
+def test_backward_stage_systems(scheme, matrices):
+    from regencodes.mbr import StageRecord
+
+    u = rand_message(REF7_VDM, random.Random(18))
+    frags = mbr_encode(REF7_VDM, u)
+    plan = mbr_partial_plan(REF7_VDM, [2, 4, 6], scheme)
+    trace: list[StageRecord] = []
+    assert mbr_reconstruct_partial(REF7_VDM, plan, mbr_extract_payloads(frags, plan),
+                                   trace=trace) == u
+    assert [r.matrix.tolist() for r in trace] == matrices
+    assert [r.stage for r in trace] == [1, 2, 3]
+    assert [r.s_column for r in trace] == [3, 2, 1]
+    assert [r.solved for r in trace] == [
+        ((1, 3), (2, 3), (3, 3)),
+        ((1, 2), (2, 2)),
+        ((1, 1),),
+    ]
+    assert all(len(r.rhs) == r.matrix.rows for r in trace)
+    if scheme == "upper":
+        # identity rows carry S entries solved in earlier stages
+        assert trace[1].rhs[2] == u[5]  # u6 = S[2,3]
+        assert trace[2].rhs[1:] == (u[1], u[2])  # u2 = S[1,2], u3 = S[1,3]
+
+
+@st.composite
+def _partial_case(draw):
+    field = draw(st.sampled_from([prime_field(7), prime_field(11), binary_field(3),
+                                  binary_field(4), fermat_field()]))
+    n = draw(st.integers(2, min(8, field.q)))
+    d = draw(st.integers(1, n - 1))
+    k = draw(st.integers(1, d))
+    backend = draw(st.sampled_from(["psrs", "vandermonde"]))
+    nodes = draw(st.permutations(range(1, n + 1)))[:k]
+    seed = draw(st.integers(0, 2**16))
+    return MbrParams(field, n, k, d, backend=backend), list(nodes), seed
+
+
+@given(_partial_case())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_partial_schemes_recover_or_refuse(case):
+    from regencodes.errors import OrderingInfeasible, SingularStageMatrix
+
+    params, nodes, seed = case
+    u = rand_message(params, random.Random(seed))
+    frags = mbr_encode(params, u)
+    for scheme in ("lower", "upper", "gong"):
+        try:
+            plan = mbr_partial_plan(params, nodes, scheme)
+        except (OrderingInfeasible, SchemeBackendMismatch):
+            continue
+        payloads = mbr_extract_payloads(frags, plan)
+        try:
+            got = mbr_reconstruct_partial(params, plan, payloads)
+        except SingularStageMatrix:
+            # a Vandermonde row at the point 0 zeroes the lower stages' pivots
+            assert scheme == "lower" and params.backend == "vandermonde"
+            continue
+        assert got == u
+
+
+def test_plan_missing_stage_entry():
+    # a hand-built plan that leaves out an entry a stage needs is refused,
+    # not solved with a zero in its place
+    import dataclasses
+
+    from regencodes.errors import PlanPayloadMismatch
+
+    plan = mbr_partial_plan(REF7, [1, 2, 4], "lower")
+    positions = list(plan.positions)
+    positions[1] = positions[1][1:]  # node 2 keeps back C^Phi[2, 1]
+    plan = dataclasses.replace(plan, positions=tuple(positions))
+    frags = mbr_encode(REF7, [i % 7 for i in range(9)])
+    with pytest.raises(PlanPayloadMismatch):
+        mbr_reconstruct_partial(REF7, plan, mbr_extract_payloads(frags, plan))

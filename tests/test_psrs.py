@@ -16,8 +16,7 @@ from regencodes.matrix import FieldMatrix, mat_mul
 from regencodes.poly import poly_divmod, trim
 from regencodes.psrs import (
     PsrsMessage,
-    _g0,
-    _g1,
+    _generator,
     decode_full_eval,
     decode_full_genpoly,
     decode_partial_eval,
@@ -161,7 +160,7 @@ def test_encode_genpoly_divisible_by_g1():
     # both c0 and c1 are multiples of g1, hence so is the sum
     rng = random.Random(8)
     params = genpoly_params(F11, 10, 3, 5)
-    g1 = list(_g1(params))
+    g1 = list(_generator(params, 10 - 5))  # n - d roots
     for _ in range(50):
         msg = rand_msg(params, rng)
         c = encode_genpoly(params, msg)
@@ -176,7 +175,7 @@ def test_genpoly_g0_divides_c0_component():
         a = tuple(rng.randrange(11) for _ in range(3))
         msg = PsrsMessage(a, (0, 0))
         c = encode_genpoly(params, msg)
-        _, rem = poly_divmod(F11, c, list(_g0(params)))
+        _, rem = poly_divmod(F11, c, list(_generator(params, 10 - 3)))
         assert trim(rem) == []
 
 
