@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .counting import OpCounter
 from .errors import ParamsInvalid
-from .fragments import Fragment
+from .fragments import Fragment, fragment_symbol
 from .gf import Field
 from .mbr import (
     MbrParams,
@@ -27,8 +27,6 @@ from .mbr import (
 )
 from .rbt import (
     RbtParams,
-    fragment_symbol,
-    helper_repair_symbol,
     rbt_encode,
     rbt_encode_systematic,
     rbt_partial_plan,
@@ -37,7 +35,7 @@ from .rbt import (
     rbt_repair,
     source_block,
 )
-from .shah import ShahParams, helper_repair_packet, shah_encode, shah_reconstruct, shah_repair
+from .shah import ShahParams, shah_encode, shah_reconstruct, shah_repair
 
 # `partial` is the pairwise rbt plan; `timeshare` alternates lower and upper
 # rounds as mbr.timeshare_scheme says
@@ -91,21 +89,22 @@ def repair(params, frags: Mapping[int, Fragment], failed: int,
     """Regenerate node `failed` from `frags` (node -> fragment).
 
     Helpers default to every other node in ascending order, cut to the
-    first d for the product-matrix codecs.  Each helper sends one symbol.
+    first d for the product-matrix codecs.  Each helper sends one symbol:
+    a product-matrix helper its inner product with the failed node's
+    encoding row, a transfer helper the symbol it stores in the failed
+    node's column.
     """
     family = _family(params.codec)
     if helpers is None:
         helpers = sorted(i for i in frags if i != failed)
         if family == "mbr":
             helpers = helpers[: params.d]
-    if family == "rbt":
-        responses = [(i, helper_repair_symbol(frags[i], failed)) for i in helpers]
-        frag = rbt_repair(params, responses, failed, counter)
-    elif family == "mbr":
+    if family == "mbr":
         frag = repair_from_fragments(params, [frags[i] for i in helpers], failed, counter)
     else:
-        responses = [(i, helper_repair_packet(params, frags[i], failed)) for i in helpers]
-        frag = shah_repair(params, responses, failed, counter)
+        responses = [(i, fragment_symbol(frags[i], failed)) for i in helpers]
+        transfer = rbt_repair if family == "rbt" else shah_repair
+        frag = transfer(params, responses, failed, counter)
     return frag, {i: 1 for i in helpers}
 
 

@@ -4,10 +4,15 @@ FieldMatrix wraps a numpy int64 array of field values together with its
 field.  Products, Gauss-Jordan inversion, Vandermonde builders, the
 congruent transformation and skew-symmetric validation live here.  Ops
 that perform field arithmetic accept an explicit OpCounter.
+
+Every codec keeps its message in one triangle of a symmetric (or skew)
+matrix: `triangle` gives the slots of those symbols, row-major, and
+`symmetric_from_triangle` fills the matrix from them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +27,7 @@ from .errors import (
     IndexOutOfRange,
     NotSkewSymmetric,
     SingularMatrix,
+    WrongMessageLength,
 )
 from .gf import Elem, Field, enumerate_points
 
@@ -100,6 +106,36 @@ def zeros(field: Field, rows: int, cols: int) -> FieldMatrix:
 
 def identity(field: Field, n: int) -> FieldMatrix:
     return FieldMatrix(field, np.eye(n, dtype=np.int64))
+
+
+def check_message(field: Field, u: Sequence[int], count: int) -> list[int]:
+    """The message symbols as ints, range-checked before the length check."""
+    u = [field.check(v) for v in u]
+    if len(u) != count:
+        raise WrongMessageLength(f"got {len(u)} symbols, B={count}")
+    return u
+
+
+@lru_cache(maxsize=None)
+def triangle(rows: int, offset: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) index arrays of the upper triangle of a rows x cols block,
+    row-major; offset 0 keeps the diagonal, offset 1 leaves it out."""
+    slots = np.triu_indices(rows, offset, cols)
+    for idx in slots:
+        idx.setflags(write=False)
+    return slots
+
+
+def symmetric_from_triangle(field: Field, size: int, slots: tuple[np.ndarray, np.ndarray],
+                            values: Sequence[int], skew: bool = False) -> FieldMatrix:
+    """size x size matrix holding `values` on `slots` and their mirror images
+    below the diagonal, negated when `skew`."""
+    vals = np.array(values, dtype=np.int64)
+    rows, cols = slots
+    a = np.zeros((size, size), dtype=np.int64)
+    a[rows, cols] = vals
+    a[cols, rows] = field.vneg(vals) if skew else vals
+    return FieldMatrix(field, a)
 
 
 def _same_field(a: FieldMatrix, b: FieldMatrix):

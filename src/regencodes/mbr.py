@@ -44,18 +44,20 @@ from .errors import (
     SingularStageMatrix,
     WrongFragmentCount,
     WrongHelperCount,
-    WrongMessageLength,
 )
 from .fragments import Fragment
 from .gf import Field
 from .matrix import (
     FieldMatrix,
+    check_message,
     mat_inv,
     mat_mul,
     mat_solve,
     mat_sub,
     submatrix_rows,
+    symmetric_from_triangle,
     transpose,
+    triangle,
     vandermonde,
 )
 from .plans import DownloadPlan
@@ -104,28 +106,20 @@ class MbrParams:
         return "mbr-psrs" if self.backend == "psrs" else "mbr-vdm"
 
 
-def _message_slots(params: MbrParams) -> list[tuple[int, int]]:
-    """(row, col) positions of message symbols in the combined k x d block [S T],
-    upper triangle including the diagonal, row-major."""
-    return [(i, j) for i in range(params.k) for j in range(i, params.d)]
+def _message_slots(params: MbrParams) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the message symbols in the combined k x d block [S T]:
+    its upper triangle including the diagonal."""
+    return triangle(params.k, 0, params.d)
 
 
 def mbr_build_message(params: MbrParams, u: Sequence[int]) -> FieldMatrix:
     """Symmetric d x d message matrix holding the B message symbols."""
-    f = params.field
-    u = [f.check(v) for v in u]
-    if len(u) != params.B:
-        raise WrongMessageLength(f"got {len(u)} symbols, B={params.B}")
-    d = params.d
-    m = np.zeros((d, d), dtype=np.int64)
-    for (i, j), v in zip(_message_slots(params), u):
-        m[i, j] = v
-        m[j, i] = v
-    return FieldMatrix(f, m)
+    u = check_message(params.field, u, params.B)
+    return symmetric_from_triangle(params.field, params.d, _message_slots(params), u)
 
 
 def message_from_block(params: MbrParams, block: FieldMatrix) -> list[int]:
-    return [block[i, j] for i, j in _message_slots(params)]
+    return block.a[_message_slots(params)].tolist()
 
 
 @lru_cache(maxsize=None)
@@ -291,18 +285,32 @@ def _check_fragments(params: MbrParams, fragments: Sequence[Fragment]):
         raise WrongFragmentCount(f"got {len(nodes)} fragments, expected k={params.k}")
 
 
+def _claimed_slots(params: MbrParams) -> dict[int, int]:
+    """Nodes whose row of Phi pins their slot.
+
+    A systematic psrs row is e_i and claims slot i.  A Vandermonde row at
+    the point 0 (node n, present only when n = q) is e_1: in any slot
+    after the first, the lower stages would see e_1 twice, so it claims
+    slot 1, whose column the first stage solves.
+    """
+    if params.backend == "psrs":
+        return {i: i for i in range(1, params.k + 1)}
+    return {params.n: 1} if params.n == params.field.q else {}
+
+
 def assign_slots(params: MbrParams, nodes: Sequence[int]) -> tuple[int, ...]:
-    """Greedy slot order: systematic fragments claim their own row index,
-    which satisfies the lower, upper and time-sharing constraints at once;
-    the rest fill the remaining slots in ascending order."""
+    """Greedy slot order: a node whose row of Phi is a unit vector e_s
+    claims slot s, which satisfies the lower, upper and time-sharing
+    constraints at once; the rest fill the remaining slots in ascending
+    order."""
     k = params.k
-    sysset = _systematic_nodes(params)
+    claimed = _claimed_slots(params)
     slots: dict[int, int] = {}
     taken = set()
     for node in nodes:
-        if node in sysset:
-            slots[node] = node
-            taken.add(node)
+        if node in claimed:
+            slots[node] = claimed[node]
+            taken.add(claimed[node])
     free = [s for s in range(1, k + 1) if s not in taken]
     it = iter(free)
     order = []

@@ -18,8 +18,8 @@ Two constructions are provided:
   common root set.
 
 A Fermat-field fast path evaluates via the number-theoretic transform
-when the evaluation points are the leading powers of a canonical
-power-of-two root of unity.
+when the params are built with ntt=True, which takes the leading powers
+of a canonical power-of-two root of unity as evaluation points.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .gf import (
     Field,
-    FermatField,
     enumerate_points,
     ntt_evaluate,
     ntt_interpolate,
@@ -90,33 +89,6 @@ class PsrsParams:
         return msg
 
 
-def _detect_ntt_size(field: Field, points: Sequence[int]) -> int | None:
-    """Transform size when `points` are the leading powers of the canonical root."""
-    if field.kind != "fermat":
-        return None
-    f: FermatField = field  # type: ignore[assignment]
-    n = len(points)
-    if n == 0 or points[0] != 1:
-        return None
-    if n == 1:
-        return 1
-    w = points[1]
-    acc = 1
-    for v in points:
-        if v != acc:
-            return None
-        acc = (acc * w) % f.p
-    order, x = 1, w
-    while x != 1:
-        x = (x * x) % f.p
-        order *= 2
-        if order > f.p - 1:
-            return None
-    if order < n or w != f.root_of_unity(order):
-        return None
-    return order
-
-
 def eval_params(field: Field, n: int, k: int, d: int,
                 points: Sequence[int] | None = None, ntt: bool = False) -> PsrsParams:
     """Evaluation-form parameters; default points are the canonical enumeration."""
@@ -124,18 +96,19 @@ def eval_params(field: Field, n: int, k: int, d: int,
         raise ParamsInvalid(f"need 1 <= k <= d < n, got (n={n}, k={k}, d={d})")
     if n > field.q:
         raise FieldTooSmall(f"evaluation form needs n <= q, got n={n}, q={field.q}")
+    ntt_size = None
     if ntt:
         if points is not None:
             raise ParamsInvalid("pass either explicit points or ntt=True, not both")
         pts = tuple(int(e) for e in ntt_points(field, n))
+        ntt_size = 1 << (n - 1).bit_length()  # the transform size ntt_points used
     elif points is None:
         pts = tuple(int(e) for e in enumerate_points(field, n))
     else:
         pts = tuple(int(p) for p in points)
         if len(pts) != n or len(set(pts)) != n:
             raise ParamsInvalid("points must be n distinct field values")
-    return PsrsParams(field=field, n=n, k=k, d=d, form="eval", points=pts,
-                      ntt_size=_detect_ntt_size(field, pts))
+    return PsrsParams(field=field, n=n, k=k, d=d, form="eval", points=pts, ntt_size=ntt_size)
 
 
 def genpoly_params(field: Field, n: int, k: int, d: int,

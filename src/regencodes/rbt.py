@@ -28,22 +28,20 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .counting import OpCounter
-from .errors import (
-    DuplicateIndex,
-    FieldTooSmall,
-    IndexOutOfRange,
-    InsufficientSymbols,
-    MissingHelper,
-    ParamsInvalid,
-    SingularMatrix,
-    WrongFragmentCount,
-    WrongHelperCount,
-    WrongMessageLength,
+from .errors import FieldTooSmall, ParamsInvalid, SingularMatrix, WrongMessageLength
+from .fragments import (
+    Fragment,
+    check_nodes,
+    expand_row,
+    fragment_symbol,
+    stored_fragment,
+    transfer_repair,
 )
-from .fragments import Fragment
 from .gf import Field
 from .matrix import (
     FieldMatrix,
+    check_message,
+    congruence,
     extended_vandermonde,
     hstack,
     identity,
@@ -55,7 +53,9 @@ from .matrix import (
     mat_sub,
     require_skew_symmetric,
     submatrix_rows,
+    symmetric_from_triangle,
     transpose,
+    triangle,
     vandermonde,
     vstack,
     zeros,
@@ -113,63 +113,31 @@ class RbtCodeword:
             raise ValueError("check matrix must be n x n symmetric with zero diagonal")
 
     def fragment(self, node: int) -> Fragment:
-        # stored row elides the diagonal zero: alpha = n-1 symbols
-        row = self.check.row(node - 1)
-        return Fragment(self.params.codec, node,
-                        tuple(v for i, v in enumerate(row) if i != node - 1))
+        return stored_fragment(self.params.codec, self.check.a, node)
 
     def fragments(self) -> list[Fragment]:
         return [self.fragment(i) for i in range(1, self.params.n + 1)]
-
-
-def stored_position(node: int, column: int) -> int:
-    """0-based index of matrix column `column` within node's elided row."""
-    if column == node:
-        raise IndexOutOfRange(f"node {node} does not store its diagonal zero")
-    return column - 1 if column < node else column - 2
-
-
-def fragment_symbol(frag: Fragment, column: int) -> int:
-    return frag.symbols[stored_position(frag.node, column)]
-
-
-def _expand_row(params: RbtParams, frag: Fragment) -> list[int]:
-    if len(frag.symbols) != params.n - 1:
-        raise WrongFragmentCount(
-            f"fragment of node {frag.node} has {len(frag.symbols)} symbols, expected {params.n - 1}"
-        )
-    row = list(frag.symbols)
-    row.insert(frag.node - 1, 0)
-    return row
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-def _message_slots(params: RbtParams) -> list[tuple[int, int]]:
-    """(row, col) positions of message symbols in the combined k x n block [S T],
-    strict upper triangle, row-major."""
-    return [(i, j) for i in range(params.k) for j in range(i + 1, params.n)]
+def _message_slots(params: RbtParams) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the message symbols in the combined k x n block [S T]:
+    its strict upper triangle."""
+    return triangle(params.k, 1, params.n)
 
 
 def rbt_build_message(params: RbtParams, u: Sequence[int]) -> FieldMatrix:
     """Skew-symmetric n x n message matrix from the B message symbols."""
-    field = params.field
-    u = [field.check(v) for v in u]
-    if len(u) != params.B:
-        raise WrongMessageLength(f"got {len(u)} symbols, B={params.B}")
-    n, k = params.n, params.k
-    m = np.zeros((n, n), dtype=np.int64)
-    for (i, j), v in zip(_message_slots(params), u):
-        m[i, j] = v
-        m[j, i] = field.neg(v)
-    return FieldMatrix(field, m)
+    u = check_message(params.field, u, params.B)
+    return symmetric_from_triangle(params.field, params.n, _message_slots(params), u, skew=True)
 
 
 def message_from_block(params: RbtParams, block: FieldMatrix) -> list[int]:
     """Inverse of the message layout: read B symbols out of a k x n block."""
-    return [block[i, j] for i, j in _message_slots(params)]
+    return block.a[_message_slots(params)].tolist()
 
 
 @lru_cache(maxsize=None)
@@ -244,8 +212,7 @@ def rbt_encode(params: RbtParams, u: Sequence[int], counter: OpCounter | None = 
     """Congruence encoding: check matrix from the B message symbols."""
     m_hat = rbt_build_message(params, u)
     psi = rbt_build_encoding(params)
-    c_hat = mat_mul(mat_mul(psi, m_hat, counter), transpose(psi), counter)
-    return RbtCodeword(params, sign_fix(params, c_hat, counter))
+    return RbtCodeword(params, sign_fix(params, congruence(psi, m_hat, counter), counter))
 
 
 def source_block(params: RbtParams, u: Sequence[int]) -> FieldMatrix:
@@ -307,62 +274,28 @@ def helper_repair_symbol(frag: Fragment, failed: int) -> int:
 
 def rbt_repair(params: RbtParams, responses: Sequence[tuple[int, int]] | Mapping[int, int],
                failed: int, counter: OpCounter | None = None) -> Fragment:
-    """Rebuild the failed node's row by placement only: zero field operations.
-
-    `responses` maps each surviving node to the symbol it stores in the
-    failed node's column; symmetry makes that symbol the failed row's
-    entry in the helper's column.
-    """
-    if not 1 <= failed <= params.n:
-        raise IndexOutOfRange(f"node {failed} outside [1, {params.n}]")
-    if isinstance(responses, Mapping):
-        got = dict(responses)
-    else:
-        got = {}
-        for node, sym in responses:
-            if node in got:
-                raise MissingHelper(f"helper {node} supplied twice")
-            got[node] = sym
-    expected = set(range(1, params.n + 1)) - {failed}
-    if len(got) != len(expected):
-        raise WrongHelperCount(f"got {len(got)} helpers, expected {len(expected)}")
-    missing = expected - set(got)
-    if missing or failed in got:
-        raise MissingHelper(f"helper set mismatch, missing {sorted(missing)}")
-    symbols = tuple(got[i] for i in sorted(expected))
-    return Fragment(params.codec, failed, symbols)
+    """Rebuild the failed node's row by placement only: zero field operations."""
+    return transfer_repair(params, responses, failed)
 
 
 # ---------------------------------------------------------------------------
 # data reconstruction
 # ---------------------------------------------------------------------------
 
-def _check_nodes(params: RbtParams, nodes: Sequence[int], count: int):
-    if len(set(nodes)) != len(nodes):
-        raise DuplicateIndex(f"duplicate node in {list(nodes)}")
-    for i in nodes:
-        if not 1 <= i <= params.n:
-            raise IndexOutOfRange(f"node {i} outside [1, {params.n}]")
-    if len(nodes) < count:
-        raise InsufficientSymbols(f"got {len(nodes)} fragments, need {count}")
-    if len(nodes) > count:
-        raise WrongFragmentCount(f"got {len(nodes)} fragments, expected {count}")
-
-
 def rbt_reconstruct_full(params: RbtParams, fragments: Sequence[Fragment],
                          counter: OpCounter | None = None) -> list[int]:
     """Recover the B message symbols from any k complete fragments."""
     nodes = [f.node for f in fragments]
-    _check_nodes(params, nodes, params.k)
+    check_nodes(params.n, nodes, params.k)
     field, n, k = params.field, params.n, params.k
 
     if params.systematic and sorted(nodes) == list(range(1, k + 1)):
         # systematic fast path: source symbols are stored verbatim
-        rows = {f.node: _expand_row(params, f) for f in fragments}
+        rows = {f.node: expand_row(f, params.n) for f in fragments}
         block = FieldMatrix(field, [rows[i] for i in range(1, k + 1)])
         return message_from_block(params, block)
 
-    rows = [_expand_row(params, f) for f in fragments]
+    rows = [expand_row(f, params.n) for f in fragments]
     c_hat_dc = _unfix_rows(params, rows, nodes, counter)
     d_dc = mat_mul(c_hat_dc, _psi_t_inv(params), counter)
     psi = rbt_build_encoding(params)
@@ -395,7 +328,7 @@ def decision(j: int, l: int) -> int:
 def rbt_partial_plan(params: RbtParams, connected: Sequence[int]) -> DownloadPlan:
     """Plan transmitting exactly B symbols across the k connected nodes."""
     nodes = list(connected)
-    _check_nodes(params, nodes, params.k)
+    check_nodes(params.n, nodes, params.k)
     k = params.k
     omit: dict[int, set[int]] = {j: set() for j in range(1, k + 1)}
     for j in range(1, k + 1):

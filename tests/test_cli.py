@@ -165,3 +165,14 @@ def test_cli_malformed_fragment_file_exit1(tmp_path, capsys, offset, value):
                 "--out", str(tmp_path / "o.bin")])
     assert code == 1
     assert "ERROR ParamsInvalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("codec", ["rbt", "shah"])
+def test_cli_repair_node_outside_range_exit1(tmp_path, capsys, codec):
+    msg = tmp_path / "msg.bin"
+    write_message(msg, binary_field(6), list(range(12)))  # B = 12 at (6, 3)
+    frags = tmp_path / "frags"
+    assert run(["encode", str(msg), "--codec", codec, "--n", "6", "--k", "3",
+                "--field", "binary:6", "--out-dir", str(frags)]) == 0
+    assert run(["repair", "--failed", "7", "--frags", str(frags)]) == 1
+    assert "ERROR IndexOutOfRange" in capsys.readouterr().err

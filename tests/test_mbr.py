@@ -223,6 +223,9 @@ def test_assign_slots_greedy():
     assert assign_slots(REF7, [3, 5, 1]) == (3, 2, 1)
     vdm = MbrParams(F7, 6, 3, 4, backend="vandermonde")
     assert assign_slots(vdm, [4, 2, 6]) == (1, 2, 3)
+    vdm_q = MbrParams(F7, 7, 3, 4, backend="vandermonde")  # node 7 sits at the point 0
+    assert assign_slots(vdm_q, [4, 2, 7]) == (2, 3, 1)
+    assert assign_slots(vdm_q, [4, 2, 6]) == (1, 2, 3)
 
 
 def test_partial_plan_reference_shape():
@@ -484,7 +487,7 @@ def _partial_case(draw):
 @given(_partial_case())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_partial_schemes_recover_or_refuse(case):
-    from regencodes.errors import OrderingInfeasible, SingularStageMatrix
+    from regencodes.errors import OrderingInfeasible
 
     params, nodes, seed = case
     u = rand_message(params, random.Random(seed))
@@ -495,13 +498,21 @@ def test_partial_schemes_recover_or_refuse(case):
         except (OrderingInfeasible, SchemeBackendMismatch):
             continue
         payloads = mbr_extract_payloads(frags, plan)
-        try:
-            got = mbr_reconstruct_partial(params, plan, payloads)
-        except SingularStageMatrix:
-            # a Vandermonde row at the point 0 zeroes the lower stages' pivots
-            assert scheme == "lower" and params.backend == "vandermonde"
-            continue
-        assert got == u
+        assert mbr_reconstruct_partial(params, plan, payloads) == u
+
+
+def test_vandermonde_zero_point_takes_slot_one():
+    # n = q: node 7 evaluates at 0, so its row of Phi is e_1; every node
+    # set, in every order, reads back under each partial scheme
+    params = MbrParams(F7, 7, 3, 4, backend="vandermonde")
+    u = rand_message(params, random.Random(19))
+    frags = mbr_encode(params, u)
+    for nodes in itertools.permutations(range(1, 8), 3):
+        for scheme in ("lower", "upper", "gong"):
+            plan = mbr_partial_plan(params, nodes, scheme)
+            if 7 in nodes:
+                assert plan.order[nodes.index(7)] == 1
+            assert mbr_reconstruct_partial(params, plan, mbr_extract_payloads(frags, plan)) == u
 
 
 def test_plan_missing_stage_entry():

@@ -241,7 +241,7 @@ def test_ntt_encode_matches_naive():
         fast = eval_params(ff, n, k, d, ntt=True)
         assert fast.ntt_size is not None
         naive = eval_params(ff, n, k, d, points=fast.points)
-        # same points, but force the Horner path by erasing the detected size
+        # same points passed explicitly: no transform size, so the Horner path
         naive = dataclasses.replace(naive, ntt_size=None)
         for _ in range(10):
             msg = rand_msg(fast, rng)

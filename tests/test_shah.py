@@ -4,14 +4,12 @@ import random
 import pytest
 
 from regencodes.counting import OpCounter
-from regencodes.errors import FieldTooSmall, WrongHelperCount
+from regencodes.errors import FieldTooSmall, IndexOutOfRange, WrongHelperCount
+from regencodes.fragments import Fragment, fragment_symbol
 from regencodes.gf import binary_field, prime_field
 from regencodes.shah import (
     ShahParams,
-    distinct_packets,
-    edge_list,
     helper_repair_packet,
-    node_packets,
     shah_encode,
     shah_reconstruct,
     shah_repair,
@@ -31,16 +29,30 @@ def test_params_and_field_bound():
         ShahParams(binary_field(3), 8, 4)  # C(8,2)=28 > 9
 
 
+def distinct_codeword(params, rng):
+    """Fragments whose N packets all differ, so a packet is known by its value."""
+    while True:
+        frags = shah_encode(params, rand_message(params, rng))
+        if len({v for f in frags for v in f.symbols}) == params.N:
+            return frags
+
+
+def edge_packets(frags):
+    """Packets in lexicographic edge order, read off the fragments."""
+    n = len(frags)
+    return [fragment_symbol(frags[i - 1], j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
 def test_edge_layout_k5():
-    assert len(edge_list(5)) == 10
-    stores = [node_packets(5, i) for i in range(1, 6)]
-    assert all(len(s) == 4 for s in stores)
+    frags = distinct_codeword(P5, random.Random(3))
+    assert all(len(f.symbols) == 4 for f in frags)
     # every packet appears in exactly two stores
     counts = {}
-    for s in stores:
-        for p in s:
-            counts[p] = counts.get(p, 0) + 1
-    assert counts == {p: 2 for p in range(1, 11)}
+    for f in frags:
+        for v in f.symbols:
+            counts[v] = counts.get(v, 0) + 1
+    assert sorted(counts) == sorted(edge_packets(frags))
+    assert set(counts.values()) == {2}
 
 
 def test_encode_zero_and_packet_duplication():
@@ -49,12 +61,12 @@ def test_encode_zero_and_packet_duplication():
     rng = random.Random(0)
     u = rand_message(P5, rng)
     frags = shah_encode(P5, u)
-    seen = {}
-    for f in frags:
-        for p, v in zip(node_packets(5, f.node), f.symbols):
-            assert seen.setdefault(p, v) == v  # both copies agree
+    for i in range(1, 6):
+        for j in range(1, 6):
+            if i != j:  # both copies of edge (i, j) agree
+                assert fragment_symbol(frags[i - 1], j) == fragment_symbol(frags[j - 1], i)
     # systematic form: first B packets are the message itself
-    assert [seen[p] for p in range(1, 10)] == u
+    assert edge_packets(frags)[: P5.B] == u
 
 
 def test_encode_counts_parity_product():
@@ -84,11 +96,14 @@ def test_repair_wrong_helper_count():
 
 
 def test_distinct_packet_count_is_B():
+    rng = random.Random(4)
     for n in range(2, 9):
         for k in range(1, n):
-            params = ShahParams(binary_field(6), n, k)
+            params = ShahParams(binary_field(8), n, k)
+            frags = distinct_codeword(params, rng)
             for subset in itertools.combinations(range(1, n + 1), k):
-                assert len(distinct_packets(params, subset)) == params.B
+                held = {v for i in subset for v in frags[i - 1].symbols}
+                assert len(held) == params.B
 
 
 def test_reconstruct_exhaustive():
@@ -114,3 +129,10 @@ def test_full_rate_no_parity():
     frags = shah_encode(params, u)
     got = shah_reconstruct(params, frags[:3])
     assert got == u
+
+
+def test_reconstruct_node_outside_range():
+    frags = shah_encode(P5, [1] * 9)
+    stray = Fragment("shah", 7, frags[0].symbols)
+    with pytest.raises(IndexOutOfRange):
+        shah_reconstruct(P5, [stray, frags[1], frags[2]])
