@@ -109,10 +109,6 @@ class WrongHelperCount(RegenError):
 
 # partial-download plans
 
-class OrderingInfeasible(RegenError):
-    pass
-
-
 class SchemeBackendMismatch(RegenError):
     pass
 

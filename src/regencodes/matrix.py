@@ -2,8 +2,10 @@
 
 FieldMatrix wraps a numpy int64 array of field values together with its
 field.  Products, Gauss-Jordan inversion, Vandermonde builders, the
-congruent transformation and skew-symmetric validation live here.  Ops
-that perform field arithmetic accept an explicit OpCounter.
+congruent transformation and skew-symmetric validation live here, and
+so does the full-read solve of a product-matrix data collector, which
+the rbt and mbr codecs share.  Ops that perform field arithmetic accept
+an explicit OpCounter.
 
 Every codec keeps its message in one triangle of a symmetric (or skew)
 matrix: `triangle` gives the slots of those symbols, row-major, and
@@ -110,7 +112,10 @@ def identity(field: Field, n: int) -> FieldMatrix:
 
 def check_message(field: Field, u: Sequence[int], count: int) -> list[int]:
     """The message symbols as ints, range-checked before the length check."""
-    u = [field.check(v) for v in u]
+    try:
+        u = field.varray(u).tolist()
+    except OverflowError as exc:
+        raise ValueError(f"message symbol outside [0, {field.q})") from exc
     if len(u) != count:
         raise WrongMessageLength(f"got {len(u)} symbols, B={count}")
     return u
@@ -251,6 +256,37 @@ def mat_solve(a: FieldMatrix, b: FieldMatrix, counter: OpCounter | None = None) 
     aug = np.concatenate([a.a.copy(), b.a.copy()], axis=1)
     aug = _gauss_jordan(a.field, aug, counter)
     return FieldMatrix(a.field, aug[:, n:])
+
+
+def data_collector(psi: FieldMatrix, k: int, nodes: Sequence[int],
+                   order: Sequence[int]) -> tuple[FieldMatrix, FieldMatrix]:
+    """Phi_DC and Delta_DC of a product-matrix data collector: the first k
+    and the remaining columns of psi's rows, the row of node nodes[j]
+    (1-based) placed in row order[j]-1."""
+    rows = np.zeros((k, psi.cols), dtype=np.int64)
+    rows[[g - 1 for g in order]] = psi.a[[i - 1 for i in nodes]]
+    return FieldMatrix(psi.field, rows[:, :k]), FieldMatrix(psi.field, rows[:, k:])
+
+
+def solve_message_block(phi_dc: FieldMatrix, delta_dc: FieldMatrix, c_dc: FieldMatrix,
+                        skew: bool, counter: OpCounter | None) -> tuple[FieldMatrix, FieldMatrix]:
+    """S and T of a message matrix M = [[S, T], [-+T^t, 0]] from the k rows
+    C_DC = Psi_DC M a data collector holds.
+
+    T = Phi_DC^-1 C^Delta, then S = Phi_DC^-1 (C^Phi -+ Delta_DC T^t): the
+    lower-left block of M is T^t for a symmetric M and -T^t for a skew one.
+    """
+    k = phi_dc.rows
+    c_phi = FieldMatrix(c_dc.field, c_dc.a[:, :k])
+    c_delta = FieldMatrix(c_dc.field, c_dc.a[:, k:])
+    try:
+        phi_inv = mat_inv(phi_dc, counter)
+    except SingularMatrix as exc:
+        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
+    t = mat_mul(phi_inv, c_delta, counter)
+    dt = mat_mul(delta_dc, transpose(t), counter)
+    s = mat_mul(phi_inv, (mat_add if skew else mat_sub)(c_phi, dt, counter), counter)
+    return s, t
 
 
 def vandermonde(field: Field, n: int, k: int,

@@ -32,11 +32,8 @@ import numpy as np
 from .counting import OpCounter
 from .errors import (
     DuplicateHelper,
-    DuplicateIndex,
     FieldTooSmall,
     IndexOutOfRange,
-    InsufficientSymbols,
-    OrderingInfeasible,
     ParamsInvalid,
     PlanPayloadMismatch,
     SchemeBackendMismatch,
@@ -45,15 +42,17 @@ from .errors import (
     WrongFragmentCount,
     WrongHelperCount,
 )
-from .fragments import Fragment
+from .fragments import Fragment, check_nodes
 from .gf import Field
 from .matrix import (
     FieldMatrix,
     check_message,
+    data_collector,
+    hstack,
     mat_inv,
     mat_mul,
     mat_solve,
-    mat_sub,
+    solve_message_block,
     submatrix_rows,
     symmetric_from_triangle,
     transpose,
@@ -170,10 +169,6 @@ def psi_row(params: MbrParams, node: int) -> list[int]:
     return mbr_build_encoding(params).row(node - 1)
 
 
-def _systematic_nodes(params: MbrParams) -> set[int]:
-    return set(range(1, params.k + 1)) if params.backend == "psrs" else set()
-
-
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
@@ -268,23 +263,6 @@ def repair_from_fragments(params: MbrParams, fragments: Sequence[Fragment], fail
 # full reconstruction
 # ---------------------------------------------------------------------------
 
-def _check_fragments(params: MbrParams, fragments: Sequence[Fragment]):
-    nodes = [f.node for f in fragments]
-    if len(set(nodes)) != len(nodes):
-        raise DuplicateIndex(f"duplicate node in {nodes}")
-    for f in fragments:
-        if not 1 <= f.node <= params.n:
-            raise IndexOutOfRange(f"node {f.node} outside [1, {params.n}]")
-        if len(f.symbols) != params.d:
-            raise WrongFragmentCount(
-                f"fragment of node {f.node} has {len(f.symbols)} symbols, expected {params.d}"
-            )
-    if len(nodes) < params.k:
-        raise InsufficientSymbols(f"got {len(nodes)} fragments, need k={params.k}")
-    if len(nodes) > params.k:
-        raise WrongFragmentCount(f"got {len(nodes)} fragments, expected k={params.k}")
-
-
 def _claimed_slots(params: MbrParams) -> dict[int, int]:
     """Nodes whose row of Phi pins their slot.
 
@@ -322,48 +300,28 @@ def assign_slots(params: MbrParams, nodes: Sequence[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _collector(params: MbrParams, nodes: Sequence[int],
-               order: Sequence[int]) -> tuple[FieldMatrix, FieldMatrix]:
-    """Phi_DC and Delta_DC: the encoding row of nodes[j] sits in row order[j]-1."""
-    f, k = params.field, params.k
-    rows = np.zeros((k, params.d), dtype=np.int64)
-    rows[[g - 1 for g in order]] = mbr_build_encoding(params).a[[i - 1 for i in nodes]]
-    return FieldMatrix(f, rows[:, :k]), FieldMatrix(f, rows[:, k:])
-
-
 def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
-                         order: Sequence[int] | None = None,
                          counter: OpCounter | None = None) -> list[int]:
     """Recover the B message symbols from any k complete fragments."""
-    _check_fragments(params, fragments)
-    f = params.field
-    k, d = params.k, params.d
     nodes = [fr.node for fr in fragments]
-
+    check_nodes(params.n, nodes, params.k)
+    for fr in fragments:
+        if len(fr.symbols) != params.d:
+            raise WrongFragmentCount(
+                f"fragment of node {fr.node} has {len(fr.symbols)} symbols, expected {params.d}"
+            )
+    f, k = params.field, params.k
     if params.backend == "psrs" and sorted(nodes) == list(range(1, k + 1)):
         # systematic fast path: rows 1..k are [S T] verbatim
-        rows = {fr.node: list(fr.symbols) for fr in fragments}
-        block = FieldMatrix(f, [rows[i] for i in range(1, k + 1)])
-        return message_from_block(params, block)
-
-    if order is None:
-        order = assign_slots(params, nodes)
-    order = tuple(order)
-    if sorted(order) != list(range(1, k + 1)):
-        raise OrderingInfeasible(f"slot order {order} is not a permutation of 1..{k}")
-    c_dc = np.zeros((k, d), dtype=np.int64)
-    for fr, g in zip(fragments, order):
-        c_dc[g - 1] = fr.symbols
-    phi_dc, delta_dc = _collector(params, nodes, order)
-    c_phi = FieldMatrix(f, c_dc[:, :k])
-    c_delta = FieldMatrix(f, c_dc[:, k:])
-    try:
-        phi_inv = mat_inv(phi_dc, counter)
-    except SingularMatrix as exc:
-        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
-    t = mat_mul(phi_inv, c_delta, counter)
-    s = mat_mul(phi_inv, mat_sub(c_phi, mat_mul(delta_dc, transpose(t), counter), counter), counter)
-    return message_from_block(params, FieldMatrix(f, np.concatenate([s.a, t.a], axis=1)))
+        rows = sorted(fragments, key=lambda fr: fr.node)
+        return message_from_block(params, FieldMatrix(f, [fr.symbols for fr in rows]))
+    order = assign_slots(params, nodes)
+    c_dc = np.zeros((k, params.d), dtype=np.int64)
+    c_dc[[g - 1 for g in order]] = [fr.symbols for fr in fragments]
+    c_dc = FieldMatrix(f, c_dc)
+    phi_dc, delta_dc = data_collector(mbr_build_encoding(params), k, nodes, order)
+    s, t = solve_message_block(phi_dc, delta_dc, c_dc, skew=False, counter=counter)
+    return message_from_block(params, hstack(s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +339,9 @@ def mbr_partial_plan(params: MbrParams, connected: Sequence[int], scheme: str) -
     if scheme == "gong" and params.backend != "vandermonde":
         raise SchemeBackendMismatch("the gong scheme runs on the vandermonde backend")
     nodes = list(connected)
-    if len(set(nodes)) != len(nodes):
-        raise DuplicateIndex(f"duplicate node in {nodes}")
-    for i in nodes:
-        if not 1 <= i <= params.n:
-            raise IndexOutOfRange(f"node {i} outside [1, {params.n}]")
-    if len(nodes) != params.k:
-        raise WrongFragmentCount(f"got {len(nodes)} nodes, expected k={params.k}")
+    check_nodes(params.n, nodes, params.k)
     k, d = params.k, params.d
     order = assign_slots(params, nodes)
-    sysset = _systematic_nodes(params)
-    for node, g in zip(nodes, order):
-        if node in sysset:
-            if scheme == "lower" and g > node:
-                raise OrderingInfeasible(f"systematic row {node} placed at slot {g} > {node}")
-            if scheme in ("upper", "gong") and g < node:
-                raise OrderingInfeasible(f"systematic row {node} placed at slot {g} < {node}")
     positions = []
     for g in order:
         phi_cols = range(1, g + 1) if scheme == "lower" else range(g, k + 1)
@@ -455,10 +400,11 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     """
     if plan.scheme not in PARTIAL_SCHEMES:
         raise ParamsInvalid(f"plan scheme {plan.scheme!r} is not a partial scheme")
-    payloads = plan.check_payloads(payloads)
+    payloads = plan.check_payloads(payloads, params.d)
+    check_nodes(params.n, plan.nodes, params.k)
     f = params.field
     k, d = params.k, params.d
-    phi_dc, delta_dc = _collector(params, plan.nodes, plan.order)
+    phi_dc, delta_dc = data_collector(mbr_build_encoding(params), k, plan.nodes, plan.order)
 
     # scatter payloads: C^Delta is complete, C^Phi only on the plan's triangle
     c_delta = np.zeros((k, d - k), dtype=np.int64)

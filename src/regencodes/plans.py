@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PlanPayloadMismatch
+from .errors import IndexOutOfRange, PlanPayloadMismatch
 
 SCHEMES = ("full", "lower", "upper", "gong", "rbt-pairwise")
 
@@ -37,7 +37,9 @@ class DownloadPlan:
     def per_node_counts(self) -> dict[int, int]:
         return {node: len(p) for node, p in zip(self.nodes, self.positions)}
 
-    def check_payloads(self, payloads) -> list[list[int]]:
+    def check_payloads(self, payloads, bound: int) -> list[list[int]]:
+        """Payloads as lists, one per node, each as long as the node's
+        positions; every position must lie in [1, bound]."""
         payloads = [list(p) for p in payloads]
         if len(payloads) != len(self.nodes):
             raise PlanPayloadMismatch(
@@ -48,4 +50,6 @@ class DownloadPlan:
                 raise PlanPayloadMismatch(
                     f"node {node}: payload has {len(pay)} symbols, plan expects {len(pos)}"
                 )
+            if pos and not 1 <= min(pos) <= max(pos) <= bound:
+                raise IndexOutOfRange(f"node {node}: positions {pos} outside [1, {bound}]")
         return payloads

@@ -28,7 +28,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .counting import OpCounter
-from .errors import FieldTooSmall, ParamsInvalid, SingularMatrix, WrongMessageLength
+from .errors import (
+    FieldTooSmall,
+    ParamsInvalid,
+    PlanPayloadMismatch,
+    SingularMatrix,
+    WrongMessageLength,
+)
 from .fragments import (
     Fragment,
     check_nodes,
@@ -42,6 +48,7 @@ from .matrix import (
     FieldMatrix,
     check_message,
     congruence,
+    data_collector,
     extended_vandermonde,
     hstack,
     identity,
@@ -52,6 +59,7 @@ from .matrix import (
     mat_neg,
     mat_sub,
     require_skew_symmetric,
+    solve_message_block,
     submatrix_rows,
     symmetric_from_triangle,
     transpose,
@@ -287,29 +295,18 @@ def rbt_reconstruct_full(params: RbtParams, fragments: Sequence[Fragment],
     """Recover the B message symbols from any k complete fragments."""
     nodes = [f.node for f in fragments]
     check_nodes(params.n, nodes, params.k)
-    field, n, k = params.field, params.n, params.k
-
+    k = params.k
+    rows = [expand_row(f, params.n) for f in fragments]
     if params.systematic and sorted(nodes) == list(range(1, k + 1)):
         # systematic fast path: source symbols are stored verbatim
-        rows = {f.node: expand_row(f, params.n) for f in fragments}
-        block = FieldMatrix(field, [rows[i] for i in range(1, k + 1)])
+        block = FieldMatrix(params.field, [row for _, row in sorted(zip(nodes, rows))])
         return message_from_block(params, block)
 
-    rows = [expand_row(f, params.n) for f in fragments]
+    # undoing the sign fix and Psi^t leaves Psi_DC M for the skew message M
     c_hat_dc = _unfix_rows(params, rows, nodes, counter)
     d_dc = mat_mul(c_hat_dc, _psi_t_inv(params), counter)
-    psi = rbt_build_encoding(params)
-    phi_dc = submatrix_rows(FieldMatrix(field, psi.a[:, :k]), [i - 1 for i in nodes])
-    delta_dc = submatrix_rows(FieldMatrix(field, psi.a[:, k:]), [i - 1 for i in nodes])
-    d_phi = FieldMatrix(field, d_dc.a[:, :k])
-    d_delta = FieldMatrix(field, d_dc.a[:, k:])
-    try:
-        phi_inv = mat_inv(phi_dc, counter)
-    except SingularMatrix as exc:
-        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
-    t_hat = mat_mul(phi_inv, d_delta, counter)
-    dt = mat_mul(delta_dc, transpose(t_hat), counter)
-    s_hat = mat_mul(phi_inv, mat_add(d_phi, dt, counter), counter)
+    phi_dc, delta_dc = data_collector(rbt_build_encoding(params), k, nodes, range(1, k + 1))
+    s_hat, t_hat = solve_message_block(phi_dc, delta_dc, d_dc, skew=True, counter=counter)
     if params.systematic:
         # undo the message remapping: the stored source block is [S, S P^t + T]
         p = parity_block(params)
@@ -356,22 +353,20 @@ def extract_payloads(cw: RbtCodeword, plan: DownloadPlan) -> list[list[int]]:
 def rbt_reconstruct_partial(params: RbtParams, plan: DownloadPlan, payloads,
                             counter: OpCounter | None = None) -> list[int]:
     """Reassemble the k full rows via symmetry, then reconstruct as usual."""
-    payloads = plan.check_payloads(payloads)
-    field = params.field
-    values: dict[tuple[int, int], int] = {}
-    for node, pos, pay in zip(plan.nodes, plan.positions, payloads):
-        for c, v in zip(pos, pay):
-            values[(node, c)] = v
-    fragments = []
-    for node in plan.nodes:
-        row = []
-        for c in range(1, params.n + 1):
-            if c == node:
-                continue
-            if (node, c) in values:
-                row.append(values[(node, c)])
-            else:
-                # shared symbol omitted here: read the mirror entry
-                row.append(values[(c, node)])
-        fragments.append(Fragment(params.codec, node, tuple(row)))
+    payloads = plan.check_payloads(payloads, params.n)
+    n, nodes = params.n, plan.nodes
+    check_nodes(n, nodes, params.k)
+    rows = [node - 1 for node, pos in zip(nodes, plan.positions) for _ in pos]
+    cols = [c - 1 for pos in plan.positions for c in pos]
+    a = np.zeros((n, n), dtype=np.int64)
+    sent = np.eye(n, dtype=bool)  # no node stores its diagonal zero
+    a[rows, cols] = [v for pay in payloads for v in pay]
+    sent[rows, cols] = True
+    # a shared symbol one node leaves out is read off the other's mirror entry
+    a = np.where(sent, a, a.T)
+    held = (sent | sent.T)[[i - 1 for i in nodes]]
+    if not held.all():
+        r, c = np.argwhere(~held)[0]
+        raise PlanPayloadMismatch(f"plan leaves out the symbol nodes {nodes[r]} and {c + 1} share")
+    fragments = [stored_fragment(params.codec, a, node) for node in nodes]
     return rbt_reconstruct_full(params, fragments, counter)

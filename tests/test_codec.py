@@ -63,7 +63,7 @@ def _transfer_case(draw):
 
 
 @given(_transfer_case())
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 def test_transfer_repair_is_placement(case):
     # rbt and shah store the rows of a symmetric matrix without its diagonal:
     # node i holds in column j what node j holds in column i, and a lost
@@ -95,3 +95,34 @@ def test_transfer_repair_of_node_outside_range(tag, failed):
     frags = {f.node: f for f in codec.encode(params, [1] * params.B)}
     with pytest.raises(IndexOutOfRange):
         codec.repair(params, frags, failed)
+
+
+@st.composite
+def _read_case(draw):
+    tag = draw(st.sampled_from(["rbt", "rbt-sys", "mbr-psrs", "mbr-vdm", "shah"]))
+    field = draw(st.sampled_from([prime_field(5), prime_field(7), prime_field(31),
+                                  binary_field(3), binary_field(6), fermat_field()]))
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    d = draw(st.integers(k, n - 1)) if tag.startswith("mbr") else None
+    nodes = draw(st.permutations(range(1, n + 1)))[:k]
+    return tag, field, n, k, d, list(nodes), draw(st.integers(0, 2**16))
+
+
+@given(_read_case())
+@settings(max_examples=200)
+def test_full_read_ignores_node_list_order(case):
+    # any k fragments, listed in any order, read back the message at the
+    # cost of the same nodes listed in ascending order
+    tag, field, n, k, d, nodes, seed = case
+    try:
+        params = codec.params_for(tag, field, n, k, d)
+    except FieldTooSmall:
+        assume(False)
+    rng = random.Random(seed)
+    u = [rng.randrange(field.q) for _ in range(params.B)]
+    frags = {f.node: f for f in codec.encode(params, u)}
+    listed, ascending = OpCounter(), OpCounter()
+    assert codec.reconstruct(params, frags, nodes, "full", listed)[0] == u
+    assert codec.reconstruct(params, frags, sorted(nodes), "full", ascending)[0] == u
+    assert (listed.mul, listed.add) == (ascending.mul, ascending.add)

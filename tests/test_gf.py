@@ -137,7 +137,7 @@ def test_field_axioms_randomized(field):
 
 
 @given(st.integers(min_value=1, max_value=65535))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 def test_binary16_inverse_round_trip(a):
     f = binary_field(16)
     assert f.mul(a, f.inv(a)) == 1
@@ -145,7 +145,7 @@ def test_binary16_inverse_round_trip(a):
 
 
 @given(st.integers(min_value=0, max_value=65535), st.integers(min_value=0, max_value=65535))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 def test_binary16_char2(a, b):
     f = binary_field(16)
     assert f.neg(a) == a

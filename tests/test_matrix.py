@@ -13,10 +13,12 @@ from regencodes.errors import (
     IndexOutOfRange,
     NotSkewSymmetric,
     SingularMatrix,
+    WrongMessageLength,
 )
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.matrix import (
     FieldMatrix,
+    check_message,
     congruence,
     extended_vandermonde,
     identity,
@@ -193,3 +195,14 @@ def test_transpose_involution_and_submatrix():
         submatrix_rows(a, [3])
     with pytest.raises(DuplicateIndex):
         submatrix_rows(a, [1, 1])
+
+
+def test_check_message_range_before_length():
+    f = prime_field(7)
+    got = check_message(f, (0, 6, 3), 3)
+    assert got == [0, 6, 3] and type(got) is list and all(type(v) is int for v in got)
+    for bad in (7, -1, 2**70):
+        with pytest.raises(ValueError):
+            check_message(f, [1, bad], 3)  # the length is wrong too
+    with pytest.raises(WrongMessageLength):
+        check_message(f, [1, 2], 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,9 +8,11 @@ from regencodes.counting import OpCounter
 from regencodes.errors import (
     DuplicateIndex,
     FieldTooSmall,
+    IndexOutOfRange,
     MissingHelper,
     NotSkewSymmetric,
     ParamsInvalid,
+    PlanPayloadMismatch,
     WrongHelperCount,
     WrongMessageLength,
 )
@@ -312,6 +315,32 @@ def test_partial_reconstruct_zero():
     cw = rbt_encode(params, [0] * params.B)
     plan = rbt_partial_plan(params, [1, 3, 5])
     assert rbt_reconstruct_partial(params, plan, extract_payloads(cw, plan)) == [0] * params.B
+
+
+def test_partial_plan_missing_shared_symbol():
+    # a hand-built plan that leaves out both copies of the symbol nodes 1
+    # and 2 share is refused with a typed error
+    params = RbtParams(prime_field(11), 6, 3)
+    cw = rbt_encode(params, [i % 11 for i in range(params.B)])
+    plan = rbt_partial_plan(params, [1, 2, 3])
+    positions = tuple(tuple(c for c in pos if (node, c) not in ((1, 2), (2, 1)))
+                      for node, pos in zip(plan.nodes, plan.positions))
+    plan = dataclasses.replace(plan, positions=positions)
+    with pytest.raises(PlanPayloadMismatch):
+        rbt_reconstruct_partial(params, plan, extract_payloads(cw, plan))
+
+
+@pytest.mark.parametrize("column", [0, 7])
+def test_partial_plan_position_outside_row(column):
+    params = RbtParams(F7, 6, 3)
+    cw = rbt_encode(params, [i % 7 for i in range(params.B)])
+    plan = rbt_partial_plan(params, [1, 3, 5])
+    payloads = extract_payloads(cw, plan)
+    positions = list(plan.positions)
+    positions[2] = (column,) + positions[2][1:]
+    plan = dataclasses.replace(plan, positions=tuple(positions))
+    with pytest.raises(IndexOutOfRange):
+        rbt_reconstruct_partial(params, plan, payloads)
 
 
 def test_exhaustive_small_n_everything():
