@@ -132,7 +132,11 @@ class Field:
     # -- vectorized API (numpy int64 arrays of values) --------------------
 
     def varray(self, data) -> np.ndarray:
-        a = np.asarray(data, dtype=np.int64)
+        """`data` as an int64 array; any value outside [0, q) raises ValueError."""
+        try:
+            a = np.asarray(data, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("array values outside field range") from exc
         if a.size and ((a < 0).any() or (a >= self.q).any()):
             raise ValueError("array values outside field range")
         return a

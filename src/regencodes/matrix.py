@@ -1,11 +1,11 @@
 """Dense linear algebra over a Field.
 
 FieldMatrix wraps a numpy int64 array of field values together with its
-field.  Products, Gauss-Jordan inversion, Vandermonde builders, the
-congruent transformation and skew-symmetric validation live here, and
-so does the full-read solve of a product-matrix data collector, which
-the rbt and mbr codecs share.  Ops that perform field arithmetic accept
-an explicit OpCounter.
+field.  Products, Gauss-Jordan inversion, the LU factorization with
+inverted factors, Vandermonde builders, the congruent transformation and
+skew-symmetric validation live here, and so does the full-read solve of
+a product-matrix data collector, which the rbt and mbr codecs share.
+Ops that perform field arithmetic accept an explicit OpCounter.
 
 Every codec keeps its message in one triangle of a symmetric (or skew)
 matrix: `triangle` gives the slots of those symbols, row-major, and
@@ -14,6 +14,7 @@ matrix: `triangle` gives the slots of those symbols, row-major, and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -112,10 +113,7 @@ def identity(field: Field, n: int) -> FieldMatrix:
 
 def check_message(field: Field, u: Sequence[int], count: int) -> list[int]:
     """The message symbols as ints, range-checked before the length check."""
-    try:
-        u = field.varray(u).tolist()
-    except OverflowError as exc:
-        raise ValueError(f"message symbol outside [0, {field.q})") from exc
+    u = field.varray(u).tolist()
     if len(u) != count:
         raise WrongMessageLength(f"got {len(u)} symbols, B={count}")
     return u
@@ -243,6 +241,14 @@ def mat_inv(a: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
     return FieldMatrix(a.field, aug[:, n:])
 
 
+def solve_cost(n: int, cols: int) -> tuple[int, int]:
+    """(mul, add) that mat_solve counts for an n x n system with `cols`
+    right-hand sides: per pivot, the pivot inverse, the pivot row scale and
+    n-1 row updates of width n + cols."""
+    width = n + cols
+    return n * (n * width + 1), n * (n - 1) * width
+
+
 def mat_solve(a: FieldMatrix, b: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
     """Solve a @ x = b for x via Gauss-Jordan on the augmented system."""
     _same_field(a, b)
@@ -258,6 +264,73 @@ def mat_solve(a: FieldMatrix, b: FieldMatrix, counter: OpCounter | None = None) 
     return FieldMatrix(a.field, aug[:, n:])
 
 
+@dataclass(frozen=True)
+class TriangularInverses:
+    """P A = L U, kept as the inverses of its factors: a[perm] = L U with L
+    unit lower triangular and U upper triangular.  Arrays are read-only;
+    `mul` and `add` are the counted cost of building them."""
+
+    perm: np.ndarray
+    l_inv: np.ndarray
+    u_inv: np.ndarray
+    mul: int
+    add: int
+
+
+def lu_inverses(field: Field, a: np.ndarray) -> TriangularInverses:
+    """LU with first-nonzero row pivoting, then L^-1 and U^-1.
+
+    Every elimination and inversion step is one vectorized row update.
+    Counts follow the structure: an update touches only the triangle a
+    factor occupies, and a product with a unit diagonal entry is free.
+    The pivot inverses are computed once and reused for U^-1.  Raises
+    SingularMatrix at the first column without a nonzero pivot.
+    """
+    n = a.shape[0]
+    lu = np.array(a, dtype=np.int64)
+    perm = np.arange(n)
+    piv_inv = np.empty(n, dtype=np.int64)
+    mul = add = 0
+    for j in range(n):
+        if lu[j, j] == 0:
+            nz = np.flatnonzero(lu[j:, j])
+            if not nz.size:
+                raise SingularMatrix(f"zero pivot column {j}")
+            p = j + int(nz[0])
+            lu[[j, p]] = lu[[p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        piv_inv[j] = field.inv(int(lu[j, j]))
+        below = slice(j + 1, None)
+        lu[below, j] = field.vmul(lu[below, j], piv_inv[j])  # column j of L
+        lu[below, below] = field.vsub(lu[below, below],
+                                      field.vmul(lu[below, j, None], lu[None, j, below]))
+        m = n - 1 - j
+        mul += 1 + m + m * m
+        add += m * m
+    # L^-1 = E_{n-2} ... E_0 with E_j = I - l_j e_j^t; row j of the partial
+    # product is nonzero in columns 0..j only, with a unit diagonal
+    l_inv = np.eye(n, dtype=np.int64)
+    for j in range(n - 1):
+        rows, cols = slice(j + 1, None), slice(None, j + 1)
+        l_inv[rows, cols] = field.vsub(l_inv[rows, cols],
+                                       field.vmul(lu[rows, j, None], l_inv[None, j, cols]))
+        mul += (n - 1 - j) * j
+        add += (n - 1 - j) * (j + 1)
+    # U^-1 by backward Gauss-Jordan on [U | I]: scale row j, then clear
+    # column j above it; row j of the right half is nonzero in columns j..n-1
+    u_inv = np.eye(n, dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        cols = slice(j, None)
+        u_inv[j, cols] = field.vmul(u_inv[j, cols], piv_inv[j])
+        u_inv[:j, cols] = field.vsub(u_inv[:j, cols],
+                                     field.vmul(lu[:j, j, None], u_inv[None, j, cols]))
+        mul += (n - 1 - j) + j * (n - j)
+        add += j * (n - j)
+    for arr in (perm, l_inv, u_inv):
+        arr.setflags(write=False)
+    return TriangularInverses(perm, l_inv, u_inv, mul, add)
+
+
 def data_collector(psi: FieldMatrix, k: int, nodes: Sequence[int],
                    order: Sequence[int]) -> tuple[FieldMatrix, FieldMatrix]:
     """Phi_DC and Delta_DC of a product-matrix data collector: the first k
@@ -268,21 +341,26 @@ def data_collector(psi: FieldMatrix, k: int, nodes: Sequence[int],
     return FieldMatrix(psi.field, rows[:, :k]), FieldMatrix(psi.field, rows[:, k:])
 
 
-def solve_message_block(phi_dc: FieldMatrix, delta_dc: FieldMatrix, c_dc: FieldMatrix,
+def collector_inverse(phi_dc: FieldMatrix, counter: OpCounter | None) -> FieldMatrix:
+    """Phi_DC^-1; a singular Phi_DC means the encoding matrix breaks the
+    code's conditions."""
+    try:
+        return mat_inv(phi_dc, counter)
+    except SingularMatrix as exc:
+        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
+
+
+def solve_message_block(phi_inv: FieldMatrix, delta_dc: FieldMatrix, c_dc: FieldMatrix,
                         skew: bool, counter: OpCounter | None) -> tuple[FieldMatrix, FieldMatrix]:
     """S and T of a message matrix M = [[S, T], [-+T^t, 0]] from the k rows
-    C_DC = Psi_DC M a data collector holds.
+    C_DC = Psi_DC M a data collector holds, given Phi_DC^-1.
 
     T = Phi_DC^-1 C^Delta, then S = Phi_DC^-1 (C^Phi -+ Delta_DC T^t): the
     lower-left block of M is T^t for a symmetric M and -T^t for a skew one.
     """
-    k = phi_dc.rows
+    k = phi_inv.rows
     c_phi = FieldMatrix(c_dc.field, c_dc.a[:, :k])
     c_delta = FieldMatrix(c_dc.field, c_dc.a[:, k:])
-    try:
-        phi_inv = mat_inv(phi_dc, counter)
-    except SingularMatrix as exc:
-        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
     t = mat_mul(phi_inv, c_delta, counter)
     dt = mat_mul(delta_dc, transpose(t), counter)
     s = mat_mul(phi_inv, (mat_add if skew else mat_sub)(c_phi, dt, counter), counter)

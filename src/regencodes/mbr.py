@@ -17,6 +17,11 @@ the Delta columns plus one triangular half of the Phi columns (exactly B
 symbols) and recover S column by column, reusing already-solved rows of
 S through its symmetry; a time-sharing schedule alternates the lower and
 upper halves to balance per-node traffic across rounds.
+
+Workloads repeat helper sets and node sets, so the repair inverse, the
+full-read inverse and the partial-read factorization are cached per set
+in small bounded caches.  Each entry keeps the counted cost of building
+it, charged on every call: a hit counts the same as a miss.
 """
 
 from __future__ import annotations
@@ -47,15 +52,16 @@ from .gf import Field
 from .matrix import (
     FieldMatrix,
     check_message,
+    collector_inverse,
     data_collector,
     hstack,
+    lu_inverses,
     mat_inv,
     mat_mul,
-    mat_solve,
+    solve_cost,
     solve_message_block,
     submatrix_rows,
     symmetric_from_triangle,
-    transpose,
     triangle,
     vandermonde,
 )
@@ -63,6 +69,9 @@ from .plans import DownloadPlan
 from .psrs import PsrsMessage, encode_eval, eval_params, generator_matrix
 
 BACKENDS = ("psrs", "vandermonde")
+
+# entries per cache of helper-set and node-set matrices
+_SET_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -238,15 +247,32 @@ def mbr_repair(params: MbrParams, responses: Sequence[tuple[int, int]], failed: 
     for h in helpers:
         if not 1 <= h <= params.n:
             raise IndexOutOfRange(f"helper {h} outside [1, {params.n}]")
+    f = params.field
+    values = f.varray([v for _, v in responses])
+    inv, cost = _repair_inverse(params, tuple(helpers))
+    _charge(counter, cost)
+    return Fragment(params.codec, failed, tuple(f.matmul(inv, values[:, None])[:, 0].tolist()))
+
+
+def _charge(counter: OpCounter | None, cost: tuple[int, int]) -> None:
+    if counter is not None:
+        counter.count_mul(cost[0])
+        counter.count_add(cost[1])
+
+
+@lru_cache(maxsize=_SET_CACHE_SIZE)
+def _repair_inverse(params: MbrParams, helpers: tuple[int, ...]
+                    ) -> tuple[np.ndarray, tuple[int, int]]:
+    """Psi_repair^-1 for the helpers in this order, with the cost of the
+    d x d Gauss-Jordan solve it stands for."""
     psi = mbr_build_encoding(params)
-    psi_repair = submatrix_rows(psi, [h - 1 for h in helpers])
-    rhs = FieldMatrix(params.field, [[v] for _, v in responses])
     try:
-        sol = mat_solve(psi_repair, rhs, counter)
+        inv = mat_inv(FieldMatrix(params.field, psi.a[[h - 1 for h in helpers]])).a
     except SingularMatrix as exc:
         # cannot occur when the encoding-matrix conditions hold
         raise SingularMatrix("repair system singular; code construction broken") from exc
-    return Fragment(params.codec, failed, tuple(sol.col(0)))
+    inv.setflags(write=False)
+    return inv, solve_cost(params.d, 1)
 
 
 def repair_from_fragments(params: MbrParams, fragments: Sequence[Fragment], failed: int,
@@ -319,9 +345,22 @@ def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
     c_dc = np.zeros((k, params.d), dtype=np.int64)
     c_dc[[g - 1 for g in order]] = [fr.symbols for fr in fragments]
     c_dc = FieldMatrix(f, c_dc)
-    phi_dc, delta_dc = data_collector(mbr_build_encoding(params), k, nodes, order)
-    s, t = solve_message_block(phi_dc, delta_dc, c_dc, skew=False, counter=counter)
+    delta_dc = data_collector(mbr_build_encoding(params), k, nodes, order)[1]
+    phi_inv, cost = _collector_inverse(params, tuple(nodes), order)
+    _charge(counter, cost)
+    s, t = solve_message_block(phi_inv, delta_dc, c_dc, skew=False, counter=counter)
     return message_from_block(params, hstack(s, t))
+
+
+@lru_cache(maxsize=_SET_CACHE_SIZE)
+def _collector_inverse(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, ...]
+                       ) -> tuple[FieldMatrix, tuple[int, int]]:
+    """Phi_DC^-1 of the nodes in these slots, with its cost."""
+    phi_dc = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
+    cost = OpCounter()
+    phi_inv = collector_inverse(phi_dc, cost)
+    phi_inv.a.setflags(write=False)
+    return phi_inv, (cost.mul, cost.add)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +390,12 @@ def mbr_partial_plan(params: MbrParams, connected: Sequence[int], scheme: str) -
 
 
 def mbr_extract_payloads(fragments: Sequence[Fragment], plan: DownloadPlan) -> list[list[int]]:
+    """What each planned node transmits; every position must lie in its fragment."""
     by_node = {f.node: f for f in fragments}
-    out = []
-    for node, pos in zip(plan.nodes, plan.positions):
-        frag = by_node[node]
-        out.append([frag.symbols[p - 1] for p in pos])
-    return out
+    frags = [by_node[node] for node in plan.nodes]
+    # the positions stand in for the payloads: only their range is checked
+    plan.check_payloads(plan.positions, min((len(fr.symbols) for fr in frags), default=0))
+    return [[fr.symbols[p - 1] for p in pos] for fr, pos in zip(frags, plan.positions)]
 
 
 @dataclass(frozen=True)
@@ -393,10 +432,16 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     mbr_reconstruct_full exactly.
 
     Stage by stage one column c of S is solved, forward for `lower` and
-    backward for `upper` and `gong`.  Row r of a stage system is e_r when
-    column r is already known (S[r, c] = S[c, r] by symmetry) and row r of
-    Phi_DC otherwise; `gong` substitutes the known entries out instead and
-    solves only the rows and columns still to do.
+    backward for `upper` and `gong`.  The entries of column c already known
+    through symmetry (S[r, c] = S[c, r]) are substituted out, which leaves
+    a trailing block of Phi_DC for `lower` and a leading block for the
+    others.  One factorization of Phi_DC per node set holds the inverse of
+    every such block as a pair of triangular blocks (see _stage_factors),
+    so a stage costs two triangular matrix-vector products.
+
+    A `trace` list receives one StageRecord per stage: for `lower` and
+    `upper` the system with the unit row e_r for every known entry r and
+    row r of Phi_DC otherwise, for `gong` the substituted square system.
     """
     if plan.scheme not in PARTIAL_SCHEMES:
         raise ParamsInvalid(f"plan scheme {plan.scheme!r} is not a partial scheme")
@@ -404,70 +449,121 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     check_nodes(params.n, plan.nodes, params.k)
     f = params.field
     k, d = params.k, params.d
-    phi_dc, delta_dc = data_collector(mbr_build_encoding(params), k, plan.nodes, plan.order)
+    lower = plan.scheme == "lower"
 
     # scatter payloads: C^Delta is complete, C^Phi only on the plan's triangle
-    c_delta = np.zeros((k, d - k), dtype=np.int64)
-    c_phi = np.zeros((k, k), dtype=np.int64)
-    downloaded = np.zeros((k, k), dtype=bool)
-    for g, pos, pay in zip(plan.order, plan.positions, payloads):
-        for p, v in zip(pos, pay):
-            if p > k:
-                c_delta[g - 1, p - k - 1] = f.check(v)
-            else:
-                c_phi[g - 1, p - 1] = f.check(v)
-                downloaded[g - 1, p - 1] = True
+    rows = np.repeat(np.asarray(plan.order, dtype=np.intp) - 1,
+                     [len(pos) for pos in plan.positions])
+    cols = np.array([p for pos in plan.positions for p in pos], dtype=np.intp) - 1
+    c_dc = np.zeros((k, d), dtype=np.int64)
+    c_dc[rows, cols] = f.varray([v for pay in payloads for v in pay])
+    downloaded = np.zeros((k, d), dtype=bool)
+    downloaded[rows, cols] = True
+    downloaded = downloaded[:, :k]
 
-    try:
-        t = mat_solve(phi_dc, FieldMatrix(f, c_delta), counter)
-    except SingularMatrix as exc:
-        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
-    dt = mat_mul(delta_dc, transpose(t), counter)  # k x k
-    d_phi = f.vsub(c_phi, dt.a)  # meaningful where downloaded
+    phi_dc, delta_dc = data_collector(mbr_build_encoding(params), k, plan.nodes, plan.order)
+    phi, delta = phi_dc.a, delta_dc.a
+    fac = _stage_factors(params, plan.nodes, plan.order, lower)
+    columns = range(k) if lower else range(k - 1, -1, -1)
+    # (unknown rows, known rows) of each stage's column
+    parts = [(slice(c, None), slice(None, c)) if lower
+             else (slice(None, c + 1), slice(c + 1, None)) for c in columns]
+    needed = (np.tril if lower else np.triu)(np.ones((k, k), dtype=bool))
+    missing = (needed & ~downloaded).any(axis=0)
+    for c, (todo, _) in zip(columns, parts):
+        if missing[c]:
+            raise PlanPayloadMismatch(f"plan leaves out C^Phi entries of column {c + 1}")
+        if fac.pivoted and _is_singular(f, phi[todo, todo]):
+            raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated")
+
+    _charge(counter, fac.cost)
+    t = f.matmul(fac.second, f.matmul(fac.first, c_dc[:, k:]))
+    dt = f.matmul(delta, t.T)  # k x k
+    d_phi = f.vsub(c_dc[:, :k], dt)  # meaningful where downloaded
     if counter is not None:
+        # per column of T two triangular products: k^2 mul, k(k-1) add;
+        # then the k x (d-k) by (d-k) x k product and the subtraction
+        counter.count_mul((d - k) * k * k + k * k * (d - k))
+        counter.count_add((d - k) * k * (k - 1) + k * k * max(0, d - k - 1))
         counter.count_add(int(downloaded.sum()))
 
     s = np.zeros((k, k), dtype=np.int64)
     known = np.zeros(k, dtype=bool)
-    eye = np.eye(k, dtype=np.int64)
-    columns = range(k) if plan.scheme == "lower" else range(k - 1, -1, -1)
-    for stage, c in enumerate(columns, start=1):
-        todo = np.flatnonzero(~known)
-        if not downloaded[todo, c].all():
-            raise PlanPayloadMismatch(f"plan leaves out C^Phi entries of column {c + 1}")
-        rhs = np.where(known, s[:, c], d_phi[:, c])
-        if plan.scheme == "gong":
-            done = np.flatnonzero(known)
-            rows = phi_dc.a[np.ix_(todo, todo)]
-            known_part = f.matmul(phi_dc.a[np.ix_(todo, done)], s[done, c][:, None])
-            rhs = f.vsub(rhs[todo], known_part[:, 0])
-            if counter is not None:
-                counter.count_mul(len(todo) * len(done))
-                counter.count_add(len(todo) * len(done))
-            unknowns = slice(None)
-        else:
-            rows = np.where(known[:, None], eye, phi_dc.a)
-            unknowns = todo
-        mat = FieldMatrix(f, rows)
-        col = _solve_stage(mat, rhs, counter)[unknowns]
+    for stage, (c, (todo, done)) in enumerate(zip(columns, parts), start=1):
+        rhs = f.vsub(d_phi[todo, c], f.matmul(phi[todo, done], s[done, c][:, None])[:, 0])
+        col = f.matmul(fac.second[todo, todo], f.matmul(fac.first[todo, todo], rhs[:, None]))[:, 0]
+        if counter is not None:
+            # m unknowns: substitution m(k-m), triangular products m^2 mul, m(m-1) add
+            m = len(col)
+            counter.count_mul(m * k)
+            counter.count_add(m * (k - 1))
+        if trace is not None:
+            trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known, rhs, f))
         s[todo, c] = col
         s[c, todo] = col
         known[c] = True
-        if trace is not None:
-            trace.append(StageRecord(
-                scheme=plan.scheme, stage=stage, s_column=c + 1,
-                matrix=mat, rhs=tuple(rhs.tolist()),
-                solved=tuple((min(r, c) + 1, max(r, c) + 1) for r in todo.tolist()),
-            ))
-    block = np.concatenate([s, t.a], axis=1)
-    return message_from_block(params, FieldMatrix(f, block))
+    return message_from_block(params, FieldMatrix(f, np.concatenate([s, t], axis=1)))
 
 
-def _solve_stage(mat: FieldMatrix, rhs: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+@dataclass(frozen=True)
+class _StageFactors:
+    """The inverses of the two triangular factors of Phi_DC: the unit one
+    (applied first) and the other."""
+
+    first: np.ndarray
+    second: np.ndarray
+    pivoted: bool  # the factorization swapped rows: some stage block is singular
+    cost: tuple[int, int]
+
+
+@lru_cache(maxsize=_SET_CACHE_SIZE)
+def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, ...],
+                   trailing: bool) -> _StageFactors:
+    """Factorize Phi_DC once for every stage of a partial read.
+
+    A block of a triangular inverse is the inverse of that block whenever
+    the block is leading (or trailing) on both sides.  `upper` and `gong`
+    stages solve leading blocks: with Phi_DC = L U, the block [:m, :m] is
+    L[:m, :m] U[:m, :m], inverted by U^-1[:m, :m] L^-1[:m, :m].  `lower`
+    stages solve trailing blocks: the LU of the reversed matrix,
+    J Phi_DC J = L' U', gives Phi_DC = U L with U = J L' J and L = J U' J,
+    and the block [c:, c:] is inverted by L^-1[c:, c:] U^-1[c:, c:].
+
+    The factorization swaps rows exactly when some leading (trailing)
+    block is singular, which is when some stage system is.
+    """
+    phi = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
+    flip = (slice(None, None, -1),) * 2 if trailing else (slice(None),) * 2
     try:
-        sol = mat_solve(mat, FieldMatrix(mat.field, rhs[:, None]), counter)
+        lu = lu_inverses(params.field, phi.a[flip])
     except SingularMatrix as exc:
-        raise SingularStageMatrix(
-            "stage matrix singular; slot ordering constraint violated"
-        ) from exc
-    return sol.a[:, 0]
+        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
+    pivoted = bool((lu.perm != np.arange(params.k)).any())
+    return _StageFactors(lu.l_inv[flip], lu.u_inv[flip], pivoted, (lu.mul, lu.add))
+
+
+def _is_singular(field: Field, a: np.ndarray) -> bool:
+    try:
+        lu_inverses(field, a)
+    except SingularMatrix:
+        return True
+    return False
+
+
+def _stage_record(scheme: str, stage: int, c: int, phi: np.ndarray, s: np.ndarray,
+                  d_phi: np.ndarray, known: np.ndarray, rhs: np.ndarray,
+                  field: Field) -> StageRecord:
+    """Stage `stage`'s system before column c is filled in: `gong` solves
+    the substituted system `rhs` belongs to, `lower` and `upper` the full
+    system with unit rows for the known entries."""
+    todo = np.flatnonzero(~known)
+    if scheme == "gong":
+        matrix = phi[np.ix_(todo, todo)]
+    else:
+        matrix = np.where(known[:, None], np.eye(len(known), dtype=np.int64), phi)
+        rhs = np.where(known, s[:, c], d_phi[:, c])
+    return StageRecord(
+        scheme=scheme, stage=stage, s_column=c + 1,
+        matrix=FieldMatrix(field, matrix), rhs=tuple(rhs.tolist()),
+        solved=tuple((min(r, c) + 1, max(r, c) + 1) for r in todo.tolist()),
+    )

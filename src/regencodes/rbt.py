@@ -47,6 +47,7 @@ from .gf import Field
 from .matrix import (
     FieldMatrix,
     check_message,
+    collector_inverse,
     congruence,
     data_collector,
     extended_vandermonde,
@@ -306,7 +307,8 @@ def rbt_reconstruct_full(params: RbtParams, fragments: Sequence[Fragment],
     c_hat_dc = _unfix_rows(params, rows, nodes, counter)
     d_dc = mat_mul(c_hat_dc, _psi_t_inv(params), counter)
     phi_dc, delta_dc = data_collector(rbt_build_encoding(params), k, nodes, range(1, k + 1))
-    s_hat, t_hat = solve_message_block(phi_dc, delta_dc, d_dc, skew=True, counter=counter)
+    phi_inv = collector_inverse(phi_dc, counter)
+    s_hat, t_hat = solve_message_block(phi_inv, delta_dc, d_dc, skew=True, counter=counter)
     if params.systematic:
         # undo the message remapping: the stored source block is [S, S P^t + T]
         p = parity_block(params)

@@ -23,10 +23,12 @@ from regencodes.matrix import (
     extended_vandermonde,
     identity,
     is_skew_symmetric,
+    lu_inverses,
     mat_inv,
     mat_mul,
     mat_solve,
     require_skew_symmetric,
+    solve_cost,
     submatrix_rows,
     transpose,
     vandermonde,
@@ -106,6 +108,14 @@ def test_mat_solve_matches_inverse():
     a = rand_invertible(F7, 5, rng)
     b = rand_matrix(F7, 5, 2, rng)
     assert mat_solve(a, b) == mat_mul(mat_inv(a), b)
+
+
+def test_solve_cost_is_what_mat_solve_counts():
+    rng = random.Random(4)
+    for n, cols in ((1, 1), (5, 1), (5, 3), (9, 2)):
+        counter = OpCounter()
+        mat_solve(rand_invertible(F7, n, rng), rand_matrix(F7, n, cols, rng), counter)
+        assert (counter.mul, counter.add) == solve_cost(n, cols)
 
 
 def test_vandermonde_examples():
@@ -206,3 +216,58 @@ def test_check_message_range_before_length():
             check_message(f, [1, bad], 3)  # the length is wrong too
     with pytest.raises(WrongMessageLength):
         check_message(f, [1, 2], 3)
+
+
+def _lu_reference(field, a):
+    """Doolittle LU with first-nonzero row pivoting, one entry at a time."""
+    n = len(a)
+    a = [list(row) for row in a]
+    perm = list(range(n))
+    for j in range(n):
+        p = next(r for r in range(j, n) if a[r][j])
+        a[j], a[p] = a[p], a[j]
+        perm[j], perm[p] = perm[p], perm[j]
+        for i in range(j + 1, n):
+            a[i][j] = field.div(a[i][j], a[j][j])
+            for c in range(j + 1, n):
+                a[i][c] = field.sub(a[i][c], field.mul(a[i][j], a[j][c]))
+    lower = [[1 if c == i else a[i][c] if c < i else 0 for c in range(n)] for i in range(n)]
+    upper = [[a[i][c] if c >= i else 0 for c in range(n)] for i in range(n)]
+    return perm, lower, upper
+
+
+@pytest.mark.parametrize("field", FIELDS + [F7], ids=repr)
+def test_lu_inverses_match_reference(field):
+    rng = random.Random(6)
+    pivoted = 0
+    for n in range(1, 9):
+        for trial in range(30):
+            a = rand_invertible(field, n, rng).a
+            if trial % 2 and n > 1:
+                a[0, 0] = 0  # forces a row swap in the first column
+                try:
+                    mat_inv(FieldMatrix(field, a))
+                except SingularMatrix:
+                    continue
+            got = lu_inverses(field, a)
+            perm, lower, upper = _lu_reference(field, a.tolist())
+            assert got.perm.tolist() == perm
+            assert got.l_inv.tolist() == mat_inv(FieldMatrix(field, lower)).tolist()
+            assert got.u_inv.tolist() == mat_inv(FieldMatrix(field, upper)).tolist()
+            assert not any(x.flags.writeable for x in (got.perm, got.l_inv, got.u_inv))
+            pivoted += perm != list(range(n))
+    assert pivoted > 0
+
+
+def test_lu_inverses_counts_and_singular():
+    # factorization m(m+1)+1 mul and m^2 add per pivot (m rows below it),
+    # then the two triangular inverses; n = 3 by hand: 11+1+7 mul, 5+4+4 add
+    rng = random.Random(7)
+    counts = {}
+    for n in (1, 2, 3, 32):
+        got = lu_inverses(F7 if n < 32 else fermat_field(),
+                          rand_invertible(F7 if n < 32 else fermat_field(), n, rng).a)
+        counts[n] = (got.mul, got.add)
+    assert counts == {1: (1, 0), 2: (6, 3), 3: (19, 13), 32: (21_856, 21_328)}
+    with pytest.raises(SingularMatrix):
+        lu_inverses(F7, FieldMatrix(F7, [[1, 2], [2, 4]]).a)

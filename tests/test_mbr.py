@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regencodes import mbr
 from regencodes.counting import OpCounter
 from regencodes.errors import (
     DuplicateHelper,
@@ -15,12 +16,14 @@ from regencodes.errors import (
     InsufficientSymbols,
     ParamsInvalid,
     SchemeBackendMismatch,
+    SingularMatrix,
+    SingularStageMatrix,
     WrongFragmentCount,
     WrongHelperCount,
 )
 from regencodes.fragments import Fragment
 from regencodes.gf import binary_field, fermat_field, prime_field
-from regencodes.matrix import FieldMatrix, mat_mul
+from regencodes.matrix import FieldMatrix, data_collector, mat_inv, mat_mul
 from regencodes.mbr import (
     MbrParams,
     assign_slots,
@@ -39,6 +42,7 @@ from regencodes.mbr import (
     psi_row,
     repair_from_fragments,
 )
+from regencodes.plans import DownloadPlan
 
 F7 = prime_field(7)
 REF7 = MbrParams(F7, 6, 3, 4)  # systematic psrs backend over GF(7)
@@ -463,11 +467,11 @@ REF7_VDM = MbrParams(F7, 6, 3, 4, backend="vandermonde")
 @pytest.mark.parametrize(
     "params,nodes,scheme,mul,add",
     [
-        (REF7, [1, 2, 4], "lower", 165, 102),
-        (REF7, [1, 2, 4], "upper", 165, 102),
-        (REF7_VDM, [2, 4, 6], "lower", 165, 102),
-        (REF7_VDM, [2, 4, 6], "upper", 165, 102),
-        (REF7_VDM, [2, 4, 6], "gong", 108, 64),
+        (REF7, [1, 2, 4], "lower", 55, 37),
+        (REF7, [1, 2, 4], "upper", 55, 37),
+        (REF7_VDM, [2, 4, 6], "lower", 55, 37),
+        (REF7_VDM, [2, 4, 6], "upper", 55, 37),
+        (REF7_VDM, [2, 4, 6], "gong", 55, 37),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -571,3 +575,171 @@ def test_plan_missing_stage_entry():
     frags = mbr_encode(REF7, [i % 7 for i in range(9)])
     with pytest.raises(PlanPayloadMismatch):
         mbr_reconstruct_partial(REF7, plan, mbr_extract_payloads(frags, plan))
+
+
+@pytest.mark.parametrize("position", [0, 5])
+def test_extract_payloads_position_outside_fragment(position):
+    # position 0 read the last symbol of the fragment, 5 raised a bare IndexError
+    plan = mbr_partial_plan(REF7, [1, 2, 4], "lower")
+    positions = list(plan.positions)
+    positions[2] = (1, 2, position, 4)  # node 4 at slot 3
+    plan = dataclasses.replace(plan, positions=tuple(positions))
+    frags = mbr_encode(REF7, [i % 7 for i in range(9)])
+    with pytest.raises(IndexOutOfRange):
+        mbr_extract_payloads(frags, plan)
+
+
+# ---------------------------------------------------------------------------
+# stage singularity, repair and full-read costs, repair property
+# ---------------------------------------------------------------------------
+
+def _hand_plan(params, nodes, order, scheme):
+    """The plan of `scheme` for `nodes`, placed in the given slot order."""
+    k, d = params.k, params.d
+    positions = []
+    for g in order:
+        phi_cols = range(1, g + 1) if scheme == "lower" else range(g, k + 1)
+        positions.append(tuple(phi_cols) + tuple(range(k + 1, d + 1)))
+    return DownloadPlan(scheme=scheme, nodes=tuple(nodes), order=tuple(order),
+                        positions=tuple(positions))
+
+
+def _some_stage_singular(params, nodes, order, scheme):
+    """Whether a stage system is singular: a `lower` stage solves a trailing
+    block of Phi_DC, an `upper` or `gong` stage a leading block."""
+    k = params.k
+    phi = data_collector(mbr_build_encoding(params), k, nodes, order)[0].a
+    for c in range(k):
+        block = phi[c:, c:] if scheme == "lower" else phi[:c + 1, :c + 1]
+        try:
+            mat_inv(FieldMatrix(params.field, block))
+        except SingularMatrix:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "params,schemes,singular",
+    [
+        (MbrParams(F7, 7, 3, 4), ("lower", "upper"), 1020),
+        (MbrParams(prime_field(5), 5, 2, 3), ("lower", "upper"), 16),
+        (MbrParams(F7, 7, 3, 4, backend="vandermonde"), ("lower", "upper", "gong"), 360),
+        (MbrParams(prime_field(5), 5, 2, 3, backend="vandermonde"),
+         ("lower", "upper", "gong"), 8),
+    ],
+    ids=["psrs-gf7", "psrs-gf5", "vdm-gf7", "vdm-gf5"],
+)
+def test_singular_stage_matrix_exhaustive(params, schemes, singular):
+    # every node tuple in every slot order: a read raises SingularStageMatrix
+    # exactly when one of its stage blocks is singular, and returns the
+    # message otherwise
+    n, k = params.n, params.k
+    u = rand_message(params, random.Random(21))
+    frags = mbr_encode(params, u)
+    raised = 0
+    for nodes in itertools.permutations(range(1, n + 1), k):
+        for order in itertools.permutations(range(1, k + 1)):
+            for scheme in schemes:
+                plan = _hand_plan(params, nodes, order, scheme)
+                payloads = mbr_extract_payloads(frags, plan)
+                if _some_stage_singular(params, nodes, order, scheme):
+                    with pytest.raises(SingularStageMatrix):
+                        mbr_reconstruct_partial(params, plan, payloads)
+                    raised += 1
+                else:
+                    assert mbr_reconstruct_partial(params, plan, payloads) == u
+    assert raised == singular
+
+
+BIG = MbrParams(fermat_field(), 64, 32, 48)
+
+
+def test_repair_and_full_read_op_counts_at_scale():
+    # the paper's (64, 32, 48) point over GF(65537): a repair costs one
+    # d x d Gauss-Jordan solve, a full read one k x k inverse and three products
+    rng = random.Random(22)
+    u = rand_message(BIG, rng)
+    frags = mbr_encode(BIG, u)
+    failed = 5
+    helpers = sorted(rng.sample([i for i in range(1, 65) if i != failed], BIG.d))
+    row = psi_row(BIG, failed)
+    responses = [(h, mbr_helper_response(frags[h - 1], row, BIG.field)) for h in helpers]
+    counter = OpCounter()
+    assert mbr_repair(BIG, responses, failed, counter) == frags[failed - 1]
+    assert (counter.mul, counter.add) == (112_944, 110_544)
+    nodes = sorted(rng.sample(range(1, 65), BIG.k))
+    counter = OpCounter()
+    assert mbr_reconstruct_full(BIG, [frags[i - 1] for i in nodes], counter) == u
+    assert (counter.mul, counter.add) == (131_104, 127_488)
+
+
+@pytest.mark.parametrize("scheme", ["lower", "upper"])
+def test_partial_op_counts_at_scale(scheme):
+    # one LU with inverted factors (21,856 mul), T by triangular products,
+    # Delta_DC T^t, then k stages of m*k multiplications for m unknowns
+    rng = random.Random(23)
+    u = rand_message(BIG, rng)
+    frags = mbr_encode(BIG, u)
+    plan = mbr_partial_plan(BIG, sorted(rng.sample(range(1, 65), BIG.k)), scheme)
+    counter = OpCounter()
+    assert mbr_reconstruct_partial(BIG, plan, mbr_extract_payloads(frags, plan), counter) == u
+    assert (counter.mul, counter.add) == (71_520, 69_456)
+
+
+@st.composite
+def _repair_case(draw):
+    field = draw(st.sampled_from([prime_field(5), prime_field(7), prime_field(11),
+                                  binary_field(3), binary_field(4), fermat_field()]))
+    n = draw(st.integers(2, min(9, field.q)))
+    d = draw(st.integers(1, n - 1))
+    k = draw(st.integers(1, d))
+    backend = draw(st.sampled_from(["psrs", "vandermonde"]))
+    failed = draw(st.integers(1, n))
+    helpers = draw(st.permutations([i for i in range(1, n + 1) if i != failed]))[:d]
+    seed = draw(st.integers(0, 2**16))
+    return MbrParams(field, n, k, d, backend=backend), failed, list(helpers), seed
+
+
+@given(_repair_case())
+@settings(max_examples=200)
+def test_repair_returns_lost_fragment(case):
+    params, failed, helpers, seed = case
+    frags = mbr_encode(params, rand_message(params, random.Random(seed)))
+    got = repair_from_fragments(params, [frags[h - 1] for h in helpers], failed)
+    assert got == frags[failed - 1]
+
+
+def _clear_set_caches():
+    for cache in (mbr._repair_inverse, mbr._collector_inverse, mbr._stage_factors):
+        cache.cache_clear()
+
+
+@given(_partial_case(), st.data())
+@settings(max_examples=60)
+def test_cached_calls_match_cold_calls(case, data):
+    # a call that finds its matrices cached returns and counts the same as
+    # one that builds them
+    params, nodes, seed = case
+    u = rand_message(params, random.Random(seed))
+    frags = mbr_encode(params, u)
+    failed = data.draw(st.integers(1, params.n))
+    helpers = data.draw(st.permutations([i for i in range(1, params.n + 1) if i != failed]))
+    row = psi_row(params, failed)
+    responses = [(h, mbr_helper_response(frags[h - 1], row, params.field))
+                 for h in helpers[:params.d]]
+    calls = {"repair": lambda c: mbr_repair(params, responses, failed, c),
+             "full": lambda c: mbr_reconstruct_full(params, [frags[i - 1] for i in nodes], c)}
+    for scheme in ("lower", "upper", "gong"):
+        if scheme != "gong" or params.backend == "vandermonde":
+            plan = mbr_partial_plan(params, nodes, scheme)
+            payloads = mbr_extract_payloads(frags, plan)
+            calls[scheme] = lambda c, plan=plan, payloads=payloads: mbr_reconstruct_partial(
+                params, plan, payloads, c)
+    for name, call in calls.items():
+        _clear_set_caches()
+        runs = []
+        for _ in range(2):
+            counter = OpCounter()
+            runs.append((call(counter), counter.mul, counter.add))
+        assert runs[0] == runs[1], name
+        assert runs[0][0] == (frags[failed - 1] if name == "repair" else u), name
