@@ -249,9 +249,38 @@ def solve_cost(n: int, cols: int) -> tuple[int, int]:
     return n * (n * width + 1), n * (n - 1) * width
 
 
-def mat_solve(a: FieldMatrix, b: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
-    """Solve a @ x = b for x via Gauss-Jordan on the augmented system."""
+@dataclass(frozen=True)
+class FactoredInverse:
+    """The inverse of a square matrix kept as two triangular factors,
+    a^-1 = second @ first with `first` unit triangular.  A block that is
+    leading (or trailing) on both sides is the factored inverse of the same
+    block of a, which `block` takes."""
+
+    field: Field
+    first: np.ndarray
+    second: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.first.shape[0]
+
+    def block(self, part: slice) -> FactoredInverse:
+        return FactoredInverse(self.field, self.first[part, part], self.second[part, part])
+
+
+def mat_solve(a: FieldMatrix | FactoredInverse, b: FieldMatrix,
+              counter: OpCounter | None = None) -> FieldMatrix:
+    """Solve a @ x = b for x via Gauss-Jordan on the augmented system, or,
+    when `a` comes factored, by its two triangular products: n^2 mul and
+    n(n-1) add per column of b, the unit diagonal being free."""
     _same_field(a, b)
+    if isinstance(a, FactoredInverse):
+        if a.rows != b.rows:
+            raise DimensionMismatch(f"rhs has {b.rows} rows, expected {a.rows}")
+        if counter is not None:
+            counter.count_mul(b.cols * a.rows * a.rows)
+            counter.count_add(b.cols * a.rows * (a.rows - 1))
+        return FieldMatrix(a.field, a.field.matmul(a.second, a.field.matmul(a.first, b.a)))
     if a.rows != a.cols:
         raise DimensionMismatch(f"coefficient matrix {a.rows}x{a.cols} not square")
     if a.rows != b.rows:

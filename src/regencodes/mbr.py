@@ -50,6 +50,7 @@ from .errors import (
 from .fragments import Fragment, check_nodes
 from .gf import Field
 from .matrix import (
+    FactoredInverse,
     FieldMatrix,
     check_message,
     collector_inverse,
@@ -58,6 +59,7 @@ from .matrix import (
     lu_inverses,
     mat_inv,
     mat_mul,
+    mat_solve,
     solve_cost,
     solve_message_block,
     submatrix_rows,
@@ -437,7 +439,8 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     a trailing block of Phi_DC for `lower` and a leading block for the
     others.  One factorization of Phi_DC per node set holds the inverse of
     every such block as a pair of triangular blocks (see _stage_factors),
-    so a stage costs two triangular matrix-vector products.
+    so T and every stage are each one mat_solve of two triangular
+    matrix-vector products.
 
     A `trace` list receives one StageRecord per stage: for `lower` and
     `upper` the system with the unit row e_r for every known entry r and
@@ -477,26 +480,25 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
             raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated")
 
     _charge(counter, fac.cost)
-    t = f.matmul(fac.second, f.matmul(fac.first, c_dc[:, k:]))
+    t = mat_solve(fac.inverse, FieldMatrix(f, c_dc[:, k:]), counter).a
     dt = f.matmul(delta, t.T)  # k x k
     d_phi = f.vsub(c_dc[:, :k], dt)  # meaningful where downloaded
     if counter is not None:
-        # per column of T two triangular products: k^2 mul, k(k-1) add;
-        # then the k x (d-k) by (d-k) x k product and the subtraction
-        counter.count_mul((d - k) * k * k + k * k * (d - k))
-        counter.count_add((d - k) * k * (k - 1) + k * k * max(0, d - k - 1))
+        # the k x (d-k) by (d-k) x k product and the subtraction
+        counter.count_mul(k * k * (d - k))
+        counter.count_add(k * k * max(0, d - k - 1))
         counter.count_add(int(downloaded.sum()))
 
     s = np.zeros((k, k), dtype=np.int64)
     known = np.zeros(k, dtype=bool)
     for stage, (c, (todo, done)) in enumerate(zip(columns, parts), start=1):
         rhs = f.vsub(d_phi[todo, c], f.matmul(phi[todo, done], s[done, c][:, None])[:, 0])
-        col = f.matmul(fac.second[todo, todo], f.matmul(fac.first[todo, todo], rhs[:, None]))[:, 0]
         if counter is not None:
-            # m unknowns: substitution m(k-m), triangular products m^2 mul, m(m-1) add
-            m = len(col)
-            counter.count_mul(m * k)
-            counter.count_add(m * (k - 1))
+            # m unknowns: the substitution costs m(k-m) mul and add
+            m = len(rhs)
+            counter.count_mul(m * (k - m))
+            counter.count_add(m * (k - m))
+        col = mat_solve(fac.inverse.block(todo), FieldMatrix(f, rhs[:, None]), counter).a[:, 0]
         if trace is not None:
             trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known, rhs, f))
         s[todo, c] = col
@@ -507,11 +509,9 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
 
 @dataclass(frozen=True)
 class _StageFactors:
-    """The inverses of the two triangular factors of Phi_DC: the unit one
-    (applied first) and the other."""
+    """Phi_DC^-1 as the inverses of its two triangular factors."""
 
-    first: np.ndarray
-    second: np.ndarray
+    inverse: FactoredInverse
     pivoted: bool  # the factorization swapped rows: some stage block is singular
     cost: tuple[int, int]
 
@@ -539,7 +539,8 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, 
     except SingularMatrix as exc:
         raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
     pivoted = bool((lu.perm != np.arange(params.k)).any())
-    return _StageFactors(lu.l_inv[flip], lu.u_inv[flip], pivoted, (lu.mul, lu.add))
+    inverse = FactoredInverse(params.field, lu.l_inv[flip], lu.u_inv[flip])
+    return _StageFactors(inverse, pivoted, (lu.mul, lu.add))
 
 
 def _is_singular(field: Field, a: np.ndarray) -> bool:

@@ -17,6 +17,7 @@ from regencodes.errors import (
 )
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.matrix import (
+    FactoredInverse,
     FieldMatrix,
     check_message,
     congruence,
@@ -271,3 +272,28 @@ def test_lu_inverses_counts_and_singular():
     assert counts == {1: (1, 0), 2: (6, 3), 3: (19, 13), 32: (21_856, 21_328)}
     with pytest.raises(SingularMatrix):
         lu_inverses(F7, FieldMatrix(F7, [[1, 2], [2, 4]]).a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_mat_solve_factored(field):
+    # a leading block of the factored inverse solves the same block of a;
+    # two triangular products cost n^2 mul and n(n-1) add per column
+    rng = random.Random(8)
+    checked = 0
+    for n in range(1, 7):
+        a = rand_invertible(field, n, rng)
+        lu = lu_inverses(field, a.a)
+        if lu.perm.tolist() != list(range(n)):
+            continue
+        inverse = FactoredInverse(field, lu.l_inv, lu.u_inv)
+        for m in range(1, n + 1):
+            b = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(2)] for _ in range(m)])
+            block = FieldMatrix(field, a.a[:m, :m])
+            counter = OpCounter()
+            got = mat_solve(inverse.block(slice(None, m)), b, counter)
+            assert got.tolist() == mat_solve(block, b).tolist()
+            assert (counter.mul, counter.add) == (2 * m * m, 2 * m * (m - 1))
+            checked += 1
+    assert checked > 10
+    with pytest.raises(DimensionMismatch):
+        mat_solve(inverse, FieldMatrix(field, [[1]] * (n + 1)))

@@ -465,23 +465,25 @@ REF7_VDM = MbrParams(F7, 6, 3, 4, backend="vandermonde")
 
 
 @pytest.mark.parametrize(
-    "params,nodes,scheme,mul,add",
+    "params,nodes,scheme,gj_mul,gj_add",  # counts of one Gauss-Jordan solve per stage and for T
     [
-        (REF7, [1, 2, 4], "lower", 55, 37),
-        (REF7, [1, 2, 4], "upper", 55, 37),
-        (REF7_VDM, [2, 4, 6], "lower", 55, 37),
-        (REF7_VDM, [2, 4, 6], "upper", 55, 37),
-        (REF7_VDM, [2, 4, 6], "gong", 55, 37),
+        (REF7, [1, 2, 4], "lower", 165, 102),
+        (REF7, [1, 2, 4], "upper", 165, 102),
+        (REF7_VDM, [2, 4, 6], "lower", 165, 102),
+        (REF7_VDM, [2, 4, 6], "upper", 165, 102),
+        (REF7_VDM, [2, 4, 6], "gong", 108, 64),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
-def test_partial_op_counts(params, nodes, scheme, mul, add):
+def test_partial_op_counts(params, nodes, scheme, gj_mul, gj_add):
     u = rand_message(params, random.Random(17))
     frags = mbr_encode(params, u)
     plan = mbr_partial_plan(params, nodes, scheme)
     counter = OpCounter()
     assert mbr_reconstruct_partial(params, plan, mbr_extract_payloads(frags, plan), counter) == u
-    assert (counter.mul, counter.add) == (mul, add)
+    # one factorization of Phi_DC, then triangular products, on every scheme
+    assert (counter.mul, counter.add) == (55, 37)
+    assert counter.mul < gj_mul and counter.add < gj_add
 
 
 @pytest.mark.parametrize(
