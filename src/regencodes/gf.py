@@ -280,9 +280,11 @@ class BinaryField(Field):
         self._build_tables()
 
     def _build_tables(self):
-        q = self.q
-        exp = np.zeros(max(2 * (q - 1), 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
+        # log[0] = Z = 2(q-1) and exp is 0 on [Z, 2Z], so exp[log a + log b] needs
+        # no zero test: two nonzero logs sum to at most 2(q-2) < Z
+        q, zero = self.q, 2 * (self.q - 1)
+        exp = np.zeros(2 * zero + 1, dtype=np.uint16)
+        log = np.full(q, zero, dtype=np.int64)
         v = 1
         for i in range(q - 1):
             exp[i] = v
@@ -292,7 +294,7 @@ class BinaryField(Field):
                 v ^= self.poly
         if v != 1 or len(set(exp[: q - 1].tolist())) != q - 1:
             raise UnsupportedDegree(f"reduction polynomial for m={self.m} is not primitive")
-        exp[q - 1 :] = exp[: q - 1]
+        exp[q - 1 : zero] = exp[: q - 1]
         self._exp = exp
         self._log = log
         self.omega = int(exp[1 % (q - 1)]) if q > 2 else 1  # primitive element
@@ -310,15 +312,12 @@ class BinaryField(Field):
         return a
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[int(self._log[a]) + int(self._log[b])])
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a):
-        # exponentiation a^(q-2); table-backed multiplies underneath
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return self.pow_(a, self.q - 2)
+        return int(self._exp[self.q - 1 - self._log[a]])
 
     def vadd(self, a, b):
         return np.asarray(a, np.int64) ^ np.asarray(b, np.int64)
@@ -329,11 +328,14 @@ class BinaryField(Field):
         return np.asarray(a, np.int64)
 
     def vmul(self, a, b):
-        a = np.asarray(a, np.int64)
-        b = np.asarray(b, np.int64)
-        out = self._exp[self._log[a] + self._log[b]]
-        zero = (a == 0) | (b == 0)
-        return np.where(zero, 0, out)
+        prod = self._exp[self._log[np.asarray(a, np.int64)] + self._log[np.asarray(b, np.int64)]]
+        return prod.astype(np.int64)
+
+    def vinv(self, a):
+        a = np.asarray(a, dtype=np.int64)
+        if a.size and (a == 0).any():
+            raise DivisionByZero("inverse of zero")
+        return self._exp[self.q - 1 - self._log[a]].astype(np.int64)
 
     def matmul(self, a, b):
         a = np.asarray(a, np.int64)
@@ -344,19 +346,15 @@ class BinaryField(Field):
             raise DimensionMismatch(f"({r}x{inner}) @ ({inner2}x{c})")
         if r * inner * c == 0:
             return np.zeros((r, c), dtype=np.int64)
-        out = np.zeros((r, c), dtype=np.int64)
+        out = np.empty((r, c), dtype=np.uint16)
         # chunk rows so the (rows, inner, c) product tensor stays small
-        chunk = max(1, (1 << 21) // max(1, inner * c))
-        logb = self._log[b]
-        bzero = b == 0
+        chunk = max(1, (1 << 21) // (inner * c))
+        loga = self._log[a][:, :, None]
+        logb = self._log[b][None, :, :]
         for lo in range(0, r, chunk):
-            hi = min(r, lo + chunk)
-            ab = a[lo:hi]
-            prod = self._exp[self._log[ab][:, :, None] + logb[None, :, :]]
-            zero = (ab == 0)[:, :, None] | bzero[None, :, :]
-            prod = np.where(zero, 0, prod)
-            out[lo:hi] = np.bitwise_xor.reduce(prod, axis=1)
-        return out
+            prod = self._exp[loga[lo : lo + chunk] + logb]
+            out[lo : lo + chunk] = np.bitwise_xor.reduce(prod, axis=1)
+        return out.astype(np.int64)
 
     def _key(self):
         return (self.kind, self.m, self.poly)

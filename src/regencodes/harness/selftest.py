@@ -12,6 +12,8 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from ..counting import OpCounter
 from ..fragments import Fragment
 from ..gf import binary_field, fermat_field, ntt_evaluate, ntt_points, prime_field
@@ -62,6 +64,17 @@ def _suite_field_axioms():
                     _check(field.mul(field.inv(b), b) == 1, f"{field!r}: inverse of {b} wrong")
     ff = fermat_field()
     _check(ff.mul(65536, 65536) == 1, "Fermat field: (-1)^2 != 1")
+    # GF(2^8)'s log/antilog tables: vmul over every pair, inverses of every b != 0
+    f8 = binary_field(8)
+    a, b = np.divmod(np.arange(f8.q * f8.q), f8.q)
+    prod = f8.vmul(a, b)
+    _check(prod.tolist() == [f8.mul(x, y) for x, y in zip(a.tolist(), b.tolist())],
+           "GF(2^8): vmul disagrees with mul")
+    _check(not prod[(a == 0) | (b == 0)].any(), "GF(2^8): a product with a zero factor is not 0")
+    nonzero = np.arange(1, f8.q)
+    _check(bool((f8.vmul(f8.vinv(nonzero), nonzero) == 1).all())
+           and [f8.mul(f8.inv(x), x) for x in range(1, f8.q)] == [1] * (f8.q - 1),
+           "GF(2^8): an inverse is wrong")
 
 
 def _suite_mds_matrices():

@@ -37,6 +37,7 @@ import numpy as np
 from .counting import OpCounter
 from .errors import (
     DuplicateHelper,
+    DuplicateIndex,
     FieldTooSmall,
     IndexOutOfRange,
     ParamsInvalid,
@@ -452,6 +453,10 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     check_nodes(params.n, plan.nodes, params.k)
     f = params.field
     k, d = params.k, params.d
+    if not 1 <= min(plan.order) <= max(plan.order) <= k:
+        raise IndexOutOfRange(f"plan slots {plan.order} outside [1, {k}]")
+    if len(set(plan.order)) != k:
+        raise DuplicateIndex(f"repeated slot in plan order {plan.order}")
     lower = plan.scheme == "lower"
 
     # scatter payloads: C^Delta is complete, C^Phi only on the plan's triangle

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regencodes.errors import (
+    DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
     FieldTooSmall,
@@ -252,3 +254,127 @@ def test_ntt_counts_ops():
     ntt_evaluate(ff, [1, 2, 3], 8, counter=c)
     assert c.mul == (8 // 2) * 3
     assert c.add == 8 * 3
+
+
+# -- binary kernels against an independent carry-less multiply ----------------
+
+def _clmul_ref(a, b, m):
+    """Shift-and-xor product of a and b reduced by REDUCTION_POLYS[m].
+
+    Works elementwise on int64 arrays (or ints) and never touches a field's
+    log/antilog tables, so it is an oracle for them.
+    """
+    poly = REDUCTION_POLYS[m]
+    a, b = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(b, np.int64))
+    a, b = a.copy(), b.copy()
+    r = np.zeros_like(a)
+    for _ in range(m):
+        r ^= np.where(b & 1, a, 0)
+        b >>= 1
+        a <<= 1
+        a = np.where((a >> m) & 1, a ^ poly, a)
+    return r
+
+
+def _binary_pairs(m):
+    """Every (a, b) pair for m <= 8, a seeded sample of 20k pairs above."""
+    q = 1 << m
+    if m <= 8:
+        a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+        return a.ravel(), b.ravel()
+    rng = np.random.default_rng(m)
+    a = rng.integers(0, q, size=20_000)
+    b = rng.integers(0, q, size=20_000)
+    a[:50] = 0  # zero factors on either side, and together
+    b[25:75] = 0
+    return a, b
+
+
+@pytest.mark.parametrize("m", sorted(REDUCTION_POLYS))
+def test_binary_mul_vmul_match_carryless_reference(m):
+    f = binary_field(m)
+    a, b = _binary_pairs(m)
+    want = _clmul_ref(a, b, m)
+    got = f.vmul(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    scalar = [f.mul(int(x), int(y)) for x, y in zip(a.tolist(), b.tolist())]
+    assert scalar == want.tolist()
+
+
+@pytest.mark.parametrize("m", sorted(REDUCTION_POLYS))
+def test_binary_inv_matches_carryless_reference(m):
+    f = binary_field(m)
+    q = f.q
+    if m <= 8:
+        xs = list(range(1, q))
+    else:
+        xs = random.Random(m).sample(range(1, q), min(2000, q - 1))
+    invs = [f.inv(x) for x in xs]
+    assert all(0 < y < q for y in invs)
+    assert np.all(_clmul_ref(xs, invs, m) == 1)
+    assert np.array_equal(f.vinv(np.array(xs)), np.array(invs))
+    with pytest.raises(DivisionByZero):
+        f.inv(0)
+    with pytest.raises(DivisionByZero):
+        f.vinv(np.array([1, 0]))
+
+
+def _matmul_triple_loop(a, b, m):
+    r, inner = a.shape
+    c = b.shape[1]
+    out = np.zeros((r, c), dtype=np.int64)
+    for i in range(r):
+        for j in range(c):
+            acc = 0
+            for t in range(inner):
+                acc ^= int(_clmul_ref(int(a[i, t]), int(b[t, j]), m))
+            out[i, j] = acc
+    return out
+
+
+_MATMUL_SHAPES = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1),
+                  (4, 5, 3), (7, 2, 6), (6, 6, 6), (1, 9, 2)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 11, 16])
+@pytest.mark.parametrize("shape", _MATMUL_SHAPES, ids=str)
+def test_binary_matmul_matches_triple_loop(m, shape):
+    f = binary_field(m)
+    r, inner, c = shape
+    rng = np.random.default_rng([m, r, inner, c])
+    a = rng.integers(0, f.q, size=(r, inner))
+    b = rng.integers(0, f.q, size=(inner, c))
+    if r > 1 and inner:
+        a[0] = 0  # an all-zero row of a
+    if c > 1 and inner:
+        b[:, -1] = 0  # an all-zero column of b
+    if r and inner > 1:
+        a[:, 1] = 0  # a zero column of a meets every row of b
+    got = f.matmul(a, b)
+    assert got.dtype == np.int64
+    assert got.shape == (r, c)
+    assert np.array_equal(got, _matmul_triple_loop(a, b, m))
+
+
+def test_binary_matmul_runs_several_row_chunks():
+    # inner * c > 2^21 rows are taken one at a time, so 3 rows take 3 chunks
+    m, r, inner, c = 8, 3, 64, 32_769
+    f = binary_field(m)
+    rng = np.random.default_rng(21)
+    a = rng.integers(0, f.q, size=(r, inner))
+    b = rng.integers(0, f.q, size=(inner, c))
+    a[1, ::2] = 0
+    b[::3] = 0
+    want = np.zeros((r, c), dtype=np.int64)
+    for t in range(inner):  # independent of the kernel: one rank-1 update per t
+        want ^= _clmul_ref(a[:, t, None], b[None, t, :], m)
+    got = f.matmul(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_binary_matmul_dimension_mismatch():
+    f = binary_field(8)
+    with pytest.raises(DimensionMismatch):
+        f.matmul(np.zeros((2, 3), np.int64), np.zeros((4, 2), np.int64))

@@ -15,6 +15,7 @@ from regencodes.errors import (
     IndexOutOfRange,
     InsufficientSymbols,
     ParamsInvalid,
+    PlanPayloadMismatch,
     SchemeBackendMismatch,
     SingularMatrix,
     SingularStageMatrix,
@@ -589,6 +590,20 @@ def test_extract_payloads_position_outside_fragment(position):
     frags = mbr_encode(REF7, [i % 7 for i in range(9)])
     with pytest.raises(IndexOutOfRange):
         mbr_extract_payloads(frags, plan)
+
+
+@pytest.mark.parametrize("order, error", [
+    ((1, 2, 4), IndexOutOfRange),   # was a bare IndexError
+    ((0, 2, 3), IndexOutOfRange),   # was SingularMatrix, blaming the code
+    ((1, 1, 3), DuplicateIndex),    # was SingularMatrix, blaming the code
+    ((3, 2, 1), PlanPayloadMismatch),  # a permutation the plan's positions do not fit
+])
+def test_plan_malformed_slot_order(order, error):
+    plan = mbr_partial_plan(REF7, [1, 2, 4], "lower")
+    payloads = mbr_extract_payloads(mbr_encode(REF7, [i % 7 for i in range(9)]), plan)
+    plan = dataclasses.replace(plan, order=order)
+    with pytest.raises(error):
+        mbr_reconstruct_partial(REF7, plan, payloads)
 
 
 # ---------------------------------------------------------------------------
