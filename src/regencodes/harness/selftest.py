@@ -72,9 +72,8 @@ def _suite_field_axioms():
            "GF(2^8): vmul disagrees with mul")
     _check(not prod[(a == 0) | (b == 0)].any(), "GF(2^8): a product with a zero factor is not 0")
     nonzero = np.arange(1, f8.q)
-    _check(bool((f8.vmul(f8.vinv(nonzero), nonzero) == 1).all())
-           and [f8.mul(f8.inv(x), x) for x in range(1, f8.q)] == [1] * (f8.q - 1),
-           "GF(2^8): an inverse is wrong")
+    _check(bool((f8.vmul(f8.vinv(nonzero), nonzero) == 1).all()), "GF(2^8): a vinv is wrong")
+    _check(all(f8.mul(f8.inv(x), x) == 1 for x in range(1, f8.q)), "GF(2^8): an inv is wrong")
 
 
 def _suite_mds_matrices():

@@ -358,7 +358,7 @@ def test_binary_matmul_matches_triple_loop(m, shape):
 
 
 def test_binary_matmul_runs_several_row_chunks():
-    # inner * c > 2^21 rows are taken one at a time, so 3 rows take 3 chunks
+    # with inner * c > 2^21 the kernel takes one row per chunk: 3 rows, 3 chunks
     m, r, inner, c = 8, 3, 64, 32_769
     f = binary_field(m)
     rng = np.random.default_rng(21)
