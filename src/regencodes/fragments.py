@@ -12,6 +12,7 @@ surviving node, with zero field operations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -40,7 +41,11 @@ class Fragment:
             raise ValueError(f"unknown codec tag {self.codec!r}")
         if self.node < 1:
             raise ValueError(f"node index {self.node} must be >= 1")
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
+        try:
+            symbols = tuple(operator.index(s) for s in self.symbols)
+        except TypeError as exc:
+            raise ValueError(f"fragment symbols must be integers: {exc}") from exc
+        object.__setattr__(self, "symbols", symbols)
 
 
 def stored_fragment(codec: str, matrix: np.ndarray, node: int) -> Fragment:

@@ -137,7 +137,8 @@ class Field:
             a = np.asarray(data, dtype=np.int64)
         except OverflowError as exc:
             raise ValueError("array values outside field range") from exc
-        if a.size and ((a < 0).any() or (a >= self.q).any()):
+        # read as unsigned, a negative value is at least 2^63 >= q
+        if a.size and a.view(np.uint64).max() >= self.q:
             raise ValueError("array values outside field range")
         return a
 

@@ -17,7 +17,7 @@ import numpy as np
 from ..counting import OpCounter
 from ..fragments import Fragment
 from ..gf import binary_field, fermat_field, ntt_evaluate, ntt_points, prime_field
-from ..matrix import mat_inv, submatrix_rows, vandermonde, extended_vandermonde
+from ..matrix import FieldMatrix, extended_vandermonde, mat_inv, vandermonde
 from ..mbr import (
     MbrParams,
     mbr_encode,
@@ -77,13 +77,13 @@ def _suite_field_axioms():
 
 
 def _suite_mds_matrices():
-    f7 = prime_field(7)
+    f7, f4 = prime_field(7), binary_field(2)
     v = vandermonde(f7, 6, 3)
     for rows in itertools.combinations(range(6), 3):
-        mat_inv(submatrix_rows(v, rows))
-    e = extended_vandermonde(binary_field(2), 5, 3)
+        mat_inv(FieldMatrix(f7, v[list(rows)]))
+    e = extended_vandermonde(f4, 5, 3)
     for rows in itertools.combinations(range(5), 3):
-        mat_inv(submatrix_rows(e, rows))
+        mat_inv(FieldMatrix(f4, e[list(rows)]))
 
 
 def _suite_ntt():

@@ -1,11 +1,17 @@
-"""Dense linear algebra over a Field.
+"""Dense linear algebra over a Field, on plain int64 arrays.
 
-FieldMatrix wraps a numpy int64 array of field values together with its
-field.  Products, Gauss-Jordan inversion, the LU factorization with
-inverted factors, Vandermonde builders, the congruent transformation and
-skew-symmetric validation live here, and so does the full-read solve of
-a product-matrix data collector, which the rbt and mbr codecs share.
+Every kernel takes the field first and numpy int64 arrays of field
+values after, and returns int64 arrays: products, sums, the congruent
+transformation, Vandermonde builders, skew-symmetric validation and the
+full-read solve of a product-matrix data collector, which the rbt and
+mbr codecs share.  Kernels trust their arrays; values from callers are
+range-checked once, by `Field.varray`, where they enter the library.
 Ops that perform field arithmetic accept an explicit OpCounter.
+
+FieldMatrix pairs an array with its field where a matrix crosses the
+library boundary: the system of `mat_inv` and `mat_solve`, a codeword's
+check matrix and a partial-read stage record.  Its constructor copies
+and range-checks the data.
 
 Every codec keeps its message in one triangle of a symmetric (or skew)
 matrix: `triangle` gives the slots of those symbols, row-major, and
@@ -23,23 +29,13 @@ import numpy as np
 from .counting import OpCounter
 from .errors import (
     DimensionMismatch,
-    DuplicateIndex,
     DuplicatePoints,
-    FieldMismatch,
     FieldTooSmall,
-    IndexOutOfRange,
     NotSkewSymmetric,
     SingularMatrix,
     WrongMessageLength,
 )
 from .gf import Elem, Field, enumerate_points
-
-
-def _values(data) -> list:
-    out = []
-    for row in data:
-        out.append([int(v) for v in row])
-    return out
 
 
 class FieldMatrix:
@@ -48,16 +44,11 @@ class FieldMatrix:
     __slots__ = ("field", "a")
 
     def __init__(self, field: Field, data):
-        if isinstance(data, np.ndarray):
-            a = data.astype(np.int64, copy=True)
-        else:
-            a = np.array(_values(data), dtype=np.int64)
-            if a.ndim == 1:  # empty row list
-                a = a.reshape(0, 0)
+        a = np.array(field.varray(data), dtype=np.int64)
+        if a.ndim == 1 and not a.size:  # empty row list
+            a = a.reshape(0, 0)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected 2-D data, got shape {a.shape}")
-        if a.size and ((a < 0).any() or (a >= field.q).any()):
-            raise ValueError("matrix entries outside field range")
         self.field = field
         self.a = a
 
@@ -69,24 +60,8 @@ class FieldMatrix:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    def __getitem__(self, rc) -> int:
-        r, c = rc
-        return int(self.a[r, c])
-
-    def elem(self, r: int, c: int) -> Elem:
-        return Elem(self.field, int(self.a[r, c]))
-
     def tolist(self) -> list[list[int]]:
         return self.a.tolist()
-
-    def row(self, r: int) -> list[int]:
-        return self.a[r].tolist()
-
-    def col(self, c: int) -> list[int]:
-        return self.a[:, c].tolist()
-
-    def copy(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.a)
 
     def __eq__(self, other) -> bool:
         return (
@@ -103,12 +78,10 @@ class FieldMatrix:
         return f"FieldMatrix({self.field!r}, {self.a.tolist()})"
 
 
-def zeros(field: Field, rows: int, cols: int) -> FieldMatrix:
-    return FieldMatrix(field, np.zeros((rows, cols), dtype=np.int64))
-
-
-def identity(field: Field, n: int) -> FieldMatrix:
-    return FieldMatrix(field, np.eye(n, dtype=np.int64))
+def frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only: cached matrices are shared by every caller."""
+    a.setflags(write=False)
+    return a
 
 
 def check_message(field: Field, u: Sequence[int], count: int) -> list[int]:
@@ -123,14 +96,11 @@ def check_message(field: Field, u: Sequence[int], count: int) -> list[int]:
 def triangle(rows: int, offset: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, col) index arrays of the upper triangle of a rows x cols block,
     row-major; offset 0 keeps the diagonal, offset 1 leaves it out."""
-    slots = np.triu_indices(rows, offset, cols)
-    for idx in slots:
-        idx.setflags(write=False)
-    return slots
+    return tuple(frozen(idx) for idx in np.triu_indices(rows, offset, cols))
 
 
 def symmetric_from_triangle(field: Field, size: int, slots: tuple[np.ndarray, np.ndarray],
-                            values: Sequence[int], skew: bool = False) -> FieldMatrix:
+                            values: Sequence[int], skew: bool = False) -> np.ndarray:
     """size x size matrix holding `values` on `slots` and their mirror images
     below the diagonal, negated when `skew`."""
     vals = np.array(values, dtype=np.int64)
@@ -138,67 +108,37 @@ def symmetric_from_triangle(field: Field, size: int, slots: tuple[np.ndarray, np
     a = np.zeros((size, size), dtype=np.int64)
     a[rows, cols] = vals
     a[cols, rows] = field.vneg(vals) if skew else vals
-    return FieldMatrix(field, a)
+    return a
 
 
-def _same_field(a: FieldMatrix, b: FieldMatrix):
-    if a.field != b.field:
-        raise FieldMismatch(f"{a.field!r} vs {b.field!r}")
-
-
-def mat_mul(a: FieldMatrix, b: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
+def mat_mul(field: Field, a: np.ndarray, b: np.ndarray,
+            counter: OpCounter | None = None) -> np.ndarray:
     """Product; counts rows*cols*inner multiplications."""
-    _same_field(a, b)
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})")
-    out = a.field.matmul(a.a, b.a)
+    (rows, inner), (inner_b, cols) = a.shape, b.shape
+    if inner != inner_b:
+        raise DimensionMismatch(f"({rows}x{inner}) @ ({inner_b}x{cols})")
     if counter is not None:
-        counter.count_mul(a.rows * b.cols * a.cols)
-        counter.count_add(a.rows * b.cols * max(0, a.cols - 1))
-    return FieldMatrix(a.field, out)
+        counter.count_mul(rows * cols * inner)
+        counter.count_add(rows * cols * max(0, inner - 1))
+    return field.matmul(a, b)
 
 
-def mat_add(a: FieldMatrix, b: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
-    _same_field(a, b)
-    if a.a.shape != b.a.shape:
-        raise DimensionMismatch(f"{a.a.shape} vs {b.a.shape}")
+def mat_add(field: Field, a: np.ndarray, b: np.ndarray,
+            counter: OpCounter | None = None) -> np.ndarray:
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     if counter is not None:
-        counter.count_add(a.rows * a.cols)
-    return FieldMatrix(a.field, a.field.vadd(a.a, b.a))
+        counter.count_add(a.size)
+    return field.vadd(a, b)
 
 
-def mat_sub(a: FieldMatrix, b: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
-    _same_field(a, b)
-    if a.a.shape != b.a.shape:
-        raise DimensionMismatch(f"{a.a.shape} vs {b.a.shape}")
+def mat_sub(field: Field, a: np.ndarray, b: np.ndarray,
+            counter: OpCounter | None = None) -> np.ndarray:
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     if counter is not None:
-        counter.count_add(a.rows * a.cols)
-    return FieldMatrix(a.field, a.field.vsub(a.a, b.a))
-
-
-def mat_neg(a: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
-    if counter is not None and a.field.characteristic != 2:
-        counter.count_add(a.rows * a.cols)
-    return FieldMatrix(a.field, a.field.vneg(a.a))
-
-
-def transpose(a: FieldMatrix) -> FieldMatrix:
-    return FieldMatrix(a.field, a.a.T)
-
-
-def submatrix_rows(a: FieldMatrix, indices: Sequence[int]) -> FieldMatrix:
-    """Rows of `a` in the exact order given (0-based indices)."""
-    idx = list(indices)
-    seen = set()
-    for i in idx:
-        if not 0 <= i < a.rows:
-            raise IndexOutOfRange(f"row {i} outside [0, {a.rows})")
-        if i in seen:
-            raise DuplicateIndex(f"row {i} requested twice")
-        seen.add(i)
-    if not idx:
-        return zeros(a.field, 0, a.cols)
-    return FieldMatrix(a.field, a.a[idx, :])
+        counter.count_add(a.size)
+    return field.vsub(a, b)
 
 
 def _gauss_jordan(field: Field, aug: np.ndarray, counter: OpCounter | None) -> np.ndarray:
@@ -229,16 +169,17 @@ def _gauss_jordan(field: Field, aug: np.ndarray, counter: OpCounter | None) -> n
     return aug
 
 
-def mat_inv(a: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
-    """Gauss-Jordan inverse; raises SingularMatrix at the first zero pivot column."""
+def mat_inv(a: FieldMatrix, counter: OpCounter | None = None) -> np.ndarray:
+    """Gauss-Jordan inverse; raises SingularMatrix at the first zero pivot column.
+
+    `a` and the system of mat_solve are FieldMatrix, not arrays: their
+    field and `rows` travel with them, and the benchmark tracer counts
+    pivots from `rows`."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"cannot invert {a.rows}x{a.cols}")
     n = a.rows
-    if n == 0:
-        return zeros(a.field, 0, 0)
-    aug = np.concatenate([a.a.copy(), np.eye(n, dtype=np.int64)], axis=1)
-    aug = _gauss_jordan(a.field, aug, counter)
-    return FieldMatrix(a.field, aug[:, n:])
+    aug = np.concatenate([a.a, np.eye(n, dtype=np.int64)], axis=1)
+    return _gauss_jordan(a.field, aug, counter)[:, n:]
 
 
 def solve_cost(n: int, cols: int) -> tuple[int, int]:
@@ -268,29 +209,23 @@ class FactoredInverse:
         return FactoredInverse(self.field, self.first[part, part], self.second[part, part])
 
 
-def mat_solve(a: FieldMatrix | FactoredInverse, b: FieldMatrix,
-              counter: OpCounter | None = None) -> FieldMatrix:
+def mat_solve(a: FieldMatrix | FactoredInverse, b: np.ndarray,
+              counter: OpCounter | None = None) -> np.ndarray:
     """Solve a @ x = b for x via Gauss-Jordan on the augmented system, or,
     when `a` comes factored, by its two triangular products: n^2 mul and
     n(n-1) add per column of b, the unit diagonal being free."""
-    _same_field(a, b)
+    rows, cols = b.shape
+    if a.rows != rows:
+        raise DimensionMismatch(f"rhs has {rows} rows, expected {a.rows}")
     if isinstance(a, FactoredInverse):
-        if a.rows != b.rows:
-            raise DimensionMismatch(f"rhs has {b.rows} rows, expected {a.rows}")
         if counter is not None:
-            counter.count_mul(b.cols * a.rows * a.rows)
-            counter.count_add(b.cols * a.rows * (a.rows - 1))
-        return FieldMatrix(a.field, a.field.matmul(a.second, a.field.matmul(a.first, b.a)))
+            counter.count_mul(cols * rows * rows)
+            counter.count_add(cols * rows * (rows - 1))
+        return a.field.matmul(a.second, a.field.matmul(a.first, b))
     if a.rows != a.cols:
         raise DimensionMismatch(f"coefficient matrix {a.rows}x{a.cols} not square")
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"rhs has {b.rows} rows, expected {a.rows}")
-    n = a.rows
-    if n == 0:
-        return zeros(a.field, 0, b.cols)
-    aug = np.concatenate([a.a.copy(), b.a.copy()], axis=1)
-    aug = _gauss_jordan(a.field, aug, counter)
-    return FieldMatrix(a.field, aug[:, n:])
+    aug = np.concatenate([a.a, b], axis=1)
+    return _gauss_jordan(a.field, aug, counter)[:, rows:]
 
 
 @dataclass(frozen=True)
@@ -360,44 +295,44 @@ def lu_inverses(field: Field, a: np.ndarray) -> TriangularInverses:
     return TriangularInverses(perm, l_inv, u_inv, mul, add)
 
 
-def data_collector(psi: FieldMatrix, k: int, nodes: Sequence[int],
-                   order: Sequence[int]) -> tuple[FieldMatrix, FieldMatrix]:
+def data_collector(psi: np.ndarray, k: int, nodes: Sequence[int],
+                   order: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Phi_DC and Delta_DC of a product-matrix data collector: the first k
     and the remaining columns of psi's rows, the row of node nodes[j]
     (1-based) placed in row order[j]-1."""
-    rows = np.zeros((k, psi.cols), dtype=np.int64)
-    rows[[g - 1 for g in order]] = psi.a[[i - 1 for i in nodes]]
-    return FieldMatrix(psi.field, rows[:, :k]), FieldMatrix(psi.field, rows[:, k:])
+    rows = np.zeros((k, psi.shape[1]), dtype=np.int64)
+    rows[[g - 1 for g in order]] = psi[[i - 1 for i in nodes]]
+    return rows[:, :k], rows[:, k:]
 
 
-def collector_inverse(phi_dc: FieldMatrix, counter: OpCounter | None) -> FieldMatrix:
+def collector_inverse(field: Field, phi_dc: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     """Phi_DC^-1; a singular Phi_DC means the encoding matrix breaks the
     code's conditions."""
     try:
-        return mat_inv(phi_dc, counter)
+        return mat_inv(FieldMatrix(field, phi_dc), counter)
     except SingularMatrix as exc:
         raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
 
 
-def solve_message_block(phi_inv: FieldMatrix, delta_dc: FieldMatrix, c_dc: FieldMatrix,
-                        skew: bool, counter: OpCounter | None) -> tuple[FieldMatrix, FieldMatrix]:
+def solve_message_block(field: Field, phi_inv: np.ndarray, delta_dc: np.ndarray,
+                        c_dc: np.ndarray, skew: bool,
+                        counter: OpCounter | None) -> tuple[np.ndarray, np.ndarray]:
     """S and T of a message matrix M = [[S, T], [-+T^t, 0]] from the k rows
     C_DC = Psi_DC M a data collector holds, given Phi_DC^-1.
 
     T = Phi_DC^-1 C^Delta, then S = Phi_DC^-1 (C^Phi -+ Delta_DC T^t): the
     lower-left block of M is T^t for a symmetric M and -T^t for a skew one.
     """
-    k = phi_inv.rows
-    c_phi = FieldMatrix(c_dc.field, c_dc.a[:, :k])
-    c_delta = FieldMatrix(c_dc.field, c_dc.a[:, k:])
-    t = mat_mul(phi_inv, c_delta, counter)
-    dt = mat_mul(delta_dc, transpose(t), counter)
-    s = mat_mul(phi_inv, (mat_add if skew else mat_sub)(c_phi, dt, counter), counter)
+    k = phi_inv.shape[0]
+    t = mat_mul(field, phi_inv, c_dc[:, k:], counter)
+    dt = mat_mul(field, delta_dc, t.T, counter)
+    s = mat_mul(field, phi_inv, (mat_add if skew else mat_sub)(field, c_dc[:, :k], dt, counter),
+                counter)
     return s, t
 
 
 def vandermonde(field: Field, n: int, k: int,
-                points: Sequence[int | Elem] | None = None) -> FieldMatrix:
+                points: Sequence[int | Elem] | None = None) -> np.ndarray:
     """n x k matrix with entry [i, j] = points[i]^j, j = 0..k-1."""
     if points is None:
         points = enumerate_points(field, n)
@@ -416,10 +351,10 @@ def vandermonde(field: Field, n: int, k: int,
             out[:, j] = col
             if j + 1 < k:
                 col = field.vmul(col, pa)
-    return FieldMatrix(field, out)
+    return out
 
 
-def extended_vandermonde(field: Field, n: int, k: int) -> FieldMatrix:
+def extended_vandermonde(field: Field, n: int, k: int) -> np.ndarray:
     """Generator of a (doubly) extended RS code: any k of the n rows are independent.
 
     Row 0 evaluates at zero (e_1); the next rows evaluate at the canonical
@@ -432,7 +367,7 @@ def extended_vandermonde(field: Field, n: int, k: int) -> FieldMatrix:
     if n > field.q + 1:
         raise FieldTooSmall(f"n={n} exceeds q+1={field.q + 1}")
     if k == 0 or n == 0:
-        return zeros(field, n, k)
+        return np.zeros((n, k), dtype=np.int64)
     use_infinity = n == field.q + 1
     finite = n - 1 if use_infinity else n
     pts = [0] + [int(e) for e in enumerate_points(field, finite - 1)]
@@ -441,54 +376,32 @@ def extended_vandermonde(field: Field, n: int, k: int) -> FieldMatrix:
         return body
     inf_row = np.zeros((1, k), dtype=np.int64)
     inf_row[0, k - 1] = 1
-    return FieldMatrix(field, np.concatenate([body.a, inf_row], axis=0))
+    return np.concatenate([body, inf_row], axis=0)
 
 
-def congruence(p: FieldMatrix, m: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
+def congruence(field: Field, p: np.ndarray, m: np.ndarray,
+               counter: OpCounter | None = None) -> np.ndarray:
     """P @ M @ P^t; maps skew-symmetric M to skew-symmetric output."""
-    _same_field(p, m)
-    if m.rows != m.cols or p.cols != m.rows:
-        raise DimensionMismatch(f"congruence of ({p.rows}x{p.cols}) with ({m.rows}x{m.cols})")
-    return mat_mul(mat_mul(p, m, counter), transpose(p), counter)
+    if m.shape[0] != m.shape[1] or p.shape[1] != m.shape[0]:
+        raise DimensionMismatch(f"congruence of {p.shape} with {m.shape}")
+    return mat_mul(field, mat_mul(field, p, m, counter), p.T, counter)
 
 
-def is_skew_symmetric(a: FieldMatrix) -> bool:
-    if a.rows != a.cols:
-        return False
-    if a.rows == 0:
-        return True
-    if (np.diagonal(a.a) != 0).any():
-        return False
-    return bool((a.field.vneg(a.a.T) == a.a).all())
+def is_skew_symmetric(field: Field, a: np.ndarray) -> bool:
+    return _zero_diag_square(a) and bool((field.vneg(a.T) == a).all())
 
 
-def require_skew_symmetric(a: FieldMatrix) -> FieldMatrix:
+def require_skew_symmetric(field: Field, a: np.ndarray) -> np.ndarray:
     """Zero diagonal is demanded explicitly: in characteristic 2 the
     off-diagonal condition alone would not force it."""
-    if not is_skew_symmetric(a):
+    if not is_skew_symmetric(field, a):
         raise NotSkewSymmetric("matrix is not skew-symmetric with zero diagonal")
     return a
 
 
-def is_symmetric_zero_diag(a: FieldMatrix) -> bool:
-    if a.rows != a.cols:
-        return False
-    if a.rows == 0:
-        return True
-    if (np.diagonal(a.a) != 0).any():
-        return False
-    return bool((a.a.T == a.a).all())
+def is_symmetric_zero_diag(a: np.ndarray) -> bool:
+    return _zero_diag_square(a) and bool((a.T == a).all())
 
 
-def hstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    _same_field(a, b)
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"{a.rows} vs {b.rows} rows")
-    return FieldMatrix(a.field, np.concatenate([a.a, b.a], axis=1))
-
-
-def vstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    _same_field(a, b)
-    if a.cols != b.cols:
-        raise DimensionMismatch(f"{a.cols} vs {b.cols} cols")
-    return FieldMatrix(a.field, np.concatenate([a.a, b.a], axis=0))
+def _zero_diag_square(a: np.ndarray) -> bool:
+    return a.shape[0] == a.shape[1] and not np.diagonal(a).any()

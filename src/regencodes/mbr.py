@@ -40,6 +40,7 @@ from .errors import (
     DuplicateIndex,
     FieldTooSmall,
     IndexOutOfRange,
+    InsufficientSymbols,
     ParamsInvalid,
     PlanPayloadMismatch,
     SchemeBackendMismatch,
@@ -56,14 +57,13 @@ from .matrix import (
     check_message,
     collector_inverse,
     data_collector,
-    hstack,
+    frozen,
     lu_inverses,
     mat_inv,
     mat_mul,
     mat_solve,
     solve_cost,
     solve_message_block,
-    submatrix_rows,
     symmetric_from_triangle,
     triangle,
     vandermonde,
@@ -123,14 +123,14 @@ def _message_slots(params: MbrParams) -> tuple[np.ndarray, np.ndarray]:
     return triangle(params.k, 0, params.d)
 
 
-def mbr_build_message(params: MbrParams, u: Sequence[int]) -> FieldMatrix:
+def mbr_build_message(params: MbrParams, u: Sequence[int]) -> np.ndarray:
     """Symmetric d x d message matrix holding the B message symbols."""
     u = check_message(params.field, u, params.B)
     return symmetric_from_triangle(params.field, params.d, _message_slots(params), u)
 
 
-def message_from_block(params: MbrParams, block: FieldMatrix) -> list[int]:
-    return block.a[_message_slots(params)].tolist()
+def message_from_block(params: MbrParams, block: np.ndarray) -> list[int]:
+    return block[_message_slots(params)].tolist()
 
 
 @lru_cache(maxsize=None)
@@ -138,13 +138,12 @@ def _psrs_params(params: MbrParams):
     return eval_params(params.field, params.n, params.k, params.d, ntt=params.ntt)
 
 
-def _validate_conditions(params: MbrParams, psi: FieldMatrix) -> None:
+def _validate_conditions(params: MbrParams, psi: np.ndarray) -> None:
     """Check both encoding-matrix conditions: exhaustively for n <= 10,
     by random subset sampling above."""
     import itertools
 
     n, k, d = params.n, params.k, params.d
-    phi = FieldMatrix(psi.field, psi.a[:, :k])
     if n <= 10:
         d_subsets = itertools.combinations(range(n), d)
         k_subsets = itertools.combinations(range(n), k)
@@ -155,9 +154,9 @@ def _validate_conditions(params: MbrParams, psi: FieldMatrix) -> None:
         k_subsets = [tuple(sorted(rng.sample(range(n), k))) for _ in range(samples)]
     try:
         for rows in d_subsets:
-            mat_inv(submatrix_rows(psi, rows))
+            mat_inv(FieldMatrix(params.field, psi[list(rows)]))
         for rows in k_subsets:
-            mat_inv(submatrix_rows(phi, rows))
+            mat_inv(FieldMatrix(params.field, psi[list(rows), :k]))
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"encoding matrix violates the MBR conditions for (n={n}, k={k}, d={d})"
@@ -165,12 +164,13 @@ def _validate_conditions(params: MbrParams, psi: FieldMatrix) -> None:
 
 
 @lru_cache(maxsize=None)
-def mbr_build_encoding(params: MbrParams) -> FieldMatrix:
-    """n x d encoding matrix for the chosen backend, validated on build."""
+def mbr_build_encoding(params: MbrParams) -> np.ndarray:
+    """n x d encoding matrix for the chosen backend, validated on build;
+    read-only."""
     if params.backend == "psrs":
         psi = generator_matrix(_psrs_params(params))
     else:
-        psi = vandermonde(params.field, params.n, params.d)
+        psi = frozen(vandermonde(params.field, params.n, params.d))
     _validate_conditions(params, psi)
     return psi
 
@@ -178,7 +178,7 @@ def mbr_build_encoding(params: MbrParams) -> FieldMatrix:
 def psi_row(params: MbrParams, node: int) -> list[int]:
     if not 1 <= node <= params.n:
         raise IndexOutOfRange(f"node {node} outside [1, {params.n}]")
-    return mbr_build_encoding(params).row(node - 1)
+    return mbr_build_encoding(params)[node - 1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +189,12 @@ def mbr_encode(params: MbrParams, u: Sequence[int],
                counter: OpCounter | None = None) -> list[Fragment]:
     """Native encoding: one n x d by d x d matrix product."""
     m = mbr_build_message(params, u)
-    psi = mbr_build_encoding(params)
-    c = mat_mul(psi, m, counter)
-    return [Fragment(params.codec, i + 1, tuple(c.row(i))) for i in range(params.n)]
+    c = mat_mul(params.field, mbr_build_encoding(params), m, counter)
+    return _fragments(params, c)
+
+
+def _fragments(params: MbrParams, c: np.ndarray) -> list[Fragment]:
+    return [Fragment(params.codec, i, tuple(row)) for i, row in enumerate(c.tolist(), start=1)]
 
 
 def mbr_encode_columns(params: MbrParams, u: Sequence[int],
@@ -207,12 +210,10 @@ def mbr_encode_columns(params: MbrParams, u: Sequence[int],
     m = mbr_build_message(params, u)
     pp = _psrs_params(params)
     cols = np.empty((params.n, params.d), dtype=np.int64)
-    for i in range(params.d):
-        col = m.col(i)
+    for i, col in enumerate(m.T.tolist()):
         msg = PsrsMessage(tuple(col[: params.k]), tuple(col[params.k:]))
         cols[:, i] = encode_eval(pp, msg, counter)
-    c = FieldMatrix(params.field, cols)
-    return [Fragment(params.codec, i + 1, tuple(c.row(i))) for i in range(params.n)]
+    return _fragments(params, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +227,12 @@ def mbr_helper_response(fragment: Fragment, failed_row: Sequence[int], field: Fi
         raise WrongFragmentCount(
             f"fragment length {len(fragment.symbols)} vs encoding row length {len(failed_row)}"
         )
-    acc = 0
-    for a, b in zip(fragment.symbols, failed_row):
-        acc = field.add(acc, field.mul(a, b))
+    symbols = field.varray(fragment.symbols)
+    row = np.asarray(failed_row, dtype=np.int64)
     if counter is not None:
-        counter.count_mul(len(failed_row))
-        counter.count_add(max(0, len(failed_row) - 1))
-    return acc
+        counter.count_mul(len(row))
+        counter.count_add(max(0, len(row) - 1))
+    return int(field.matmul(symbols[None, :], row[:, None])[0, 0])
 
 
 def mbr_repair(params: MbrParams, responses: Sequence[tuple[int, int]], failed: int,
@@ -270,12 +270,11 @@ def _repair_inverse(params: MbrParams, helpers: tuple[int, ...]
     d x d Gauss-Jordan solve it stands for."""
     psi = mbr_build_encoding(params)
     try:
-        inv = mat_inv(FieldMatrix(params.field, psi.a[[h - 1 for h in helpers]])).a
+        inv = mat_inv(FieldMatrix(params.field, psi[[h - 1 for h in helpers]]))
     except SingularMatrix as exc:
         # cannot occur when the encoding-matrix conditions hold
         raise SingularMatrix("repair system singular; code construction broken") from exc
-    inv.setflags(write=False)
-    return inv, solve_cost(params.d, 1)
+    return frozen(inv), solve_cost(params.d, 1)
 
 
 def repair_from_fragments(params: MbrParams, fragments: Sequence[Fragment], failed: int,
@@ -340,30 +339,28 @@ def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
                 f"fragment of node {fr.node} has {len(fr.symbols)} symbols, expected {params.d}"
             )
     f, k = params.field, params.k
+    rows = f.varray([fr.symbols for fr in fragments])
     if params.backend == "psrs" and sorted(nodes) == list(range(1, k + 1)):
         # systematic fast path: rows 1..k are [S T] verbatim
-        rows = sorted(fragments, key=lambda fr: fr.node)
-        return message_from_block(params, FieldMatrix(f, [fr.symbols for fr in rows]))
+        return message_from_block(params, rows[np.argsort(nodes)])
     order = assign_slots(params, nodes)
     c_dc = np.zeros((k, params.d), dtype=np.int64)
-    c_dc[[g - 1 for g in order]] = [fr.symbols for fr in fragments]
-    c_dc = FieldMatrix(f, c_dc)
+    c_dc[[g - 1 for g in order]] = rows
     delta_dc = data_collector(mbr_build_encoding(params), k, nodes, order)[1]
     phi_inv, cost = _collector_inverse(params, tuple(nodes), order)
     _charge(counter, cost)
-    s, t = solve_message_block(phi_inv, delta_dc, c_dc, skew=False, counter=counter)
-    return message_from_block(params, hstack(s, t))
+    s, t = solve_message_block(f, phi_inv, delta_dc, c_dc, skew=False, counter=counter)
+    return message_from_block(params, np.concatenate([s, t], axis=1))
 
 
 @lru_cache(maxsize=_SET_CACHE_SIZE)
 def _collector_inverse(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, ...]
-                       ) -> tuple[FieldMatrix, tuple[int, int]]:
+                       ) -> tuple[np.ndarray, tuple[int, int]]:
     """Phi_DC^-1 of the nodes in these slots, with its cost."""
     phi_dc = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
     cost = OpCounter()
-    phi_inv = collector_inverse(phi_dc, cost)
-    phi_inv.a.setflags(write=False)
-    return phi_inv, (cost.mul, cost.add)
+    phi_inv = collector_inverse(params.field, phi_dc, cost)
+    return frozen(phi_inv), (cost.mul, cost.add)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +392,9 @@ def mbr_partial_plan(params: MbrParams, connected: Sequence[int], scheme: str) -
 def mbr_extract_payloads(fragments: Sequence[Fragment], plan: DownloadPlan) -> list[list[int]]:
     """What each planned node transmits; every position must lie in its fragment."""
     by_node = {f.node: f for f in fragments}
+    for node in plan.nodes:
+        if node not in by_node:
+            raise InsufficientSymbols(f"no fragment for planned node {node}")
     frags = [by_node[node] for node in plan.nodes]
     # the positions stand in for the payloads: only their range is checked
     plan.check_payloads(plan.positions, min((len(fr.symbols) for fr in frags), default=0))
@@ -469,8 +469,7 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     downloaded[rows, cols] = True
     downloaded = downloaded[:, :k]
 
-    phi_dc, delta_dc = data_collector(mbr_build_encoding(params), k, plan.nodes, plan.order)
-    phi, delta = phi_dc.a, delta_dc.a
+    phi, delta = data_collector(mbr_build_encoding(params), k, plan.nodes, plan.order)
     fac = _stage_factors(params, plan.nodes, plan.order, lower)
     columns = range(k) if lower else range(k - 1, -1, -1)
     # (unknown rows, known rows) of each stage's column
@@ -485,7 +484,7 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
             raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated")
 
     _charge(counter, fac.cost)
-    t = mat_solve(fac.inverse, FieldMatrix(f, c_dc[:, k:]), counter).a
+    t = mat_solve(fac.inverse, c_dc[:, k:], counter)
     dt = f.matmul(delta, t.T)  # k x k
     d_phi = f.vsub(c_dc[:, :k], dt)  # meaningful where downloaded
     if counter is not None:
@@ -503,13 +502,13 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
             m = len(rhs)
             counter.count_mul(m * (k - m))
             counter.count_add(m * (k - m))
-        col = mat_solve(fac.inverse.block(todo), FieldMatrix(f, rhs[:, None]), counter).a[:, 0]
+        col = mat_solve(fac.inverse.block(todo), rhs[:, None], counter)[:, 0]
         if trace is not None:
             trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known, rhs, f))
         s[todo, c] = col
         s[c, todo] = col
         known[c] = True
-    return message_from_block(params, FieldMatrix(f, np.concatenate([s, t], axis=1)))
+    return message_from_block(params, np.concatenate([s, t], axis=1))
 
 
 @dataclass(frozen=True)
@@ -540,7 +539,7 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, 
     phi = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
     flip = (slice(None, None, -1),) * 2 if trailing else (slice(None),) * 2
     try:
-        lu = lu_inverses(params.field, phi.a[flip])
+        lu = lu_inverses(params.field, phi[flip])
     except SingularMatrix as exc:
         raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
     pivoted = bool((lu.perm != np.arange(params.k)).any())

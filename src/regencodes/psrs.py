@@ -48,7 +48,7 @@ from .gf import (
     ntt_points,
     primitive_element,
 )
-from .matrix import FieldMatrix, mat_solve, submatrix_rows, transpose
+from .matrix import FieldMatrix, frozen, mat_solve
 from .poly import (
     lagrange_basis,
     lagrange_interpolate,
@@ -138,13 +138,15 @@ def _gamma(params: PsrsParams) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _sys_basis(params: PsrsParams) -> FieldMatrix:
-    """Row i holds the coefficients of the Lagrange basis polynomial for point i."""
-    return FieldMatrix(params.field, lagrange_basis(params.field, params.points[: params.k]))
+def _sys_basis(params: PsrsParams) -> np.ndarray:
+    """Row i holds the coefficients of the Lagrange basis polynomial for point i;
+    read-only."""
+    basis = lagrange_basis(params.field, params.points[: params.k])
+    return frozen(np.array(basis, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
-def _gen_matrix(params: PsrsParams) -> FieldMatrix:
+def _gen_matrix(params: PsrsParams) -> np.ndarray:
     field = params.field
     n, k, d = params.n, params.k, params.d
     pts = field.varray(params.points)
@@ -170,7 +172,7 @@ def _gen_matrix(params: PsrsParams) -> FieldMatrix:
         for i in range(d - k):
             out[:, k + i] = col
             col = field.vmul(col, pts)
-    return FieldMatrix(field, out)
+    return frozen(out)
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +185,9 @@ def _generator(params: PsrsParams, num_roots: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _gen_coeff_map(params: PsrsParams) -> FieldMatrix:
-    """d x n matrix: row i is the codeword polynomial of the i-th unit message."""
+def _gen_coeff_map(params: PsrsParams) -> np.ndarray:
+    """d x n matrix, read-only: row i is the codeword polynomial of the i-th
+    unit message."""
     rows = []
     for i in range(params.d):
         a = [0] * params.k
@@ -194,7 +197,7 @@ def _gen_coeff_map(params: PsrsParams) -> FieldMatrix:
         else:
             b[i - params.k] = 1
         rows.append(encode_genpoly(params, PsrsMessage(tuple(a), tuple(b))))
-    return FieldMatrix(params.field, rows)
+    return frozen(np.array(rows, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,7 @@ def coding_polynomial(params: PsrsParams, msg: PsrsMessage,
     k, d = params.k, params.d
     basis = _sys_basis(params)
     a_row = field.varray([list(msg.a)])
-    phi = field.matmul(a_row, basis.a)[0]
+    phi = field.matmul(a_row, basis)[0]
     if counter is not None:
         counter.count_mul(k * k)
         counter.count_add(k * max(0, k - 1))
@@ -292,8 +295,8 @@ def decode_partial_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
     return poly_eval_many(field, phi, params.points[: params.k], counter)
 
 
-def generator_matrix(params: PsrsParams) -> FieldMatrix:
-    """n x d matrix [Phi Delta]; the top k rows are [I_k 0]."""
+def generator_matrix(params: PsrsParams) -> np.ndarray:
+    """n x d matrix [Phi Delta], read-only; the top k rows are [I_k 0]."""
     _require_form(params, "eval")
     return _gen_matrix(params)
 
@@ -402,12 +405,10 @@ def solve_full_genpoly_linear(params: PsrsParams,
     pairs = list(coeffs)
     _check_positions(params, pairs, params.d, zero_based=True)
     field = params.field
-    gmap = _gen_coeff_map(params)  # d x n
     use = pairs[: params.d]
-    cols = submatrix_rows(transpose(gmap), [deg for deg, _ in use])  # d x d
-    rhs = FieldMatrix(field, [[val] for _, val in use])
-    sol = mat_solve(cols, rhs)
-    vec = [sol[i, 0] for i in range(params.d)]
+    cols = _gen_coeff_map(params).T[[deg for deg, _ in use]]  # d x d
+    rhs = field.varray([[val] for _, val in use])
+    vec = mat_solve(FieldMatrix(field, cols), rhs)[:, 0].tolist()
     return PsrsMessage(tuple(vec[: params.k]), tuple(vec[params.k:]))
 
 

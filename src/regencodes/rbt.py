@@ -51,23 +51,17 @@ from .matrix import (
     congruence,
     data_collector,
     extended_vandermonde,
-    hstack,
-    identity,
+    frozen,
     is_symmetric_zero_diag,
     mat_add,
     mat_inv,
     mat_mul,
-    mat_neg,
     mat_sub,
     require_skew_symmetric,
     solve_message_block,
-    submatrix_rows,
     symmetric_from_triangle,
-    transpose,
     triangle,
     vandermonde,
-    vstack,
-    zeros,
 )
 from .plans import DownloadPlan
 
@@ -118,7 +112,7 @@ class RbtCodeword:
     check: FieldMatrix
 
     def __post_init__(self):
-        if not is_symmetric_zero_diag(self.check) or self.check.rows != self.params.n:
+        if not is_symmetric_zero_diag(self.check.a) or self.check.rows != self.params.n:
             raise ValueError("check matrix must be n x n symmetric with zero diagonal")
 
     def fragment(self, node: int) -> Fragment:
@@ -138,99 +132,112 @@ def _message_slots(params: RbtParams) -> tuple[np.ndarray, np.ndarray]:
     return triangle(params.k, 1, params.n)
 
 
-def rbt_build_message(params: RbtParams, u: Sequence[int]) -> FieldMatrix:
+def rbt_build_message(params: RbtParams, u: Sequence[int]) -> np.ndarray:
     """Skew-symmetric n x n message matrix from the B message symbols."""
     u = check_message(params.field, u, params.B)
     return symmetric_from_triangle(params.field, params.n, _message_slots(params), u, skew=True)
 
 
-def message_from_block(params: RbtParams, block: FieldMatrix) -> list[int]:
+def message_from_block(params: RbtParams, block: np.ndarray) -> list[int]:
     """Inverse of the message layout: read B symbols out of a k x n block."""
-    return block.a[_message_slots(params)].tolist()
+    return block[_message_slots(params)].tolist()
 
 
 @lru_cache(maxsize=None)
-def _phi(params: RbtParams) -> FieldMatrix:
-    """n x k block: extended Vandermonde, or its systematic row reduction."""
+def _phi(params: RbtParams) -> np.ndarray:
+    """n x k block: extended Vandermonde, or its systematic row reduction;
+    read-only."""
     field, n, k = params.field, params.n, params.k
     if not params.systematic:
-        return extended_vandermonde(field, n, k)
+        return frozen(extended_vandermonde(field, n, k))
     if n <= field.q:
         v = vandermonde(field, n, k)
     else:
         v = extended_vandermonde(field, n, k)
-    top = submatrix_rows(v, range(k))
     try:
-        reduced = mat_mul(v, mat_inv(top))
+        reduced = mat_mul(field, v, mat_inv(FieldMatrix(field, v[:k])))
     except SingularMatrix as exc:
         raise SingularMatrix(f"systematic reduction infeasible for (n={n}, k={k})") from exc
-    return reduced
+    return frozen(reduced)
 
 
-def parity_block(params: RbtParams) -> FieldMatrix:
+def parity_block(params: RbtParams) -> np.ndarray:
     """(n-k) x k parity rows of the systematic encoding block."""
     if not params.systematic:
         raise ParamsInvalid("parity block exists only in systematic mode")
-    return submatrix_rows(_phi(params), range(params.k, params.n))
+    return _phi(params)[params.k:]
 
 
 @lru_cache(maxsize=None)
-def rbt_build_encoding(params: RbtParams) -> FieldMatrix:
-    """Square encoding matrix [Phi | (0; I)]; validated non-singular."""
+def rbt_build_encoding(params: RbtParams) -> np.ndarray:
+    """Square encoding matrix [Phi | (0; I)]; validated non-singular, read-only."""
     field, n, k = params.field, params.n, params.k
-    phi = _phi(params)
-    delta = vstack(zeros(field, k, n - k), identity(field, n - k))
-    psi = hstack(phi, delta)
-    mat_inv(psi)  # raises SingularMatrix if the construction failed
-    return psi
+    psi = np.zeros((n, n), dtype=np.int64)
+    psi[:, :k] = _phi(params)
+    psi[k:, k:] = np.eye(n - k, dtype=np.int64)
+    mat_inv(FieldMatrix(field, psi))  # raises SingularMatrix if the construction failed
+    return frozen(psi)
 
 
 @lru_cache(maxsize=None)
-def _psi_t_inv(params: RbtParams) -> FieldMatrix:
-    return mat_inv(transpose(rbt_build_encoding(params)))
+def _psi_t_inv(params: RbtParams) -> np.ndarray:
+    return frozen(mat_inv(FieldMatrix(params.field, rbt_build_encoding(params).T)))
 
 
-def sign_fix(params: RbtParams, c_hat: FieldMatrix, counter: OpCounter | None = None) -> FieldMatrix:
+def sign_fix(params: RbtParams, c_hat: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Negate the strictly lower triangle; identity pathway in characteristic 2."""
     field = params.field
     if field.characteristic == 2:
         return c_hat
-    a = c_hat.a.copy()
+    a = c_hat.copy()
     low = np.tril_indices(a.shape[0], k=-1)
     a[low] = field.vneg(a[low])
     if counter is not None:
         counter.count_add(len(low[0]))
-    return FieldMatrix(field, a)
+    return a
 
 
-def _unfix_rows(params: RbtParams, rows: list[list[int]], nodes: Sequence[int],
-                counter: OpCounter | None) -> FieldMatrix:
+def _unfix_rows(params: RbtParams, rows: np.ndarray, nodes: Sequence[int],
+                counter: OpCounter | None) -> np.ndarray:
     """Inverse sign fix applied to full rows of the check matrix."""
     field = params.field
-    a = np.array(rows, dtype=np.int64)
+    a = rows.copy()
     if field.characteristic != 2:
         for r, node in enumerate(nodes):
             if node > 1:
                 a[r, : node - 1] = field.vneg(a[r, : node - 1])
                 if counter is not None:
                     counter.count_add(node - 1)
-    return FieldMatrix(field, a)
+    return a
+
+
+def _codeword(params: RbtParams, c_hat: np.ndarray, counter: OpCounter | None) -> RbtCodeword:
+    return RbtCodeword(params, FieldMatrix(params.field, sign_fix(params, c_hat, counter)))
 
 
 def rbt_encode(params: RbtParams, u: Sequence[int], counter: OpCounter | None = None) -> RbtCodeword:
     """Congruence encoding: check matrix from the B message symbols."""
     m_hat = rbt_build_message(params, u)
     psi = rbt_build_encoding(params)
-    return RbtCodeword(params, sign_fix(params, congruence(psi, m_hat, counter), counter))
+    return _codeword(params, congruence(params.field, psi, m_hat, counter), counter)
 
 
-def source_block(params: RbtParams, u: Sequence[int]) -> FieldMatrix:
+def source_block(params: RbtParams, u: Sequence[int]) -> np.ndarray:
     """k x n source block [U_L U_R] with U_L skew-symmetric, from B source symbols:
     the first k rows of the message matrix."""
-    return FieldMatrix(params.field, rbt_build_message(params, u).a[: params.k])
+    return rbt_build_message(params, u)[: params.k]
 
 
-def rbt_encode_systematic(params: RbtParams, block: FieldMatrix,
+def _check_block(params: RbtParams, block) -> np.ndarray:
+    """A caller's source block as an array, range- and shape-checked."""
+    block = params.field.varray(block)
+    if block.shape != (params.k, params.n):
+        raise WrongMessageLength(f"source block has shape {block.shape}, "
+                                 f"expected {(params.k, params.n)}")
+    return block
+
+
+def rbt_encode_systematic(params: RbtParams, block,
                           counter: OpCounter | None = None) -> RbtCodeword:
     """Systematic encoding: the source block becomes the first k rows.
 
@@ -240,36 +247,34 @@ def rbt_encode_systematic(params: RbtParams, block: FieldMatrix,
     if not params.systematic:
         raise ParamsInvalid("params are not in systematic mode")
     field, n, k = params.field, params.n, params.k
-    if block.rows != k or block.cols != n:
-        raise WrongMessageLength(f"source block is {block.rows}x{block.cols}, expected {k}x{n}")
-    u_l = FieldMatrix(field, block.a[:, :k])
-    u_r = FieldMatrix(field, block.a[:, k:])
-    require_skew_symmetric(u_l)
+    block = _check_block(params, block)
+    u_l, u_r = block[:, :k], block[:, k:]
+    require_skew_symmetric(field, u_l)
     p = parity_block(params)
-    pur = mat_mul(p, u_r, counter)
-    pul = mat_mul(p, u_l, counter)
-    v = mat_sub(mat_sub(pur, transpose(pur), counter), mat_mul(pul, transpose(p), counter), counter)
-    top = hstack(u_l, u_r)
-    bottom = hstack(mat_neg(transpose(u_r), counter), v)
-    return RbtCodeword(params, sign_fix(params, vstack(top, bottom), counter))
+    pur = mat_mul(field, p, u_r, counter)
+    pul = mat_mul(field, p, u_l, counter)
+    v = mat_sub(field, mat_sub(field, pur, pur.T, counter), mat_mul(field, pul, p.T, counter),
+                counter)
+    if counter is not None and field.characteristic != 2:
+        counter.count_add(u_r.size)  # negating U_R^t
+    return _codeword(params, np.block([[u_l, u_r], [field.vneg(u_r.T), v]]), counter)
 
 
-def remapped_message(params: RbtParams, block: FieldMatrix) -> list[int]:
+def remapped_message(params: RbtParams, block) -> list[int]:
     """Message vector whose congruence encoding equals the systematic encoding.
 
     Solves the systematic conditions S = U_L and S P^t + T = U_R.
     """
     field, k = params.field, params.k
-    u_l = FieldMatrix(field, block.a[:, :k])
-    u_r = FieldMatrix(field, block.a[:, k:])
-    p = parity_block(params)
-    t = mat_sub(u_r, mat_mul(u_l, transpose(p)))
-    return message_from_block(params, hstack(u_l, t))
+    block = _check_block(params, block)
+    u_l, u_r = block[:, :k], block[:, k:]
+    t = mat_sub(field, u_r, mat_mul(field, u_l, parity_block(params).T))
+    return message_from_block(params, np.concatenate([u_l, t], axis=1))
 
 
 def source_from_codeword(cw: RbtCodeword) -> list[int]:
     """Read the source symbols back out of a systematic codeword."""
-    return message_from_block(cw.params, cw.check)
+    return message_from_block(cw.params, cw.check.a)
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +301,29 @@ def rbt_reconstruct_full(params: RbtParams, fragments: Sequence[Fragment],
     """Recover the B message symbols from any k complete fragments."""
     nodes = [f.node for f in fragments]
     check_nodes(params.n, nodes, params.k)
-    k = params.k
-    rows = [expand_row(f, params.n) for f in fragments]
+    rows = params.field.varray([expand_row(f, params.n) for f in fragments])
+    return _read_rows(params, nodes, rows, counter)
+
+
+def _read_rows(params: RbtParams, nodes: Sequence[int], rows: np.ndarray,
+               counter: OpCounter | None) -> list[int]:
+    """The message from the checked full check-matrix rows of k nodes."""
+    field, k = params.field, params.k
     if params.systematic and sorted(nodes) == list(range(1, k + 1)):
         # systematic fast path: source symbols are stored verbatim
-        block = FieldMatrix(params.field, [row for _, row in sorted(zip(nodes, rows))])
-        return message_from_block(params, block)
+        return message_from_block(params, rows[np.argsort(nodes)])
 
     # undoing the sign fix and Psi^t leaves Psi_DC M for the skew message M
     c_hat_dc = _unfix_rows(params, rows, nodes, counter)
-    d_dc = mat_mul(c_hat_dc, _psi_t_inv(params), counter)
+    d_dc = mat_mul(field, c_hat_dc, _psi_t_inv(params), counter)
     phi_dc, delta_dc = data_collector(rbt_build_encoding(params), k, nodes, range(1, k + 1))
-    phi_inv = collector_inverse(phi_dc, counter)
-    s_hat, t_hat = solve_message_block(phi_inv, delta_dc, d_dc, skew=True, counter=counter)
+    phi_inv = collector_inverse(field, phi_dc, counter)
+    s_hat, t_hat = solve_message_block(field, phi_inv, delta_dc, d_dc, skew=True, counter=counter)
     if params.systematic:
         # undo the message remapping: the stored source block is [S, S P^t + T]
         p = parity_block(params)
-        u_r = mat_add(mat_mul(s_hat, transpose(p), counter), t_hat, counter)
-        return message_from_block(params, hstack(s_hat, u_r))
-    return message_from_block(params, hstack(s_hat, t_hat))
+        t_hat = mat_add(field, mat_mul(field, s_hat, p.T, counter), t_hat, counter)
+    return message_from_block(params, np.concatenate([s_hat, t_hat], axis=1))
 
 
 # pairwise decision rule for the partial plan
@@ -362,13 +371,13 @@ def rbt_reconstruct_partial(params: RbtParams, plan: DownloadPlan, payloads,
     cols = [c - 1 for pos in plan.positions for c in pos]
     a = np.zeros((n, n), dtype=np.int64)
     sent = np.eye(n, dtype=bool)  # no node stores its diagonal zero
-    a[rows, cols] = [v for pay in payloads for v in pay]
+    a[rows, cols] = params.field.varray([v for pay in payloads for v in pay])
     sent[rows, cols] = True
     # a shared symbol one node leaves out is read off the other's mirror entry
     a = np.where(sent, a, a.T)
-    held = (sent | sent.T)[[i - 1 for i in nodes]]
+    picked = [i - 1 for i in nodes]
+    held = (sent | sent.T)[picked]
     if not held.all():
         r, c = np.argwhere(~held)[0]
         raise PlanPayloadMismatch(f"plan leaves out the symbol nodes {nodes[r]} and {c + 1} share")
-    fragments = [stored_fragment(params.codec, a, node) for node in nodes]
-    return rbt_reconstruct_full(params, fragments, counter)
+    return _read_rows(params, nodes, a[picked], counter)

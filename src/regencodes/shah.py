@@ -39,10 +39,10 @@ from .matrix import (
     FieldMatrix,
     check_message,
     extended_vandermonde,
+    frozen,
     mat_inv,
     mat_mul,
     mat_solve,
-    submatrix_rows,
     symmetric_from_triangle,
     triangle,
 )
@@ -88,20 +88,19 @@ class ShahParams:
 
 
 @lru_cache(maxsize=None)
-def _parity_matrix(params: ShahParams) -> FieldMatrix:
-    """(N-B) x B parity block of the systematic doubly extended RS generator."""
-    gen = extended_vandermonde(params.field, params.N, params.B)
-    top = submatrix_rows(gen, range(params.B))
-    bottom = submatrix_rows(gen, range(params.B, params.N))
-    return mat_mul(bottom, mat_inv(top))
+def _parity_matrix(params: ShahParams) -> np.ndarray:
+    """(N-B) x B parity block of the systematic doubly extended RS generator;
+    read-only."""
+    field, B = params.field, params.B
+    gen = extended_vandermonde(field, params.N, B)
+    return frozen(mat_mul(field, gen[B:], mat_inv(FieldMatrix(field, gen[:B]))))
 
 
 @lru_cache(maxsize=None)
-def _generator_rows(params: ShahParams) -> FieldMatrix:
-    """Full N x B systematic generator [I_B; P]."""
-    p = _parity_matrix(params)
+def _generator_rows(params: ShahParams) -> np.ndarray:
+    """Full N x B systematic generator [I_B; P]; read-only."""
     eye = np.eye(params.B, dtype=np.int64)
-    return FieldMatrix(params.field, np.concatenate([eye, p.a], axis=0))
+    return frozen(np.concatenate([eye, _parity_matrix(params)], axis=0))
 
 
 def shah_encode(params: ShahParams, u: Sequence[int],
@@ -112,10 +111,9 @@ def shah_encode(params: ShahParams, u: Sequence[int],
     """
     field, n = params.field, params.n
     u = check_message(field, u, params.B)
-    col = FieldMatrix(field, [[v] for v in u])
-    parity = mat_mul(_parity_matrix(params), col, counter)
-    packets = symmetric_from_triangle(field, n, triangle(n, 1, n), u + parity.col(0))
-    return [stored_fragment("shah", packets.a, node) for node in range(1, n + 1)]
+    parity = mat_mul(field, _parity_matrix(params), np.array(u, dtype=np.int64)[:, None], counter)
+    packets = symmetric_from_triangle(field, n, triangle(n, 1, n), u + parity[:, 0].tolist())
+    return [stored_fragment("shah", packets, node) for node in range(1, n + 1)]
 
 
 def helper_repair_packet(params: ShahParams, frag: Fragment, failed: int) -> int:
@@ -135,20 +133,21 @@ def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],
     n = params.n
     nodes = [f.node for f in fragments]
     check_nodes(n, nodes, params.k)
+    # checked before placing: a later node's copy of a shared packet
+    # overwrites an earlier node's
+    stored = params.field.varray([expand_row(frag, n) for frag in fragments])
     packets = np.zeros((n, n), dtype=np.int64)
     held = np.zeros(n, dtype=bool)
-    for frag in fragments:
-        row = expand_row(frag, n)
-        packets[frag.node - 1] = row
-        packets[:, frag.node - 1] = row
-        held[frag.node - 1] = True
+    for node, row in zip(nodes, stored):
+        packets[node - 1] = row
+        packets[:, node - 1] = row
+        held[node - 1] = True
     # k nodes hold C(k,2) + k(n-k) = B edges, in packet order along the triangle
     rows, cols = triangle(n, 1, n)
     chosen = np.flatnonzero(held[rows] | held[cols])
-    gen = submatrix_rows(_generator_rows(params), chosen.tolist())
-    rhs = FieldMatrix(params.field, packets[rows[chosen], cols[chosen]][:, None])
+    gen = FieldMatrix(params.field, _generator_rows(params)[chosen])
     try:
-        sol = mat_solve(gen, rhs, counter)
+        sol = mat_solve(gen, packets[rows[chosen], cols[chosen]][:, None], counter)
     except SingularMatrix as exc:
         raise SingularMatrix("MDS decode failed; generator construction broken") from exc
-    return sol.col(0)
+    return sol[:, 0].tolist()

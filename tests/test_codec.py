@@ -1,16 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regencodes import codec
+from regencodes import codec, mbr, psrs, rbt, shah
 from regencodes.counting import OpCounter
 from regencodes.errors import FieldTooSmall, IndexOutOfRange, ParamsInvalid
 from regencodes.fragments import CODEC_TAGS, fragment_symbol
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.mbr import MbrParams, mbr_partial_plan
 from regencodes.rbt import RbtParams
+from regencodes.shah import ShahParams
 
 F11 = prime_field(11)
 
@@ -22,6 +24,37 @@ def test_scheme_table_covers_every_tag_in_order():
 def test_params_for_rejects_unknown_tag():
     with pytest.raises(ParamsInvalid):
         codec.params_for("mbr", F11, 6, 3, 4)
+
+
+RBT_SYS = RbtParams(F11, 6, 3, systematic=True)
+CACHED_BUILDERS = {
+    "mbr_build_encoding": lambda: mbr.mbr_build_encoding(MbrParams(F11, 6, 3, 4)),
+    "mbr_build_encoding[vdm]":
+        lambda: mbr.mbr_build_encoding(MbrParams(F11, 6, 3, 4, backend="vandermonde")),
+    "rbt_build_encoding": lambda: rbt.rbt_build_encoding(RbtParams(F11, 6, 3)),
+    "rbt._phi": lambda: rbt._phi(RBT_SYS),
+    "rbt._phi[plain]": lambda: rbt._phi(RbtParams(F11, 6, 3)),
+    "rbt._psi_t_inv": lambda: rbt._psi_t_inv(RBT_SYS),
+    "shah._parity_matrix": lambda: shah._parity_matrix(ShahParams(F11, 5, 3)),
+    "shah._generator_rows": lambda: shah._generator_rows(ShahParams(F11, 5, 3)),
+    "psrs._sys_basis": lambda: psrs._sys_basis(psrs.eval_params(F11, 6, 3, 4)),
+    "psrs._gen_matrix": lambda: psrs._gen_matrix(psrs.eval_params(F11, 6, 3, 4)),
+    "psrs._gen_coeff_map": lambda: psrs._gen_coeff_map(psrs.genpoly_params(F11, 6, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_BUILDERS))
+def test_cached_builders_return_read_only_arrays(name):
+    # every caller shares the cached matrix: a write would corrupt later calls
+    a = CACHED_BUILDERS[name]()
+    assert a is CACHED_BUILDERS[name]()
+    assert a.dtype == np.int64 and not a.flags.writeable
+    before = a.copy()
+    with pytest.raises(ValueError):
+        a[0, 0] = (int(a[0, 0]) + 1) % F11.q
+    with pytest.raises(ValueError):
+        a += 1
+    assert np.array_equal(a, before)
 
 
 def test_default_repair_helpers():

@@ -378,3 +378,16 @@ def test_binary_matmul_dimension_mismatch():
     f = binary_field(8)
     with pytest.raises(DimensionMismatch):
         f.matmul(np.zeros((2, 3), np.int64), np.zeros((4, 2), np.int64))
+
+
+@pytest.mark.parametrize("field", [prime_field(7), binary_field(8), fermat_field()], ids=repr)
+def test_varray_accepts_exactly_the_field_values(field):
+    q = field.q
+    got = field.varray([[0, q - 1], [1, 2]])
+    assert got.dtype == np.int64 and got.tolist() == [[0, q - 1], [1, 2]]
+    assert field.varray([]).size == 0
+    assert field.varray(np.arange(q).reshape(-1, 1).T[:, ::-1]).tolist() == [list(range(q))[::-1]]
+    for bad in ([q], [-1], [0, 2**63 - 1], [-2**63], [2**64 - 1], [2**70],
+                np.array([2**64 - 1], dtype=np.uint64), np.array([[0, q], [1, 2]]).T):
+        with pytest.raises(ValueError, match="array values outside field range"):
+            field.varray(bad)

@@ -1,16 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from regencodes.counting import OpCounter
 from regencodes.errors import (
     DimensionMismatch,
-    DuplicateIndex,
     DuplicatePoints,
-    FieldMismatch,
     FieldTooSmall,
-    IndexOutOfRange,
     NotSkewSymmetric,
     SingularMatrix,
     WrongMessageLength,
@@ -22,7 +20,6 @@ from regencodes.matrix import (
     check_message,
     congruence,
     extended_vandermonde,
-    identity,
     is_skew_symmetric,
     lu_inverses,
     mat_inv,
@@ -30,10 +27,7 @@ from regencodes.matrix import (
     mat_solve,
     require_skew_symmetric,
     solve_cost,
-    submatrix_rows,
-    transpose,
     vandermonde,
-    zeros,
 )
 
 F7 = prime_field(7)
@@ -42,12 +36,13 @@ FIELDS = [prime_field(11), binary_field(4), fermat_field()]
 
 
 def rand_matrix(field, rows, cols, rng):
-    return FieldMatrix(field, [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)])
+    return np.array([[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)],
+                    dtype=np.int64).reshape(rows, cols)
 
 
 def rand_invertible(field, n, rng):
     while True:
-        m = rand_matrix(field, n, n, rng)
+        m = FieldMatrix(field, rand_matrix(field, n, n, rng))
         try:
             mat_inv(m)
         except SingularMatrix:
@@ -56,41 +51,44 @@ def rand_invertible(field, n, rng):
 
 
 def rand_skew(field, n, rng):
-    m = zeros(field, n, n).a
+    m = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
             v = rng.randrange(field.q)
             m[i, j] = v
             m[j, i] = field.neg(v)
-    return FieldMatrix(field, m)
+    return m
+
+
+def eye(n):
+    return np.eye(n, dtype=np.int64)
 
 
 def test_mat_mul_identity_and_zero():
     rng = random.Random(0)
     x = rand_matrix(F7, 3, 4, rng)
-    assert mat_mul(identity(F7, 3), x) == x
-    assert mat_mul(zeros(F7, 2, 3), x) == zeros(F7, 2, 4)
+    assert np.array_equal(mat_mul(F7, eye(3), x), x)
+    assert np.array_equal(mat_mul(F7, np.zeros((2, 3), dtype=np.int64), x),
+                          np.zeros((2, 4), dtype=np.int64))
 
 
-def test_mat_mul_shape_and_field_checks():
+def test_mat_mul_shape_check():
     with pytest.raises(DimensionMismatch):
-        mat_mul(zeros(F7, 2, 3), zeros(F7, 2, 3))
-    with pytest.raises(FieldMismatch):
-        mat_mul(zeros(F7, 2, 3), zeros(F4, 3, 2))
+        mat_mul(F7, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
 
 
 def test_mat_mul_counts():
     c = OpCounter()
     rng = random.Random(1)
-    mat_mul(rand_matrix(F7, 2, 3, rng), rand_matrix(F7, 3, 5, rng), counter=c)
+    mat_mul(F7, rand_matrix(F7, 2, 3, rng), rand_matrix(F7, 3, 5, rng), counter=c)
     assert c.mul == 2 * 5 * 3
     assert c.add == 2 * 5 * 2
 
 
 def test_mat_inv_examples():
-    assert mat_inv(identity(F7, 4)) == identity(F7, 4)
+    assert mat_inv(FieldMatrix(F7, eye(4))).tolist() == eye(4).tolist()
     m = FieldMatrix(F7, [[1, 0], [1, 1]])
-    assert mat_inv(m) == FieldMatrix(F7, [[1, 0], [6, 1]])
+    assert mat_inv(m).tolist() == [[1, 0], [6, 1]]
     with pytest.raises(SingularMatrix):
         mat_inv(FieldMatrix(F7, [[1, 1], [1, 1]]))
 
@@ -101,14 +99,14 @@ def test_mat_inv_random_round_trip(field):
     for n in range(1, 13):
         for _ in range(100):
             m = rand_invertible(field, n, rng)
-            assert mat_mul(mat_inv(m), m) == identity(field, n)
+            assert np.array_equal(mat_mul(field, mat_inv(m), m.a), eye(n))
 
 
 def test_mat_solve_matches_inverse():
     rng = random.Random(3)
     a = rand_invertible(F7, 5, rng)
     b = rand_matrix(F7, 5, 2, rng)
-    assert mat_solve(a, b) == mat_mul(mat_inv(a), b)
+    assert np.array_equal(mat_solve(a, b), mat_mul(F7, mat_inv(a), b))
 
 
 def test_solve_cost_is_what_mat_solve_counts():
@@ -131,7 +129,7 @@ def test_vandermonde_examples():
 def test_vandermonde_any_k_rows_invertible():
     v = vandermonde(F7, 5, 3)
     for subset in itertools.combinations(range(5), 3):
-        mat_inv(submatrix_rows(v, subset))
+        mat_inv(FieldMatrix(F7, v[list(subset)]))
 
 
 def test_extended_vandermonde_example_shape():
@@ -152,12 +150,12 @@ def test_extended_vandermonde_mds_small():
     for field, n, k in [(F4, 5, 3), (F7, 8, 3), (F7, 8, 5), (binary_field(3), 9, 4)]:
         v = extended_vandermonde(field, n, k)
         for subset in itertools.combinations(range(n), k):
-            mat_inv(submatrix_rows(v, subset))
+            mat_inv(FieldMatrix(field, v[list(subset)]))
 
 
 def test_extended_vandermonde_square_full_rank():
     v = extended_vandermonde(F7, 4, 4)
-    mat_inv(v)
+    mat_inv(FieldMatrix(F7, v))
 
 
 def test_extended_vandermonde_bounds():
@@ -168,10 +166,10 @@ def test_extended_vandermonde_bounds():
 def test_congruence_identity_and_zero():
     rng = random.Random(5)
     m = rand_skew(F7, 4, rng)
-    assert congruence(identity(F7, 4), m) == m
-    z = zeros(F7, 4, 4)
+    assert np.array_equal(congruence(F7, eye(4), m), m)
+    z = np.zeros((4, 4), dtype=np.int64)
     p = rand_matrix(F7, 4, 4, rng)
-    assert congruence(p, z) == z
+    assert np.array_equal(congruence(F7, p, z), z)
 
 
 def test_congruence_preserves_skew_symmetry():
@@ -180,32 +178,18 @@ def test_congruence_preserves_skew_symmetry():
         for _ in range(30):
             m = rand_skew(field, 5, rng)
             p = rand_invertible(field, 5, rng)
-            out = congruence(p, m)
-            assert is_skew_symmetric(out)
+            out = congruence(field, p.a, m)
+            assert is_skew_symmetric(field, out)
 
 
 def test_skew_validator_requires_zero_diagonal():
     # char 2: symmetric with nonzero diagonal must be rejected
-    m = FieldMatrix(F4, [[1, 2], [2, 0]])
-    assert not is_skew_symmetric(m)
+    m = np.array([[1, 2], [2, 0]])
+    assert not is_skew_symmetric(F4, m)
     with pytest.raises(NotSkewSymmetric):
-        require_skew_symmetric(m)
-    ok = FieldMatrix(F4, [[0, 2], [2, 0]])
-    require_skew_symmetric(ok)
-
-
-def test_transpose_involution_and_submatrix():
-    rng = random.Random(7)
-    a = rand_matrix(F7, 3, 5, rng)
-    assert transpose(transpose(a)) == a
-    sub = submatrix_rows(a, [2, 0])
-    assert sub.tolist() == [a.row(2), a.row(0)]
-    empty = submatrix_rows(a, [])
-    assert (empty.rows, empty.cols) == (0, 5)
-    with pytest.raises(IndexOutOfRange):
-        submatrix_rows(a, [3])
-    with pytest.raises(DuplicateIndex):
-        submatrix_rows(a, [1, 1])
+        require_skew_symmetric(F4, m)
+    ok = np.array([[0, 2], [2, 0]])
+    require_skew_symmetric(F4, ok)
 
 
 def test_check_message_range_before_length():
@@ -271,7 +255,7 @@ def test_lu_inverses_counts_and_singular():
         counts[n] = (got.mul, got.add)
     assert counts == {1: (1, 0), 2: (6, 3), 3: (19, 13), 32: (21_856, 21_328)}
     with pytest.raises(SingularMatrix):
-        lu_inverses(F7, FieldMatrix(F7, [[1, 2], [2, 4]]).a)
+        lu_inverses(F7, np.array([[1, 2], [2, 4]]))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -287,7 +271,7 @@ def test_mat_solve_factored(field):
             continue
         inverse = FactoredInverse(field, lu.l_inv, lu.u_inv)
         for m in range(1, n + 1):
-            b = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(2)] for _ in range(m)])
+            b = rand_matrix(field, m, 2, rng)
             block = FieldMatrix(field, a.a[:m, :m])
             counter = OpCounter()
             got = mat_solve(inverse.block(slice(None, m)), b, counter)
@@ -296,4 +280,4 @@ def test_mat_solve_factored(field):
             checked += 1
     assert checked > 10
     with pytest.raises(DimensionMismatch):
-        mat_solve(inverse, FieldMatrix(field, [[1]] * (n + 1)))
+        mat_solve(inverse, np.ones((n + 1, 1), dtype=np.int64))

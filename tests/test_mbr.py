@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,7 +87,7 @@ def test_message_matrix_symmetric_random():
     rng = random.Random(0)
     params = MbrParams(prime_field(11), 8, 3, 6)
     for _ in range(50):
-        a = mbr_build_message(params, rand_message(params, rng)).a
+        a = mbr_build_message(params, rand_message(params, rng))
         assert (a == a.T).all()
 
 
@@ -107,9 +108,9 @@ def test_encode_systematic_rows():
     frags = mbr_encode(REF7, u)
     m = mbr_build_message(REF7, u)
     for i in range(3):
-        assert list(frags[i].symbols) == m.row(i)
+        assert list(frags[i].symbols) == m[i].tolist()
     # concatenating rows 1..k re-exposes the message
-    block = FieldMatrix(F7, [list(frags[i].symbols) for i in range(3)])
+    block = np.array([list(frags[i].symbols) for i in range(3)])
     assert message_from_block(REF7, block) == u
 
 
@@ -150,9 +151,9 @@ def test_helper_response_matches_matrix_product():
     frags = mbr_encode(REF7, u)
     psi = mbr_build_encoding(REF7)
     m = mbr_build_message(REF7, u)
-    c = mat_mul(psi, m)
+    c = mat_mul(F7, psi, m)
     for failed in range(1, 7):
-        col = mat_mul(c, FieldMatrix(F7, [[v] for v in psi_row(REF7, failed)]))
+        col = mat_mul(F7, c, np.array([[v] for v in psi_row(REF7, failed)]))
         for helper in range(1, 7):
             if helper == failed:
                 continue
@@ -625,7 +626,7 @@ def _some_stage_singular(params, nodes, order, scheme):
     """Whether a stage system is singular: a `lower` stage solves a trailing
     block of Phi_DC, an `upper` or `gong` stage a leading block."""
     k = params.k
-    phi = data_collector(mbr_build_encoding(params), k, nodes, order)[0].a
+    phi = data_collector(mbr_build_encoding(params), k, nodes, order)[0]
     for c in range(k):
         block = phi[c:, c:] if scheme == "lower" else phi[:c + 1, :c + 1]
         try:

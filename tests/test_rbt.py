@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from regencodes.counting import OpCounter
@@ -17,7 +18,7 @@ from regencodes.errors import (
     WrongMessageLength,
 )
 from regencodes.gf import binary_field, fermat_field, prime_field
-from regencodes.matrix import FieldMatrix, is_skew_symmetric, mat_inv, submatrix_rows
+from regencodes.matrix import FieldMatrix, congruence, is_skew_symmetric, mat_inv
 from regencodes.rbt import (
     RbtParams,
     decision,
@@ -67,7 +68,7 @@ def test_message_matrix_reference_layout():
         [f.neg(4), f.neg(7), f.neg(9), 0, 0],
     ]
     assert m.tolist() == want
-    assert is_skew_symmetric(m)
+    assert is_skew_symmetric(params.field, m)
 
 
 def test_message_matrix_zero_and_length():
@@ -80,7 +81,7 @@ def test_message_matrix_skew_random():
     rng = random.Random(0)
     params = RbtParams(F7, 6, 3)
     for _ in range(50):
-        assert is_skew_symmetric(rbt_build_message(params, rand_message(params, rng)))
+        assert is_skew_symmetric(params.field, rbt_build_message(params, rand_message(params, rng)))
 
 
 def test_encoding_matrix_reference_values():
@@ -103,7 +104,7 @@ def test_encoding_matrix_systematic_top_block():
     for i in range(3):
         row = [0] * 8
         row[i] = 1
-        assert psi.row(i) == row
+        assert psi[i].tolist() == row
 
 
 def test_encoding_matrix_invertible_sweep():
@@ -111,15 +112,15 @@ def test_encoding_matrix_invertible_sweep():
     for n in range(2, 9):
         for k in range(1, n):
             for systematic in (False, True):
-                mat_inv(rbt_build_encoding(RbtParams(f11, n, k, systematic=systematic)))
+                psi = rbt_build_encoding(RbtParams(f11, n, k, systematic=systematic))
+                mat_inv(FieldMatrix(f11, psi))
 
 
 def test_phi_any_k_rows_independent():
     for params in (REF4, RbtParams(F7, 6, 3), RbtParams(F7, 8, 4, systematic=True)):
-        psi = rbt_build_encoding(params)
-        phi = FieldMatrix(params.field, psi.a[:, : params.k])
+        phi = rbt_build_encoding(params)[:, : params.k]
         for subset in itertools.combinations(range(params.n), params.k):
-            mat_inv(submatrix_rows(phi, subset))
+            mat_inv(FieldMatrix(params.field, phi[list(subset)]))
 
 
 def test_encode_zero_and_char2_signfix():
@@ -128,11 +129,9 @@ def test_encode_zero_and_char2_signfix():
     rng = random.Random(1)
     u = rand_message(REF4, rng)
     # char 2: check matrix equals the raw congruence elementwise
-    from regencodes.matrix import congruence
-
     m = rbt_build_message(REF4, u)
     psi = rbt_build_encoding(REF4)
-    assert rbt_encode(REF4, u).check == congruence(psi, m)
+    assert rbt_encode(REF4, u).check == FieldMatrix(F4, congruence(F4, psi, m))
 
 
 def test_encode_symmetry_gf7():
@@ -150,7 +149,7 @@ def test_signfix_involution():
     rng = random.Random(3)
     params = RbtParams(F7, 6, 3)
     m = rbt_build_message(params, rand_message(params, rng))
-    assert sign_fix(params, sign_fix(params, m)) == m
+    assert np.array_equal(sign_fix(params, sign_fix(params, m)), m)
 
 
 def test_repair_round_trip_and_zero_ops():
@@ -225,18 +224,15 @@ def test_systematic_v_block_skew():
         u = rand_message(params, rng)
         m = rbt_build_message(params, remapped_message(params, source_block(params, u)))
         psi = rbt_build_encoding(params)
-        from regencodes.matrix import congruence
-
-        c_hat = congruence(psi, m)
-        v = FieldMatrix(params.field, c_hat.a[3:, 3:])
-        assert is_skew_symmetric(v)
+        c_hat = congruence(params.field, psi, m)
+        assert is_skew_symmetric(params.field, c_hat[3:, 3:])
 
 
 def test_systematic_rejects_bad_block():
     params = RbtParams(F7, 6, 3, systematic=True)
     block = source_block(params, [1] * params.B)
-    bad = FieldMatrix(params.field, block.a.copy())
-    bad.a[0, 0] = 1  # nonzero diagonal in U_L
+    bad = block.copy()
+    bad[0, 0] = 1  # nonzero diagonal in U_L
     with pytest.raises(NotSkewSymmetric):
         rbt_encode_systematic(params, bad)
     with pytest.raises(ParamsInvalid):
