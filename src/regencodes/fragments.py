@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DecodeMismatch,
     DuplicateIndex,
     IndexOutOfRange,
     InsufficientSymbols,
@@ -42,7 +43,7 @@ class Fragment:
         if self.node < 1:
             raise ValueError(f"node index {self.node} must be >= 1")
         try:
-            symbols = tuple(operator.index(s) for s in self.symbols)
+            symbols = tuple(map(operator.index, self.symbols))
         except TypeError as exc:
             raise ValueError(f"fragment symbols must be integers: {exc}") from exc
         object.__setattr__(self, "symbols", symbols)
@@ -82,6 +83,19 @@ def expand_row(frag: Fragment, n: int) -> list[int]:
     return row
 
 
+def check_shared_symbols(nodes: Sequence[int], rows: np.ndarray) -> None:
+    """The full rows of the read nodes must agree on the block they share.
+
+    Node i's entry in column j and node j's entry in column i are two
+    copies of one symbol, so a mismatch means a damaged fragment.
+    """
+    block = rows[:, np.asarray(nodes) - 1]
+    bad = np.argwhere(block != block.T)
+    if bad.size:
+        a, b = bad[0]
+        raise DecodeMismatch(f"nodes {nodes[a]} and {nodes[b]} disagree on the symbol they share")
+
+
 def check_nodes(n: int, nodes: Sequence[int], count: int) -> None:
     """`count` distinct nodes, each in [1, n]."""
     if len(set(nodes)) != len(nodes):
@@ -119,4 +133,6 @@ def transfer_repair(params, responses: Sequence[tuple[int, int]] | Mapping[int, 
         raise WrongHelperCount(f"got {len(got)} helpers, expected {len(expected)}")
     if set(got) != expected:
         raise MissingHelper(f"helper set mismatch, missing {sorted(expected - set(got))}")
-    return Fragment(params.codec, failed, tuple(got[i] for i in sorted(expected)))
+    frag = Fragment(params.codec, failed, tuple(got[i] for i in sorted(expected)))
+    params.field.varray(frag.symbols)  # a response outside the field raises ValueError
+    return frag

@@ -5,13 +5,17 @@ Subcommands: encode, repair, reconstruct, bench, selftest.  Exit codes:
 on stderr), 2 usage error.
 
 Field specs are `prime:<p>`, `binary:<m>` or `fermat`.  Fragment files
-are named frag_<node>.rgc inside the fragment directory.
+are named frag_<node>.rgc inside the fragment directory, and each file's
+header must name the node of its file name.  `reconstruct` opens only
+the files of its --nodes, and `repair` only those of its helpers: every
+other node for rbt and shah, the first d present nodes for mbr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .. import codec
@@ -35,27 +39,49 @@ def parse_field(spec: str) -> Field:
     raise ParamsInvalid(f"bad field spec {spec!r}; use prime:<p>, binary:<m> or fermat")
 
 
+def _frag_name(node: int) -> str:
+    return f"frag_{node:04d}.rgc"
+
+
 def _frag_path(out_dir: Path, node: int) -> Path:
-    return out_dir / f"frag_{node:04d}.rgc"
+    return out_dir / _frag_name(node)
 
 
-def _load_fragments(frags_dir: Path):
-    """Read every fragment file in a directory; headers must agree."""
-    paths = sorted(frags_dir.glob("*.rgc"))
-    if not paths:
-        raise InsufficientSymbols(f"no fragment files in {frags_dir}")
+def _listed_nodes(frags_dir: Path) -> list[int]:
+    """Nodes that have a frag_<node>.rgc file in the directory, ascending."""
+    nodes = []
+    for path in frags_dir.glob("frag_*.rgc"):
+        digits = path.name[5:-4]
+        if digits.isdecimal() and path.name == _frag_name(int(digits)):
+            nodes.append(int(digits))
+    return sorted(nodes)
+
+
+def _read_fragments(frags_dir: Path, nodes: list[int]):
+    """Yield (params, fragment) from the file of each node, in order.
+
+    Only these files are opened.  Each header must name the node of its
+    file and agree with the headers before it.
+    """
     meta = None
-    frags = {}
-    for path in paths:
-        field, n, k, d, frag = read_fragment(path)
+    for node in nodes:
+        path = _frag_path(frags_dir, node)
+        try:
+            field, n, k, d, frag = read_fragment(path)
+        except FileNotFoundError:
+            missing = [i for i in nodes if not _frag_path(frags_dir, i).is_file()]
+            raise InsufficientSymbols(f"fragments missing for nodes {missing}") from None
+        if frag.node != node:
+            raise ParamsInvalid(f"{path}: header names node {frag.node}")
         header = (frag.codec, field, n, k, d)
         if meta is None:
             meta = header
+            params = codec.params_for(*header)
         elif meta != header:
             raise ParamsInvalid(f"{path}: header disagrees with other fragments")
-        frags[frag.node] = frag
-    tag, field, n, k, d = meta
-    return codec.params_for(tag, field, n, k, d), field, (n, k, d), frags
+        yield params, frag
+    if meta is None:
+        raise InsufficientSymbols(f"no fragment files to read in {frags_dir}")
 
 
 def _cmd_encode(args) -> int:
@@ -74,23 +100,27 @@ def _cmd_encode(args) -> int:
 
 def _cmd_repair(args) -> int:
     frags_dir = Path(args.frags)
-    params, field, (n, k, d), frags = _load_fragments(frags_dir)
+    others = [i for i in _listed_nodes(frags_dir) if i != args.failed]
+    frags = {}
+    for params, frag in _read_fragments(frags_dir, others):
+        frags[frag.node] = frag
+        if len(frags) == params.d:
+            break  # the helpers codec.repair picks: the first d other nodes
     frag, per_node = codec.repair(params, frags, args.failed)
-    write_fragment(_frag_path(frags_dir, args.failed), field, n, k, d, frag)
+    write_fragment(_frag_path(frags_dir, args.failed), params.field,
+                   params.n, params.k, params.d, frag)
     print(f"repaired node {args.failed} from {len(per_node)} helpers")
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    frags_dir = Path(args.frags)
-    params, field, _, frags = _load_fragments(frags_dir)
     nodes = [int(t) for t in args.nodes.split(",") if t]
-    missing = [i for i in nodes if i not in frags]
-    if missing:
-        raise InsufficientSymbols(f"fragments missing for nodes {missing}")
+    frags = {}
+    for params, frag in _read_fragments(Path(args.frags), list(dict.fromkeys(nodes))):
+        frags[frag.node] = frag
     # a one-shot reconstruction uses the first time-sharing phase
     u, _ = codec.reconstruct(params, frags, nodes, args.scheme)
-    write_message(args.out, field, u)
+    write_message(args.out, params.field, u)
     print(f"reconstructed B={len(u)} symbols from nodes {nodes} (scheme {args.scheme})")
     return 0
 
@@ -109,7 +139,9 @@ def _cmd_selftest(_args) -> int:
     return 0 if run_selftest() else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="regencodes",
                                  description="regenerating-code toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -38,6 +38,7 @@ from .errors import (
 from .fragments import (
     Fragment,
     check_nodes,
+    check_shared_symbols,
     expand_row,
     fragment_symbol,
     stored_fragment,
@@ -302,6 +303,7 @@ def rbt_reconstruct_full(params: RbtParams, fragments: Sequence[Fragment],
     nodes = [f.node for f in fragments]
     check_nodes(params.n, nodes, params.k)
     rows = params.field.varray([expand_row(f, params.n) for f in fragments])
+    check_shared_symbols(nodes, rows)
     return _read_rows(params, nodes, rows, counter)
 
 

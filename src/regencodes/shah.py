@@ -29,6 +29,7 @@ from .errors import FieldTooSmall, ParamsInvalid, SingularMatrix
 from .fragments import (
     Fragment,
     check_nodes,
+    check_shared_symbols,
     expand_row,
     fragment_symbol,
     stored_fragment,
@@ -134,8 +135,9 @@ def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],
     nodes = [f.node for f in fragments]
     check_nodes(n, nodes, params.k)
     # checked before placing: a later node's copy of a shared packet
-    # overwrites an earlier node's
+    # overwrites an earlier node's, so the two copies must agree
     stored = params.field.varray([expand_row(frag, n) for frag in fragments])
+    check_shared_symbols(nodes, stored)
     packets = np.zeros((n, n), dtype=np.int64)
     held = np.zeros(n, dtype=bool)
     for node, row in zip(nodes, stored):

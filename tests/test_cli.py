@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from regencodes.errors import ParamsInvalid
 from regencodes.gf import binary_field, prime_field
-from regencodes.harness.cli import main, parse_field
-from regencodes.harness.fragio import read_message, write_message
+from regencodes.harness import cli
+from regencodes.harness.cli import build_parser, main, parse_field
+from regencodes.harness.fragio import read_fragment, read_message, write_message
 
 
 def run(argv, capsys=None):
@@ -20,16 +23,16 @@ def test_parse_field():
         parse_field("prime:x")
 
 
-def encode_round_trip(tmp_path, codec, field_spec, n, k, d, scheme):
+def encode_files(tmp_path, codec, field_spec, n, k, d):
+    """Encode a message of exactly B symbols through the CLI; returns it and
+    the paths of the message file and the fragment directory."""
     field = parse_field(field_spec)
-    # message of exactly B symbols
     if codec in ("rbt", "rbt-sys", "shah"):
         B = (n - 1) * k - k * (k - 1) // 2
     else:
         B = k * (k + 1) // 2 + k * (d - k)
     u = [(3 * i + 1) % field.q for i in range(B)]
     msg = tmp_path / "msg.bin"
-    out = tmp_path / "out.bin"
     frags = tmp_path / "frags"
     write_message(msg, field, u)
     args = ["encode", str(msg), "--codec", codec, "--n", str(n), "--k", str(k),
@@ -37,6 +40,12 @@ def encode_round_trip(tmp_path, codec, field_spec, n, k, d, scheme):
     if codec.startswith("mbr"):
         args += ["--d", str(d)]
     assert run(args) == 0
+    return u, msg, frags
+
+
+def encode_round_trip(tmp_path, codec, field_spec, n, k, d, scheme):
+    u, msg, frags = encode_files(tmp_path, codec, field_spec, n, k, d)
+    out = tmp_path / "out.bin"
     # lose a node, repair it from the rest
     (frags / "frag_0002.rgc").unlink()
     assert run(["repair", "--failed", "2", "--frags", str(frags)]) == 0
@@ -44,7 +53,7 @@ def encode_round_trip(tmp_path, codec, field_spec, n, k, d, scheme):
     assert run(["reconstruct", "--nodes", nodes, "--scheme", scheme,
                 "--frags", str(frags), "--out", str(out)]) == 0
     assert out.read_bytes() == msg.read_bytes()
-    assert read_message(out, field, B) == u
+    assert read_message(out, parse_field(field_spec), len(u)) == u
 
 
 def test_cli_round_trip_mbr_gf7(tmp_path):
@@ -152,19 +161,119 @@ def test_cli_message_symbol_out_of_field_exit1(tmp_path, capsys):
     assert "ERROR ParamsInvalid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("offset,value", [(-1, b"\x07"), (16, b"\x00\x00")],
-                         ids=["symbol-out-of-field", "node-0-header"])
-def test_cli_malformed_fragment_file_exit1(tmp_path, capsys, offset, value):
-    # the damaged file is not among the --nodes read, yet it is refused
-    frags = _encode_gf7(tmp_path)
-    path = frags / "frag_0006.rgc"
+def _damage(path, offset, value):
     raw = bytearray(path.read_bytes())
     raw[offset:offset + len(value) or None] = value
     path.write_bytes(bytes(raw))
+
+
+DAMAGE = pytest.mark.parametrize("offset,value", [(-1, b"\x07"), (16, b"\x00\x00")],
+                                 ids=["symbol-out-of-field", "node-0-header"])
+
+
+@DAMAGE
+def test_cli_malformed_fragment_file_exit1(tmp_path, capsys, offset, value):
+    # node 4 is among the --nodes read, and among the d = 4 helpers 1, 3, 4, 5
+    # of node 2
+    frags = _encode_gf7(tmp_path)
+    _damage(frags / "frag_0004.rgc", offset, value)
     code = run(["reconstruct", "--nodes", "1,2,4", "--frags", str(frags),
                 "--out", str(tmp_path / "o.bin")])
     assert code == 1
     assert "ERROR ParamsInvalid" in capsys.readouterr().err
+    (frags / "frag_0002.rgc").unlink()
+    assert run(["repair", "--failed", "2", "--frags", str(frags)]) == 1
+    assert "ERROR ParamsInvalid" in capsys.readouterr().err
+    assert not (frags / "frag_0002.rgc").exists()
+
+
+@DAMAGE
+def test_cli_damaged_file_a_command_does_not_use_exit0(tmp_path, offset, value):
+    # node 6 is neither among the --nodes read nor among the helpers of node 2
+    frags = _encode_gf7(tmp_path)
+    _damage(frags / "frag_0006.rgc", offset, value)
+    out = tmp_path / "o.bin"
+    assert run(["reconstruct", "--nodes", "1,2,4", "--frags", str(frags),
+                "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "msg.bin").read_bytes()
+    lost = frags / "frag_0002.rgc"
+    original = lost.read_bytes()
+    lost.unlink()
+    assert run(["repair", "--failed", "2", "--frags", str(frags)]) == 0
+    assert lost.read_bytes() == original
+
+
+def test_cli_header_node_must_match_file_name(tmp_path, capsys):
+    frags = _encode_gf7(tmp_path)
+    (frags / "frag_0004.rgc").replace(frags / "frag_0003.rgc")  # its header names node 4
+    code = run(["reconstruct", "--nodes", "1,2,3", "--frags", str(frags),
+                "--out", str(tmp_path / "o.bin")])
+    assert code == 1
+    assert "ERROR ParamsInvalid" in capsys.readouterr().err
+    # the helpers of node 2 are now 1, 3, 5, 6
+    assert run(["repair", "--failed", "2", "--frags", str(frags)]) == 1
+    assert "ERROR ParamsInvalid" in capsys.readouterr().err
+
+
+def test_cli_missing_nodes_file_exit1(tmp_path, capsys):
+    frags = _encode_gf7(tmp_path)
+    (frags / "frag_0004.rgc").unlink()
+    (frags / "frag_0005.rgc").unlink()
+    code = run(["reconstruct", "--nodes", "4,1,5", "--frags", str(frags),
+                "--out", str(tmp_path / "o.bin")])
+    assert code == 1
+    assert "ERROR InsufficientSymbols: fragments missing for nodes [4, 5]" in \
+        capsys.readouterr().err
+
+
+READ_CASES = [("rbt", "binary:4", 8, 3, None), ("rbt-sys", "prime:11", 6, 3, None),
+              ("shah", "binary:6", 5, 3, None), ("mbr-psrs", "prime:7", 6, 3, 4),
+              ("mbr-vdm", "prime:11", 7, 3, 5)]
+
+
+@pytest.mark.parametrize("codec,field_spec,n,k,d", READ_CASES, ids=[c[0] for c in READ_CASES])
+def test_cli_opens_only_the_files_it_uses(tmp_path, monkeypatch, codec, field_spec, n, k, d):
+    opened = []
+
+    def spy(path):
+        opened.append(Path(path).name)
+        return read_fragment(path)
+
+    monkeypatch.setattr(cli, "read_fragment", spy)
+    _, msg, frags = encode_files(tmp_path, codec, field_spec, n, k, d)
+    (frags / "frag_0002.rgc").unlink()
+    assert run(["repair", "--failed", "2", "--frags", str(frags)]) == 0
+    # n-1 helpers for the transfer codecs, the first d present nodes for mbr
+    helpers = [1] + list(range(3, n + 1))
+    assert opened == [f"frag_{i:04d}.rgc" for i in helpers[:d or n - 1]]
+    opened.clear()
+    nodes = list(range(n, n - k, -1))
+    out = tmp_path / "out.bin"
+    assert run(["reconstruct", "--nodes", ",".join(map(str, nodes)),
+                "--frags", str(frags), "--out", str(out)]) == 0
+    assert opened == [f"frag_{i:04d}.rgc" for i in nodes]
+    assert out.read_bytes() == msg.read_bytes()
+
+
+def test_cli_parser_is_built_once_and_reused(tmp_path):
+    assert build_parser() is build_parser()
+    written = []
+    for r in range(2):
+        work = tmp_path / f"round{r}"
+        work.mkdir()
+        _, msg, frags = encode_files(work, "mbr-psrs", "prime:7", 6, 3, 4)
+        with pytest.raises(SystemExit) as exc:
+            main(["repair", "--failed", "2"])  # missing --frags
+        assert exc.value.code == 2
+        (frags / "frag_0002.rgc").unlink()
+        assert run(["repair", "--failed", "2", "--frags", str(frags)]) == 0
+        out = work / "out.bin"
+        assert run(["reconstruct", "--nodes", "2,4,6", "--scheme", "lower",
+                    "--frags", str(frags), "--out", str(out)]) == 0
+        assert out.read_bytes() == msg.read_bytes()
+        written.append({p.relative_to(work): p.read_bytes()
+                        for p in work.rglob("*") if p.is_file()})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("codec", ["rbt", "shah"])

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from regencodes.counting import OpCounter
-from regencodes.errors import InsufficientSymbols, WrongMessageLength
-from regencodes.fragments import Fragment
+from regencodes.errors import DecodeMismatch, InsufficientSymbols, WrongMessageLength
+from regencodes.fragments import Fragment, fragment_symbol, stored_position
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.matrix import FieldMatrix
 from regencodes.mbr import (
@@ -34,10 +34,11 @@ from regencodes.rbt import (
     rbt_partial_plan,
     rbt_reconstruct_full,
     rbt_reconstruct_partial,
+    rbt_repair,
     remapped_message,
     source_block,
 )
-from regencodes.shah import ShahParams, shah_encode, shah_reconstruct
+from regencodes.shah import ShahParams, shah_encode, shah_reconstruct, shah_repair
 
 F7 = prime_field(7)
 F11 = prime_field(11)
@@ -95,6 +96,42 @@ def test_shah_read_checks_a_shared_packet_a_later_node_also_holds():
     chosen = [corrupt(frags[0], 0, 13), frags[1], frags[2]]
     with pytest.raises(ValueError, match=RANGE):
         shah_reconstruct(params, chosen)
+
+
+TRANSFER_READS = [pytest.param(p, read, id=p.codec) for p, read in
+                  [(p, rbt_reconstruct_full) for p in RBT]
+                  + [(ShahParams(F11, 5, 3), shah_reconstruct)]]
+
+
+@pytest.mark.parametrize("params, read", TRANSFER_READS)
+@pytest.mark.parametrize("nodes", [(2, 4, 5), (1, 2, 3), (3, 1, 2)],
+                         ids=["general", "systematic", "unsorted"])
+def test_full_read_refuses_copies_of_a_shared_symbol_that_disagree(params, read, nodes):
+    # the second node's copy of the symbol it shares with the first, still in the field
+    frags = encoded(params)
+    chosen = [frags[i - 1] for i in nodes]
+    pos = stored_position(nodes[1], nodes[0])
+    chosen[1] = corrupt(chosen[1], pos, (chosen[1].symbols[pos] + 1) % params.field.q)
+    counter = OpCounter()
+    with pytest.raises(DecodeMismatch, match=f"nodes {nodes[0]} and {nodes[1]} disagree"):
+        read(params, chosen, counter)
+    assert (counter.mul, counter.add) == (0, 0)
+
+
+TRANSFER_REPAIRS = [pytest.param(p, repair, id=p.codec) for p, repair in
+                    [(p, rbt_repair) for p in RBT] + [(ShahParams(F11, 5, 3), shah_repair)]]
+
+
+@pytest.mark.parametrize("params, repair", TRANSFER_REPAIRS)
+def test_transfer_repair_rejects_response_outside_field(params, repair):
+    frags = encoded(params)
+    for bad in (99,) + bad_values(params.field):
+        responses = [(j, fragment_symbol(frags[j - 1], 1)) for j in range(2, params.n + 1)]
+        responses[0] = (2, bad)
+        counter = OpCounter()
+        with pytest.raises(ValueError, match=RANGE):
+            repair(params, responses, 1, counter)
+        assert (counter.mul, counter.add) == (0, 0)
 
 
 @pytest.mark.parametrize("field", [F7, binary_field(3)], ids=repr)
