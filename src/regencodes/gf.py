@@ -13,12 +13,14 @@ Scalar values are plain ints in [0, q); Elem wraps one together with its
 owning field and gives operator syntax.  Every field also exposes
 vectorized numpy helpers (vadd/vmul/matmul/...) used by the matrix layer;
 binary fields back them with log/antilog tables, prime fields with int64
-modular arithmetic.  All objects are immutable after construction and all
+modular arithmetic.  `vsub_mul` and `vreduce` let an elimination loop
+leave its row updates unreduced mod p and reduce once at the end.  All objects are immutable after construction and all
 operations are pure, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -174,6 +176,21 @@ class Field:
     def matmul(self, a, b) -> np.ndarray:
         raise NotImplementedError
 
+    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """Inner product of two equal-length vectors of field values."""
+        raise NotImplementedError
+
+    def vsub_mul(self, a, b, c) -> np.ndarray:
+        """a - b * c, broadcast, for field values b and c.  A prime field
+        leaves the result unreduced, congruent mod p (see vreduce); a
+        binary field returns field values."""
+        return self.vsub(a, self.vmul(b, c))
+
+    def vreduce(self, a) -> np.ndarray:
+        """A new array of the field values congruent to `a`, an array built
+        by vsub_mul."""
+        return np.array(a, np.int64)
+
     # -- identity / serialization -----------------------------------------
 
     def _key(self) -> tuple:
@@ -215,7 +232,7 @@ class PrimeField(Field):
 
     def inv(self, a):
         # extended Euclid
-        if a == 0:
+        if a % self.p == 0:
             raise DivisionByZero("inverse of zero")
         t, new_t = 0, 1
         r, new_r = self.p, a
@@ -240,6 +257,18 @@ class PrimeField(Field):
     def matmul(self, a, b):
         # products stay below (p-1)^2 * inner < 2^63 for the sizes in use
         return (np.asarray(a, np.int64) @ np.asarray(b, np.int64)) % self.p
+
+    def dot(self, a, b):
+        # Python ints: cheaper than a 1 x n numpy product at codec sizes
+        return sum(map(operator.mul, a, b)) % self.p
+
+    def vsub_mul(self, a, b, c):
+        # |a| + (p-1)^2 per call: n calls on values of an n-row system stay
+        # below n p^2 < 2^63
+        return np.asarray(a, np.int64) - np.asarray(b, np.int64) * np.asarray(c, np.int64)
+
+    def vreduce(self, a):
+        return np.asarray(a, np.int64) % self.p
 
     def _key(self):
         return (self.kind, self.p)
@@ -356,6 +385,10 @@ class BinaryField(Field):
             prod = self._exp[loga[lo : lo + chunk] + logb]
             out[lo : lo + chunk] = np.bitwise_xor.reduce(prod, axis=1)
         return out.astype(np.int64)
+
+    def dot(self, a, b):
+        prod = self._exp[self._log[np.asarray(a, np.int64)] + self._log[np.asarray(b, np.int64)]]
+        return int(np.bitwise_xor.reduce(prod))
 
     def _key(self):
         return (self.kind, self.m, self.poly)

@@ -8,6 +8,17 @@ mbr codecs share.  Kernels trust their arrays; values from callers are
 range-checked once, by `Field.varray`, where they enter the library.
 Ops that perform field arithmetic accept an explicit OpCounter.
 
+The elimination kernels, Gauss-Jordan behind `mat_inv` and `mat_solve`
+and the LU of `lu_inverses`, skip the unit rows of their system.  Systematic
+codes put [I_k 0] in their encoding matrix, so about half the rows of a
+repair or data-collector system are unit vectors: a row e_s fixes unknown
+s, and elimination runs on the block that remains.  Over prime fields the
+row updates stay unreduced; only the pivot column and row are reduced
+before use, and the working array once at the end (n updates of values
+below p^2 stay far below 2^63).  Outputs, pivoting and `SingularMatrix`
+are those of the dense elimination, and so are the counted operations:
+OpCounter charges products regardless of zero entries.
+
 FieldMatrix pairs an array with its field where a matrix crosses the
 library boundary: the system of `mat_inv` and `mat_solve`, a codeword's
 check matrix and a partial-read stage record.  Its constructor copies
@@ -141,45 +152,82 @@ def mat_sub(field: Field, a: np.ndarray, b: np.ndarray,
     return field.vsub(a, b)
 
 
-def _gauss_jordan(field: Field, aug: np.ndarray, counter: OpCounter | None) -> np.ndarray:
-    """In-place Gauss-Jordan with first-nonzero pivoting; returns aug."""
-    n = aug.shape[0]
-    width = aug.shape[1]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r, col] != 0:
-                piv = r
-                break
+def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the unit rows of a matrix of field values: row
+    rows[i] is e_{cols[i]}.  Values are non-negative, so these are the rows
+    that sum to 1."""
+    rows = np.flatnonzero(a.sum(axis=1) == 1)
+    return rows, (a[rows].argmax(axis=1) if rows.size else rows)
+
+
+def _complement(idx: np.ndarray, n: int) -> np.ndarray:
+    """The indices in range(n) that are not in idx, ascending."""
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    return np.flatnonzero(keep)
+
+
+def _gauss_jordan(field: Field, a: np.ndarray, b: np.ndarray,
+                  counter: OpCounter | None) -> np.ndarray:
+    """a^-1 b for a square a, by Gauss-Jordan elimination deflated by the
+    unit rows of a.
+
+    A row r of a that equals e_s fixes x_s = b_r.  With U those rows, S
+    their columns and R, C the other rows and columns, what is left is
+    Y x_C = b_R - X b_U for Y = a[R, C] and X = a[R, S], so elimination
+    with first-nonzero pivoting runs on [Y | b_R - X b_U] only; for b = I
+    the result is a^-1 = [[I, 0], [-Y^-1 X, Y^-1]] up to row and column
+    order.  a is singular, and SingularMatrix raised, exactly when two unit
+    rows share a column or Y is singular.  Only the pivot column and row
+    are reduced before use (Field.vreduce), the rest once at the end.
+    Every call that returns is charged the dense elimination, solve_cost.
+    """
+    n, cols = b.shape
+    unit, fixed = _unit_rows(a)
+    rest = _complement(unit, n)  # rows left to eliminate
+    free = _complement(fixed, n)  # and their unknowns
+    if len(free) != len(rest):
+        raise SingularMatrix("two unit rows on one column")
+    a_rest, rhs = a.take(rest, 0), b.take(rest, 0)
+    if unit.size and rest.size:
+        rhs = field.vsub(rhs, field.matmul(a_rest.take(fixed, 1), b.take(unit, 0)))
+    m = len(rest)
+    aug = np.concatenate([a_rest.take(free, 1), rhs], axis=1)
+    for col in range(m):
+        column = field.vreduce(aug[:, col])
+        piv = next((r for r in range(col, m) if column[r]), None)
         if piv is None:
-            raise SingularMatrix(f"zero pivot column {col}")
+            raise SingularMatrix(f"zero pivot column {free[col]}")
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
-        pv = int(aug[col, col])
+            column[[col, piv]] = column[[piv, col]]
+        row = field.vreduce(aug[col])
+        pv = int(column[col])
         if pv != 1:
-            aug[col] = field.vmul(aug[col], field.inv(pv))
-        factors = aug[:, col].copy()
-        factors[col] = 0
-        update = field.vmul(factors[:, None], aug[col][None, :])
-        aug[:] = field.vsub(aug, update)
-        if counter is not None:
-            counter.count_mul(width + 1)  # pivot inverse + row scale
-            counter.count_mul((n - 1) * width)
-            counter.count_add((n - 1) * width)
-    return aug
+            row = field.vmul(row, field.inv(pv))
+        aug[col] = row
+        column[col] = 0
+        aug = field.vsub_mul(aug, column[:, None], row[None, :])
+    x = np.empty((n, cols), dtype=np.int64)
+    x[fixed] = b[unit]
+    x[free] = field.vreduce(aug[:, m:])
+    if counter is not None:
+        mul, add = solve_cost(n, cols)
+        counter.count_mul(mul)
+        counter.count_add(add)
+    return x
 
 
 def mat_inv(a: FieldMatrix, counter: OpCounter | None = None) -> np.ndarray:
-    """Gauss-Jordan inverse; raises SingularMatrix at the first zero pivot column.
+    """Gauss-Jordan inverse, deflated by the unit rows of a (see
+    _gauss_jordan); raises SingularMatrix for a singular a.
 
     `a` and the system of mat_solve are FieldMatrix, not arrays: their
     field and `rows` travel with them, and the benchmark tracer counts
     pivots from `rows`."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"cannot invert {a.rows}x{a.cols}")
-    n = a.rows
-    aug = np.concatenate([a.a, np.eye(n, dtype=np.int64)], axis=1)
-    return _gauss_jordan(a.field, aug, counter)[:, n:]
+    return _gauss_jordan(a.field, a.a, np.eye(a.rows, dtype=np.int64), counter)
 
 
 def solve_cost(n: int, cols: int) -> tuple[int, int]:
@@ -224,8 +272,7 @@ def mat_solve(a: FieldMatrix | FactoredInverse, b: np.ndarray,
         return a.field.matmul(a.second, a.field.matmul(a.first, b))
     if a.rows != a.cols:
         raise DimensionMismatch(f"coefficient matrix {a.rows}x{a.cols} not square")
-    aug = np.concatenate([a.a, b], axis=1)
-    return _gauss_jordan(a.field, aug, counter)[:, rows:]
+    return _gauss_jordan(a.field, a.a, b, counter)
 
 
 @dataclass(frozen=True)
@@ -244,55 +291,83 @@ class TriangularInverses:
 def lu_inverses(field: Field, a: np.ndarray) -> TriangularInverses:
     """LU with first-nonzero row pivoting, then L^-1 and U^-1.
 
-    Every elimination and inversion step is one vectorized row update.
-    Counts follow the structure: an update touches only the triangle a
-    factor occupies, and a product with a unit diagonal entry is free.
-    The pivot inverses are computed once and reused for U^-1.  Raises
-    SingularMatrix at the first column without a nonzero pivot.
+    A row j of a that equals e_j needs no elimination: no earlier step
+    changes it, so it is never a pivot for another column, `perm` is that
+    of the dense factorization, and it is row j of L, U, L^-1 and U^-1.
+    Its elementary factor of L^-1, I - l_j e_j^t, commutes with those of
+    the earlier steps, and its factor of U^-1, I - u_j e_j^t, with those
+    of the later steps.  So both inverses start from the identity with
+    these columns set to -L below and -U above the diagonal, one step
+    each, and the elimination and both inversion loops run over the other
+    steps only.  Every step is one vectorized row update, and only the
+    pivot column and row are reduced before use (Field.vreduce).
+
+    Counts are those of the dense factorization and follow its structure:
+    an update touches only the triangle a factor occupies, and a product
+    with a unit diagonal entry is free.  Raises SingularMatrix when a has
+    no nonzero pivot in some column.
     """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"cannot factorize an array of shape {a.shape}")
     n = a.shape[0]
+    unit, fixed = _unit_rows(a)
+    diag = unit[unit == fixed]  # rows equal to e_j
+    steps = _complement(diag, n).tolist()
     lu = np.array(a, dtype=np.int64)
     perm = np.arange(n)
-    piv_inv = np.empty(n, dtype=np.int64)
-    mul = add = 0
-    for j in range(n):
-        if lu[j, j] == 0:
-            nz = np.flatnonzero(lu[j:, j])
+    piv_inv = np.ones(n, dtype=np.int64)
+    for j in steps:
+        column = field.vreduce(lu[j:, j])
+        if column[0] == 0:
+            nz = np.flatnonzero(column)
             if not nz.size:
                 raise SingularMatrix(f"zero pivot column {j}")
-            p = j + int(nz[0])
-            lu[[j, p]] = lu[[p, j]]
-            perm[[j, p]] = perm[[p, j]]
-        piv_inv[j] = field.inv(int(lu[j, j]))
+            p = int(nz[0])
+            lu[[j, j + p]] = lu[[j + p, j]]
+            perm[[j, j + p]] = perm[[j + p, j]]
+            column[[0, p]] = column[[p, 0]]
+        piv_inv[j] = field.inv(int(column[0]))
         below = slice(j + 1, None)
-        lu[below, j] = field.vmul(lu[below, j], piv_inv[j])  # column j of L
-        lu[below, below] = field.vsub(lu[below, below],
-                                      field.vmul(lu[below, j, None], lu[None, j, below]))
-        m = n - 1 - j
-        mul += 1 + m + m * m
-        add += m * m
+        factors = field.vmul(column[1:], piv_inv[j])
+        lu[below, j] = factors  # column j of L
+        lu[below, below] = field.vsub_mul(lu[below, below], factors[:, None],
+                                          field.vreduce(lu[j, below])[None, :])
+    lu = field.vreduce(lu)
+    # both inverses start from the unit rows' elementary factors
+    l_inv, u_inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    if diag.size:
+        l_inv[:, diag] = field.vneg(np.tril(lu, -1)[:, diag])
+        u_inv[:, diag] = field.vneg(np.triu(lu, 1)[:, diag])
+        l_inv[diag, diag] = u_inv[diag, diag] = 1
     # L^-1 = E_{n-2} ... E_0 with E_j = I - l_j e_j^t; row j of the partial
     # product is nonzero in columns 0..j only, with a unit diagonal
-    l_inv = np.eye(n, dtype=np.int64)
-    for j in range(n - 1):
+    for j in steps:
         rows, cols = slice(j + 1, None), slice(None, j + 1)
-        l_inv[rows, cols] = field.vsub(l_inv[rows, cols],
-                                       field.vmul(lu[rows, j, None], l_inv[None, j, cols]))
-        mul += (n - 1 - j) * j
-        add += (n - 1 - j) * (j + 1)
+        l_inv[rows, cols] = field.vsub_mul(l_inv[rows, cols], lu[rows, j, None],
+                                           field.vreduce(l_inv[j, cols])[None, :])
+    l_inv = field.vreduce(l_inv)
     # U^-1 by backward Gauss-Jordan on [U | I]: scale row j, then clear
     # column j above it; row j of the right half is nonzero in columns j..n-1
-    u_inv = np.eye(n, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
+    for j in reversed(steps):
         cols = slice(j, None)
-        u_inv[j, cols] = field.vmul(u_inv[j, cols], piv_inv[j])
-        u_inv[:j, cols] = field.vsub(u_inv[:j, cols],
-                                     field.vmul(lu[:j, j, None], u_inv[None, j, cols]))
-        mul += (n - 1 - j) + j * (n - j)
-        add += j * (n - j)
+        row = field.vmul(field.vreduce(u_inv[j, cols]), piv_inv[j])
+        u_inv[j, cols] = row
+        u_inv[:j, cols] = field.vsub_mul(u_inv[:j, cols], lu[:j, j, None], row[None, :])
+    u_inv = field.vreduce(u_inv)
     for arr in (perm, l_inv, u_inv):
         arr.setflags(write=False)
-    return TriangularInverses(perm, l_inv, u_inv, mul, add)
+    return TriangularInverses(perm, l_inv, u_inv, *_lu_cost(n))
+
+
+def _lu_cost(n: int) -> tuple[int, int]:
+    """(mul, add) of lu_inverses: per step j with m = n-1-j rows below it,
+    the factorization, then the L^-1 and U^-1 updates."""
+    mul = add = 0
+    for j in range(n):
+        m = n - 1 - j
+        mul += 1 + m + m * m + m * j + m + j * (n - j)
+        add += m * m + m * (j + 1) + j * (n - j)
+    return mul, add
 
 
 def data_collector(psi: np.ndarray, k: int, nodes: Sequence[int],

@@ -227,12 +227,11 @@ def mbr_helper_response(fragment: Fragment, failed_row: Sequence[int], field: Fi
         raise WrongFragmentCount(
             f"fragment length {len(fragment.symbols)} vs encoding row length {len(failed_row)}"
         )
-    symbols = field.varray(fragment.symbols)
-    row = np.asarray(failed_row, dtype=np.int64)
+    field.varray(fragment.symbols)  # range check
     if counter is not None:
-        counter.count_mul(len(row))
-        counter.count_add(max(0, len(row) - 1))
-    return int(field.matmul(symbols[None, :], row[:, None])[0, 0])
+        counter.count_mul(len(failed_row))
+        counter.count_add(max(0, len(failed_row) - 1))
+    return field.dot(fragment.symbols, failed_row)
 
 
 def mbr_repair(params: MbrParams, responses: Sequence[tuple[int, int]], failed: int,

@@ -81,6 +81,39 @@ def test_division_by_zero():
         inv(f7.elem(0))
 
 
+def test_prime_inverse_of_a_multiple_of_p():
+    # a value congruent to zero, such as an unreduced pivot, has no inverse
+    for field in (field_new("prime", 7), fermat_field()):
+        p = field.q
+        for a in (0, p, 2 * p, -p, 5 * p * p):
+            with pytest.raises(DivisionByZero):
+                field.inv(a)
+        assert field.mul(field.inv(p + 3), 3) == 1
+
+
+@pytest.mark.parametrize("field", [prime_field(7), binary_field(8), fermat_field()], ids=repr)
+def test_dot_and_deferred_update_match_scalar_ops(field):
+    rng = random.Random(9)
+    for n in (0, 1, 48):
+        a = [rng.randrange(field.q) for _ in range(n)]
+        b = [rng.randrange(field.q) for _ in range(n)]
+        ref = 0
+        for x, y in zip(a, b):
+            ref = field.add(ref, field.mul(x, y))
+        got = field.dot(tuple(a), b)
+        assert got == ref and type(got) is int
+    # 64 unreduced updates, reduced once, equal 64 reduced ones
+    acc = np.array([[rng.randrange(field.q) for _ in range(5)] for _ in range(4)])
+    ref = acc.copy()
+    for _ in range(64):
+        col = np.array([rng.randrange(field.q) for _ in range(4)])[:, None]
+        row = np.array([rng.randrange(field.q) for _ in range(5)])[None, :]
+        acc = field.vsub_mul(acc, col, row)
+        ref = field.vsub(ref, field.vmul(col, row))
+    got = field.vreduce(acc)
+    assert got.dtype == np.int64 and got.tolist() == ref.tolist()
+
+
 def test_inv_examples():
     f7 = prime_field(7)
     assert inv(f7.elem(2)).value == 4

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regencodes.counting import OpCounter
 from regencodes.errors import (
@@ -281,3 +283,116 @@ def test_mat_solve_factored(field):
     assert checked > 10
     with pytest.raises(DimensionMismatch):
         mat_solve(inverse, np.ones((n + 1, 1), dtype=np.int64))
+
+
+def test_lu_inverses_checks_shape():
+    for shape in ((2, 3), (3, 2), (3,)):
+        with pytest.raises(DimensionMismatch):
+            lu_inverses(F7, np.ones(shape, dtype=np.int64))
+
+
+# scalar references for the deflated kernels
+
+def _gj_reference(field, a, b):
+    """x with a x = b by Gauss-Jordan, one entry at a time; None when a is
+    singular."""
+    n = len(a)
+    aug = [list(a[r]) + list(b[r]) for r in range(n)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if aug[r][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        scale = field.inv(aug[c][c])
+        aug[c] = [field.mul(v, scale) for v in aug[c]]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                aug[r] = [field.sub(v, field.mul(f, w)) for v, w in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def _lu_formula(n):
+    """(mul, add) of lu_inverses, step j with m = n-1-j rows below it:
+    factorization, then the L^-1 and U^-1 updates."""
+    mul = add = 0
+    for j in range(n):
+        m = n - 1 - j
+        mul += (m * (m + 1) + 1) + m * j + (m + j * (n - j))
+        add += m * m + m * (j + 1) + j * (n - j)
+    return mul, add
+
+
+PROPERTY_FIELDS = [prime_field(2), prime_field(11), binary_field(8), binary_field(16),
+                   fermat_field()]
+
+
+@st.composite
+def _systems(draw):
+    """A square system whose rows are dense, e_r on the diagonal or e_s for
+    any column s (so two may share one), with one row sometimes replaced by
+    a multiple of another, which leaves the remaining block singular."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    n = draw(st.integers(0, 7))
+    value = st.integers(0, field.q - 1)
+    a = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=n,
+                               max_size=n)), dtype=np.int64).reshape(n, n)
+    for r in range(n):
+        kind = draw(st.sampled_from(["dense", "diagonal", "unit"]))
+        if kind != "dense":
+            a[r] = 0
+            a[r, r if kind == "diagonal" else draw(st.integers(0, n - 1))] = 1
+    if n > 1 and draw(st.booleans()):
+        r, s = draw(st.permutations(range(n)))[:2]
+        a[r] = field.vmul(a[s], draw(value))
+    b = np.array(draw(st.lists(st.lists(value, min_size=2, max_size=2), min_size=n,
+                               max_size=n)), dtype=np.int64).reshape(n, 2)
+    return field, a, b
+
+
+@given(_systems())
+@settings(max_examples=400)
+def test_deflated_kernels_match_scalar_references(system):
+    field, a, b = system
+    n = len(a)
+    x = _gj_reference(field, a.tolist(), b.tolist())
+    calls = [(lambda c: mat_inv(FieldMatrix(field, a), c), np.eye(n, dtype=np.int64)),
+             (lambda c: mat_solve(FieldMatrix(field, a), b, c), b)]
+    for call, rhs in calls:
+        counter = OpCounter()
+        if x is None:
+            with pytest.raises(SingularMatrix):
+                call(counter)
+            assert (counter.mul, counter.add) == (0, 0)
+            continue
+        assert call(counter).tolist() == _gj_reference(field, a.tolist(), rhs.tolist())
+        assert (counter.mul, counter.add) == solve_cost(n, rhs.shape[1])
+    if x is None:
+        with pytest.raises(SingularMatrix):
+            lu_inverses(field, a)
+        return
+    got = lu_inverses(field, a)
+    perm, lower, upper = _lu_reference(field, a.tolist())
+    eye = np.eye(n, dtype=np.int64).tolist()
+    assert got.perm.tolist() == perm
+    assert got.l_inv.tolist() == _gj_reference(field, lower, eye)
+    assert got.u_inv.tolist() == _gj_reference(field, upper, eye)
+    assert (got.mul, got.add) == _lu_formula(n)
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
+def test_deflated_kernels_on_empty_and_one_by_one_systems(field):
+    empty = np.zeros((0, 0), dtype=np.int64)
+    assert mat_inv(FieldMatrix(field, empty)).shape == (0, 0)
+    assert mat_solve(FieldMatrix(field, empty), np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
+    got = lu_inverses(field, empty)
+    assert got.l_inv.shape == got.u_inv.shape == (0, 0) and (got.mul, got.add) == (0, 0)
+    for v in (1, field.q - 1):  # a unit row, and a dense one unless q = 2
+        one = np.array([[v]], dtype=np.int64)
+        assert mat_inv(FieldMatrix(field, one)).tolist() == [[field.inv(v)]]
+        got = lu_inverses(field, one)
+        assert (got.l_inv.tolist(), got.u_inv.tolist()) == ([[1]], [[field.inv(v)]])
+    zero = np.zeros((1, 1), dtype=np.int64)
+    for call in (lambda: mat_inv(FieldMatrix(field, zero)), lambda: lu_inverses(field, zero)):
+        with pytest.raises(SingularMatrix):
+            call()

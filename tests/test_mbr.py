@@ -704,6 +704,37 @@ def test_partial_op_counts_at_scale(scheme):
     assert (counter.mul, counter.add) == (71_520, 69_456)
 
 
+@pytest.mark.parametrize("systematic", [0, 16, 31])
+def test_op_counts_do_not_depend_on_unit_rows(systematic):
+    # psrs nodes 1..k hold the unit rows [I_k 0] of Psi, which the
+    # elimination kernels skip; every call is still charged the dense count.
+    # A repair set of d = 48 helpers holds at least 16 systematic nodes.
+    _clear_set_caches()
+    rng = random.Random(24 + systematic)
+    u = rand_message(BIG, rng)
+    frags = mbr_encode(BIG, u)
+    failed = 1
+    helpers = (rng.sample(range(2, 33), max(16, systematic))
+               + rng.sample(range(33, 65), BIG.d - max(16, systematic)))
+    rng.shuffle(helpers)
+    row = psi_row(BIG, failed)
+    responses = [(h, mbr_helper_response(frags[h - 1], row, BIG.field)) for h in helpers]
+    counter = OpCounter()
+    assert mbr_repair(BIG, responses, failed, counter) == frags[failed - 1]
+    assert (counter.mul, counter.add) == (112_944, 110_544)
+    nodes = rng.sample(range(1, 33), systematic) + rng.sample(range(33, 65), BIG.k - systematic)
+    rng.shuffle(nodes)
+    counter = OpCounter()
+    assert mbr_reconstruct_full(BIG, [frags[i - 1] for i in nodes], counter) == u
+    assert (counter.mul, counter.add) == (131_104, 127_488)
+    for scheme in ("lower", "upper"):
+        plan = mbr_partial_plan(BIG, nodes, scheme)
+        counter = OpCounter()
+        payloads = mbr_extract_payloads(frags, plan)
+        assert mbr_reconstruct_partial(BIG, plan, payloads, counter) == u
+        assert (counter.mul, counter.add) == (71_520, 69_456)
+
+
 @st.composite
 def _repair_case(draw):
     field = draw(st.sampled_from([prime_field(5), prime_field(7), prime_field(11),
