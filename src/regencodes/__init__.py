@@ -10,14 +10,11 @@ instrumented cluster simulator, and operation-count benchmarks.
 from .counting import OpCounter
 from .fragments import Fragment
 from .gf import (
-    Elem,
     Field,
-    arith,
     binary_field,
     enumerate_points,
     fermat_field,
     field_new,
-    inv,
     ntt_evaluate,
     ntt_interpolate,
     prime_field,
@@ -34,14 +31,11 @@ __version__ = "0.1.0"
 __all__ = [
     "OpCounter",
     "Fragment",
-    "Elem",
     "Field",
-    "arith",
     "binary_field",
     "enumerate_points",
     "fermat_field",
     "field_new",
-    "inv",
     "ntt_evaluate",
     "ntt_interpolate",
     "prime_field",

@@ -23,10 +23,6 @@ class DivisionByZero(RegenError):
     pass
 
 
-class FieldMismatch(RegenError):
-    pass
-
-
 class FieldTooSmall(RegenError):
     pass
 

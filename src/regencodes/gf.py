@@ -9,19 +9,20 @@ Three kinds of field are supported:
   has order 2^16 and therefore supports radix-2 number-theoretic
   transforms up to length 65536.
 
-Scalar values are plain ints in [0, q); Elem wraps one together with its
-owning field and gives operator syntax.  Every field also exposes
-vectorized numpy helpers (vadd/vmul/matmul/...) used by the matrix layer;
-binary fields back them with log/antilog tables, prime fields with int64
-modular arithmetic.  `vsub_mul` and `vreduce` let an elimination loop
-leave its row updates unreduced mod p and reduce once at the end.  All objects are immutable after construction and all
-operations are pure, so unrestricted concurrent use is safe.
+Scalar values and evaluation points are plain ints in [0, q).  Every
+field also exposes vectorized numpy helpers (vadd/vmul/matmul/...) used
+by the matrix layer; binary fields back them with log/antilog tables,
+prime fields with int64 modular arithmetic.  `vsub_mul` and `vreduce`
+let an elimination loop leave its row updates unreduced mod p and reduce
+once at the end.
+
+All objects are immutable after construction and all operations are
+pure, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -31,7 +32,6 @@ from .counting import OpCounter
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
-    FieldMismatch,
     FieldTooSmall,
     NonPrimeModulus,
     NotPowerOfTwo,
@@ -121,9 +121,6 @@ class Field:
     @property
     def characteristic(self) -> int:
         raise NotImplementedError
-
-    def elem(self, value: int) -> "Elem":
-        return Elem(self, self.check(value))
 
     def check(self, value: int) -> int:
         v = int(value)
@@ -291,12 +288,6 @@ class FermatField(PrimeField):
             raise UnsupportedDegree(f"no root of unity of order {order} in GF({self.p})")
         return pow(FERMAT_GENERATOR, (self.p - 1) // order, self.p)
 
-    def _key(self):
-        return (self.kind, self.p)
-
-    def __repr__(self):
-        return "GF(65537)"
-
 
 class BinaryField(Field):
     kind = "binary"
@@ -397,79 +388,8 @@ class BinaryField(Field):
         return f"GF(2^{self.m})"
 
 
-@dataclass(frozen=True)
-class Elem:
-    """A single field element: a value in [0, q) tied to its field."""
-
-    field: Field
-    value: int
-
-    def _coerce(self, other) -> "Elem | None":
-        if isinstance(other, Elem):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-            return other
-        if isinstance(other, int):
-            return Elem(self.field, self.field.check(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Elem(self.field, self.field.add(self.value, o.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Elem(self.field, self.field.sub(self.value, o.value))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Elem(self.field, self.field.sub(o.value, self.value))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Elem(self.field, self.field.mul(self.value, o.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Elem(self.field, self.field.div(self.value, o.value))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Elem(self.field, self.field.div(o.value, self.value))
-
-    def __neg__(self):
-        return Elem(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return Elem(self.field, self.field.pow_(self.value, e))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
 _FIELD_CACHE: dict[tuple, Field] = {}
+_FIELD_KINDS = {"prime": PrimeField, "binary": BinaryField, "fermat": FermatField}
 
 
 def field_new(kind: str, parameter: int | None = None) -> Field:
@@ -479,23 +399,13 @@ def field_new(kind: str, parameter: int | None = None) -> Field:
     parameter.  Instances are interned so repeated calls return the same
     object.
     """
-    if kind == "prime":
-        key = ("prime", parameter)
-    elif kind == "binary":
-        key = ("binary", parameter)
-    elif kind == "fermat":
-        key = ("fermat",)
-    else:
-        raise ValueError(f"unknown field kind {kind!r}")
-    f = _FIELD_CACHE.get(key)
+    f = _FIELD_CACHE.get((kind, parameter))
     if f is None:
-        if kind == "prime":
-            f = PrimeField(int(parameter))
-        elif kind == "binary":
-            f = BinaryField(int(parameter))
-        else:
-            f = FermatField()
-        _FIELD_CACHE[key] = f
+        cls = _FIELD_KINDS.get(kind)
+        if cls is None:
+            raise ValueError(f"unknown field kind {kind!r}")
+        f = cls() if cls is FermatField else cls(int(parameter))
+        _FIELD_CACHE[kind, parameter] = f
     return f
 
 
@@ -511,30 +421,7 @@ def fermat_field() -> FermatField:
     return field_new("fermat")  # type: ignore[return-value]
 
 
-def arith(a: Elem, b: Elem, op: str) -> Elem:
-    """Binary field arithmetic on two elements of the same field."""
-    if not isinstance(a, Elem) or not isinstance(b, Elem):
-        raise TypeError("arith operates on Elem values")
-    if a.field != b.field:
-        raise FieldMismatch(f"{a.field!r} vs {b.field!r}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def inv(a: Elem) -> Elem:
-    if a.value == 0:
-        raise DivisionByZero("inverse of zero")
-    return Elem(a.field, a.field.inv(a.value))
-
-
-def enumerate_points(field: Field, n: int) -> list[Elem]:
+def enumerate_points(field: Field, n: int) -> list[int]:
     """The canonical first n distinct evaluation points of a field.
 
     Prime and Fermat fields enumerate 1, 2, ..., n (0 appears last, only
@@ -545,15 +432,10 @@ def enumerate_points(field: Field, n: int) -> list[Elem]:
         raise ValueError("n must be non-negative")
     if n > field.q:
         raise FieldTooSmall(f"need {n} points but {field!r} has {field.q} elements")
-    if field.kind in ("prime", "fermat"):
-        return [Elem(field, (i + 1) % field.q) for i in range(n)]
-    bf: BinaryField = field  # type: ignore[assignment]
-    pts = []
-    for i in range(min(n, field.q - 1)):
-        pts.append(Elem(field, int(bf._exp[i])))
-    if n == field.q:
-        pts.append(Elem(field, 0))
-    return pts
+    if field.kind != "binary":
+        return [(i + 1) % field.q for i in range(n)]
+    pts = field._exp[: min(n, field.q - 1)].tolist()  # type: ignore[attr-defined]
+    return pts + [0] if n == field.q else pts
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -690,15 +572,11 @@ def ntt_interpolate(
     return a.tolist()
 
 
-def ntt_points(field: Field, n: int) -> list[Elem]:
+def ntt_points(field: Field, n: int) -> list[int]:
     """First n powers of the canonical root of unity of order next_pow2(n)."""
     f = _require_fermat(field)
     size = 1
     while size < n:
         size *= 2
     w = f.root_of_unity(size)
-    pts, acc = [], 1
-    for _ in range(n):
-        pts.append(Elem(f, acc))
-        acc = (acc * w) % f.p
-    return pts
+    return [pow(w, j, f.p) for j in range(n)]

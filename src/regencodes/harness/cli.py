@@ -39,6 +39,14 @@ def parse_field(spec: str) -> Field:
     raise ParamsInvalid(f"bad field spec {spec!r}; use prime:<p>, binary:<m> or fermat")
 
 
+def _int_list(text: str) -> list[int]:
+    """Comma-separated ints, empty items skipped: the type of --nodes and --sizes."""
+    try:
+        return [int(t) for t in text.split(",") if t]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of ints: {text!r}") from None
+
+
 def _frag_name(node: int) -> str:
     return f"frag_{node:04d}.rgc"
 
@@ -114,7 +122,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    nodes = [int(t) for t in args.nodes.split(",") if t]
+    nodes = args.nodes
     frags = {}
     for params, frag in _read_fragments(Path(args.frags), list(dict.fromkeys(nodes))):
         frags[frag.node] = frag
@@ -127,8 +135,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_bench(args) -> int:
     field = parse_field(args.field)
-    sizes = [int(t) for t in args.sizes.split(",") if t]
-    report = bench_compare(args.family, sizes, field)
+    report = bench_compare(args.family, args.sizes, field)
     csv = report_to_csv(report)
     Path(args.report).write_text(csv)
     sys.stdout.write(csv)
@@ -162,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=_cmd_repair)
 
     rec = sub.add_parser("reconstruct", help="rebuild the message from fragments")
-    rec.add_argument("--nodes", required=True)
+    rec.add_argument("--nodes", required=True, type=_int_list)
     schemes = dict.fromkeys(s for row in codec.SCHEMES.values() for s in row)
     rec.add_argument("--scheme", default="full", choices=list(schemes))
     rec.add_argument("--frags", required=True)
@@ -171,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="operation-count comparison sweep")
     ben.add_argument("--family", required=True, choices=FAMILIES)
-    ben.add_argument("--sizes", required=True, help="comma-separated n values")
+    ben.add_argument("--sizes", required=True, type=_int_list, help="comma-separated n values")
     ben.add_argument("--field", required=True)
     ben.add_argument("--report", required=True, help="CSV output path")
     ben.set_defaults(func=_cmd_bench)

@@ -46,7 +46,7 @@ from .errors import (
     SingularMatrix,
     WrongMessageLength,
 )
-from .gf import Elem, Field, enumerate_points
+from .gf import Field, enumerate_points
 
 
 class FieldMatrix:
@@ -407,7 +407,7 @@ def solve_message_block(field: Field, phi_inv: np.ndarray, delta_dc: np.ndarray,
 
 
 def vandermonde(field: Field, n: int, k: int,
-                points: Sequence[int | Elem] | None = None) -> np.ndarray:
+                points: Sequence[int] | None = None) -> np.ndarray:
     """n x k matrix with entry [i, j] = points[i]^j, j = 0..k-1."""
     if points is None:
         points = enumerate_points(field, n)
@@ -445,7 +445,7 @@ def extended_vandermonde(field: Field, n: int, k: int) -> np.ndarray:
         return np.zeros((n, k), dtype=np.int64)
     use_infinity = n == field.q + 1
     finite = n - 1 if use_infinity else n
-    pts = [0] + [int(e) for e in enumerate_points(field, finite - 1)]
+    pts = [0] + enumerate_points(field, finite - 1)
     body = vandermonde(field, finite, k, pts)
     if not use_infinity:
         return body

@@ -100,10 +100,10 @@ def eval_params(field: Field, n: int, k: int, d: int,
     if ntt:
         if points is not None:
             raise ParamsInvalid("pass either explicit points or ntt=True, not both")
-        pts = tuple(int(e) for e in ntt_points(field, n))
+        pts = tuple(ntt_points(field, n))
         ntt_size = 1 << (n - 1).bit_length()  # the transform size ntt_points used
     elif points is None:
-        pts = tuple(int(e) for e in enumerate_points(field, n))
+        pts = tuple(enumerate_points(field, n))
     else:
         pts = tuple(int(p) for p in points)
         if len(pts) != n or len(set(pts)) != n:

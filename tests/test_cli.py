@@ -108,6 +108,21 @@ def test_cli_usage_error_exit2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--nodes", "1,x,3", "--frags", "frags", "--out", "out.bin"],
+    ["bench", "--family", "rbt-vs-shah", "--sizes", "4,y", "--field", "prime:7",
+     "--report", "bench.csv"],
+], ids=["nodes", "sizes"])
+def test_cli_bad_int_list_is_usage_error_exit2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a comma-separated list of ints" in err and "ERROR" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_bench_writes_csv(tmp_path):
     report = tmp_path / "bench.csv"
     assert run(["bench", "--family", "rbt-vs-shah", "--sizes", "8,12",

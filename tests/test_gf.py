@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from regencodes.errors import (
     DimensionMismatch,
     DivisionByZero,
-    FieldMismatch,
     FieldTooSmall,
     NonPrimeModulus,
     NotPowerOfTwo,
@@ -17,12 +16,10 @@ from regencodes.errors import (
 )
 from regencodes.gf import (
     REDUCTION_POLYS,
-    arith,
     binary_field,
     enumerate_points,
     fermat_field,
     field_new,
-    inv,
     ntt_evaluate,
     ntt_interpolate,
     ntt_points,
@@ -58,27 +55,20 @@ def test_field_new_rejects_bad_params():
 
 def test_arith_examples():
     f7 = prime_field(7)
-    assert arith(f7.elem(3), f7.elem(6), "div").value == 4
+    assert f7.div(3, 6) == 4
     f4 = binary_field(2)
     for x in range(4):
-        assert arith(f4.elem(x), f4.elem(x), "sub").value == 0
+        assert f4.sub(x, x) == 0
     ff = fermat_field()
-    assert arith(ff.elem(65536), ff.elem(65536), "mul").value == 1
-
-
-def test_arith_field_mismatch():
-    a = prime_field(7).elem(1)
-    b = prime_field(11).elem(1)
-    with pytest.raises(FieldMismatch):
-        arith(a, b, "add")
+    assert ff.mul(65536, 65536) == 1
 
 
 def test_division_by_zero():
     f7 = prime_field(7)
     with pytest.raises(DivisionByZero):
-        arith(f7.elem(3), f7.elem(0), "div")
+        f7.div(3, 0)
     with pytest.raises(DivisionByZero):
-        inv(f7.elem(0))
+        f7.inv(0)
 
 
 def test_prime_inverse_of_a_multiple_of_p():
@@ -116,24 +106,24 @@ def test_dot_and_deferred_update_match_scalar_ops(field):
 
 def test_inv_examples():
     f7 = prime_field(7)
-    assert inv(f7.elem(2)).value == 4
+    assert f7.inv(2) == 4
     f4 = binary_field(2)
-    omega = f4.elem(f4.omega)
-    assert inv(omega) == omega * omega
+    omega = f4.omega
+    assert f4.inv(omega) == f4.mul(omega, omega)
     for f in SMALL_FIELDS + BIG_FIELDS:
-        assert inv(f.elem(1)).value == 1
+        assert f.inv(1) == 1
 
 
 def test_elem_operators():
     f = prime_field(11)
-    a, b = f.elem(7), f.elem(9)
-    assert (a + b).value == 5
-    assert (a - b).value == 9
-    assert (a * b).value == 8
-    assert (a / b).value == f.mul(7, f.inv(9))
-    assert (-a).value == 4
-    assert (a**5).value == pow(7, 5, 11)
-    assert int(a + 4) == 0
+    a, b = 7, 9
+    assert f.add(a, b) == 5
+    assert f.sub(a, b) == 9
+    assert f.mul(a, b) == 8
+    assert f.div(a, b) == f.mul(7, f.inv(9))
+    assert f.neg(a) == 4
+    assert f.pow_(a, 5) == pow(7, 5, 11)
+    assert f.add(a, 4) == 0
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=repr)
@@ -196,26 +186,56 @@ def test_reduction_polys_primitive():
 
 def test_enumerate_points_examples():
     f7 = prime_field(7)
-    assert [e.value for e in enumerate_points(f7, 6)] == [1, 2, 3, 4, 5, 6]
-    assert [e.value for e in enumerate_points(f7, 1)] == [1]
+    assert enumerate_points(f7, 6) == [1, 2, 3, 4, 5, 6]
+    assert enumerate_points(f7, 1) == [1]
     ff = fermat_field()
-    assert [e.value for e in enumerate_points(ff, 4)] == [1, 2, 3, 4]
+    assert enumerate_points(ff, 4) == [1, 2, 3, 4]
 
 
 def test_enumerate_points_binary_order():
     f4 = binary_field(2)
-    pts = [e.value for e in enumerate_points(f4, 3)]
+    pts = enumerate_points(f4, 3)
     w = f4.omega
     assert pts == [1, w, f4.mul(w, w)]
     # n = q appends zero last
-    assert [e.value for e in enumerate_points(f4, 4)] == pts + [0]
+    assert enumerate_points(f4, 4) == pts + [0]
+    assert enumerate_points(binary_field(4), 16) == [1, 2, 4, 8, 3, 6, 12, 11,
+                                                     5, 10, 7, 14, 15, 13, 9, 0]
 
 
 def test_enumerate_points_full_prime_field_includes_zero():
     f7 = prime_field(7)
-    pts = [e.value for e in enumerate_points(f7, 7)]
+    pts = enumerate_points(f7, 7)
     assert pts == [1, 2, 3, 4, 5, 6, 0]
     assert len(set(pts)) == 7
+
+
+INT_POINT_CASES = [(prime_field(7), 6), (prime_field(7), 7), (binary_field(1), 2),
+                   (binary_field(4), 15), (binary_field(4), 16), (binary_field(8), 256),
+                   (fermat_field(), 9), (fermat_field(), 65537)]
+
+
+@pytest.mark.parametrize("field,n", INT_POINT_CASES, ids=[f"{f!r}-{n}" for f, n in INT_POINT_CASES])
+def test_enumerate_points_are_plain_ints(field, n):
+    pts = enumerate_points(field, n)
+    assert all(type(p) is int for p in pts)
+    nonzero = min(n, field.q - 1)
+    if field.kind == "binary":
+        want = [field.pow_(field.omega, i) for i in range(nonzero)]
+    else:
+        want = list(range(1, nonzero + 1))
+    assert pts == want + [0] * (n == field.q)
+
+
+def test_ntt_points_are_plain_ints():
+    ff = fermat_field()
+    assert ntt_points(ff, 4) == [1, 65281, 65536, 256]
+    assert ntt_points(ff, 5) == [1, 4096, 65281, 16, 65536]
+    for n in (1, 2, 7, 64, 100):
+        pts = ntt_points(ff, n)
+        assert len(pts) == n and all(type(p) is int for p in pts)
+        size = 1 << (n - 1).bit_length()
+        assert pts == [ff.pow_(ff.root_of_unity(size), j) for j in range(n)]
 
 
 def test_enumerate_points_too_many():
@@ -245,7 +265,7 @@ def test_ntt_matches_horner():
     ff = fermat_field()
     rng = random.Random(99)
     size = 8
-    pts = [int(e) for e in ntt_points(ff, size)]
+    pts = ntt_points(ff, size)
     for _ in range(20):
         coeffs = [rng.randrange(ff.q) for _ in range(8)]
         got = ntt_evaluate(ff, coeffs, size)
@@ -259,7 +279,7 @@ def test_ntt_matches_horner_all_sizes(size):
 
     ff = fermat_field()
     rng = random.Random(size)
-    pts = ff.varray([int(e) for e in ntt_points(ff, size)])
+    pts = ff.varray(ntt_points(ff, size))
     for _ in range(100):
         deg = rng.randrange(1, size + 1)
         coeffs = [rng.randrange(ff.q) for _ in range(deg)]

@@ -15,7 +15,7 @@ from regencodes.errors import (
     SingularMatrix,
     WrongMessageLength,
 )
-from regencodes.gf import binary_field, fermat_field, prime_field
+from regencodes.gf import binary_field, enumerate_points, fermat_field, prime_field
 from regencodes.matrix import (
     FactoredInverse,
     FieldMatrix,
@@ -126,6 +126,14 @@ def test_vandermonde_examples():
     assert ones.tolist() == [[1], [1], [1], [1]]
     with pytest.raises(DuplicatePoints):
         vandermonde(F7, 2, 2, [3, 3])
+
+
+@pytest.mark.parametrize("field,n,k", [(F7, 6, 3), (F7, 7, 4), (binary_field(4), 16, 5),
+                                       (fermat_field(), 12, 6)], ids=repr)
+def test_vandermonde_defaults_to_enumerated_points(field, n, k):
+    got = vandermonde(field, n, k)
+    assert np.array_equal(got, vandermonde(field, n, k, enumerate_points(field, n)))
+    assert got.dtype == np.int64
 
 
 def test_vandermonde_any_k_rows_invertible():
