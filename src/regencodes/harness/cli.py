@@ -14,9 +14,9 @@ other node for rbt and shah, the first d present nodes for mbr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from .. import codec
 from ..errors import InsufficientSymbols, ParamsInvalid, RegenError
@@ -51,21 +51,32 @@ def _frag_name(node: int) -> str:
     return f"frag_{node:04d}.rgc"
 
 
-def _frag_path(out_dir: Path, node: int) -> Path:
-    return out_dir / _frag_name(node)
+def _directory(text: str) -> str:
+    """The type of --out-dir and --frags: empty names the current directory."""
+    return text or os.curdir
 
 
-def _listed_nodes(frags_dir: Path) -> list[int]:
-    """Nodes that have a frag_<node>.rgc file in the directory, ascending."""
+def _frag_path(frags_dir: str, node: int) -> str:
+    return f"{frags_dir}/{_frag_name(node)}"
+
+
+def _listed_nodes(frags_dir: str) -> list[int]:
+    """Nodes that have a frag_<node>.rgc file in the directory, ascending;
+    none when the directory cannot be listed."""
+    try:
+        with os.scandir(frags_dir) as entries:
+            names = [entry.name for entry in entries]
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []
     nodes = []
-    for path in frags_dir.glob("frag_*.rgc"):
-        digits = path.name[5:-4]
-        if digits.isdecimal() and path.name == _frag_name(int(digits)):
+    for name in names:
+        digits = name[5:-4]
+        if digits.isdecimal() and name == _frag_name(int(digits)):
             nodes.append(int(digits))
     return sorted(nodes)
 
 
-def _read_fragments(frags_dir: Path, nodes: list[int]):
+def _read_fragments(frags_dir: str, nodes: list[int]):
     """Yield (params, fragment) from the file of each node, in order.
 
     Only these files are opened.  Each header must name the node of its
@@ -77,7 +88,7 @@ def _read_fragments(frags_dir: Path, nodes: list[int]):
         try:
             field, n, k, d, frag = read_fragment(path)
         except FileNotFoundError:
-            missing = [i for i in nodes if not _frag_path(frags_dir, i).is_file()]
+            missing = [i for i in nodes if not os.path.isfile(_frag_path(frags_dir, i))]
             raise InsufficientSymbols(f"fragments missing for nodes {missing}") from None
         if frag.node != node:
             raise ParamsInvalid(f"{path}: header names node {frag.node}")
@@ -97,8 +108,8 @@ def _cmd_encode(args) -> int:
     params = codec.params_for(args.codec, field, args.n, args.k, args.d)
     u = read_message(args.message, field, params.B)
     frags = codec.encode(params, u)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = args.out_dir
+    os.makedirs(out_dir, exist_ok=True)
     n, k, d = params.n, params.k, params.d
     for frag in frags:
         write_fragment(_frag_path(out_dir, frag.node), field, n, k, d, frag)
@@ -107,7 +118,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    frags_dir = Path(args.frags)
+    frags_dir = args.frags
     others = [i for i in _listed_nodes(frags_dir) if i != args.failed]
     frags = {}
     for params, frag in _read_fragments(frags_dir, others):
@@ -124,7 +135,7 @@ def _cmd_repair(args) -> int:
 def _cmd_reconstruct(args) -> int:
     nodes = args.nodes
     frags = {}
-    for params, frag in _read_fragments(Path(args.frags), list(dict.fromkeys(nodes))):
+    for params, frag in _read_fragments(args.frags, list(dict.fromkeys(nodes))):
         frags[frag.node] = frag
     # a one-shot reconstruction uses the first time-sharing phase
     u, _ = codec.reconstruct(params, frags, nodes, args.scheme)
@@ -137,7 +148,8 @@ def _cmd_bench(args) -> int:
     field = parse_field(args.field)
     report = bench_compare(args.family, args.sizes, field)
     csv = report_to_csv(report)
-    Path(args.report).write_text(csv)
+    with open(args.report, "w") as f:
+        f.write(csv)
     sys.stdout.write(csv)
     return 0
 
@@ -160,19 +172,19 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--k", required=True, type=int)
     enc.add_argument("--d", type=int, default=None)
     enc.add_argument("--field", required=True)
-    enc.add_argument("--out-dir", required=True)
+    enc.add_argument("--out-dir", required=True, type=_directory)
     enc.set_defaults(func=_cmd_encode)
 
     rep = sub.add_parser("repair", help="regenerate one node's fragment file")
     rep.add_argument("--failed", required=True, type=int)
-    rep.add_argument("--frags", required=True)
+    rep.add_argument("--frags", required=True, type=_directory)
     rep.set_defaults(func=_cmd_repair)
 
     rec = sub.add_parser("reconstruct", help="rebuild the message from fragments")
     rec.add_argument("--nodes", required=True, type=_int_list)
     schemes = dict.fromkeys(s for row in codec.SCHEMES.values() for s in row)
     rec.add_argument("--scheme", default="full", choices=list(schemes))
-    rec.add_argument("--frags", required=True)
+    rec.add_argument("--frags", required=True, type=_directory)
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=_cmd_reconstruct)
 

@@ -13,12 +13,16 @@ Fragment files are self-describing and bit-exact across platforms:
 The symbol width w is ceil(bits(q-1)/8), except the Fermat field stores
 4-byte symbols so the value 65536 fits a uniform width.  Message files
 are raw symbols at the same width, exactly B of them.
+
+Each file is read or written whole, with one open: symbols are packed
+and range-checked before a file is opened for writing, so a symbol
+outside the field leaves any file at the path untouched.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from ..gf import Field, field_new
 
 MAGIC = b"RGC1"
 _HEADER = struct.Struct("<4sBBIHHHHI")
+_READ_SIZE = 1 << 16
 
 _CODEC_IDS = {tag: i + 1 for i, tag in enumerate(CODEC_TAGS)}
 _CODEC_BY_ID = {i: tag for tag, i in _CODEC_IDS.items()}
@@ -56,30 +61,61 @@ def _field_from(kind_id: int, parameter: int) -> Field:
     return field_new(kind, parameter if kind != "fermat" else None)
 
 
-# Every supported field's symbols fit 4 bytes, so symbols are packed and
-# unpacked through little-endian u32 arrays, keeping the low w bytes of each.
+def _read_all(path) -> bytes:
+    """The whole file at `path`: one open, then reads until end of file."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _write_all(path, data: bytes) -> None:
+    """Create or truncate the file at `path` (mode 0o666 less the umask, as
+    Path.write_bytes does) and write all of `data`."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+# One-byte symbols are the bytes themselves.  Every wider field's symbols
+# fit 4 bytes, so they are packed and unpacked through little-endian u32
+# arrays, keeping the low w bytes of each.
 
 def _pack(field: Field, symbols) -> bytes:
     """Symbols as little-endian unsigned integers of symbol_width(field) bytes."""
     symbols = list(symbols)
     if symbols and (min(symbols) < 0 or max(symbols) >= field.q):
         raise ValueError(f"symbols outside [0, {field.q})")
+    w = symbol_width(field)
+    if w == 1:
+        return bytes(symbols)
     wide = np.array(symbols, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    return wide[:, :symbol_width(field)].tobytes()
+    return wide[:, :w].tobytes()
 
 
 def _unpack(field: Field, body: bytes, path) -> list[int]:
     """Inverse of _pack; a symbol outside the field raises ParamsInvalid."""
     w = symbol_width(field)
-    wide = np.zeros((len(body) // w, 4), dtype=np.uint8)
-    wide[:, :w] = np.frombuffer(body, dtype=np.uint8).reshape(-1, w)
-    symbols = wide.view("<u4")[:, 0].tolist()
+    if w == 1:
+        symbols = list(body)
+    else:
+        wide = np.zeros((len(body) // w, 4), dtype=np.uint8)
+        wide[:, :w] = np.frombuffer(body, dtype=np.uint8).reshape(-1, w)
+        symbols = wide.view("<u4")[:, 0].tolist()
     if symbols and max(symbols) >= field.q:
         raise ParamsInvalid(f"{path}: symbol {max(symbols)} outside [0, {field.q})")
     return symbols
 
 
-def write_fragment(path: str | Path, field: Field, n: int, k: int, d: int,
+def write_fragment(path: str | os.PathLike, field: Field, n: int, k: int, d: int,
                    fragment: Fragment) -> None:
     header = _HEADER.pack(
         MAGIC,
@@ -91,11 +127,11 @@ def write_fragment(path: str | Path, field: Field, n: int, k: int, d: int,
         fragment.node,
         len(fragment.symbols),
     )
-    Path(path).write_bytes(header + _pack(field, fragment.symbols))
+    _write_all(path, header + _pack(field, fragment.symbols))
 
 
-def read_fragment(path: str | Path) -> tuple[Field, int, int, int, Fragment]:
-    raw = Path(path).read_bytes()
+def read_fragment(path: str | os.PathLike) -> tuple[Field, int, int, int, Fragment]:
+    raw = _read_all(path)
     if len(raw) < _HEADER.size or raw[:4] != MAGIC:
         raise ParamsInvalid(f"{path}: not a fragment file")
     magic, codec_id, kind_id, parameter, n, k, d, node, count = _HEADER.unpack_from(raw)
@@ -109,15 +145,15 @@ def read_fragment(path: str | Path) -> tuple[Field, int, int, int, Fragment]:
         raise ParamsInvalid(f"{path}: expected {count * w} symbol bytes, found {len(body)}")
     if not 1 <= node <= n:
         raise ParamsInvalid(f"{path}: node {node} outside [1, {n}]")
-    return field, n, k, d, Fragment(codec, node, tuple(_unpack(field, body, path)))
+    return field, n, k, d, Fragment(codec, node, _unpack(field, body, path))
 
 
-def write_message(path: str | Path, field: Field, symbols) -> None:
-    Path(path).write_bytes(_pack(field, symbols))
+def write_message(path: str | os.PathLike, field: Field, symbols) -> None:
+    _write_all(path, _pack(field, symbols))
 
 
-def read_message(path: str | Path, field: Field, count: int | None = None) -> list[int]:
-    raw = Path(path).read_bytes()
+def read_message(path: str | os.PathLike, field: Field, count: int | None = None) -> list[int]:
+    raw = _read_all(path)
     w = symbol_width(field)
     if len(raw) % w:
         raise WrongMessageLength(f"{path}: length {len(raw)} is not a multiple of width {w}")

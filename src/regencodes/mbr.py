@@ -227,11 +227,13 @@ def mbr_helper_response(fragment: Fragment, failed_row: Sequence[int], field: Fi
         raise WrongFragmentCount(
             f"fragment length {len(fragment.symbols)} vs encoding row length {len(failed_row)}"
         )
-    field.varray(fragment.symbols)  # range check
+    symbols = fragment.symbols  # ints, as Fragment guarantees
+    if symbols and (min(symbols) < 0 or max(symbols) >= field.q):
+        raise ValueError("array values outside field range")
     if counter is not None:
         counter.count_mul(len(failed_row))
         counter.count_add(max(0, len(failed_row) - 1))
-    return field.dot(fragment.symbols, failed_row)
+    return field.dot(symbols, failed_row)
 
 
 def mbr_repair(params: MbrParams, responses: Sequence[tuple[int, int]], failed: int,

@@ -241,6 +241,26 @@ def test_cli_missing_nodes_file_exit1(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_cli_fragment_directory_forms(tmp_path, monkeypatch, capsys):
+    # an empty directory argument names the current directory
+    monkeypatch.chdir(tmp_path)
+    write_message("msg.bin", parse_field("prime:7"), [1, 2, 3, 4, 5, 6, 0, 1, 2])
+    assert run(["encode", "msg.bin", "--codec", "mbr-psrs", "--n", "6", "--k", "3",
+                "--d", "4", "--field", "prime:7", "--out-dir", ""]) == 0
+    original = (tmp_path / "frag_0002.rgc").read_bytes()
+    (tmp_path / "frag_0002.rgc").unlink()
+    assert run(["repair", "--failed", "2", "--frags", ""]) == 0
+    assert (tmp_path / "frag_0002.rgc").read_bytes() == original
+    assert run(["reconstruct", "--nodes", "1,2,3", "--frags", "", "--out", "o.bin"]) == 0
+    assert (tmp_path / "o.bin").read_bytes() == (tmp_path / "msg.bin").read_bytes()
+    # a directory that cannot be listed holds no fragment files
+    capsys.readouterr()
+    for frags in ("missing", "msg.bin"):
+        assert run(["repair", "--failed", "2", "--frags", frags]) == 1
+        assert f"ERROR InsufficientSymbols: no fragment files to read in {frags}" in \
+            capsys.readouterr().err
+
+
 READ_CASES = [("rbt", "binary:4", 8, 3, None), ("rbt-sys", "prime:11", 6, 3, None),
               ("shah", "binary:6", 5, 3, None), ("mbr-psrs", "prime:7", 6, 3, 4),
               ("mbr-vdm", "prime:11", 7, 3, 5)]

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regencodes.codec import params_for
-from regencodes.errors import ParamsInvalid, WrongMessageLength
+from regencodes.errors import ParamsInvalid, RegenError, WrongMessageLength
 from regencodes.fragments import Fragment
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.harness.fragio import (
@@ -40,12 +44,13 @@ def test_symbol_width():
 def test_fragment_round_trip(tmp_path, field, codec):
     symbols = tuple((i * 31337) % field.q for i in range(5))
     frag = Fragment(codec, 3, symbols)
-    path = tmp_path / "frag.rgc"
-    write_fragment(path, field, 6, 3, 5, frag)
-    rfield, n, k, d, rfrag = read_fragment(path)
-    assert rfield is field  # interned
-    assert (n, k, d) == (6, 3, 5)
-    assert rfrag == frag
+    for as_path in (Path, str):
+        path = as_path(tmp_path / f"frag_{as_path.__name__}.rgc")
+        write_fragment(path, field, 6, 3, 5, frag)
+        rfield, n, k, d, rfrag = read_fragment(path)
+        assert rfield is field  # interned
+        assert (n, k, d) == (6, 3, 5)
+        assert rfrag == frag
 
 
 def test_fragment_header_size():
@@ -86,17 +91,78 @@ def test_message_length_validation(tmp_path):
 
 
 def test_symbols_outside_field_are_refused(tmp_path):
-    field = prime_field(7)
     path = tmp_path / "msg.bin"
-    path.write_bytes(bytes([1, 7, 2]))
-    with pytest.raises(ParamsInvalid):
-        read_message(path, field)
-    write_fragment(path, field, 6, 3, 4, Fragment("mbr-psrs", 2, (1, 2, 3, 4)))
-    raw = bytearray(path.read_bytes())
-    raw[-1] = 7
+    for field in (prime_field(7), binary_field(4)):  # both 1-byte symbols
+        for bad in (field.q, 255):
+            path.write_bytes(bytes([1, bad, 2]))
+            with pytest.raises(ParamsInvalid):
+                read_message(path, field)
+            write_fragment(path, field, 6, 3, 4, Fragment("mbr-psrs", 2, (1, 2, 3, 4)))
+            raw = bytearray(path.read_bytes())
+            raw[-1] = bad
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ParamsInvalid):
+                read_fragment(path)
+
+
+@pytest.mark.parametrize("field", [prime_field(7), binary_field(16), prime_field(65537)],
+                         ids=repr)
+@pytest.mark.parametrize("bad", ["q", -1])
+def test_writes_touch_nothing_on_bad_input(tmp_path, field, bad):
+    # symbols are packed and checked before the file is opened, so a bad
+    # symbol leaves whatever file is at the path unchanged
+    symbols = (1, field.q if bad == "q" else bad, 2)
+    path = tmp_path / "file"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(ValueError):
+        write_message(path, field, symbols)
+    with pytest.raises(ValueError):
+        write_fragment(path, field, 6, 3, 4, Fragment("mbr-psrs", 2, symbols))
+    assert path.read_bytes() == b"previous contents"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+FUZZ_BASES = [(binary_field(8), "rbt-sys"), (binary_field(16), "mbr-psrs"),
+              (prime_field(65537), "mbr-vdm"), (fermat_field(), "shah")]
+FUZZ_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 63)),
+    st.tuples(st.just("flip"), st.integers(0, 63), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=6)),
+)
+
+
+@settings(max_examples=500)
+@given(base=st.sampled_from(range(len(FUZZ_BASES))),
+       edits=st.lists(FUZZ_EDITS, min_size=1, max_size=3))
+def test_damaged_fragment_raises_only_regen_error(fuzz_dir, base, edits):
+    """Valid files at widths 1-4, truncated, with header or body bytes
+    flipped, or with bytes appended: reading one either fails with a
+    RegenError or returns a fragment of a node in [1, n] that writes and
+    reads back."""
+    field, codec = FUZZ_BASES[base]
+    path = fuzz_dir / "frag.rgc"
+    write_fragment(path, field, 6, 3, 5, Fragment(codec, 2, (0, 1, field.q - 1, 5, 3)))
+    raw = bytearray(path.read_bytes())  # 22 header bytes, then 5 symbols
+    for kind, *args in edits:
+        if kind == "truncate":
+            del raw[args[0] % (len(raw) + 1):]
+        elif kind == "flip" and raw:
+            raw[args[0] % len(raw)] ^= args[1]
+        elif kind == "append":
+            raw += args[0]
     path.write_bytes(bytes(raw))
-    with pytest.raises(ParamsInvalid):
-        read_fragment(path)
+    try:
+        rfield, n, k, d, frag = read_fragment(path)
+    except RegenError:
+        return
+    assert 1 <= frag.node <= n
+    copy = fuzz_dir / "copy.rgc"
+    write_fragment(copy, rfield, n, k, d, frag)
+    assert read_fragment(copy) == (rfield, n, k, d, frag)
 
 
 @pytest.mark.parametrize("node", [0, 7])
