@@ -12,7 +12,8 @@ Three kinds of field are supported:
 Scalar values and evaluation points are plain ints in [0, q).  Every
 field also exposes vectorized numpy helpers (vadd/vmul/matmul/...) used
 by the matrix layer; binary fields back them with log/antilog tables,
-prime fields with int64 modular arithmetic.  `vsub_mul` and `vreduce`
+prime fields with int64 modular arithmetic and a table of inverses.
+`vprod` multiplies along rows.  `vsub_mul` and `vreduce`
 let an elimination loop leave its row updates unreduced mod p and reduce
 once at the end.
 
@@ -173,6 +174,15 @@ class Field:
     def matmul(self, a, b) -> np.ndarray:
         raise NotImplementedError
 
+    def vprod(self, a) -> np.ndarray:
+        """The product of each row of a 2-D array, by halving the rows."""
+        a = np.asarray(a, np.int64)
+        while a.shape[1] > 1:
+            half = a.shape[1] // 2
+            head = self.vmul(a[:, :half], a[:, half:2 * half])
+            a = np.concatenate([head, a[:, 2 * half:]], axis=1) if a.shape[1] % 2 else head
+        return a[:, 0] if a.shape[1] else np.ones(a.shape[0], dtype=np.int64)
+
     def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Inner product of two equal-length vectors of field values."""
         raise NotImplementedError
@@ -210,6 +220,19 @@ class PrimeField(Field):
             raise NonPrimeModulus(f"primes above {_MAX_PRIME} are not supported")
         self.p = p
         self.q = p
+        # inverses by table: g^i and g^-i = g^(p-1-i) over the powers of a
+        # primitive root g, filled in place by doubling
+        g = primitive_element(self)
+        powers = np.ones(p - 1, dtype=np.int64)
+        done = 1
+        while done < p - 1:
+            block = powers[done:2 * done]
+            np.multiply(powers[:len(block)], pow(g, done, p), out=block)
+            block %= p
+            done += len(block)
+        self._inv = np.zeros(p, dtype=np.int64)
+        self._inv[powers[1:]] = powers[:0:-1]
+        self._inv[1] = 1
 
     @property
     def characteristic(self) -> int:
@@ -228,16 +251,10 @@ class PrimeField(Field):
         return (a * b) % self.p
 
     def inv(self, a):
-        # extended Euclid
-        if a % self.p == 0:
+        a %= self.p
+        if a == 0:
             raise DivisionByZero("inverse of zero")
-        t, new_t = 0, 1
-        r, new_r = self.p, a
-        while new_r:
-            quot = r // new_r
-            t, new_t = new_t, t - quot * new_t
-            r, new_r = new_r, r - quot * new_r
-        return t % self.p
+        return int(self._inv[a])
 
     def vadd(self, a, b):
         return (np.asarray(a, np.int64) + np.asarray(b, np.int64)) % self.p
@@ -250,6 +267,12 @@ class PrimeField(Field):
 
     def vmul(self, a, b):
         return (np.asarray(a, np.int64) * np.asarray(b, np.int64)) % self.p
+
+    def vinv(self, a):
+        a = np.asarray(a, dtype=np.int64)
+        if a.size and (a == 0).any():
+            raise DivisionByZero("inverse of zero")
+        return self._inv[a]
 
     def matmul(self, a, b):
         # products stay below (p-1)^2 * inner < 2^63 for the sizes in use
@@ -380,6 +403,14 @@ class BinaryField(Field):
     def dot(self, a, b):
         prod = self._exp[self._log[np.asarray(a, np.int64)] + self._log[np.asarray(b, np.int64)]]
         return int(np.bitwise_xor.reduce(prod))
+
+    def vprod(self, a):
+        # the sum of the logs of a row; a zero entry, whose log is the
+        # sentinel 2(q-1), makes the row's product zero
+        logs = self._log[np.asarray(a, np.int64)]
+        out = self._exp[logs.sum(axis=1) % (self.q - 1)].astype(np.int64)
+        out[(logs == 2 * (self.q - 1)).any(axis=1)] = 0
+        return out
 
     def _key(self):
         return (self.kind, self.m, self.poly)

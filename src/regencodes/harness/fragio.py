@@ -58,7 +58,11 @@ def _field_from(kind_id: int, parameter: int) -> Field:
     kind = _KIND_BY_ID.get(kind_id)
     if kind is None:
         raise ParamsInvalid(f"unknown field kind id {kind_id}")
-    return field_new(kind, parameter if kind != "fermat" else None)
+    if kind != "fermat":
+        return field_new(kind, parameter)
+    if parameter:  # the Fermat field is written with parameter 0
+        raise ParamsInvalid(f"Fermat field with parameter {parameter}")
+    return field_new(kind)
 
 
 def _read_all(path) -> bytes:

@@ -17,7 +17,15 @@ row updates stay unreduced; only the pivot column and row are reduced
 before use, and the working array once at the end (n updates of values
 below p^2 stay far below 2^63).  Outputs, pivoting and `SingularMatrix`
 are those of the dense elimination, and so are the counted operations:
-OpCounter charges products regardless of zero entries.
+OpCounter charges products regardless of zero entries.  `mat_mul` copies
+the unit rows of its left factor and leaves its zero rows at zero, again
+at the dense count.
+
+A data collector of a code whose Phi is the Lagrange basis at the first k
+of its points (psrs, and rbt-sys for n <= q) needs no elimination:
+`interpolation_inverse` gives Phi_DC^-1 in closed form, barycentric
+interpolation at the collector's points, and computes only the rows of
+the systematic points the collector lacks.
 
 FieldMatrix pairs an array with its field where a matrix crosses the
 library boundary: the system of `mat_inv` and `mat_solve`, a codeword's
@@ -122,16 +130,38 @@ def symmetric_from_triangle(field: Field, size: int, slots: tuple[np.ndarray, np
     return a
 
 
+# Products of at least this many multiply-accumulates skip the unit and
+# zero rows of their left factor.  Below it the row bookkeeping (about ten
+# numpy calls) costs more than the rows it skips: with half the rows unit
+# rows, the binary gather kernel gains from about 2^14 and the int64 prime
+# kernel from about 2^15 (timeit, 2 CPUs).
+_ROW_SKIP_MIN = {"binary": 1 << 14, "prime": 1 << 15, "fermat": 1 << 15}
+
+
 def mat_mul(field: Field, a: np.ndarray, b: np.ndarray,
             counter: OpCounter | None = None) -> np.ndarray:
-    """Product; counts rows*cols*inner multiplications."""
+    """Product; counts rows*cols*inner multiplications.
+
+    In a large product a unit row e_s of a copies row s of b and a zero row
+    gives a zero row; only the other rows of a go to Field.matmul.  Values
+    are non-negative, so these are the rows that sum to 1 and to 0."""
     (rows, inner), (inner_b, cols) = a.shape, b.shape
     if inner != inner_b:
         raise DimensionMismatch(f"({rows}x{inner}) @ ({inner_b}x{cols})")
     if counter is not None:
         counter.count_mul(rows * cols * inner)
         counter.count_add(rows * cols * max(0, inner - 1))
-    return field.matmul(a, b)
+    if rows * inner * cols < _ROW_SKIP_MIN[field.kind]:
+        return field.matmul(a, b)
+    weight = a.sum(axis=1)
+    dense = np.flatnonzero(weight > 1)
+    if len(dense) == rows:
+        return field.matmul(a, b)
+    out = b[a.argmax(axis=1)]  # row s of b for a unit row e_s
+    out[weight == 0] = 0
+    if len(dense):
+        out[dense] = field.matmul(a[dense], b)
+    return out
 
 
 def mat_add(field: Field, a: np.ndarray, b: np.ndarray,
@@ -184,15 +214,19 @@ def _gauss_jordan(field: Field, a: np.ndarray, b: np.ndarray,
     """
     n, cols = b.shape
     unit, fixed = _unit_rows(a)
-    rest = _complement(unit, n)  # rows left to eliminate
-    free = _complement(fixed, n)  # and their unknowns
-    if len(free) != len(rest):
-        raise SingularMatrix("two unit rows on one column")
-    a_rest, rhs = a.take(rest, 0), b.take(rest, 0)
-    if unit.size and rest.size:
-        rhs = field.vsub(rhs, field.matmul(a_rest.take(fixed, 1), b.take(unit, 0)))
-    m = len(rest)
-    aug = np.concatenate([a_rest.take(free, 1), rhs], axis=1)
+    if unit.size:
+        rest = _complement(unit, n)  # rows left to eliminate
+        free = _complement(fixed, n)  # and their unknowns
+        if len(free) != len(rest):
+            raise SingularMatrix("two unit rows on one column")
+        a_rest, rhs = a.take(rest, 0), b.take(rest, 0)
+        if rest.size:
+            rhs = field.vsub(rhs, field.matmul(a_rest.take(fixed, 1), b.take(unit, 0)))
+        aug = np.concatenate([a_rest.take(free, 1), rhs], axis=1)
+    else:
+        free = range(n)
+        aug = np.concatenate([a, b], axis=1)
+    m = len(free)
     for col in range(m):
         column = field.vreduce(aug[:, col])
         piv = next((r for r in range(col, m) if column[r]), None)
@@ -208,9 +242,12 @@ def _gauss_jordan(field: Field, a: np.ndarray, b: np.ndarray,
         aug[col] = row
         column[col] = 0
         aug = field.vsub_mul(aug, column[:, None], row[None, :])
-    x = np.empty((n, cols), dtype=np.int64)
-    x[fixed] = b[unit]
-    x[free] = field.vreduce(aug[:, m:])
+    if unit.size:
+        x = np.empty((n, cols), dtype=np.int64)
+        x[fixed] = b[unit]
+        x[free] = field.vreduce(aug[:, m:])
+    else:
+        x = field.vreduce(aug[:, m:])
     if counter is not None:
         mul, add = solve_cost(n, cols)
         counter.count_mul(mul)
@@ -312,7 +349,7 @@ def lu_inverses(field: Field, a: np.ndarray) -> TriangularInverses:
     n = a.shape[0]
     unit, fixed = _unit_rows(a)
     diag = unit[unit == fixed]  # rows equal to e_j
-    steps = _complement(diag, n).tolist()
+    steps = _complement(diag, n).tolist() if diag.size else range(n)
     lu = np.array(a, dtype=np.int64)
     perm = np.arange(n)
     piv_inv = np.ones(n, dtype=np.int64)
@@ -387,6 +424,66 @@ def collector_inverse(field: Field, phi_dc: np.ndarray, counter: OpCounter | Non
         return mat_inv(FieldMatrix(field, phi_dc), counter)
     except SingularMatrix as exc:
         raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
+
+
+def inverse_differences(field: Field, points: np.ndarray, k: int) -> np.ndarray:
+    """n x k table, read-only: [j, i] = 1/(x_i - points[j]) for the first k
+    points x_i, and 0 where j = i.  interpolation_inverse reads it."""
+    diff = field.vsub(points[None, :k], points[:, None])
+    diag = np.arange(k)
+    diff[diag, diag] = 1
+    table = field.vinv(diff)
+    table[diag, diag] = 0
+    return frozen(table)
+
+
+def interpolation_inverse(field: Field, points: np.ndarray, inv_diff: np.ndarray,
+                          rows: Sequence[int], counter: OpCounter | None = None) -> np.ndarray:
+    """Phi_DC^-1 in closed form, for Phi the Lagrange basis at the first k of
+    the distinct `points` (Phi[j, i] = L_i(points[j])) and row r of Phi_DC
+    row rows[r] of Phi; `inv_diff` is inverse_differences(field, points, k).
+
+    Phi_DC maps the values of a polynomial of degree < k at x_0 .. x_{k-1}
+    to its values at p_r = points[rows[r]], so its inverse interpolates
+    back: entry [i, r] is l_r(x_i) for the Lagrange basis l_r of the points
+    p, which is P(x_i) w_r / (x_i - p_r) with P(x) = prod_s (x - p_s) and
+    w_r = prod_{s != r} 1/(p_r - p_s).  A systematic point x_i = p_r gives
+    the unit row e_r, so only the rows of the c systematic points missing
+    from p are computed: one block of differences, their row products and
+    one inversion of k values.  Counts interpolation_cost(k, c).
+    """
+    k = inv_diff.shape[1]
+    rows = np.asarray(rows)
+    slots = np.flatnonzero(rows < k)
+    out = np.zeros((k, k), dtype=np.int64)
+    out[rows[slots], slots] = 1
+    missing = _complement(rows[slots], k)
+    c = len(missing)
+    if c:
+        p = points[rows]
+        # x_i - p_s for the missing x_i, then p_r - p_s with 1 for s = r
+        diff = field.vsub(np.concatenate([points[missing], p])[:, None], p[None, :])
+        diff[c + np.arange(k), np.arange(k)] = 1
+        prods = field.vprod(diff)
+        w = field.vinv(prods[c:])
+        inv_xp = inv_diff[rows[None, :], missing[:, None]]  # 1/(x_i - p_r)
+        out[missing] = field.vmul(field.vmul(inv_xp, w[None, :]), prods[:c, None])
+    if counter is not None:
+        mul, add = interpolation_cost(k, c)
+        counter.count_mul(mul)
+        counter.count_add(add)
+    return out
+
+
+def interpolation_cost(k: int, c: int) -> tuple[int, int]:
+    """(mul, add) that interpolation_inverse counts for c missing systematic
+    points: the c k + k(k-1) differences, the products of c rows of k and k
+    rows of k-1 of them, k inverses and two products per entry of the c
+    computed rows."""
+    if not c:
+        return 0, 0
+    mul = c * (k - 1) + k * max(0, k - 2) + k + 2 * c * k
+    return mul, c * k + k * (k - 1)
 
 
 def solve_message_block(field: Field, phi_inv: np.ndarray, delta_dc: np.ndarray,

@@ -58,6 +58,8 @@ from .matrix import (
     collector_inverse,
     data_collector,
     frozen,
+    interpolation_inverse,
+    inverse_differences,
     lu_inverses,
     mat_inv,
     mat_mul,
@@ -357,11 +359,25 @@ def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
 @lru_cache(maxsize=_SET_CACHE_SIZE)
 def _collector_inverse(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, ...]
                        ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Phi_DC^-1 of the nodes in these slots, with its cost."""
-    phi_dc = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
+    """Phi_DC^-1 of the nodes in these slots, with its cost: in closed form
+    for psrs, whose Phi is the Lagrange basis at its first k points, by
+    Gauss-Jordan for the Vandermonde backend."""
     cost = OpCounter()
-    phi_inv = collector_inverse(params.field, phi_dc, cost)
+    if params.backend == "psrs":
+        rows = np.empty(params.k, dtype=np.intp)
+        rows[[g - 1 for g in order]] = [i - 1 for i in nodes]
+        phi_inv = interpolation_inverse(params.field, *_interpolation_table(params), rows, cost)
+    else:
+        phi_dc = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
+        phi_inv = collector_inverse(params.field, phi_dc, cost)
     return frozen(phi_inv), (cost.mul, cost.add)
+
+
+@lru_cache(maxsize=None)
+def _interpolation_table(params: MbrParams) -> tuple[np.ndarray, np.ndarray]:
+    """The psrs evaluation points and their inverse differences."""
+    points = frozen(np.array(_psrs_params(params).points, dtype=np.int64))
+    return points, inverse_differences(params.field, points, params.k)
 
 
 # ---------------------------------------------------------------------------

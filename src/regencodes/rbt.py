@@ -44,7 +44,7 @@ from .fragments import (
     stored_fragment,
     transfer_repair,
 )
-from .gf import Field
+from .gf import Field, enumerate_points
 from .matrix import (
     FieldMatrix,
     check_message,
@@ -53,6 +53,8 @@ from .matrix import (
     data_collector,
     extended_vandermonde,
     frozen,
+    interpolation_inverse,
+    inverse_differences,
     is_symmetric_zero_diag,
     mat_add,
     mat_inv,
@@ -178,6 +180,14 @@ def rbt_build_encoding(params: RbtParams) -> np.ndarray:
     psi[k:, k:] = np.eye(n - k, dtype=np.int64)
     mat_inv(FieldMatrix(field, psi))  # raises SingularMatrix if the construction failed
     return frozen(psi)
+
+
+@lru_cache(maxsize=None)
+def _interpolation_table(params: RbtParams) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the systematic Vandermonde rows for n <= q and their
+    inverse differences."""
+    points = frozen(np.array(enumerate_points(params.field, params.n), dtype=np.int64))
+    return points, inverse_differences(params.field, points, params.k)
 
 
 @lru_cache(maxsize=None)
@@ -319,7 +329,12 @@ def _read_rows(params: RbtParams, nodes: Sequence[int], rows: np.ndarray,
     c_hat_dc = _unfix_rows(params, rows, nodes, counter)
     d_dc = mat_mul(field, c_hat_dc, _psi_t_inv(params), counter)
     phi_dc, delta_dc = data_collector(rbt_build_encoding(params), k, nodes, range(1, k + 1))
-    phi_inv = collector_inverse(field, phi_dc, counter)
+    if params.systematic and params.n <= field.q:
+        # Phi is the Lagrange basis at the first k of n finite points
+        phi_inv = interpolation_inverse(field, *_interpolation_table(params),
+                                        [i - 1 for i in nodes], counter)
+    else:
+        phi_inv = collector_inverse(field, phi_dc, counter)
     s_hat, t_hat = solve_message_block(field, phi_inv, delta_dc, d_dc, skew=True, counter=counter)
     if params.systematic:
         # undo the message remapping: the stored source block is [S, S P^t + T]

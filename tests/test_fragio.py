@@ -132,6 +132,7 @@ FUZZ_EDITS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 63)),
     st.tuples(st.just("flip"), st.integers(0, 63), st.integers(1, 255)),
     st.tuples(st.just("append"), st.binary(min_size=1, max_size=6)),
+    st.tuples(st.just("parameter"), st.integers(1, 2**32 - 1)),
 )
 
 
@@ -140,9 +141,9 @@ FUZZ_EDITS = st.one_of(
        edits=st.lists(FUZZ_EDITS, min_size=1, max_size=3))
 def test_damaged_fragment_raises_only_regen_error(fuzz_dir, base, edits):
     """Valid files at widths 1-4, truncated, with header or body bytes
-    flipped, or with bytes appended: reading one either fails with a
-    RegenError or returns a fragment of a node in [1, n] that writes and
-    reads back."""
+    flipped, with bytes appended or with a nonzero field parameter: reading
+    one either fails with a RegenError or returns a fragment of a node in
+    [1, n] that writes back to the same bytes."""
     field, codec = FUZZ_BASES[base]
     path = fuzz_dir / "frag.rgc"
     write_fragment(path, field, 6, 3, 5, Fragment(codec, 2, (0, 1, field.q - 1, 5, 3)))
@@ -154,6 +155,8 @@ def test_damaged_fragment_raises_only_regen_error(fuzz_dir, base, edits):
             raw[args[0] % len(raw)] ^= args[1]
         elif kind == "append":
             raw += args[0]
+        elif kind == "parameter" and len(raw) >= 10:
+            raw[6:10] = args[0].to_bytes(4, "little")  # the header's field parameter
     path.write_bytes(bytes(raw))
     try:
         rfield, n, k, d, frag = read_fragment(path)
@@ -162,7 +165,20 @@ def test_damaged_fragment_raises_only_regen_error(fuzz_dir, base, edits):
     assert 1 <= frag.node <= n
     copy = fuzz_dir / "copy.rgc"
     write_fragment(copy, rfield, n, k, d, frag)
+    assert copy.read_bytes() == bytes(raw)
     assert read_fragment(copy) == (rfield, n, k, d, frag)
+
+
+@pytest.mark.parametrize("parameter", [1, 12345, 2**32 - 1])
+def test_fermat_header_parameter_must_be_zero(tmp_path, parameter):
+    path = tmp_path / "frag.rgc"
+    write_fragment(path, fermat_field(), 6, 3, 4, Fragment("mbr-psrs", 1, (1, 2, 3, 65536)))
+    raw = bytearray(path.read_bytes())
+    assert raw[5] == 3 and raw[6:10] == bytes(4)  # kind id 3, parameter 0
+    raw[6:10] = parameter.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParamsInvalid):
+        read_fragment(path)
 
 
 @pytest.mark.parametrize("node", [0, 7])

@@ -444,3 +444,21 @@ def test_varray_accepts_exactly_the_field_values(field):
                 np.array([2**64 - 1], dtype=np.uint64), np.array([[0, q], [1, 2]]).T):
         with pytest.raises(ValueError, match="array values outside field range"):
             field.varray(bad)
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS + BIG_FIELDS, ids=repr)
+def test_vprod_is_the_product_of_each_row(field):
+    rng = random.Random(field.q)
+    for width in (0, 1, 2, 5, 8, 33):
+        a = np.array([[rng.randrange(1, field.q) for _ in range(width)] for _ in range(4)],
+                     dtype=np.int64).reshape(4, width)
+        if width:
+            a[1, rng.randrange(width)] = 0  # one row with a zero entry
+        want = []
+        for row in a.tolist():
+            p = 1
+            for v in row:
+                p = field.mul(p, v)
+            want.append(p)
+        got = field.vprod(a)
+        assert got.dtype == np.int64 and got.tolist() == want

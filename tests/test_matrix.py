@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from regencodes.errors import (
     SingularMatrix,
     WrongMessageLength,
 )
+from regencodes import matrix
 from regencodes.gf import binary_field, enumerate_points, fermat_field, prime_field
 from regencodes.matrix import (
     FactoredInverse,
@@ -22,6 +24,9 @@ from regencodes.matrix import (
     check_message,
     congruence,
     extended_vandermonde,
+    interpolation_cost,
+    interpolation_inverse,
+    inverse_differences,
     is_skew_symmetric,
     lu_inverses,
     mat_inv,
@@ -404,3 +409,120 @@ def test_deflated_kernels_on_empty_and_one_by_one_systems(field):
     for call in (lambda: mat_inv(FieldMatrix(field, zero)), lambda: lu_inverses(field, zero)):
         with pytest.raises(SingularMatrix):
             call()
+
+
+# the deflated product
+
+@st.composite
+def _products(draw):
+    """a @ b with every row of a dense, a unit row e_s or zero."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    rows, inner = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 4))
+    value = st.integers(0, field.q - 1)
+
+    def matrix(r, c):
+        cells = draw(st.lists(st.lists(value, min_size=c, max_size=c), min_size=r, max_size=r))
+        return np.array(cells, dtype=np.int64).reshape(r, c)
+
+    a = matrix(rows, inner)
+    for r in range(rows):
+        kind = draw(st.sampled_from(["dense", "unit", "zero"]))
+        if kind != "dense":
+            a[r] = 0
+        if kind == "unit" and inner:
+            a[r, draw(st.integers(0, inner - 1))] = 1
+    return field, a, matrix(inner, cols)
+
+
+def _check_product(field, a, b):
+    counter = OpCounter()
+    got = mat_mul(field, a, b, counter)
+    assert got.dtype == np.int64 and got.shape == (a.shape[0], b.shape[1])
+    assert got.tolist() == field.matmul(a, b).tolist()
+    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
+    assert (counter.mul, counter.add) == (rows * cols * inner, rows * cols * max(0, inner - 1))
+
+
+def _skip_rows_at_every_size():
+    """Small nonempty products take the row-skipping path of mat_mul too."""
+    return mock.patch.dict(matrix._ROW_SKIP_MIN, {kind: 1 for kind in matrix._ROW_SKIP_MIN})
+
+
+@given(_products())
+@settings(max_examples=300)
+def test_deflated_mat_mul_matches_dense_product(product):
+    _check_product(*product)
+    with _skip_rows_at_every_size():
+        _check_product(*product)
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
+def test_deflated_mat_mul_all_unit_no_unit_and_empty(field):
+    rng = random.Random(7)
+    b = rand_matrix(field, 5, 3, rng)
+    perm = eye(5)[[3, 0, 4, 1, 2]]
+    dense = rand_matrix(field, 4, 5, rng)
+    dense[:, 0] = 2 % field.q if field.q > 2 else 1  # no row sums to 0 or 1
+    dense[:, 1] = 1
+    with _skip_rows_at_every_size():
+        for a in (perm, eye(5), perm[[0, 0, 2]], dense, np.concatenate([dense, perm])):
+            _check_product(field, a, b)
+        for (rows, inner), cols in (((0, 5), 3), ((4, 0), 3), ((4, 5), 0), ((0, 0), 0)):
+            _check_product(field, np.zeros((rows, inner), dtype=np.int64),
+                           rand_matrix(field, inner, cols, rng))
+    # a psrs-shaped encode, 64 x 48 by 48 x 48, is above every size limit
+    a = rand_matrix(field, 64, 48, rng)
+    a[:32] = 0
+    a[np.arange(32), np.arange(32)] = 1
+    a[40] = 0
+    assert 64 * 48 * 48 >= max(matrix._ROW_SKIP_MIN.values())
+    _check_product(field, a, rand_matrix(field, 48, 48, rng))
+
+
+# the closed-form inverse of a data collector's Phi_DC
+
+def _lagrange_rows(field, points, k):
+    """Phi = V V_k^-1: row j holds the Lagrange basis at points[:k] taken at points[j]."""
+    v = vandermonde(field, len(points), k, points)
+    return mat_mul(field, v, mat_inv(FieldMatrix(field, v[:k])))
+
+
+INTERPOLATION_FIELDS = [prime_field(11), binary_field(4), binary_field(8), fermat_field()]
+
+
+@st.composite
+def _collectors(draw):
+    """Distinct points, some of them 0, and k collector rows in any order
+    holding 0, some or all of the k systematic ones."""
+    field = draw(st.sampled_from(INTERPOLATION_FIELDS))
+    n = draw(st.integers(2, min(field.q, 20)))
+    k = draw(st.integers(1, n - 1))
+    points = draw(st.permutations(enumerate_points(field, field.q if field.q <= 16 else n)))[:n]
+    systematic = draw(st.integers(max(0, 2 * k - n), k))
+    rows = (draw(st.permutations(range(k)))[:systematic]
+            + draw(st.permutations(range(k, n)))[:k - systematic])
+    return field, np.array(points, dtype=np.int64), k, draw(st.permutations(rows))
+
+
+@given(_collectors())
+@settings(max_examples=300)
+def test_interpolation_inverse_is_the_inverse(collector):
+    field, points, k, rows = collector
+    table = inverse_differences(field, points, k)
+    assert table.shape == (len(points), k) and not table.flags.writeable
+    counter = OpCounter()
+    got = interpolation_inverse(field, points, table, rows, counter)
+    phi_dc = _lagrange_rows(field, points, k)[rows]
+    assert got.tolist() == mat_inv(FieldMatrix(field, phi_dc)).tolist()
+    missing = k - sum(r < k for r in rows)
+    assert (counter.mul, counter.add) == interpolation_cost(k, missing)
+
+
+def test_interpolation_cost_examples():
+    # k x k differences and products, one inversion each, two mul per entry
+    assert interpolation_cost(32, 0) == (0, 0)
+    assert interpolation_cost(32, 32) == (4_032, 2_016)
+    assert interpolation_cost(16, 8) == (616, 368)
+    assert interpolation_cost(1, 1) == (3, 1)
+    assert interpolation_cost(32, 32)[0] < solve_cost(32, 32)[0]

@@ -24,7 +24,7 @@ from regencodes.errors import (
     WrongHelperCount,
 )
 from regencodes.fragments import Fragment
-from regencodes.gf import binary_field, fermat_field, prime_field
+from regencodes.gf import binary_field, enumerate_points, fermat_field, prime_field
 from regencodes.matrix import FieldMatrix, data_collector, mat_inv, mat_mul
 from regencodes.mbr import (
     MbrParams,
@@ -674,7 +674,9 @@ BIG = MbrParams(fermat_field(), 64, 32, 48)
 
 def test_repair_and_full_read_op_counts_at_scale():
     # the paper's (64, 32, 48) point over GF(65537): a repair costs one
-    # d x d Gauss-Jordan solve, a full read one k x k inverse and three products
+    # d x d Gauss-Jordan solve, a full read the closed-form Phi_DC^-1 of its
+    # non-systematic nodes (15 here, interpolation_cost(32, 15)) and three
+    # products of 65,536 mul
     rng = random.Random(22)
     u = rand_message(BIG, rng)
     frags = mbr_encode(BIG, u)
@@ -687,8 +689,9 @@ def test_repair_and_full_read_op_counts_at_scale():
     assert (counter.mul, counter.add) == (112_944, 110_544)
     nodes = sorted(rng.sample(range(1, 65), BIG.k))
     counter = OpCounter()
+    assert sum(i <= BIG.k for i in nodes) == 17
     assert mbr_reconstruct_full(BIG, [frags[i - 1] for i in nodes], counter) == u
-    assert (counter.mul, counter.add) == (131_104, 127_488)
+    assert (counter.mul, counter.add) == (67_953, 65_472)
 
 
 @pytest.mark.parametrize("scheme", ["lower", "upper"])
@@ -704,11 +707,18 @@ def test_partial_op_counts_at_scale(scheme):
     assert (counter.mul, counter.add) == (71_520, 69_456)
 
 
+# a full read at (64, 32, 48) by its number of systematic nodes: three
+# products (65,536 mul, 64,000 add) and interpolation_cost(32, c) for the
+# c = 32 - systematic rows of Phi_DC^-1 that are not unit rows
+FULL_READ_COUNTS = {0: (69_568, 66_016), 16: (68_048, 65_504), 31: (66_623, 65_024)}
+
+
 @pytest.mark.parametrize("systematic", [0, 16, 31])
 def test_op_counts_do_not_depend_on_unit_rows(systematic):
     # psrs nodes 1..k hold the unit rows [I_k 0] of Psi, which the
-    # elimination kernels skip; every call is still charged the dense count.
-    # A repair set of d = 48 helpers holds at least 16 systematic nodes.
+    # elimination kernels skip; repairs and partial reads are still charged
+    # the dense count.  A repair set of d = 48 helpers holds at least 16
+    # systematic nodes.  A full read pays only for its non-systematic nodes.
     _clear_set_caches()
     rng = random.Random(24 + systematic)
     u = rand_message(BIG, rng)
@@ -726,7 +736,7 @@ def test_op_counts_do_not_depend_on_unit_rows(systematic):
     rng.shuffle(nodes)
     counter = OpCounter()
     assert mbr_reconstruct_full(BIG, [frags[i - 1] for i in nodes], counter) == u
-    assert (counter.mul, counter.add) == (131_104, 127_488)
+    assert (counter.mul, counter.add) == FULL_READ_COUNTS[systematic]
     for scheme in ("lower", "upper"):
         plan = mbr_partial_plan(BIG, nodes, scheme)
         counter = OpCounter()
@@ -756,6 +766,32 @@ def test_repair_returns_lost_fragment(case):
     frags = mbr_encode(params, rand_message(params, random.Random(seed)))
     got = repair_from_fragments(params, [frags[h - 1] for h in helpers], failed)
     assert got == frags[failed - 1]
+
+
+@pytest.mark.parametrize("params", [MbrParams(fermat_field(), 12, 5, 7, ntt=True),
+                                    MbrParams(prime_field(11), 11, 4, 6),
+                                    MbrParams(binary_field(3), 8, 3, 5)], ids=repr)
+def test_psrs_full_read_inverse_is_closed_form(params):
+    # the psrs Phi_DC^-1 comes from the code's own points: the leading
+    # powers of a root of unity under ntt, and 0 last when n = q; every node
+    # set, with 0, some or all systematic nodes, in shuffled slot order
+    points = mbr._psrs_params(params).points
+    assert params.ntt == (list(points) != enumerate_points(params.field, params.n))
+    assert (0 in points) == (params.n == params.field.q)
+    rng = random.Random(params.n)
+    u = rand_message(params, rng)
+    frags = mbr_encode(params, u)
+    psi = mbr_build_encoding(params)
+    seen = set()
+    for nodes in itertools.combinations(range(1, params.n + 1), params.k):
+        nodes = rng.sample(nodes, params.k)
+        order = assign_slots(params, nodes)
+        phi_dc = data_collector(psi, params.k, nodes, order)[0]
+        phi_inv, _ = mbr._collector_inverse(params, tuple(nodes), order)
+        assert phi_inv.tolist() == mat_inv(FieldMatrix(params.field, phi_dc)).tolist()
+        assert mbr_reconstruct_full(params, [frags[i - 1] for i in nodes]) == u
+        seen.add(sum(i <= params.k for i in nodes))
+    assert seen == set(range(params.k + 1))
 
 
 def _clear_set_caches():

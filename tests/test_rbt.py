@@ -18,7 +18,14 @@ from regencodes.errors import (
     WrongMessageLength,
 )
 from regencodes.gf import binary_field, fermat_field, prime_field
-from regencodes.matrix import FieldMatrix, congruence, is_skew_symmetric, mat_inv
+from regencodes import rbt
+from regencodes.matrix import (
+    FieldMatrix,
+    congruence,
+    interpolation_inverse,
+    is_skew_symmetric,
+    mat_inv,
+)
 from regencodes.rbt import (
     RbtParams,
     decision,
@@ -357,10 +364,36 @@ def test_exhaustive_small_n_everything():
                 assert rbt_reconstruct_full(params, [frags[i] for i in subset]) == u
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_systematic_reads_every_node_set(n):
+    # rbt-sys over GF(7): for n <= q = 7 the read inverts Phi_DC in closed
+    # form, with the point 0 when n = q; at n = q+1 = 8, whose last row is
+    # the point at infinity, by Gauss-Jordan
+    params = RbtParams(F7, n, 3, systematic=True)
+    rng = random.Random(n)
+    u = rand_message(params, rng)
+    cw = rbt_encode_systematic(params, source_block(params, u))
+    for nodes in itertools.combinations(range(1, n + 1), params.k):
+        nodes = rng.sample(nodes, params.k)
+        if n <= F7.q:
+            rows = [i - 1 for i in nodes]
+            got = interpolation_inverse(F7, *rbt._interpolation_table(params), rows)
+            assert got.tolist() == mat_inv(FieldMatrix(F7, rbt._phi(params)[rows])).tolist()
+        assert rbt_reconstruct_full(params, [cw.fragment(i) for i in nodes]) == u
+        plan = rbt_partial_plan(params, nodes)
+        assert rbt_reconstruct_partial(params, plan, extract_payloads(cw, plan)) == u
+
+
+# an rbt-sys (32, 16) read by its number of systematic nodes: five products
+# (32,768 mul, 31,232 add) and interpolation_cost(16, c) for the
+# c = 16 - systematic rows of Phi_DC^-1 that are not unit rows
+PARTIAL_READ_COUNTS = {0: (33_760, 32_240), 8: (33_384, 32_112), 15: (33_055, 32_000)}
+
+
 @pytest.mark.parametrize("systematic", [0, 8, 15])
 def test_partial_read_count_does_not_depend_on_unit_rows(systematic):
-    # rbt-sys nodes 1..k hold unit rows of Phi, which the Gauss-Jordan
-    # kernel skips; the read is still charged the dense count
+    # rbt-sys nodes 1..k hold unit rows of Phi; the closed-form Phi_DC^-1
+    # computes only the rows of the systematic points the read lacks
     params = RbtParams(binary_field(8), 32, 16, systematic=True)
     rng = random.Random(40 + systematic)
     u = rand_message(params, rng)
@@ -370,4 +403,4 @@ def test_partial_read_count_does_not_depend_on_unit_rows(systematic):
     plan = rbt_partial_plan(params, nodes)
     counter = OpCounter()
     assert rbt_reconstruct_partial(params, plan, extract_payloads(cw, plan), counter) == u
-    assert (counter.mul, counter.add) == (40_976, 39_424)
+    assert (counter.mul, counter.add) == PARTIAL_READ_COUNTS[systematic]
