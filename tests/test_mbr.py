@@ -708,8 +708,9 @@ def test_partial_op_counts_at_scale(scheme):
 
 
 # a full read at (64, 32, 48) by its number of systematic nodes: three
-# products (65,536 mul, 64,000 add) and interpolation_cost(32, c) for the
-# c = 32 - systematic rows of Phi_DC^-1 that are not unit rows
+# products and a subtraction (65,536 mul, 64,000 add) and
+# interpolation_cost(32, c) for the c = 32 - systematic rows of Phi_DC^-1
+# that are not unit rows
 FULL_READ_COUNTS = {0: (69_568, 66_016), 16: (68_048, 65_504), 31: (66_623, 65_024)}
 
 

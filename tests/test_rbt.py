@@ -385,8 +385,8 @@ def test_systematic_reads_every_node_set(n):
 
 
 # an rbt-sys (32, 16) read by its number of systematic nodes: five products
-# (32,768 mul, 31,232 add) and interpolation_cost(16, c) for the
-# c = 16 - systematic rows of Phi_DC^-1 that are not unit rows
+# and two sums (32,768 mul, 31,744 add) and interpolation_cost(16, c) for
+# the c = 16 - systematic rows of Phi_DC^-1 that are not unit rows
 PARTIAL_READ_COUNTS = {0: (33_760, 32_240), 8: (33_384, 32_112), 15: (33_055, 32_000)}
 
 
