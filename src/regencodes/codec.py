@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .counting import OpCounter
 from .errors import ParamsInvalid
-from .fragments import Fragment, fragment_symbol
+from .fragments import Fragment, fragment_symbol, fragment_symbols
 from .gf import Field
 from .mbr import (
     MbrParams,
@@ -128,7 +128,7 @@ def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], sch
         return u, {i: params.alpha for i in nodes}
     if scheme == "partial":
         plan = rbt_partial_plan(params, nodes)
-        payloads = [[fragment_symbol(frags[node], c) for c in pos]
+        payloads = [fragment_symbols(frags[node], pos)
                     for node, pos in zip(plan.nodes, plan.positions)]
         u = rbt_reconstruct_partial(params, plan, payloads, counter)
     else:

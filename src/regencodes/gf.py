@@ -23,7 +23,6 @@ pure, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -279,8 +278,8 @@ class PrimeField(Field):
         return (np.asarray(a, np.int64) @ np.asarray(b, np.int64)) % self.p
 
     def dot(self, a, b):
-        # Python ints: cheaper than a 1 x n numpy product at codec sizes
-        return sum(map(operator.mul, a, b)) % self.p
+        # products stay below (p-1)^2 < 2^33, so int64 sums of up to 2^30 are exact
+        return int(np.asarray(a, np.int64) @ np.asarray(b, np.int64)) % self.p
 
     def vsub_mul(self, a, b, c):
         # |a| + (p-1)^2 per call: n calls on values of an n-row system stay

@@ -27,7 +27,7 @@ import struct
 import numpy as np
 
 from ..errors import ParamsInvalid, WrongMessageLength
-from ..fragments import CODEC_TAGS, Fragment
+from ..fragments import CODEC_TAGS, Fragment, trusted_fragment
 from ..gf import Field, field_new
 
 MAGIC = b"RGC1"
@@ -95,7 +95,9 @@ def _write_all(path, data: bytes) -> None:
 
 def _pack(field: Field, symbols) -> bytes:
     """Symbols as little-endian unsigned integers of symbol_width(field) bytes."""
-    symbols = list(symbols)
+    # Python ints: at fragment sizes their min and max cost less than a
+    # numpy range check
+    symbols = symbols.tolist() if isinstance(symbols, np.ndarray) else list(symbols)
     if symbols and (min(symbols) < 0 or max(symbols) >= field.q):
         raise ValueError(f"symbols outside [0, {field.q})")
     w = symbol_width(field)
@@ -105,17 +107,20 @@ def _pack(field: Field, symbols) -> bytes:
     return wide[:, :w].tobytes()
 
 
-def _unpack(field: Field, body: bytes, path) -> list[int]:
-    """Inverse of _pack; a symbol outside the field raises ParamsInvalid."""
+def _unpack(field: Field, body: bytes, path) -> np.ndarray:
+    """Inverse of _pack, as a read-only int64 array; a symbol outside the
+    field raises ParamsInvalid."""
     w = symbol_width(field)
     if w == 1:
-        symbols = list(body)
+        symbols = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
     else:
         wide = np.zeros((len(body) // w, 4), dtype=np.uint8)
         wide[:, :w] = np.frombuffer(body, dtype=np.uint8).reshape(-1, w)
-        symbols = wide.view("<u4")[:, 0].tolist()
-    if symbols and max(symbols) >= field.q:
-        raise ParamsInvalid(f"{path}: symbol {max(symbols)} outside [0, {field.q})")
+        symbols = wide.view("<u4")[:, 0].astype(np.int64)
+    # a w-byte symbol is below 256^w, so GF(2^8) and GF(2^16) need no check
+    if field.q < 256**w and symbols.size and symbols.max() >= field.q:
+        raise ParamsInvalid(f"{path}: symbol {symbols.max()} outside [0, {field.q})")
+    symbols.setflags(write=False)
     return symbols
 
 
@@ -149,7 +154,7 @@ def read_fragment(path: str | os.PathLike) -> tuple[Field, int, int, int, Fragme
         raise ParamsInvalid(f"{path}: expected {count * w} symbol bytes, found {len(body)}")
     if not 1 <= node <= n:
         raise ParamsInvalid(f"{path}: node {node} outside [1, {n}]")
-    return field, n, k, d, Fragment(codec, node, _unpack(field, body, path))
+    return field, n, k, d, trusted_fragment(codec, node, _unpack(field, body, path))
 
 
 def write_message(path: str | os.PathLike, field: Field, symbols) -> None:
@@ -163,4 +168,4 @@ def read_message(path: str | os.PathLike, field: Field, count: int | None = None
         raise WrongMessageLength(f"{path}: length {len(raw)} is not a multiple of width {w}")
     if count is not None and len(raw) != count * w:
         raise WrongMessageLength(f"{path}: {len(raw) // w} symbols, expected {count}")
-    return _unpack(field, raw, path)
+    return _unpack(field, raw, path).tolist()

@@ -49,7 +49,7 @@ from .errors import (
     WrongFragmentCount,
     WrongHelperCount,
 )
-from .fragments import Fragment, check_nodes
+from .fragments import Fragment, check_nodes, row_fragments, trusted_fragment
 from .gf import Field
 from .matrix import (
     FactoredInverse,
@@ -177,10 +177,11 @@ def mbr_build_encoding(params: MbrParams) -> np.ndarray:
     return psi
 
 
-def psi_row(params: MbrParams, node: int) -> list[int]:
+def psi_row(params: MbrParams, node: int) -> np.ndarray:
+    """Node's row of Psi, read-only."""
     if not 1 <= node <= params.n:
         raise IndexOutOfRange(f"node {node} outside [1, {params.n}]")
-    return mbr_build_encoding(params)[node - 1].tolist()
+    return mbr_build_encoding(params)[node - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +193,7 @@ def mbr_encode(params: MbrParams, u: Sequence[int],
     """Native encoding: one n x d by d x d matrix product."""
     m = mbr_build_message(params, u)
     c = mat_mul(params.field, mbr_build_encoding(params), m, counter)
-    return _fragments(params, c)
-
-
-def _fragments(params: MbrParams, c: np.ndarray) -> list[Fragment]:
-    return [Fragment(params.codec, i, tuple(row)) for i, row in enumerate(c.tolist(), start=1)]
+    return row_fragments(params.codec, c)
 
 
 def mbr_encode_columns(params: MbrParams, u: Sequence[int],
@@ -215,22 +212,23 @@ def mbr_encode_columns(params: MbrParams, u: Sequence[int],
     for i, col in enumerate(m.T.tolist()):
         msg = PsrsMessage(tuple(col[: params.k]), tuple(col[params.k:]))
         cols[:, i] = encode_eval(pp, msg, counter)
-    return _fragments(params, cols)
+    return row_fragments(params.codec, cols)
 
 
 # ---------------------------------------------------------------------------
 # repair
 # ---------------------------------------------------------------------------
 
-def mbr_helper_response(fragment: Fragment, failed_row: Sequence[int], field: Field,
-                        counter: OpCounter | None = None) -> int:
+def mbr_helper_response(fragment: Fragment, failed_row: Sequence[int] | np.ndarray,
+                        field: Field, counter: OpCounter | None = None) -> int:
     """Scalar a helper sends: inner product of its fragment with psi_failed."""
-    if len(fragment.symbols) != len(failed_row):
+    symbols = fragment.symbols
+    if len(symbols) != len(failed_row):
         raise WrongFragmentCount(
-            f"fragment length {len(fragment.symbols)} vs encoding row length {len(failed_row)}"
+            f"fragment length {len(symbols)} vs encoding row length {len(failed_row)}"
         )
-    symbols = fragment.symbols  # ints, as Fragment guarantees
-    if symbols and (min(symbols) < 0 or max(symbols) >= field.q):
+    # read as unsigned, a negative symbol is at least 2^63 >= q
+    if symbols.size and symbols.view(np.uint64).max() >= field.q:
         raise ValueError("array values outside field range")
     if counter is not None:
         counter.count_mul(len(failed_row))
@@ -257,7 +255,7 @@ def mbr_repair(params: MbrParams, responses: Sequence[tuple[int, int]], failed: 
     values = f.varray([v for _, v in responses])
     inv, cost = _repair_inverse(params, tuple(helpers))
     _charge(counter, cost)
-    return Fragment(params.codec, failed, tuple(f.matmul(inv, values[:, None])[:, 0].tolist()))
+    return trusted_fragment(params.codec, failed, frozen(f.matmul(inv, values[:, None])[:, 0]))
 
 
 def _charge(counter: OpCounter | None, cost: tuple[int, int]) -> None:
@@ -342,7 +340,7 @@ def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
                 f"fragment of node {fr.node} has {len(fr.symbols)} symbols, expected {params.d}"
             )
     f, k = params.field, params.k
-    rows = f.varray([fr.symbols for fr in fragments])
+    rows = f.varray(np.stack([fr.symbols for fr in fragments]))
     if params.backend == "psrs" and sorted(nodes) == list(range(1, k + 1)):
         # systematic fast path: rows 1..k are [S T] verbatim
         return message_from_block(params, rows[np.argsort(nodes)])
@@ -415,7 +413,10 @@ def mbr_extract_payloads(fragments: Sequence[Fragment], plan: DownloadPlan) -> l
     frags = [by_node[node] for node in plan.nodes]
     # the positions stand in for the payloads: only their range is checked
     plan.check_payloads(plan.positions, min((len(fr.symbols) for fr in frags), default=0))
-    return [[fr.symbols[p - 1] for p in pos] for fr, pos in zip(frags, plan.positions)]
+    # a list gather from one tolist per row: cheaper than numpy fancy
+    # indexing at d of a few dozen
+    rows = [fr.symbols.tolist() for fr in frags]
+    return [[row[p - 1] for p in pos] for row, pos in zip(rows, plan.positions)]
 
 
 @dataclass(frozen=True)

@@ -157,13 +157,11 @@ def _gen_matrix(params: PsrsParams) -> np.ndarray:
     if n > k:
         # barycentric rows: Phi[l, i] = Gamma(x_l) / ((x_l - x_i) * Gamma'(x_i))
         sys_pts = pts[:k]
-        weights = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            w = 1
-            for j in range(k):
-                if j != i:
-                    w = field.mul(w, field.sub(int(sys_pts[i]), int(sys_pts[j])))
-            weights[i] = field.inv(w)
+        # w_i = 1 / prod_{j != i} (x_i - x_j): row products of the difference
+        # block with its zero diagonal set to 1
+        block = field.vsub(sys_pts[:, None], sys_pts[None, :])
+        np.fill_diagonal(block, 1)
+        weights = field.vinv(field.vprod(block))
         diffs = field.vsub(pts[k:, None], sys_pts[None, :])
         out[k:, :k] = field.vmul(field.vmul(field.vinv(diffs), weights[None, :]),
                                  gamma_evals[k:, None])

@@ -30,6 +30,7 @@ import numpy as np
 from .counting import OpCounter
 from .errors import (
     FieldTooSmall,
+    IndexOutOfRange,
     ParamsInvalid,
     PlanPayloadMismatch,
     SingularMatrix,
@@ -39,9 +40,10 @@ from .fragments import (
     Fragment,
     check_nodes,
     check_shared_symbols,
-    expand_row,
+    expand_rows,
     fragment_symbol,
-    stored_fragment,
+    fragment_symbols,
+    stored_fragments,
     transfer_repair,
 )
 from .gf import Field, enumerate_points
@@ -119,10 +121,12 @@ class RbtCodeword:
             raise ValueError("check matrix must be n x n symmetric with zero diagonal")
 
     def fragment(self, node: int) -> Fragment:
-        return stored_fragment(self.params.codec, self.check.a, node)
+        if not 1 <= node <= self.params.n:
+            raise IndexOutOfRange(f"node {node} outside [1, {self.params.n}]")
+        return self.fragments()[node - 1]
 
     def fragments(self) -> list[Fragment]:
-        return [self.fragment(i) for i in range(1, self.params.n + 1)]
+        return stored_fragments(self.params.codec, self.check.a)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +316,7 @@ def rbt_reconstruct_full(params: RbtParams, fragments: Sequence[Fragment],
     """Recover the B message symbols from any k complete fragments."""
     nodes = [f.node for f in fragments]
     check_nodes(params.n, nodes, params.k)
-    rows = params.field.varray([expand_row(f, params.n) for f in fragments])
+    rows = expand_rows(fragments, params.n, params.field)
     check_shared_symbols(nodes, rows)
     return _read_rows(params, nodes, rows, counter)
 
@@ -371,11 +375,8 @@ def rbt_partial_plan(params: RbtParams, connected: Sequence[int]) -> DownloadPla
 
 def extract_payloads(cw: RbtCodeword, plan: DownloadPlan) -> list[list[int]]:
     """What each planned node actually transmits, given the full codeword."""
-    out = []
-    for node, pos in zip(plan.nodes, plan.positions):
-        frag = cw.fragment(node)
-        out.append([fragment_symbol(frag, c) for c in pos])
-    return out
+    frags = cw.fragments()
+    return [fragment_symbols(frags[node - 1], pos) for node, pos in zip(plan.nodes, plan.positions)]
 
 
 def rbt_reconstruct_partial(params: RbtParams, plan: DownloadPlan, payloads,

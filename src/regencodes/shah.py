@@ -30,9 +30,9 @@ from .fragments import (
     Fragment,
     check_nodes,
     check_shared_symbols,
-    expand_row,
+    expand_rows,
     fragment_symbol,
-    stored_fragment,
+    stored_fragments,
     transfer_repair,
 )
 from .gf import Field
@@ -114,7 +114,7 @@ def shah_encode(params: ShahParams, u: Sequence[int],
     u = check_message(field, u, params.B)
     parity = mat_mul(field, _parity_matrix(params), np.array(u, dtype=np.int64)[:, None], counter)
     packets = symmetric_from_triangle(field, n, triangle(n, 1, n), u + parity[:, 0].tolist())
-    return [stored_fragment("shah", packets, node) for node in range(1, n + 1)]
+    return stored_fragments(params.codec, packets)
 
 
 def helper_repair_packet(params: ShahParams, frag: Fragment, failed: int) -> int:
@@ -136,7 +136,7 @@ def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],
     check_nodes(n, nodes, params.k)
     # checked before placing: a later node's copy of a shared packet
     # overwrites an earlier node's, so the two copies must agree
-    stored = params.field.varray([expand_row(frag, n) for frag in fragments])
+    stored = expand_rows(fragments, n, params.field)
     check_shared_symbols(nodes, stored)
     packets = np.zeros((n, n), dtype=np.int64)
     held = np.zeros(n, dtype=bool)

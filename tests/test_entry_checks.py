@@ -16,6 +16,7 @@ from regencodes.matrix import FieldMatrix
 from regencodes.mbr import (
     MbrParams,
     mbr_encode,
+    mbr_encode_columns,
     mbr_extract_payloads,
     mbr_helper_response,
     mbr_partial_plan,
@@ -56,8 +57,11 @@ def corrupt(frag, index, value):
     return Fragment(frag.codec, frag.node, tuple(symbols))
 
 
+WIDE = 2**70  # too wide for int64
+
+
 def bad_values(field):
-    return (field.q, 2**70, -1)
+    return (field.q, WIDE, -1)
 
 
 RBT = [RbtParams(F11, 6, 3), RbtParams(F11, 6, 3, systematic=True)]
@@ -84,6 +88,10 @@ def test_full_read_rejects_symbol_outside_field(params, read, nodes, index):
     frags = encoded(params)
     for bad in bad_values(params.field):
         chosen = [frags[i - 1] for i in nodes]
+        if bad == WIDE:  # no int64 array holds it: refused where the fragment is built
+            with pytest.raises(ValueError, match=RANGE):
+                corrupt(chosen[1], index, bad)
+            continue
         chosen[1] = corrupt(chosen[1], index, bad)
         with pytest.raises(ValueError, match=RANGE):
             read(params, chosen, OpCounter())
@@ -140,6 +148,10 @@ def test_helper_response_rejects_symbol_outside_field(field):
     frags = encoded(params)
     row = psi_row(params, 1)
     for bad in (9,) + bad_values(field):
+        if bad == WIDE:  # refused where the fragment is built, as for full reads
+            with pytest.raises(ValueError, match=RANGE):
+                corrupt(frags[1], 0, bad)
+            continue
         helper = corrupt(frags[1], 0, bad)
         with pytest.raises(ValueError, match=RANGE):
             mbr_helper_response(helper, row, field)
@@ -261,6 +273,63 @@ def test_fragment_refuses_non_integer_symbols():
         Fragment("rbt", 1, (2.7, 3))
     with pytest.raises(ValueError):
         Fragment("rbt", 1, ("3",))
+    with pytest.raises(ValueError, match=RANGE):
+        Fragment("rbt", 1, (WIDE, 3))
     frag = Fragment("rbt", 1, (np.int64(2), np.uint8(3)))
-    assert frag.symbols == (2, 3)
-    assert all(type(s) is int for s in frag.symbols)
+    assert frag.symbols.dtype == np.int64 and frag.symbols.tolist() == [2, 3]
+
+
+def test_fragment_refuses_non_integer_node():
+    # a float node was once stored as given; a full read then failed on it
+    # with a bare IndexError
+    params = MbrParams(F11, 6, 3, 4)
+    frags = encoded(params)
+    for bad in (4.0, "4", None):
+        with pytest.raises(ValueError):
+            Fragment(params.codec, bad, frags[3].symbols)
+    frag = Fragment(params.codec, np.int64(4), frags[3].symbols)
+    assert type(frag.node) is int and frag == frags[3]
+    assert mbr_reconstruct_full(params, [frags[0], frags[1], frag]) == message(params)
+
+
+def test_fragments_from_any_int_sequence_are_equal_and_hash_equal():
+    values = [3, 0, 10, 4]
+    built = [Fragment("rbt", 2, tuple(values)), Fragment("rbt", 2, values),
+             Fragment("rbt", 2, np.array(values, dtype=np.uint8))]
+    for frag in built:
+        assert frag == built[0] and hash(frag) == hash(built[0])
+    assert len({built[0], built[1], built[2]}) == 1
+    assert Fragment("rbt", 2, values[:3]) != built[0]
+    assert Fragment("rbt", 3, values) != built[0]
+    assert Fragment("shah", 2, values) != built[0]
+    assert Fragment("rbt", 2, [3, 0, 10, 5]) != built[0]
+    assert built[0] != tuple(values)
+
+
+def test_fragment_symbols_are_read_only():
+    source = np.array([1, 2, 3])
+    frag = Fragment("rbt", 1, source)
+    source[0] = 9  # the fragment holds its own copy
+    assert frag.symbols.tolist() == [1, 2, 3]
+    with pytest.raises(ValueError):
+        frag.symbols[0] = 4
+    assert source.flags.writeable
+
+
+def test_codec_built_fragments_are_read_only():
+    produced = []
+    for params in RBT + MBR + [ShahParams(F11, 5, 3)]:
+        frags = encoded(params)
+        produced += frags
+        if isinstance(params, MbrParams):
+            produced.append(repair_from_fragments(params, frags[1:5], 1))
+        elif isinstance(params, RbtParams):
+            responses = [(j, fragment_symbol(frags[j - 1], 1)) for j in range(2, params.n + 1)]
+            produced.append(rbt_repair(params, responses, 1))
+    produced += mbr_encode_columns(MBR[0], message(MBR[0]))
+    for frag in produced:
+        assert frag.symbols.dtype == np.int64 and frag.symbols.ndim == 1
+        with pytest.raises(ValueError):
+            frag.symbols[0] = 1
+    frag = encoded(RBT[0])[0]
+    assert type(fragment_symbol(frag, 2)) is int

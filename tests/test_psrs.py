@@ -70,6 +70,37 @@ def test_generator_matrix_top_rows_systematic():
             assert g[l].tolist() == want
 
 
+def _scalar_phi_parity(params):
+    """Phi's parity rows by scalar field ops: barycentric weights by a
+    double loop, Phi[l, i] = Gamma(x_l) w_i / (x_l - x_i)."""
+    f, k, pts = params.field, params.k, list(params.points)
+    weights = []
+    for i in range(k):
+        w = 1
+        for j in range(k):
+            if j != i:
+                w = f.mul(w, f.sub(pts[i], pts[j]))
+        weights.append(f.inv(w))
+    rows = []
+    for x in pts[k:]:
+        gamma = 1
+        for p in pts[:k]:
+            gamma = f.mul(gamma, f.sub(x, p))
+        rows.append([f.mul(f.mul(gamma, weights[i]), f.inv(f.sub(x, pts[i])))
+                     for i in range(k)])
+    return rows
+
+
+@pytest.mark.parametrize("params", [
+    eval_params(F11, 10, 4, 6), eval_params(binary_field(4), 16, 5, 8),
+    eval_params(binary_field(8), 64, 32, 48), eval_params(fermat_field(), 64, 32, 48),
+    eval_params(fermat_field(), 64, 32, 48, ntt=True), eval_params(fermat_field(), 12, 5, 7, ntt=True),
+], ids=lambda p: f"{p.field!r}-{p.n}-{'ntt' if p.ntt_size else 'plain'}")
+def test_generator_weights_match_scalar_loop(params):
+    g = generator_matrix(params)
+    assert g[params.k:, :params.k].tolist() == _scalar_phi_parity(params)
+
+
 def test_encode_eval_systematic_and_zero():
     rng = random.Random(0)
     params = eval_params(F11, 8, 3, 5)
