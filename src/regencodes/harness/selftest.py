@@ -17,9 +17,11 @@ import numpy as np
 from ..counting import OpCounter
 from ..fragments import Fragment
 from ..gf import binary_field, fermat_field, ntt_evaluate, ntt_points, prime_field
-from ..matrix import FieldMatrix, extended_vandermonde, mat_inv, vandermonde
+from ..matrix import FieldMatrix, extended_vandermonde, is_singular, mat_inv
 from ..mbr import (
+    BACKENDS,
     MbrParams,
+    mbr_build_encoding,
     mbr_encode,
     mbr_extract_payloads,
     mbr_partial_plan,
@@ -77,13 +79,24 @@ def _suite_field_axioms():
 
 
 def _suite_mds_matrices():
-    f7, f4 = prime_field(7), binary_field(2)
-    v = vandermonde(f7, 6, 3)
-    for rows in itertools.combinations(range(6), 3):
-        mat_inv(FieldMatrix(f7, v[list(rows)]))
+    # plain Vandermonde rows are covered by the mbr-conditions suite
+    f4 = binary_field(2)
     e = extended_vandermonde(f4, 5, 3)
     for rows in itertools.combinations(range(5), 3):
         mat_inv(FieldMatrix(f4, e[list(rows)]))
+
+
+def _suite_mbr_conditions():
+    # the encoding matrices are not checked when built: check every d rows
+    # of Psi and k rows of Phi at n = q = 7, where the vdm points include 0
+    f7 = prime_field(7)
+    for backend, d in itertools.product(BACKENDS, range(1, 7)):
+        for k in range(1, d + 1):
+            psi = mbr_build_encoding(MbrParams(f7, 7, k, d, backend))
+            for size in (d, k):
+                for rows in itertools.combinations(range(7), size):
+                    _check(not is_singular(f7, psi[list(rows), :size]),
+                           f"{backend} (7,{k},{d}): rows {rows} of Psi[:, :{size}] singular")
 
 
 def _suite_ntt():
@@ -192,6 +205,7 @@ def _suite_fragment_files():
 SUITES = [
     ("field-axioms", _suite_field_axioms),
     ("mds-matrices", _suite_mds_matrices),
+    ("mbr-conditions", _suite_mbr_conditions),
     ("ntt", _suite_ntt),
     ("psrs", _suite_psrs),
     ("rbt", _suite_rbt),

@@ -396,6 +396,15 @@ def lu_inverses(field: Field, a: np.ndarray) -> TriangularInverses:
     return TriangularInverses(perm, l_inv, u_inv, *_lu_cost(n))
 
 
+def is_singular(field: Field, a: np.ndarray) -> bool:
+    """Whether the square array `a` has no inverse over the field."""
+    try:
+        lu_inverses(field, a)
+    except SingularMatrix:
+        return True
+    return False
+
+
 def _lu_cost(n: int) -> tuple[int, int]:
     """(mul, add) of lu_inverses: per step j with m = n-1-j rows below it,
     the factorization, then the L^-1 and U^-1 updates."""

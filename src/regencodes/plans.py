@@ -37,6 +37,15 @@ class DownloadPlan:
     def per_node_counts(self) -> dict[int, int]:
         return {node: len(p) for node, p in zip(self.nodes, self.positions)}
 
+    def check_positions(self, bound: int) -> None:
+        """Every position must lie in [1, bound]."""
+        # one set of the distinct positions is cheaper than a min and max per node
+        used = set().union(*self.positions)
+        if used and not (1 <= min(used) and max(used) <= bound):
+            for node, pos in zip(self.nodes, self.positions):
+                if pos and not 1 <= min(pos) <= max(pos) <= bound:
+                    raise IndexOutOfRange(f"node {node}: positions {pos} outside [1, {bound}]")
+
     def check_payloads(self, payloads, bound: int) -> list[list[int]]:
         """Payloads as lists, one per node, each as long as the node's
         positions; every position must lie in [1, bound]."""
@@ -50,6 +59,5 @@ class DownloadPlan:
                 raise PlanPayloadMismatch(
                     f"node {node}: payload has {len(pay)} symbols, plan expects {len(pos)}"
                 )
-            if pos and not 1 <= min(pos) <= max(pos) <= bound:
-                raise IndexOutOfRange(f"node {node}: positions {pos} outside [1, {bound}]")
+        self.check_positions(bound)
         return payloads

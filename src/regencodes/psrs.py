@@ -106,8 +106,9 @@ def eval_params(field: Field, n: int, k: int, d: int,
         pts = tuple(enumerate_points(field, n))
     else:
         pts = tuple(int(p) for p in points)
-        if len(pts) != n or len(set(pts)) != n:
-            raise ParamsInvalid("points must be n distinct field values")
+    # every point source is checked: the encoding conditions rest on distinct points
+    if len(pts) != n or len(set(pts)) != n:
+        raise ParamsInvalid("points must be n distinct field values")
     return PsrsParams(field=field, n=n, k=k, d=d, form="eval", points=pts, ntt_size=ntt_size)
 
 

@@ -33,7 +33,6 @@ from .errors import (
     IndexOutOfRange,
     ParamsInvalid,
     PlanPayloadMismatch,
-    SingularMatrix,
     WrongMessageLength,
 )
 from .fragments import (
@@ -157,15 +156,9 @@ def _phi(params: RbtParams) -> np.ndarray:
     field, n, k = params.field, params.n, params.k
     if not params.systematic:
         return frozen(extended_vandermonde(field, n, k))
-    if n <= field.q:
-        v = vandermonde(field, n, k)
-    else:
-        v = extended_vandermonde(field, n, k)
-    try:
-        reduced = mat_mul(field, v, mat_inv(FieldMatrix(field, v[:k])))
-    except SingularMatrix as exc:
-        raise SingularMatrix(f"systematic reduction infeasible for (n={n}, k={k})") from exc
-    return frozen(reduced)
+    v = (vandermonde if n <= field.q else extended_vandermonde)(field, n, k)
+    # v[:k] is a Vandermonde block at k distinct finite points: invertible
+    return frozen(mat_mul(field, v, mat_inv(FieldMatrix(field, v[:k]))))
 
 
 def parity_block(params: RbtParams) -> np.ndarray:
@@ -177,12 +170,13 @@ def parity_block(params: RbtParams) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def rbt_build_encoding(params: RbtParams) -> np.ndarray:
-    """Square encoding matrix [Phi | (0; I)]; validated non-singular, read-only."""
-    field, n, k = params.field, params.n, params.k
+    """Square encoding matrix [Phi | (0; I)], read-only.  Block lower
+    triangular over Phi_top and I, it is invertible: Phi_top is I for
+    rbt-sys, else a Vandermonde block at k distinct finite points."""
+    n, k = params.n, params.k
     psi = np.zeros((n, n), dtype=np.int64)
     psi[:, :k] = _phi(params)
     psi[k:, k:] = np.eye(n - k, dtype=np.int64)
-    mat_inv(FieldMatrix(field, psi))  # raises SingularMatrix if the construction failed
     return frozen(psi)
 
 
@@ -196,7 +190,15 @@ def _interpolation_table(params: RbtParams) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _psi_t_inv(params: RbtParams) -> np.ndarray:
-    return frozen(mat_inv(FieldMatrix(params.field, rbt_build_encoding(params).T)))
+    """(Psi^t)^-1 from the block inverse Psi^-1 = [[A, 0], [-Phi_bot A, I]],
+    A = Phi_top^-1; only plain rbt inverts its k x k block.  Read-only."""
+    field, n, k = params.field, params.n, params.k
+    phi = _phi(params)
+    a = np.eye(k, dtype=np.int64) if params.systematic else mat_inv(FieldMatrix(field, phi[:k]))
+    out = np.eye(n, dtype=np.int64)
+    out[:k, :k] = a.T
+    out[:k, k:] = field.vneg(mat_mul(field, phi[k:], a).T)
+    return frozen(out)
 
 
 def sign_fix(params: RbtParams, c_hat: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
@@ -359,15 +361,14 @@ def rbt_partial_plan(params: RbtParams, connected: Sequence[int]) -> DownloadPla
     nodes = list(connected)
     check_nodes(params.n, nodes, params.k)
     k = params.k
-    omit: dict[int, set[int]] = {j: set() for j in range(1, k + 1)}
-    for j in range(1, k + 1):
-        for l in range(j + 1, k + 1):
-            chosen = decision(j, l)
-            other = l if chosen == j else j
-            omit[chosen].add(nodes[other - 1])
+    held = set(nodes)
+    unconnected = [c for c in range(1, params.n + 1) if c not in held]
     positions = []
-    for j, node in enumerate(nodes, start=1):
-        cols = [c for c in range(1, params.n + 1) if c != node and c not in omit[j]]
+    for j in range(1, k + 1):
+        # by `decision`, slot j sends the symbol it shares with slot l when
+        # l > j and j+l is odd, or l < j and j+l is even
+        cols = unconnected + nodes[j::2] + (nodes[j - 3::-2] if j > 2 else [])
+        cols.sort()
         positions.append(tuple(cols))
     return DownloadPlan(scheme="rbt-pairwise", nodes=tuple(nodes),
                         order=tuple(range(1, k + 1)), positions=tuple(positions))

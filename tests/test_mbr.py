@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regencodes import mbr
+from regencodes import mbr, psrs
 from regencodes.counting import OpCounter
 from regencodes.errors import (
     DuplicateHelper,
@@ -45,6 +45,7 @@ from regencodes.mbr import (
     repair_from_fragments,
 )
 from regencodes.plans import DownloadPlan
+from regencodes.psrs import PsrsParams, eval_params, generator_matrix
 
 F7 = prime_field(7)
 REF7 = MbrParams(F7, 6, 3, 4)  # systematic psrs backend over GF(7)
@@ -829,3 +830,137 @@ def test_cached_calls_match_cold_calls(case, data):
             runs.append((call(counter), counter.mul, counter.add))
         assert runs[0] == runs[1], name
         assert runs[0][0] == (frags[failed - 1] if name == "repair" else u), name
+
+
+# ---------------------------------------------------------------------------
+# encoding-matrix conditions: any d rows of Psi and any k rows of Phi are
+# invertible.  They hold by construction and `mbr_build_encoding` does not
+# check them, so they are checked here.
+
+
+def _invertible(field, mats):
+    """Whether each matrix of a stack of square matrices is invertible, by
+    Gaussian elimination on the whole stack at once."""
+    a = np.array(mats, dtype=np.int64)
+    count, size = a.shape[:2]
+    ok = np.ones(count, dtype=bool)
+    every = np.arange(count)
+    for c in range(size):
+        nonzero = a[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        p = c + nonzero.argmax(axis=1)
+        row = a[every, p]
+        a[every, p] = a[:, c]
+        # a matrix already found singular is carried along with pivot 1
+        row = field.vmul(row, field.vinv(np.where(ok, row[:, c], 1))[:, None])
+        a[:, c] = row
+        a[:, c + 1:] = field.vsub(a[:, c + 1:], field.vmul(a[:, c + 1:, c:c + 1], row[:, None, :]))
+    return ok
+
+
+def _singular_sets(field, psi, cols, row_sets):
+    """The 1-based row sets whose rows of Psi[:, :cols] are singular."""
+    sets = np.array(row_sets, dtype=np.int64).reshape(-1, cols)
+    ok = _invertible(field, psi[sets, :cols])
+    return [tuple(s) for s in (sets[~ok] + 1).tolist()]
+
+
+def _condition_failures(params):
+    psi = mbr_build_encoding(params)
+    rows = range(params.n)
+    return [(size, bad) for size in (params.d, params.k)
+            for bad in _singular_sets(params.field, psi, size,
+                                      list(itertools.combinations(rows, size)))]
+
+
+@pytest.mark.parametrize("field", [prime_field(11), binary_field(4), binary_field(8),
+                                   fermat_field()], ids=repr)
+def test_invertibility_check_agrees_with_mat_inv(field):
+    rng = np.random.default_rng(field.q)
+    for size in range(1, 6):
+        mats = rng.integers(0, field.q, (120, size, size))
+        mats[::4] *= rng.integers(0, 2, (30, size, size))  # zeros force row swaps
+        if size > 1:
+            # a multiple of row 0 added to row 1 in the last row: singular
+            scale = rng.integers(0, field.q, (40, 1))
+            mats[1::3, -1] = field.vadd(field.vmul(scale, mats[1::3, 0]), mats[1::3, 1])
+        expected = []
+        for m in mats:
+            try:
+                mat_inv(FieldMatrix(field, m))
+                expected.append(True)
+            except SingularMatrix:
+                expected.append(False)
+        assert _invertible(field, mats).tolist() == expected
+        assert size == 1 or not all(expected)
+
+
+CONDITION_CODES = [(prime_field(11), "psrs", False), (prime_field(11), "vandermonde", False),
+                   (binary_field(4), "psrs", False), (binary_field(4), "vandermonde", False),
+                   (binary_field(8), "psrs", False), (binary_field(8), "vandermonde", False),
+                   (fermat_field(), "psrs", False), (fermat_field(), "vandermonde", False),
+                   (fermat_field(), "psrs", True)]
+
+
+@pytest.mark.parametrize("field, backend, ntt", CONDITION_CODES,
+                         ids=[f"{f!r}-{b}{'-ntt' if t else ''}" for f, b, t in CONDITION_CODES])
+def test_encoding_conditions_every_row_set(field, backend, ntt):
+    # every (n, k, d) with n <= 10, and n = q = 11 over GF(11), where the
+    # vandermonde points include 0
+    sizes = range(2, 12 if field.q == 11 else 11)
+    for n in sizes:
+        for d in range(1, n):
+            for k in range(1, d + 1):
+                params = MbrParams(field, n, k, d, backend, ntt)
+                assert not _condition_failures(params), params
+
+
+@pytest.mark.parametrize("params", [MbrParams(binary_field(8), 64, 32, 48),
+                                    MbrParams(binary_field(8), 64, 32, 48, "vandermonde"),
+                                    MbrParams(fermat_field(), 64, 32, 48),
+                                    MbrParams(fermat_field(), 64, 32, 48, "vandermonde"),
+                                    MbrParams(fermat_field(), 64, 32, 48, ntt=True)], ids=repr)
+def test_encoding_conditions_at_scale(params):
+    # the ten d-row and ten k-row sets the build used to check at
+    # (64,32,48), drawn from the same seed
+    n, k, d = params.n, params.k, params.d
+    rng = random.Random(0xC0DE ^ n)
+    d_sets = [tuple(sorted(rng.sample(range(n), d))) for _ in range(10)]
+    k_sets = [tuple(sorted(rng.sample(range(n), k))) for _ in range(10)]
+    psi = mbr_build_encoding(params)
+    assert not _singular_sets(params.field, psi, d, d_sets)
+    assert not _singular_sets(params.field, psi, k, k_sets)
+
+
+@pytest.mark.parametrize("backend", mbr.BACKENDS)
+def test_condition_check_catches_a_repeated_point(backend):
+    # the last point repeats the fifth, so rows 5 and 7 are equal: exactly
+    # the row sets holding both are singular
+    field, n, k, d = prime_field(11), 7, 3, 5
+    points = (1, 2, 3, 4, 5, 6, 5)
+    if backend == "psrs":
+        psi = generator_matrix(PsrsParams(field, n, k, d, "eval", points))
+    else:
+        psi = np.array([[pow(x, j, 11) for j in range(d)] for x in points], dtype=np.int64)
+    for size in (d, k):
+        sets = list(itertools.combinations(range(n), size))
+        both = [tuple(i + 1 for i in s) for s in sets if 4 in s and 6 in s]
+        assert both and _singular_sets(field, psi, size, sets) == both
+
+
+def test_repeated_points_are_refused_before_psi_is_built(monkeypatch):
+    with pytest.raises(ParamsInvalid):
+        eval_params(prime_field(11), 6, 3, 4, points=(1, 2, 3, 4, 5, 5))
+    monkeypatch.setattr(psrs, "enumerate_points", lambda field, n: [1] * n)
+    with pytest.raises(ParamsInvalid):
+        eval_params(prime_field(11), 6, 3, 4)
+    monkeypatch.setattr(psrs, "ntt_points", lambda field, n: [1] * n)
+    with pytest.raises(ParamsInvalid):
+        eval_params(fermat_field(), 6, 3, 4, ntt=True)
+
+
+def test_check_positions_bounds():
+    plan = mbr_partial_plan(REF7, [1, 2, 4], "lower")
+    plan.check_positions(REF7.d)
+    with pytest.raises(IndexOutOfRange, match="node 1:"):
+        plan.check_positions(REF7.d - 1)

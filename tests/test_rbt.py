@@ -26,6 +26,7 @@ from regencodes.matrix import (
     is_skew_symmetric,
     mat_inv,
 )
+from regencodes.plans import DownloadPlan
 from regencodes.rbt import (
     RbtParams,
     decision,
@@ -288,6 +289,56 @@ def test_partial_plan_totals_and_balance():
                 for slot, c in enumerate(counts, start=1):
                     save = k // 2 - 1 if slot % 2 == 1 else k // 2
                     assert c == (n - 1) - save
+
+
+def _pairwise_walk_plan(params, nodes):
+    """The plan as first written: `decision` names, for every slot pair, the
+    slot that leaves the shared symbol out; each slot then scans all n
+    columns."""
+    k = params.k
+    omit = {j: set() for j in range(1, k + 1)}
+    for j in range(1, k + 1):
+        for l in range(j + 1, k + 1):
+            chosen = decision(j, l)
+            other = l if chosen == j else j
+            omit[chosen].add(nodes[other - 1])
+    positions = tuple(tuple(c for c in range(1, params.n + 1) if c != node and c not in omit[j])
+                      for j, node in enumerate(nodes, start=1))
+    return DownloadPlan(scheme="rbt-pairwise", nodes=tuple(nodes),
+                        order=tuple(range(1, k + 1)), positions=positions)
+
+
+def test_partial_plan_matches_pairwise_walk():
+    # every ordered connected set for n <= 7, and random ones at (32,16)
+    for n in range(2, 8):
+        for k in range(1, n):
+            params = RbtParams(F7, n, k)
+            for nodes in itertools.permutations(range(1, n + 1), k):
+                assert rbt_partial_plan(params, nodes) == _pairwise_walk_plan(params, nodes)
+    params = RbtParams(binary_field(8), 32, 16, systematic=True)
+    rng = random.Random(32)
+    for _ in range(300):
+        nodes = rng.sample(range(1, 33), 16)
+        assert rbt_partial_plan(params, nodes) == _pairwise_walk_plan(params, nodes)
+
+
+PSI_INVERSE_CASES = [
+    (prime_field(11), [(n, k) for n in range(2, 13) for k in range(1, n)]),  # up to q+1
+    (binary_field(4), [(n, k) for n in (5, 16, 17) for k in range(1, n)]),
+    (binary_field(8), [(32, 1), (32, 16), (32, 31)]),
+    (fermat_field(), [(32, 1), (32, 16), (32, 31)]),
+]
+
+
+@pytest.mark.parametrize("field, sizes", PSI_INVERSE_CASES, ids=[repr(f) for f, _ in PSI_INVERSE_CASES])
+def test_psi_t_inv_is_the_block_inverse(field, sizes):
+    # Psi = [[Phi_top, 0], [Phi_bot, I]] is inverted blockwise, with no n x n
+    # elimination; it must equal Gauss-Jordan on Psi^t
+    for n, k in sizes:
+        for systematic in (False, True):
+            params = RbtParams(field, n, k, systematic=systematic)
+            expected = mat_inv(FieldMatrix(field, rbt_build_encoding(params).T))
+            assert np.array_equal(rbt._psi_t_inv(params), expected), params
 
 
 def test_partial_plan_k1():

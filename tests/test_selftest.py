@@ -30,11 +30,45 @@ BROKEN_REPAIR = textwrap.dedent("""
 """)
 
 
-def test_selftest_detects_wrong_fragment_under_optimize():
+def _run_under_optimize(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_REPAIR], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc
+
+
+def test_selftest_detects_wrong_fragment_under_optimize():
+    proc = _run_under_optimize(BROKEN_REPAIR)
     assert "selftest rbt: FAIL" in proc.stdout
+    assert "selftest mbr: ok" in proc.stdout
+
+
+# Under -O, give the mbr-conditions suite an encoding matrix whose last row
+# repeats the first, as a repeated evaluation point would; it must fail.
+REPEATED_POINT = textwrap.dedent("""
+    import sys
+    from regencodes.harness import selftest
+
+    if __debug__:
+        sys.exit(2)  # not running under -O
+    real = selftest.mbr_build_encoding
+
+    def repeated(params):
+        psi = real(params).copy()
+        psi[-1] = psi[0]
+        return psi
+
+    selftest.mbr_build_encoding = repeated
+    lines = []
+    ok = selftest.run_selftest(out=lines.append)
+    print("\\n".join(lines))
+    sys.exit(0 if ok is False else 1)
+""")
+
+
+def test_selftest_mbr_conditions_detect_a_repeated_point_under_optimize():
+    proc = _run_under_optimize(REPEATED_POINT)
+    assert "selftest mbr-conditions: FAIL" in proc.stdout
     assert "selftest mbr: ok" in proc.stdout
