@@ -292,9 +292,8 @@ def test_partial_plan_totals_and_balance():
 
 
 def _pairwise_walk_plan(params, nodes):
-    """The plan as first written: `decision` names, for every slot pair, the
-    slot that leaves the shared symbol out; each slot then scans all n
-    columns."""
+    """Reference plan: `decision` names, for every slot pair, the slot that
+    leaves the shared symbol out; each slot then scans all n columns."""
     k = params.k
     omit = {j: set() for j in range(1, k + 1)}
     for j in range(1, k + 1):
