@@ -12,7 +12,6 @@ surviving node, with zero field operations.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -27,7 +26,7 @@ from .errors import (
     WrongFragmentCount,
     WrongHelperCount,
 )
-from .gf import Field
+from .gf import Field, as_int, int_array
 from .matrix import frozen
 
 CODEC_TAGS = ("rbt", "rbt-sys", "mbr-psrs", "mbr-vdm", "shah")
@@ -50,14 +49,14 @@ class Fragment:
     def __post_init__(self):
         if self.codec not in CODEC_TAGS:
             raise ValueError(f"unknown codec tag {self.codec!r}")
-        try:
-            node = operator.index(self.node)
-        except TypeError as exc:
-            raise ValueError(f"node index must be an integer: {exc}") from exc
+        node = as_int(self.node)
         if node < 1:
             raise ValueError(f"node index {node} must be >= 1")
+        symbols = int_array(self.symbols)
+        if symbols.ndim != 1:
+            raise ValueError(f"fragment symbols must be a flat sequence, got shape {symbols.shape}")
         object.__setattr__(self, "node", node)
-        object.__setattr__(self, "symbols", _symbol_array(self.symbols))
+        object.__setattr__(self, "symbols", frozen(np.array(symbols)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -67,27 +66,6 @@ class Fragment:
 
     def __hash__(self):
         return hash((self.codec, self.node, self.symbols.tobytes()))
-
-
-def _symbol_array(data) -> np.ndarray:
-    """A caller's symbols as a new read-only 1-D int64 array: a value that
-    is not an integer raises ValueError, and so does one too wide for
-    int64, with the text of Field.varray."""
-    a = np.asarray(data)
-    if a.ndim != 1:
-        raise ValueError(f"fragment symbols must be a flat sequence, got shape {a.shape}")
-    if a.dtype.kind not in "biu":
-        if a.dtype.kind != "O" and a.size:
-            raise ValueError(f"fragment symbols must be integers, got {a.dtype}")
-        try:
-            a = np.array(list(map(operator.index, a)), dtype=np.int64)
-        except TypeError as exc:
-            raise ValueError(f"fragment symbols must be integers: {exc}") from exc
-        except OverflowError as exc:
-            raise ValueError("array values outside field range") from exc
-    elif a.dtype == np.uint64 and a.size and a.max() > np.iinfo(np.int64).max:
-        raise ValueError("array values outside field range")
-    return frozen(a.astype(np.int64))
 
 
 def trusted_fragment(codec: str, node: int, symbols: np.ndarray) -> Fragment:

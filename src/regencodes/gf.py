@@ -23,6 +23,8 @@ pure, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
+import array
+import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -64,6 +66,41 @@ REDUCTION_POLYS = {
 }
 
 _MAX_PRIME = FERMAT_PRIME
+
+
+_INT64, _UINT64 = np.dtype(np.int64), np.dtype(np.uint64)
+
+
+def as_int(value) -> int:
+    """`value` as an int; one that is not an integer (a float, a string)
+    raises ValueError, never folded to one."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"expected an integer: {exc}") from exc
+
+
+def int_array(data) -> np.ndarray:
+    """`data` as an int64 array, `data` itself when it is one; a value that
+    is not an integer (2.5, "3") or too wide for int64 raises ValueError."""
+    try:
+        if isinstance(data, (list, tuple)):
+            try:  # a flat sequence of ints, read without numpy's type discovery
+                return np.frombuffer(array.array("q", data), _INT64)
+            except TypeError:
+                pass  # nested, or not all integers: numpy tells which
+        a = np.asarray(data)
+        if a.dtype is _INT64:
+            return a
+        if a.dtype.kind == "O" or not a.size:
+            return np.array([as_int(v) for v in a.flat], dtype=np.int64).reshape(a.shape)
+        if a.dtype.kind not in "biu":
+            raise ValueError(f"symbols must be integers, got {a.dtype}")
+        if a.dtype == np.uint64 and a.max() > np.iinfo(np.int64).max:
+            raise ValueError("array values outside field range")
+        return a.astype(np.int64)
+    except OverflowError as exc:
+        raise ValueError("array values outside field range") from exc
 
 
 def _is_prime(p: int) -> bool:
@@ -123,7 +160,7 @@ class Field:
         raise NotImplementedError
 
     def check(self, value: int) -> int:
-        v = int(value)
+        v = as_int(value)
         if not 0 <= v < self.q:
             raise ValueError(f"value {v} outside [0, {self.q})")
         return v
@@ -131,13 +168,11 @@ class Field:
     # -- vectorized API (numpy int64 arrays of values) --------------------
 
     def varray(self, data) -> np.ndarray:
-        """`data` as an int64 array; any value outside [0, q) raises ValueError."""
-        try:
-            a = np.asarray(data, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError("array values outside field range") from exc
+        """`data` as an int64 array (see int_array); any value outside
+        [0, q) raises ValueError."""
+        a = int_array(data)
         # read as unsigned, a negative value is at least 2^63 >= q
-        if a.size and a.view(np.uint64).max() >= self.q:
+        if a.size and a.view(_UINT64).max() >= self.q:
             raise ValueError("array values outside field range")
         return a
 
@@ -152,23 +187,6 @@ class Field:
 
     def vmul(self, a, b) -> np.ndarray:
         raise NotImplementedError
-
-    def vinv(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if a.size and (a == 0).any():
-            raise DivisionByZero("inverse of zero")
-        return self.vpow(a, self.q - 2)
-
-    def vpow(self, a, e: int) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        r = np.ones_like(a)
-        base = a
-        while e:
-            if e & 1:
-                r = self.vmul(r, base)
-            base = self.vmul(base, base)
-            e >>= 1
-        return r
 
     def matmul(self, a, b) -> np.ndarray:
         raise NotImplementedError

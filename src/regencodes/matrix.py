@@ -21,11 +21,11 @@ OpCounter charges products regardless of zero entries.  `mat_mul` copies
 the unit rows of its left factor and leaves its zero rows at zero, again
 at the dense count.
 
-A data collector of a code whose Phi is the Lagrange basis at the first k
-of its points (psrs, and rbt-sys for n <= q) needs no elimination:
-`interpolation_inverse` gives Phi_DC^-1 in closed form, barycentric
-interpolation at the collector's points, and computes only the rows of
-the systematic points the collector lacks.
+Every systematic generator (psrs, rbt-sys, shah) is the Lagrange basis at
+the first k of its points, which `lagrange_rows` evaluates in barycentric
+form: `systematic_generator` stacks it under I_k, and `interpolation_inverse`
+gives Phi_DC^-1 of a psrs or rbt-sys (n <= q) collector from it, computing
+only the rows of the systematic points the collector lacks.
 
 FieldMatrix pairs an array with its field where a matrix crosses the
 library boundary: the system of `mat_inv` and `mat_solve`, a codeword's
@@ -435,33 +435,51 @@ def collector_inverse(field: Field, phi_dc: np.ndarray, counter: OpCounter | Non
         raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
 
 
-def inverse_differences(field: Field, points: np.ndarray, k: int) -> np.ndarray:
-    """n x k table, read-only: [j, i] = 1/(x_i - points[j]) for the first k
-    points x_i, and 0 where j = i.  interpolation_inverse reads it."""
-    diff = field.vsub(points[None, :k], points[:, None])
-    diag = np.arange(k)
-    diff[diag, diag] = 1
-    table = field.vinv(diff)
-    table[diag, diag] = 0
-    return frozen(table)
+def lagrange_rows(field: Field, base: np.ndarray, query: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(L, w): L[j, i] = l_i(y_j) = P(y_j) w_i / (y_j - x_i) for the Lagrange
+    basis l_i of the distinct points x = `base` at the points y = `query`,
+    none in x, with P(y) = prod_s (y - x_s) and w_i = prod_{s != i} 1/(x_i -
+    x_s), the leading coefficient of l_i.  From one block of differences
+    (x_i - x_i set to 1), its row products and one inversion."""
+    m, k = len(query), len(base)
+    diff = field.vsub(np.concatenate([query, base])[:, None], base[None, :])
+    diff[m + np.arange(k), np.arange(k)] = 1
+    prods = field.vprod(diff)
+    inv = field.vinv(np.concatenate([diff[:m].ravel(), prods[m:]]))
+    w = inv[m * k:]
+    return field.vmul(field.vmul(inv[:m * k].reshape(m, k), w[None, :]), prods[:m, None]), w
 
 
-def interpolation_inverse(field: Field, points: np.ndarray, inv_diff: np.ndarray,
-                          rows: Sequence[int], counter: OpCounter | None = None) -> np.ndarray:
+def systematic_generator(field: Field, n: int, k: int, points: np.ndarray) -> np.ndarray:
+    """n x k generator V V[:k]^-1 of the code that evaluates polynomials of
+    degree < k at the distinct `points`: row j is the Lagrange basis at
+    points[:k] taken at points[j], and when n exceeds the number of points
+    the last row is the point at infinity, the leading coefficients w."""
+    out = np.zeros((n, k), dtype=np.int64)
+    out[:k] = np.eye(k, dtype=np.int64)
+    if n > k:
+        rows, w = lagrange_rows(field, points[:k], points[k:])
+        out[k:len(points)] = rows
+        if n > len(points):
+            out[-1] = w
+    return out
+
+
+def interpolation_inverse(field: Field, points: np.ndarray, rows: Sequence[int],
+                          counter: OpCounter | None = None) -> np.ndarray:
     """Phi_DC^-1 in closed form, for Phi the Lagrange basis at the first k of
     the distinct `points` (Phi[j, i] = L_i(points[j])) and row r of Phi_DC
-    row rows[r] of Phi; `inv_diff` is inverse_differences(field, points, k).
+    row rows[r] of Phi.
 
     Phi_DC maps the values of a polynomial of degree < k at x_0 .. x_{k-1}
     to its values at p_r = points[rows[r]], so its inverse interpolates
     back: entry [i, r] is l_r(x_i) for the Lagrange basis l_r of the points
-    p, which is P(x_i) w_r / (x_i - p_r) with P(x) = prod_s (x - p_s) and
-    w_r = prod_{s != r} 1/(p_r - p_s).  A systematic point x_i = p_r gives
-    the unit row e_r, so only the rows of the c systematic points missing
-    from p are computed: one block of differences, their row products and
-    one inversion of k values.  Counts interpolation_cost(k, c).
+    p (lagrange_rows).  A systematic point x_i = p_r gives the unit row e_r,
+    so only the rows of the c systematic points missing from p are
+    computed.  Counts interpolation_cost(k, c).
     """
-    k = inv_diff.shape[1]
+    k = len(rows)
     rows = np.asarray(rows)
     slots = np.flatnonzero(rows < k)
     out = np.zeros((k, k), dtype=np.int64)
@@ -469,14 +487,7 @@ def interpolation_inverse(field: Field, points: np.ndarray, inv_diff: np.ndarray
     missing = _complement(rows[slots], k)
     c = len(missing)
     if c:
-        p = points[rows]
-        # x_i - p_s for the missing x_i, then p_r - p_s with 1 for s = r
-        diff = field.vsub(np.concatenate([points[missing], p])[:, None], p[None, :])
-        diff[c + np.arange(k), np.arange(k)] = 1
-        prods = field.vprod(diff)
-        w = field.vinv(prods[c:])
-        inv_xp = inv_diff[rows[None, :], missing[:, None]]  # 1/(x_i - p_r)
-        out[missing] = field.vmul(field.vmul(inv_xp, w[None, :]), prods[:c, None])
+        out[missing] = lagrange_rows(field, points[rows], points[missing])[0]
     if counter is not None:
         mul, add = interpolation_cost(k, c)
         counter.count_mul(mul)
@@ -535,6 +546,13 @@ def vandermonde(field: Field, n: int, k: int,
     return out
 
 
+def extended_points(field: Field, n: int) -> list[int]:
+    """The finite points of an extended RS code of length n: 0, then the
+    canonical nonzero points; all q of them when n = q+1, whose last point
+    is infinity."""
+    return [0] + enumerate_points(field, min(n, field.q) - 1)
+
+
 def extended_vandermonde(field: Field, n: int, k: int) -> np.ndarray:
     """Generator of a (doubly) extended RS code: any k of the n rows are independent.
 
@@ -547,17 +565,12 @@ def extended_vandermonde(field: Field, n: int, k: int) -> np.ndarray:
         raise DimensionMismatch(f"k={k} exceeds n={n}")
     if n > field.q + 1:
         raise FieldTooSmall(f"n={n} exceeds q+1={field.q + 1}")
-    if k == 0 or n == 0:
-        return np.zeros((n, k), dtype=np.int64)
-    use_infinity = n == field.q + 1
-    finite = n - 1 if use_infinity else n
-    pts = [0] + enumerate_points(field, finite - 1)
-    body = vandermonde(field, finite, k, pts)
-    if not use_infinity:
-        return body
-    inf_row = np.zeros((1, k), dtype=np.int64)
-    inf_row[0, k - 1] = 1
-    return np.concatenate([body, inf_row], axis=0)
+    out = np.zeros((n, k), dtype=np.int64)
+    if k and n:
+        pts = extended_points(field, n)
+        out[:len(pts)] = vandermonde(field, len(pts), k, pts)
+        out[len(pts):, k - 1] = 1  # the point at infinity
+    return out
 
 
 def congruence(field: Field, p: np.ndarray, m: np.ndarray,

@@ -61,7 +61,6 @@ from .matrix import (
     data_collector,
     frozen,
     interpolation_inverse,
-    inverse_differences,
     is_singular,
     lu_inverses,
     mat_inv,
@@ -340,18 +339,12 @@ def _collector_inverse(params: MbrParams, nodes: tuple[int, ...], order: tuple[i
     if params.backend == "psrs":
         rows = np.empty(params.k, dtype=np.intp)
         rows[[g - 1 for g in order]] = [i - 1 for i in nodes]
-        phi_inv = interpolation_inverse(params.field, *_interpolation_table(params), rows, cost)
+        points = np.array(_psrs_params(params).points, dtype=np.int64)
+        phi_inv = interpolation_inverse(params.field, points, rows, cost)
     else:
         phi_dc = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
         phi_inv = collector_inverse(params.field, phi_dc, cost)
     return frozen(phi_inv), (cost.mul, cost.add)
-
-
-@lru_cache(maxsize=None)
-def _interpolation_table(params: MbrParams) -> tuple[np.ndarray, np.ndarray]:
-    """The psrs evaluation points and their inverse differences."""
-    points = frozen(np.array(_psrs_params(params).points, dtype=np.int64))
-    return points, inverse_differences(params.field, points, params.k)
 
 
 # ---------------------------------------------------------------------------

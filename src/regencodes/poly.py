@@ -14,6 +14,7 @@ import numpy as np
 from .counting import OpCounter
 from .errors import DimensionMismatch, DivisionByZero
 from .gf import Field
+from .matrix import lagrange_rows
 
 
 def trim(p: Sequence[int]) -> list[int]:
@@ -35,13 +36,6 @@ def poly_sub(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     a = padded(a, n)
     b = padded(b, n)
     return [field.sub(x, y) for x, y in zip(a, b)]
-
-
-def poly_scale(field: Field, a: Sequence[int], s: int,
-               counter: OpCounter | None = None) -> list[int]:
-    if counter is not None:
-        counter.count_mul(len(a))
-    return [field.mul(x, s) for x in a]
 
 
 def poly_mul(field: Field, a: Sequence[int], b: Sequence[int],
@@ -118,11 +112,16 @@ def poly_eval_many(field: Field, p: Sequence[int], xs: Sequence[int],
 
 
 def poly_from_roots(field: Field, roots: Sequence[int]) -> list[int]:
-    """Monic polynomial with the given roots."""
-    out = [1]
+    """Monic polynomial with the given roots: multiplying by X - r is one
+    shift and one vector subtraction per root."""
+    out = np.zeros(len(roots) + 1, dtype=np.int64)
+    out[0] = 1
     for r in roots:
-        out = poly_mul(field, out, [field.neg(r), 1])
-    return out
+        low = field.vmul(out, r)
+        out[1:] = out[:-1]  # times X: the top coefficient is still 0
+        out[0] = 0
+        out = field.vsub(out, low)
+    return out.tolist()
 
 
 def poly_derivative(field: Field, p: Sequence[int]) -> list[int]:
@@ -135,25 +134,24 @@ def poly_derivative(field: Field, p: Sequence[int]) -> list[int]:
     return out
 
 
-def lagrange_basis(field: Field, points: Sequence[int]) -> list[list[int]]:
-    """Coefficient vectors of the Lagrange basis polynomials L_i.
+def lagrange_basis(field: Field, points: Sequence[int]) -> np.ndarray:
+    """Coefficients of the Lagrange basis polynomials L_i, row i ascending.
 
-    L_i has L_i(points[i]) = 1 and zeros at the other points.  Computed by
-    synthetic division of the master root polynomial, O(n^2) total.
+    L_i has L_i(points[i]) = 1 and zeros at the other points.  One synthetic
+    division of the master root polynomial by X - x_i for all points at
+    once, scaled by the weights prod_{s != i} 1/(x_i - x_s).  The transpose
+    is the inverse of the Vandermonde matrix at the points.
     """
-    master = poly_from_roots(field, points)
-    basis = []
-    for i, x in enumerate(points):
-        # master / (X - x) by synthetic division
-        qlen = len(master) - 1
-        quot = [0] * qlen
-        carry = master[-1]
-        for j in range(qlen - 1, -1, -1):
-            quot[j] = carry
-            carry = field.add(master[j], field.mul(carry, x))
-        denom = poly_eval(field, quot, x)
-        basis.append(poly_scale(field, quot, field.inv(denom)))
-    return basis
+    x = np.array(points, dtype=np.int64)
+    k = len(x)
+    master = poly_from_roots(field, x)
+    quot = np.empty((k, k), dtype=np.int64)
+    carry = np.full(k, master[-1], dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        quot[:, j] = carry
+        carry = field.vadd(field.vmul(carry, x), master[j])
+    weights = lagrange_rows(field, x, x[:0])[1]
+    return field.vmul(quot, weights[:, None])
 
 
 def lagrange_interpolate(field: Field, points: Sequence[int], values: Sequence[int],
@@ -164,14 +162,8 @@ def lagrange_interpolate(field: Field, points: Sequence[int], values: Sequence[i
     n = len(points)
     if n == 0:
         return []
-    basis = lagrange_basis(field, points)
-    out = [0] * n
-    for li, v in zip(basis, values):
-        if v == 0:
-            continue
-        for j, c in enumerate(li):
-            out[j] = field.add(out[j], field.mul(v, c))
+    out = field.matmul(field.varray(values)[None, :], lagrange_basis(field, points))[0]
     if counter is not None:
         counter.count_mul(n * n)
         counter.count_add(n * n)
-    return out
+    return out.tolist()

@@ -48,7 +48,7 @@ from .gf import (
     ntt_points,
     primitive_element,
 )
-from .matrix import FieldMatrix, frozen, mat_solve
+from .matrix import FieldMatrix, frozen, mat_solve, systematic_generator
 from .poly import (
     lagrange_basis,
     lagrange_interpolate,
@@ -82,10 +82,13 @@ class PsrsParams:
     ntt_size: int | None = None
 
     def check_message(self, msg: PsrsMessage) -> PsrsMessage:
+        """`msg`, its shape and then its symbols checked."""
         if len(msg.a) != self.k or len(msg.b) != self.d - self.k:
             raise ParamsInvalid(
                 f"message shape ({len(msg.a)}, {len(msg.b)}) does not match (k={self.k}, d-k={self.d - self.k})"
             )
+        self.field.varray(msg.a)
+        self.field.varray(msg.b)
         return msg
 
 
@@ -142,32 +145,21 @@ def _gamma(params: PsrsParams) -> tuple[int, ...]:
 def _sys_basis(params: PsrsParams) -> np.ndarray:
     """Row i holds the coefficients of the Lagrange basis polynomial for point i;
     read-only."""
-    basis = lagrange_basis(params.field, params.points[: params.k])
-    return frozen(np.array(basis, dtype=np.int64))
+    return frozen(lagrange_basis(params.field, params.points[: params.k]))
 
 
 @lru_cache(maxsize=None)
 def _gen_matrix(params: PsrsParams) -> np.ndarray:
+    """[Phi Delta] with Phi[l, i] = L_i(x_l), the systematic generator at
+    the points, and Delta[l, j] = Gamma(x_l) x_l^j, Gamma(x_l) the product
+    of x_l - x_s over the first k points; read-only."""
     field = params.field
     n, k, d = params.n, params.k, params.d
-    pts = field.varray(params.points)
-    gamma = list(_gamma(params))
-    gamma_evals = field.varray(poly_eval_many(field, gamma, params.points))
+    pts = np.array(params.points, dtype=np.int64)
     out = np.zeros((n, d), dtype=np.int64)
-    out[:k, :k] = np.eye(k, dtype=np.int64)
-    if n > k:
-        # barycentric rows: Phi[l, i] = Gamma(x_l) / ((x_l - x_i) * Gamma'(x_i))
-        sys_pts = pts[:k]
-        # w_i = 1 / prod_{j != i} (x_i - x_j): row products of the difference
-        # block with its zero diagonal set to 1
-        block = field.vsub(sys_pts[:, None], sys_pts[None, :])
-        np.fill_diagonal(block, 1)
-        weights = field.vinv(field.vprod(block))
-        diffs = field.vsub(pts[k:, None], sys_pts[None, :])
-        out[k:, :k] = field.vmul(field.vmul(field.vinv(diffs), weights[None, :]),
-                                 gamma_evals[k:, None])
+    out[:, :k] = systematic_generator(field, n, k, pts)
     if d > k:
-        col = gamma_evals.copy()
+        col = field.vprod(field.vsub(pts[:, None], pts[None, :k]))
         for i in range(d - k):
             out[:, k + i] = col
             col = field.vmul(col, pts)
@@ -237,7 +229,9 @@ def encode_eval(params: PsrsParams, msg: PsrsMessage,
     return poly_eval_many(field, c, params.points, counter)
 
 
-def _check_positions(params: PsrsParams, pairs, minimum: int, zero_based: bool = False):
+def _check_symbols(params: PsrsParams, pairs, minimum: int, zero_based: bool = False):
+    """(position, value) pairs: positions in range and distinct, at least
+    `minimum` and at most n of them, then values in the field."""
     lo, hi = (0, params.n - 1) if zero_based else (1, params.n)
     seen = set()
     for pos, _ in pairs:
@@ -250,6 +244,7 @@ def _check_positions(params: PsrsParams, pairs, minimum: int, zero_based: bool =
         raise InsufficientSymbols(f"got {len(pairs)} symbols, need at least {minimum}")
     if len(pairs) > params.n:
         raise WrongFragmentCount(f"got {len(pairs)} symbols for codeword length {params.n}")
+    params.field.varray([val for _, val in pairs])
 
 
 def decode_full_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
@@ -257,7 +252,7 @@ def decode_full_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
     """Recover (a, b) from any >= d (position, value) pairs (positions 1-based)."""
     _require_form(params, "eval")
     pairs = list(symbols)
-    _check_positions(params, pairs, params.d)
+    _check_symbols(params, pairs, params.d)
     field = params.field
     if (
         params.ntt_size is not None
@@ -282,10 +277,11 @@ def decode_partial_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
     """Recover a from any >= k symbols when b is already known."""
     _require_form(params, "eval")
     pairs = list(symbols)
-    _check_positions(params, pairs, params.k)
+    _check_symbols(params, pairs, params.k)
     field = params.field
     if len(b) != params.d - params.k:
         raise ParamsInvalid(f"b has {len(b)} symbols, expected {params.d - params.k}")
+    field.varray(b)
     delta = poly_mul(field, list(_gamma(params)), list(b), counter)
     zs = [params.points[pos - 1] for pos, _ in pairs]
     dz = poly_eval_many(field, delta, zs, counter) if delta else [0] * len(zs)
@@ -375,7 +371,7 @@ def decode_full_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],
     """Recover (a, b) from any >= d (degree, value) pairs (degrees 0-based)."""
     _require_form(params, "genpoly")
     pairs = list(coeffs)
-    _check_positions(params, pairs, params.d, zero_based=True)
+    _check_symbols(params, pairs, params.d, zero_based=True)
     field = params.field
     n, k, d = params.n, params.k, params.d
     received = [0] * n
@@ -402,7 +398,7 @@ def solve_full_genpoly_linear(params: PsrsParams,
     """Independent oracle: solve the message from d codeword coefficients directly."""
     _require_form(params, "genpoly")
     pairs = list(coeffs)
-    _check_positions(params, pairs, params.d, zero_based=True)
+    _check_symbols(params, pairs, params.d, zero_based=True)
     field = params.field
     use = pairs[: params.d]
     cols = _gen_coeff_map(params).T[[deg for deg, _ in use]]  # d x d
@@ -416,11 +412,12 @@ def decode_partial_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]]
     """Recover a from any >= k coefficients of c(x) when b is already known."""
     _require_form(params, "genpoly")
     pairs = list(coeffs)
-    _check_positions(params, pairs, params.k, zero_based=True)
+    _check_symbols(params, pairs, params.k, zero_based=True)
     field = params.field
     n, k, d = params.n, params.k, params.d
     if len(b) != d - k:
         raise ParamsInvalid(f"b has {len(b)} symbols, expected {d - k}")
+    field.varray(b)
     if d > k:
         c1 = _systematic_rs_poly(field, list(b), _generator(params, n - d), n - d, counter)
         c1 = c1 + [0] * (n - len(c1))

@@ -8,10 +8,12 @@ sign of the strictly lower triangle to obtain the symmetric check matrix
 matrix agree, a lost row is rebuilt by pure placement of one stored
 symbol from each surviving node: repair performs zero field operations.
 
-The systematic variant embeds the source block verbatim in the first k
-rows and computes only the trailing block V, which costs
-O(k(n-k)^2 + k^2(n-k)) multiplications instead of the two full n x n
-congruence products.
+Plain rbt's Phi is an extended Vandermonde matrix.  The systematic
+variant's Phi is the Lagrange basis at the first k of the same kind of
+points (matrix.systematic_generator, no elimination), so it embeds the
+source block verbatim in the first k rows and computes only the trailing
+block V, which costs O(k(n-k)^2 + k^2(n-k)) multiplications instead of
+the two full n x n congruence products.
 
 A pairwise decision rule drives the partial-download plan: for every
 pair of connected nodes the shared symbol is transmitted exactly once,
@@ -52,22 +54,22 @@ from .matrix import (
     collector_inverse,
     congruence,
     data_collector,
+    extended_points,
     extended_vandermonde,
     frozen,
     interpolation_inverse,
-    inverse_differences,
     is_symmetric_zero_diag,
     mat_add,
-    mat_inv,
     mat_mul,
     mat_sub,
     require_skew_symmetric,
     solve_message_block,
     symmetric_from_triangle,
+    systematic_generator,
     triangle,
-    vandermonde,
 )
 from .plans import DownloadPlan
+from .poly import lagrange_basis
 
 
 @dataclass(frozen=True)
@@ -149,16 +151,22 @@ def message_from_block(params: RbtParams, block: np.ndarray) -> list[int]:
     return block[_message_slots(params)].tolist()
 
 
+def _sys_points(params: RbtParams) -> np.ndarray:
+    """The finite evaluation points of rbt-sys: the canonical n points for
+    n <= q, those of the extended code at n = q+1."""
+    field, n = params.field, params.n
+    return np.array(enumerate_points(field, n) if n <= field.q else extended_points(field, n),
+                    dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def _phi(params: RbtParams) -> np.ndarray:
-    """n x k block: extended Vandermonde, or its systematic row reduction;
-    read-only."""
+    """n x k block, read-only: extended Vandermonde for rbt, the systematic
+    generator (Lagrange basis at the first k points) for rbt-sys."""
     field, n, k = params.field, params.n, params.k
     if not params.systematic:
         return frozen(extended_vandermonde(field, n, k))
-    v = (vandermonde if n <= field.q else extended_vandermonde)(field, n, k)
-    # v[:k] is a Vandermonde block at k distinct finite points: invertible
-    return frozen(mat_mul(field, v, mat_inv(FieldMatrix(field, v[:k]))))
+    return frozen(systematic_generator(field, n, k, _sys_points(params)))
 
 
 def parity_block(params: RbtParams) -> np.ndarray:
@@ -181,20 +189,16 @@ def rbt_build_encoding(params: RbtParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _interpolation_table(params: RbtParams) -> tuple[np.ndarray, np.ndarray]:
-    """The points of the systematic Vandermonde rows for n <= q and their
-    inverse differences."""
-    points = frozen(np.array(enumerate_points(params.field, params.n), dtype=np.int64))
-    return points, inverse_differences(params.field, points, params.k)
-
-
-@lru_cache(maxsize=None)
 def _psi_t_inv(params: RbtParams) -> np.ndarray:
     """(Psi^t)^-1 from the block inverse Psi^-1 = [[A, 0], [-Phi_bot A, I]],
-    A = Phi_top^-1; only plain rbt inverts its k x k block.  Read-only."""
+    A = Phi_top^-1: I for rbt-sys, the transposed Lagrange basis at the
+    first k points for plain rbt.  Read-only."""
     field, n, k = params.field, params.n, params.k
     phi = _phi(params)
-    a = np.eye(k, dtype=np.int64) if params.systematic else mat_inv(FieldMatrix(field, phi[:k]))
+    if params.systematic:
+        a = np.eye(k, dtype=np.int64)
+    else:
+        a = lagrange_basis(field, extended_points(field, n)[:k]).T
     out = np.eye(n, dtype=np.int64)
     out[:k, :k] = a.T
     out[:k, k:] = field.vneg(mat_mul(field, phi[k:], a).T)
@@ -337,8 +341,8 @@ def _read_rows(params: RbtParams, nodes: Sequence[int], rows: np.ndarray,
     phi_dc, delta_dc = data_collector(rbt_build_encoding(params), k, nodes, range(1, k + 1))
     if params.systematic and params.n <= field.q:
         # Phi is the Lagrange basis at the first k of n finite points
-        phi_inv = interpolation_inverse(field, *_interpolation_table(params),
-                                        [i - 1 for i in nodes], counter)
+        phi_inv = interpolation_inverse(field, _sys_points(params), [i - 1 for i in nodes],
+                                        counter)
     else:
         phi_inv = collector_inverse(field, phi_dc, counter)
     s_hat, t_hat = solve_message_block(field, phi_inv, delta_dc, d_dc, skew=True, counter=counter)

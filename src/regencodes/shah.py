@@ -39,12 +39,12 @@ from .gf import Field
 from .matrix import (
     FieldMatrix,
     check_message,
-    extended_vandermonde,
+    extended_points,
     frozen,
-    mat_inv,
     mat_mul,
     mat_solve,
     symmetric_from_triangle,
+    systematic_generator,
     triangle,
 )
 
@@ -89,19 +89,12 @@ class ShahParams:
 
 
 @lru_cache(maxsize=None)
-def _parity_matrix(params: ShahParams) -> np.ndarray:
-    """(N-B) x B parity block of the systematic doubly extended RS generator;
-    read-only."""
-    field, B = params.field, params.B
-    gen = extended_vandermonde(field, params.N, B)
-    return frozen(mat_mul(field, gen[B:], mat_inv(FieldMatrix(field, gen[:B]))))
-
-
-@lru_cache(maxsize=None)
 def _generator_rows(params: ShahParams) -> np.ndarray:
-    """Full N x B systematic generator [I_B; P]; read-only."""
-    eye = np.eye(params.B, dtype=np.int64)
-    return frozen(np.concatenate([eye, _parity_matrix(params)], axis=0))
+    """N x B systematic generator [I_B; P] of the doubly extended RS code;
+    read-only."""
+    field, N = params.field, params.N
+    points = np.array(extended_points(field, N), dtype=np.int64)
+    return frozen(systematic_generator(field, N, params.B, points))
 
 
 def shah_encode(params: ShahParams, u: Sequence[int],
@@ -112,7 +105,8 @@ def shah_encode(params: ShahParams, u: Sequence[int],
     """
     field, n = params.field, params.n
     u = check_message(field, u, params.B)
-    parity = mat_mul(field, _parity_matrix(params), np.array(u, dtype=np.int64)[:, None], counter)
+    parity = mat_mul(field, _generator_rows(params)[params.B:], np.array(u, dtype=np.int64)[:, None],
+                     counter)
     packets = symmetric_from_triangle(field, n, triangle(n, 1, n), u + parity[:, 0].tolist())
     return stored_fragments(params.codec, packets)
 

@@ -35,7 +35,8 @@ CACHED_BUILDERS = {
     "rbt._phi": lambda: rbt._phi(RBT_SYS),
     "rbt._phi[plain]": lambda: rbt._phi(RbtParams(F11, 6, 3)),
     "rbt._psi_t_inv": lambda: rbt._psi_t_inv(RBT_SYS),
-    "shah._parity_matrix": lambda: shah._parity_matrix(ShahParams(F11, 5, 3)),
+    "rbt._psi_t_inv[plain]": lambda: rbt._psi_t_inv(RbtParams(F11, 6, 3)),
+    "rbt._phi[n=q+1]": lambda: rbt._phi(RbtParams(F11, 12, 5, systematic=True)),
     "shah._generator_rows": lambda: shah._generator_rows(ShahParams(F11, 5, 3)),
     "psrs._sys_basis": lambda: psrs._sys_basis(psrs.eval_params(F11, 6, 3, 4)),
     "psrs._gen_matrix": lambda: psrs._gen_matrix(psrs.eval_params(F11, 6, 3, 4)),

@@ -11,7 +11,7 @@ import pytest
 from regencodes.counting import OpCounter
 from regencodes.errors import DecodeMismatch, InsufficientSymbols, WrongMessageLength
 from regencodes.fragments import Fragment, fragment_symbol, stored_position
-from regencodes.gf import binary_field, fermat_field, prime_field
+from regencodes.gf import binary_field, fermat_field, ntt_interpolate, prime_field
 from regencodes.matrix import FieldMatrix
 from regencodes.mbr import (
     MbrParams,
@@ -26,7 +26,18 @@ from regencodes.mbr import (
     psi_row,
     repair_from_fragments,
 )
-from regencodes.psrs import PsrsMessage, encode_genpoly, genpoly_params, solve_full_genpoly_linear
+from regencodes.psrs import (
+    PsrsMessage,
+    decode_full_eval,
+    decode_full_genpoly,
+    decode_partial_eval,
+    decode_partial_genpoly,
+    encode_eval,
+    encode_genpoly,
+    eval_params,
+    genpoly_params,
+    solve_full_genpoly_linear,
+)
 from regencodes.rbt import (
     RbtParams,
     extract_payloads,
@@ -213,6 +224,69 @@ def test_linear_oracle_rejects_value_outside_field():
         pairs[2] = (2, bad)
         with pytest.raises(ValueError, match=RANGE):
             solve_full_genpoly_linear(params, pairs)
+
+
+@pytest.mark.parametrize("field", [F7, binary_field(4)], ids=repr)
+def test_psrs_symbols_checked_where_they_enter(field):
+    # a symbol outside the field must not be reduced or wrap around: over
+    # GF(2^4) a b of (-1,) could put -13 into a genpoly codeword and a
+    # symbol -1 read as 15, and over GF(7) b = (8,) could read as 1
+    ev, gp = eval_params(field, 6, 3, 4), genpoly_params(field, 6, 3, 4)
+    msg = PsrsMessage((1, 2, 3), (4,))
+    codewords = {ev: encode_eval(ev, msg), gp: encode_genpoly(gp, msg)}
+    for bad in bad_values(field) + (field.q + 1,):
+        for params, encode in ((ev, encode_eval), (gp, encode_genpoly)):
+            for bad_msg in (PsrsMessage((1, bad, 3), (4,)), PsrsMessage((1, 2, 3), (bad,))):
+                with pytest.raises(ValueError, match=RANGE):
+                    encode(params, bad_msg)
+        for params, full, partial, first in ((ev, decode_full_eval, decode_partial_eval, 1),
+                                             (gp, decode_full_genpoly, decode_partial_genpoly, 0)):
+            pairs = [(pos + first, v) for pos, v in enumerate(codewords[params])]
+            wrong = pairs[:4]
+            wrong[1] = (wrong[1][0], bad)
+            with pytest.raises(ValueError, match=RANGE):
+                full(params, wrong)
+            with pytest.raises(ValueError, match=RANGE):
+                partial(params, wrong, msg.b)
+            with pytest.raises(ValueError, match=RANGE):
+                partial(params, pairs, (bad,))
+
+
+def _with_last(values, bad):
+    values = list(values)
+    values[-1] = bad
+    return values
+
+
+def _block_with(bad):
+    params = RBT[1]
+    rows = source_block(params, message(params)).tolist()
+    rows[0][4] = bad  # an entry of U_R
+    return rows
+
+
+NON_INTEGER_ENTRIES = {
+    "mbr_encode": lambda bad: mbr_encode(MBR[0], _with_last(message(MBR[0]), bad)),
+    "rbt_encode": lambda bad: rbt_encode(RBT[0], _with_last(message(RBT[0]), bad)),
+    "rbt_encode_systematic": lambda bad: rbt_encode_systematic(RBT[1], _block_with(bad)),
+    "shah_encode": lambda bad: shah_encode(ShahParams(F11, 5, 3),
+                                           _with_last(message(ShahParams(F11, 5, 3)), bad)),
+    "mbr_repair": lambda bad: mbr_repair(MBR[0], [(2, 1), (3, 0), (4, bad), (5, 0)], 1),
+    "encode_eval": lambda bad: encode_eval(eval_params(F7, 6, 3, 4), PsrsMessage((1, bad, 3), (4,))),
+    "decode_full_genpoly": lambda bad: decode_full_genpoly(genpoly_params(F7, 6, 3, 4),
+                                                           [(0, 1), (1, bad), (2, 0), (3, 0)]),
+    "ntt_interpolate": lambda bad: ntt_interpolate(fermat_field(), [bad]),
+    "Field.varray": lambda bad: F7.varray([[1, 2], [bad, 0]]),
+    "Field.check": lambda bad: F7.check(bad),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_INTEGER_ENTRIES))
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", np.float64(2.0)], ids=repr)
+def test_non_integer_symbols_are_refused(entry, bad):
+    # numpy would truncate a float and parse a digit string; Fragment refuses both too
+    with pytest.raises(ValueError):
+        NON_INTEGER_ENTRIES[entry](bad)
 
 
 @pytest.mark.parametrize("entry", [rbt_encode_systematic, remapped_message],

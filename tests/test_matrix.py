@@ -16,7 +16,7 @@ from regencodes.errors import (
     SingularMatrix,
     WrongMessageLength,
 )
-from regencodes import matrix
+from regencodes import matrix, rbt, shah
 from regencodes.gf import binary_field, enumerate_points, fermat_field, prime_field
 from regencodes.matrix import (
     FactoredInverse,
@@ -26,7 +26,6 @@ from regencodes.matrix import (
     extended_vandermonde,
     interpolation_cost,
     interpolation_inverse,
-    inverse_differences,
     is_skew_symmetric,
     lu_inverses,
     mat_inv,
@@ -36,6 +35,8 @@ from regencodes.matrix import (
     solve_cost,
     vandermonde,
 )
+from regencodes.rbt import RbtParams
+from regencodes.shah import ShahParams
 
 F7 = prime_field(7)
 F4 = binary_field(2)
@@ -482,10 +483,15 @@ def test_deflated_mat_mul_all_unit_no_unit_and_empty(field):
 
 # the closed-form inverse of a data collector's Phi_DC
 
+def _v_top_inverse(field, v, k):
+    """V V[:k]^-1 by Gauss-Jordan: the systematic generator of the code whose
+    generator is the (extended) Vandermonde matrix V."""
+    return mat_mul(field, v, mat_inv(FieldMatrix(field, v[:k])))
+
+
 def _lagrange_rows(field, points, k):
     """Phi = V V_k^-1: row j holds the Lagrange basis at points[:k] taken at points[j]."""
-    v = vandermonde(field, len(points), k, points)
-    return mat_mul(field, v, mat_inv(FieldMatrix(field, v[:k])))
+    return _v_top_inverse(field, vandermonde(field, len(points), k, points), k)
 
 
 INTERPOLATION_FIELDS = [prime_field(11), binary_field(4), binary_field(8), fermat_field()]
@@ -509,14 +515,36 @@ def _collectors(draw):
 @settings(max_examples=300)
 def test_interpolation_inverse_is_the_inverse(collector):
     field, points, k, rows = collector
-    table = inverse_differences(field, points, k)
-    assert table.shape == (len(points), k) and not table.flags.writeable
     counter = OpCounter()
-    got = interpolation_inverse(field, points, table, rows, counter)
+    got = interpolation_inverse(field, points, rows, counter)
     phi_dc = _lagrange_rows(field, points, k)[rows]
     assert got.tolist() == mat_inv(FieldMatrix(field, phi_dc)).tolist()
     missing = k - sum(r < k for r in rows)
     assert (counter.mul, counter.add) == interpolation_cost(k, missing)
+
+
+@pytest.mark.parametrize("field", [prime_field(2), prime_field(5), F7, binary_field(3),
+                                   prime_field(11)], ids=repr)
+def test_rbt_sys_phi_is_v_times_top_inverse(field):
+    # the reference is V V[:k]^-1 by Gauss-Jordan, V Vandermonde at the
+    # canonical points for n <= q, extended with the point at infinity for n = q+1
+    for n in range(2, field.q + 2):
+        for k in range(1, n):
+            v = vandermonde(field, n, k) if n <= field.q else extended_vandermonde(field, n, k)
+            phi = rbt._phi(RbtParams(field, n, k, systematic=True))
+            assert np.array_equal(phi, _v_top_inverse(field, v, k)), (n, k)
+
+
+@pytest.mark.parametrize("field, n", [(prime_field(2), 3), (prime_field(5), 4),
+                                      (prime_field(11), 4), (prime_field(11), 5)])
+def test_shah_generator_is_v_times_top_inverse(field, n):
+    # the reference is V V[:B]^-1 by Gauss-Jordan for the doubly extended RS
+    # generator V; C(n,2) = q+1 over GF(2) and GF(5), where k = n-1 gives
+    # B = N and the generator is I
+    for k in range(1, n):
+        params = ShahParams(field, n, k)
+        v = extended_vandermonde(field, params.N, params.B)
+        assert np.array_equal(shah._generator_rows(params), _v_top_inverse(field, v, params.B)), k
 
 
 def test_interpolation_cost_examples():

@@ -1,7 +1,13 @@
 import random
 
-from regencodes.gf import binary_field, prime_field
+import numpy as np
+import pytest
+
+from regencodes.errors import DivisionByZero
+from regencodes.gf import binary_field, fermat_field, prime_field
+from regencodes.matrix import FieldMatrix, mat_inv, vandermonde
 from regencodes.poly import (
+    lagrange_basis,
     lagrange_interpolate,
     poly_divmod,
     poly_eval,
@@ -53,3 +59,35 @@ def test_eval_many_matches_scalar():
     coeffs = [rng.randrange(11) for _ in range(5)]
     xs = list(range(11))
     assert poly_eval_many(F11, coeffs, xs) == [poly_eval(F11, coeffs, x) for x in xs]
+
+
+@pytest.mark.parametrize("field", [prime_field(2), F11, F16, binary_field(8), fermat_field()],
+                         ids=repr)
+def test_lagrange_basis_transposed_is_the_vandermonde_inverse(field):
+    # the reference is the Gauss-Jordan inverse of the Vandermonde matrix,
+    # with the point 0 first among the points
+    rng = random.Random(field.q)
+    for k in range(1, min(field.q, 20) + 1):
+        points = [0] + rng.sample(range(1, field.q), k - 1)
+        want = mat_inv(FieldMatrix(field, vandermonde(field, k, k, points)))
+        basis = lagrange_basis(field, points)
+        assert basis.dtype == np.int64 and np.array_equal(basis.T, want), k
+
+
+def test_lagrange_basis_refuses_repeated_points():
+    with pytest.raises(DivisionByZero):
+        lagrange_basis(F11, [1, 2, 1])
+
+
+@pytest.mark.parametrize("field", [prime_field(2), F11, F16, binary_field(8), fermat_field()],
+                         ids=repr)
+def test_from_roots_matches_repeated_products(field):
+    # the reference: one scalar poly_mul by X - r per root
+    rng = random.Random(field.q)
+    for count in (0, 1, 2, 7, 33):
+        roots = [rng.randrange(field.q) for _ in range(count)]
+        want = [1]
+        for r in roots:
+            want = poly_mul(field, want, [field.neg(r), 1])
+        got = poly_from_roots(field, roots)
+        assert got == want and all(type(c) is int for c in got)

@@ -13,8 +13,8 @@ from regencodes.errors import (
     ParamsInvalid,
 )
 from regencodes.gf import binary_field, fermat_field, prime_field
-from regencodes.matrix import mat_mul
-from regencodes.poly import poly_divmod, trim
+from regencodes.matrix import FieldMatrix, mat_inv, mat_mul, vandermonde
+from regencodes.poly import poly_divmod, poly_eval_many, poly_from_roots, trim
 from regencodes.psrs import (
     PsrsMessage,
     _generator,
@@ -91,14 +91,31 @@ def _scalar_phi_parity(params):
     return rows
 
 
-@pytest.mark.parametrize("params", [
+GENERATOR_PARAMS = [
     eval_params(F11, 10, 4, 6), eval_params(binary_field(4), 16, 5, 8),
     eval_params(binary_field(8), 64, 32, 48), eval_params(fermat_field(), 64, 32, 48),
     eval_params(fermat_field(), 64, 32, 48, ntt=True), eval_params(fermat_field(), 12, 5, 7, ntt=True),
-], ids=lambda p: f"{p.field!r}-{p.n}-{'ntt' if p.ntt_size else 'plain'}")
+]
+GENERATOR_IDS = [f"{p.field!r}-{p.n}-{'ntt' if p.ntt_size else 'plain'}" for p in GENERATOR_PARAMS]
+
+
+@pytest.mark.parametrize("params", GENERATOR_PARAMS, ids=GENERATOR_IDS)
 def test_generator_weights_match_scalar_loop(params):
     g = generator_matrix(params)
     assert g[params.k:, :params.k].tolist() == _scalar_phi_parity(params)
+
+
+@pytest.mark.parametrize("params", GENERATOR_PARAMS + [eval_params(F11, 11, 3, 7, points=range(11))],
+                         ids=GENERATOR_IDS + ["GF(11)-points-from-0"])
+def test_generator_matrix_matches_replaced_construction(params):
+    # the references: Phi = V V[:k]^-1 by Gauss-Jordan, and Delta column
+    # j = Gamma(x) x^j with Gamma evaluated from its coefficients by Horner
+    f, n, k, d = params.field, params.n, params.k, params.d
+    v = vandermonde(f, n, d, params.points)
+    phi = mat_mul(f, v[:, :k], mat_inv(FieldMatrix(f, v[:k, :k])))
+    gamma = poly_eval_many(f, poly_from_roots(f, params.points[:k]), params.points)
+    delta = f.vmul(np.array(gamma)[:, None], v[:, :d - k])
+    assert generator_matrix(params).tolist() == np.concatenate([phi, delta], axis=1).tolist()
 
 
 def test_encode_eval_systematic_and_zero():

@@ -427,7 +427,7 @@ def test_systematic_reads_every_node_set(n):
         nodes = rng.sample(nodes, params.k)
         if n <= F7.q:
             rows = [i - 1 for i in nodes]
-            got = interpolation_inverse(F7, *rbt._interpolation_table(params), rows)
+            got = interpolation_inverse(F7, rbt._sys_points(params), rows)
             assert got.tolist() == mat_inv(FieldMatrix(F7, rbt._phi(params)[rows])).tolist()
         assert rbt_reconstruct_full(params, [cw.fragment(i) for i in nodes]) == u
         plan = rbt_partial_plan(params, nodes)
