@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .counting import OpCounter
 from .errors import ParamsInvalid
-from .fragments import Fragment, fragment_symbol, fragment_symbols
+from .fragments import Fragment, check_codec, fragment_symbol, fragment_symbols
 from .gf import Field
 from .mbr import (
     MbrParams,
@@ -102,6 +102,7 @@ def repair(params, frags: Mapping[int, Fragment], failed: int,
     if family == "mbr":
         frag = repair_from_fragments(params, [frags[i] for i in helpers], failed, counter)
     else:
+        check_codec(params, [frags[i] for i in helpers])
         responses = [(i, fragment_symbol(frags[i], failed)) for i in helpers]
         transfer = rbt_repair if family == "rbt" else shah_repair
         frag = transfer(params, responses, failed, counter)
@@ -126,6 +127,7 @@ def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], sch
         else:
             u = shah_reconstruct(params, chosen, counter)
         return u, {i: params.alpha for i in nodes}
+    check_codec(params, chosen)  # the full reads check their own fragments
     if scheme == "partial":
         plan = rbt_partial_plan(params, nodes)
         payloads = [fragment_symbols(frags[node], pos)

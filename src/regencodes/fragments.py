@@ -23,6 +23,8 @@ from .errors import (
     IndexOutOfRange,
     InsufficientSymbols,
     MissingHelper,
+    ParamsInvalid,
+    PlanPayloadMismatch,
     WrongFragmentCount,
     WrongHelperCount,
 )
@@ -118,33 +120,61 @@ def fragment_symbols(frag: Fragment, columns: Sequence[int]) -> list[int]:
     return [row[c - 1 if c < node else c - 2] for c in columns]
 
 
+def check_codec(params, fragments: Sequence[Fragment]) -> None:
+    """Every fragment must carry the codec tag of `params`: another codec's
+    fragments of the same shape would decode to a wrong result."""
+    tag = params.codec
+    for frag in fragments:
+        if frag.codec != tag:
+            raise ParamsInvalid(f"fragment of node {frag.node} is {frag.codec}, params are {tag}")
+
+
 def expand_rows(fragments: Sequence[Fragment], n: int, field: Field) -> np.ndarray:
-    """The full matrix rows of the fragments, with their diagonal zeros
-    put back; a symbol outside the field raises ValueError."""
+    """The full matrix rows of the fragments (see assemble_rows)."""
     for frag in fragments:
         if len(frag.symbols) != n - 1:
             raise WrongFragmentCount(
                 f"fragment of node {frag.node} has {len(frag.symbols)} symbols, expected {n - 1}"
             )
-    stored = field.varray(np.stack([frag.symbols for frag in fragments]))
-    diagonal = np.array([frag.node for frag in fragments])[:, None] - 1
+    nodes = [frag.node for frag in fragments]
     cols = np.arange(n - 1)
-    rows = np.zeros((len(fragments), n), dtype=np.int64)
-    rows[np.arange(len(fragments))[:, None], cols + (cols >= diagonal)] = stored
-    return rows
+    columns = cols + (cols >= np.array(nodes)[:, None] - 1)  # skip each diagonal
+    slots = np.repeat(np.arange(len(nodes)), n - 1)
+    values = np.stack([frag.symbols for frag in fragments]).ravel()
+    return assemble_rows(nodes, n, field, slots, columns.ravel(), values)
 
 
-def check_shared_symbols(nodes: Sequence[int], rows: np.ndarray) -> None:
-    """The full rows of the read nodes must agree on the block they share.
+def assemble_rows(nodes: Sequence[int], n: int, field: Field, slots: np.ndarray,
+                  columns: np.ndarray, values) -> np.ndarray:
+    """The full rows of the read nodes, row r for nodes[r], diagonal zeros
+    put back, from the symbols sent: values[t] at (slots[t], columns[t]).
 
-    Node i's entry in column j and node j's entry in column i are two
-    copies of one symbol, so a mismatch means a damaged fragment.
+    Node i's entry in column j and node j's in column i are copies of one
+    symbol: a copy left out is read off the other, and two that disagree
+    raise DecodeMismatch.  A diagonal position raises IndexOutOfRange, an
+    entry sent by neither node PlanPayloadMismatch.
     """
-    block = rows[:, np.asarray(nodes) - 1]
-    bad = np.argwhere(block != block.T)
+    k = len(nodes)
+    diagonal = np.asarray(nodes) - 1
+    on_diagonal = np.flatnonzero(columns == diagonal[slots])
+    if on_diagonal.size:
+        raise IndexOutOfRange(f"node {nodes[slots[on_diagonal[0]]]} does not store its diagonal zero")
+    rows = np.zeros((k, n), dtype=np.int64)
+    sent = np.zeros((k, n), dtype=bool)
+    rows[slots, columns] = field.varray(values)
+    sent[slots, columns] = True
+    sent[np.arange(k), diagonal] = True
+    block, have = rows[:, diagonal], sent[:, diagonal]
+    bad = np.argwhere(have & have.T & (block != block.T))
     if bad.size:
         a, b = bad[0]
         raise DecodeMismatch(f"nodes {nodes[a]} and {nodes[b]} disagree on the symbol they share")
+    rows[:, diagonal] = np.where(have, block, block.T)
+    sent[:, diagonal] = have | have.T
+    if not sent.all():
+        r, c = np.argwhere(~sent)[0]
+        raise PlanPayloadMismatch(f"plan leaves out the symbol nodes {nodes[r]} and {c + 1} share")
+    return rows
 
 
 def check_nodes(n: int, nodes: Sequence[int], count: int) -> None:

@@ -21,12 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+from .. import codec
 from ..counting import OpCounter
 from ..errors import FieldTooSmall, ParamsInvalid, TrendViolation, WrongField
 from ..gf import Field
-from ..mbr import MbrParams, mbr_encode, mbr_encode_columns
-from ..rbt import RbtParams, rbt_encode_systematic, source_block
-from ..shah import ShahParams, shah_encode
+from ..mbr import MbrParams, mbr_encode_columns
 
 FAMILIES = ("rbt-vs-shah", "mbr-naive-vs-ntt")
 
@@ -50,12 +49,16 @@ class BenchReport:
         return {r.n: r.multiplications for r in self.rows if r.contender == contender}
 
 
-def bench_compare(family: str, sizes, field: Field, seed: int = 7,
-                  check_trend: bool = True) -> BenchReport:
+def bench_compare(family: str, sizes, field: Field, seed: int = 7) -> BenchReport:
+    """Sweep one family over the sizes, then check its trend (above) over
+    the sizes where both contenders ran; a failed trend raises
+    TrendViolation.  Every contender but the column-wise NTT encoder
+    encodes through `regencodes.codec`.
+    """
     if family == "rbt-vs-shah":
-        return _bench_rbt_vs_shah(list(sizes), field, seed, check_trend)
+        return _bench_rbt_vs_shah(list(sizes), field, seed)
     if family == "mbr-naive-vs-ntt":
-        return _bench_mbr_naive_vs_ntt(list(sizes), field, seed, check_trend)
+        return _bench_mbr_naive_vs_ntt(list(sizes), field, seed)
     raise ParamsInvalid(f"unknown bench family {family!r}; families: {FAMILIES}")
 
 
@@ -63,7 +66,7 @@ def _rand(field: Field, count: int, rng: random.Random) -> list[int]:
     return [rng.randrange(field.q) for _ in range(count)]
 
 
-def _bench_rbt_vs_shah(sizes, field, seed, check_trend) -> BenchReport:
+def _bench_rbt_vs_shah(sizes, field, seed) -> BenchReport:
     report = BenchReport(family="rbt-vs-shah")
     rng = random.Random(seed)
     for n in sizes:
@@ -71,28 +74,20 @@ def _bench_rbt_vs_shah(sizes, field, seed, check_trend) -> BenchReport:
             raise ParamsInvalid(f"rbt-vs-shah sweeps k=n/2; n={n} is odd")
         k = n // 2
         stored = n * (n - 1)
-        try:
-            params = RbtParams(field, n, k, systematic=True)
-            u = _rand(field, params.B, rng)
-            counter = OpCounter()
-            rbt_encode_systematic(params, source_block(params, u), counter)
-            report.rows.append(BenchRow(n, "rbt", counter.mul, counter.add, stored))
-        except FieldTooSmall as exc:
-            report.exclusions.append((n, "rbt", f"FieldTooSmall: {exc}"))
-        try:
-            sparams = ShahParams(field, n, k)
-            u = _rand(field, sparams.B, rng)
-            counter = OpCounter()
-            shah_encode(sparams, u, counter)
-            report.rows.append(BenchRow(n, "shah", counter.mul, counter.add, stored))
-        except FieldTooSmall as exc:
-            report.exclusions.append((n, "shah", f"FieldTooSmall: {exc}"))
-    if check_trend:
-        _assert_increasing_ratio(report, "shah", "rbt")
+        for contender, tag in (("rbt", "rbt-sys"), ("shah", "shah")):
+            try:
+                params = codec.params_for(tag, field, n, k)
+                u = _rand(field, params.B, rng)
+                counter = OpCounter()
+                codec.encode(params, u, counter)
+                report.rows.append(BenchRow(n, contender, counter.mul, counter.add, stored))
+            except FieldTooSmall as exc:
+                report.exclusions.append((n, contender, f"FieldTooSmall: {exc}"))
+    _assert_increasing_ratio(report, "shah", "rbt")
     return report
 
 
-def _bench_mbr_naive_vs_ntt(sizes, field, seed, check_trend) -> BenchReport:
+def _bench_mbr_naive_vs_ntt(sizes, field, seed) -> BenchReport:
     if field.kind != "fermat":
         raise WrongField("mbr-naive-vs-ntt runs on the Fermat field")
     report = BenchReport(family="mbr-naive-vs-ntt")
@@ -104,15 +99,14 @@ def _bench_mbr_naive_vs_ntt(sizes, field, seed, check_trend) -> BenchReport:
         params = MbrParams(field, n, k, d, ntt=True)
         u = _rand(field, params.B, rng)
         c_naive, c_ntt = OpCounter(), OpCounter()
-        frags_naive = mbr_encode(params, u, c_naive)
+        frags_naive = codec.encode(params, u, c_naive)
         frags_ntt = mbr_encode_columns(params, u, c_ntt)
         if frags_naive != frags_ntt:
             raise TrendViolation(f"n={n}: NTT encoding disagrees with the native product")
         stored = n * d
         report.rows.append(BenchRow(n, "naive", c_naive.mul, c_naive.add, stored))
         report.rows.append(BenchRow(n, "ntt", c_ntt.mul, c_ntt.add, stored))
-    if check_trend:
-        _assert_crossover(report, "naive", "ntt")
+    _assert_crossover(report, "naive", "ntt")
     return report
 
 

@@ -1,12 +1,14 @@
 """Built-in invariant suites behind the `selftest` CLI subcommand.
 
-Small-n exhaustive checks of the properties every deployment relies on:
-field axioms, MDS subsets, codec round trips, zero-cost repair, and
-download accounting.  Returns True when every suite passes.
+Small-n exhaustive checks of field axioms, MDS subsets and the encoding
+conditions, and one round-trip suite per codec tag through
+`regencodes.codec`: every repair, every read of every k-subset by every
+scheme, and a refusal of the tag's fragments by the next tag's params.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import tempfile
@@ -14,36 +16,27 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import codec
 from ..counting import OpCounter
+from ..errors import ParamsInvalid, SchemeBackendMismatch
 from ..fragments import Fragment
 from ..gf import binary_field, fermat_field, ntt_evaluate, ntt_points, prime_field
 from ..matrix import FieldMatrix, extended_vandermonde, is_singular, mat_inv
-from ..mbr import (
-    BACKENDS,
-    MbrParams,
-    mbr_build_encoding,
-    mbr_encode,
-    mbr_extract_payloads,
-    mbr_partial_plan,
-    mbr_reconstruct_full,
-    mbr_reconstruct_partial,
-    repair_from_fragments,
-)
+from ..mbr import BACKENDS, MbrParams, mbr_build_encoding
 from ..poly import poly_eval
 from ..psrs import PsrsMessage, decode_full_eval, decode_full_genpoly, encode_eval, encode_genpoly, eval_params, genpoly_params
-from ..rbt import (
-    RbtParams,
-    decision,
-    extract_payloads,
-    helper_repair_symbol,
-    rbt_encode,
-    rbt_partial_plan,
-    rbt_reconstruct_full,
-    rbt_reconstruct_partial,
-    rbt_repair,
-)
-from ..shah import ShahParams, helper_repair_packet, shah_encode, shah_reconstruct, shah_repair
+from ..rbt import decision
 from .fragio import read_fragment, write_fragment
+
+# one round-trip suite per codec tag: (tag, field, n, k, d); rbt runs at
+# n = q+1, mbr-vdm at n = q, whose point 0 pins a slot
+CODECS = (
+    ("rbt", binary_field(2), 5, 3, None),
+    ("rbt-sys", prime_field(7), 6, 3, None),
+    ("mbr-psrs", prime_field(7), 6, 3, 4),
+    ("mbr-vdm", prime_field(7), 7, 3, 4),
+    ("shah", binary_field(6), 5, 3, None),
+)
 
 
 def _check(ok: bool, what: str) -> None:
@@ -127,61 +120,40 @@ def _suite_psrs():
                    f"generator-form decode from degrees {subset} wrong")
 
 
-def _suite_rbt():
-    rng = random.Random(2)
-    params = RbtParams(binary_field(2), 5, 3)
-    u = [rng.randrange(4) for _ in range(params.B)]
-    cw = rbt_encode(params, u)
-    frags = {f.node: f for f in cw.fragments()}
-    for failed in range(1, 6):
+def _check_raises(error: type[Exception], what: str, call, *args) -> None:
+    try:
+        call(*args)
+    except error:
+        return
+    raise AssertionError(what)
+
+
+def _suite_codec(case, other):
+    params, wrong = codec.params_for(*case), codec.params_for(*other)
+    tag = params.codec
+    rng = random.Random(tag)
+    u = [rng.randrange(params.field.q) for _ in range(params.B)]
+    frags = {f.node: f for f in codec.encode(params, u)}
+    for failed in frags:
         counter = OpCounter()
-        responses = [(i, helper_repair_symbol(frags[i], failed)) for i in frags if i != failed]
-        _check(rbt_repair(params, responses, failed, counter) == frags[failed],
-               f"repair of node {failed} wrong")
-        _check(counter.mul == 0 and counter.add == 0, f"repair of node {failed} cost field ops")
-    for subset in itertools.combinations(range(1, 6), 3):
-        _check(rbt_reconstruct_full(params, [frags[i] for i in subset]) == u,
-               f"reconstruction from {subset} wrong")
-    plan = rbt_partial_plan(params, [1, 3, 5])
-    _check(plan.total_symbols == params.B, "partial plan does not download B symbols")
-    _check(rbt_reconstruct_partial(params, plan, extract_payloads(cw, plan)) == u,
-           "partial reconstruction wrong")
-
-
-def _suite_mbr():
-    rng = random.Random(3)
-    params = MbrParams(prime_field(7), 6, 3, 4)
-    u = [rng.randrange(7) for _ in range(params.B)]
-    frags = mbr_encode(params, u)
-    for subset in itertools.combinations(range(1, 7), 3):
-        _check(mbr_reconstruct_full(params, [frags[i - 1] for i in subset]) == u,
-               f"reconstruction from {subset} wrong")
-    for failed in range(1, 7):
-        helpers = [i for i in range(1, 7) if i != failed][:4]
-        _check(repair_from_fragments(params, [frags[i - 1] for i in helpers], failed)
-               == frags[failed - 1], f"repair of node {failed} wrong")
-    for scheme in ("lower", "upper"):
-        plan = mbr_partial_plan(params, [1, 2, 4], scheme)
-        _check(plan.total_symbols == params.B, f"{scheme} plan does not download B symbols")
-        _check(mbr_reconstruct_partial(params, plan, mbr_extract_payloads(frags, plan)) == u,
-               f"{scheme} partial reconstruction wrong")
-
-
-def _suite_shah():
-    rng = random.Random(4)
-    params = ShahParams(binary_field(6), 5, 3)
-    u = [rng.randrange(64) for _ in range(params.B)]
-    frags = {f.node: f for f in shah_encode(params, u)}
-    for failed in range(1, 6):
-        counter = OpCounter()
-        responses = [(i, helper_repair_packet(params, frags[i], failed))
-                     for i in frags if i != failed]
-        _check(shah_repair(params, responses, failed, counter) == frags[failed],
-               f"repair of node {failed} wrong")
-        _check(counter.mul == 0 and counter.add == 0, f"repair of node {failed} cost field ops")
-    for subset in itertools.combinations(range(1, 6), 3):
-        _check(shah_reconstruct(params, [frags[i] for i in subset]) == u,
-               f"reconstruction from {subset} wrong")
+        others = {i: f for i, f in frags.items() if i != failed}
+        frag, sent = codec.repair(params, others, failed, counter=counter)
+        _check(frag == frags[failed], f"repair of node {failed} wrong")
+        _check(sum(sent.values()) == params.d, f"repair of node {failed} did not move d symbols")
+        _check(tag.startswith("mbr") or counter.mul == counter.add == 0,
+               f"repair of node {failed} cost field ops")
+    for nodes, scheme in itertools.product(itertools.combinations(frags, params.k),
+                                           codec.SCHEMES[tag]):
+        if (tag, scheme) == ("mbr-psrs", "gong"):
+            _check_raises(SchemeBackendMismatch, "mbr-psrs ran the gong plan",
+                          codec.reconstruct, params, frags, nodes, scheme)
+            continue
+        got, sent = codec.reconstruct(params, frags, nodes, scheme)
+        _check(got == u, f"{scheme} read from {nodes} wrong")
+        _check(scheme == "full" or sum(sent.values()) == params.B,
+               f"{scheme} plan from {nodes} does not download B symbols")
+    _check_raises(ParamsInvalid, f"{wrong.codec} params read {tag} fragments",
+                  codec.reconstruct, wrong, frags, range(1, wrong.k + 1), "full")
 
 
 def _suite_decision_tables():
@@ -208,9 +180,8 @@ SUITES = [
     ("mbr-conditions", _suite_mbr_conditions),
     ("ntt", _suite_ntt),
     ("psrs", _suite_psrs),
-    ("rbt", _suite_rbt),
-    ("mbr", _suite_mbr),
-    ("shah", _suite_shah),
+    *((case[0], functools.partial(_suite_codec, case, CODECS[(i + 1) % len(CODECS)]))
+      for i, case in enumerate(CODECS)),
     ("decision-tables", _suite_decision_tables),
     ("fragment-files", _suite_fragment_files),
 ]

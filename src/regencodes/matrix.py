@@ -528,17 +528,14 @@ def vandermonde(field: Field, n: int, k: int,
     """n x k matrix with entry [i, j] = points[i]^j, j = 0..k-1."""
     if points is None:
         points = enumerate_points(field, n)
-    pts = [int(p) for p in points]
-    if len(pts) != n:
-        raise DimensionMismatch(f"{len(pts)} points for n={n}")
-    if len(set(pts)) != len(pts):
+    pa = field.varray(points)
+    if pa.shape != (n,):
+        raise DimensionMismatch(f"points of shape {pa.shape} for n={n}")
+    if len(set(pa.tolist())) != n:
         raise DuplicatePoints("evaluation points must be distinct")
-    if n > field.q:
-        raise FieldTooSmall(f"n={n} exceeds field size {field.q}")
     out = np.empty((n, k), dtype=np.int64)
     if k > 0:
         col = np.ones(n, dtype=np.int64)
-        pa = field.varray(pts)
         for j in range(k):
             out[:, j] = col
             if j + 1 < k:

@@ -51,7 +51,7 @@ from .errors import (
     WrongFragmentCount,
     WrongHelperCount,
 )
-from .fragments import Fragment, check_nodes, row_fragments, trusted_fragment
+from .fragments import Fragment, check_codec, check_nodes, row_fragments, trusted_fragment
 from .gf import Field
 from .matrix import (
     FactoredInverse,
@@ -140,6 +140,11 @@ def message_from_block(params: MbrParams, block: np.ndarray) -> list[int]:
 @lru_cache(maxsize=None)
 def _psrs_params(params: MbrParams):
     return eval_params(params.field, params.n, params.k, params.d, ntt=params.ntt)
+
+
+@lru_cache(maxsize=None)
+def _psrs_points(params: MbrParams) -> np.ndarray:
+    return frozen(np.array(_psrs_params(params).points, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -256,6 +261,7 @@ def _repair_inverse(params: MbrParams, helpers: tuple[int, ...]
 def repair_from_fragments(params: MbrParams, fragments: Sequence[Fragment], failed: int,
                           counter: OpCounter | None = None) -> Fragment:
     """Convenience: compute helper responses from whole fragments, then repair."""
+    check_codec(params, fragments)
     row = psi_row(params, failed)
     responses = [
         (f.node, mbr_helper_response(f, row, params.field, counter)) for f in fragments
@@ -307,6 +313,7 @@ def assign_slots(params: MbrParams, nodes: Sequence[int]) -> tuple[int, ...]:
 def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
                          counter: OpCounter | None = None) -> list[int]:
     """Recover the B message symbols from any k complete fragments."""
+    check_codec(params, fragments)
     nodes = [fr.node for fr in fragments]
     check_nodes(params.n, nodes, params.k)
     for fr in fragments:
@@ -339,8 +346,7 @@ def _collector_inverse(params: MbrParams, nodes: tuple[int, ...], order: tuple[i
     if params.backend == "psrs":
         rows = np.empty(params.k, dtype=np.intp)
         rows[[g - 1 for g in order]] = [i - 1 for i in nodes]
-        points = np.array(_psrs_params(params).points, dtype=np.int64)
-        phi_inv = interpolation_inverse(params.field, points, rows, cost)
+        phi_inv = interpolation_inverse(params.field, _psrs_points(params), rows, cost)
     else:
         phi_dc = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
         phi_inv = collector_inverse(params.field, phi_dc, cost)
@@ -435,7 +441,7 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     """
     if plan.scheme not in PARTIAL_SCHEMES:
         raise ParamsInvalid(f"plan scheme {plan.scheme!r} is not a partial scheme")
-    payloads = plan.check_payloads(payloads, params.d)
+    values = plan.check_payloads(payloads, params.d)
     check_nodes(params.n, plan.nodes, params.k)
     f = params.field
     k, d = params.k, params.d
@@ -446,11 +452,11 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     lower = plan.scheme == "lower"
 
     # scatter payloads: C^Delta is complete, C^Phi only on the plan's triangle
-    rows = np.repeat(np.asarray(plan.order, dtype=np.intp) - 1,
-                     [len(pos) for pos in plan.positions])
-    cols = np.array([p for pos in plan.positions for p in pos], dtype=np.intp) - 1
+    slots, positions = plan.flat
+    rows = np.asarray(plan.order, dtype=np.intp)[slots] - 1
+    cols = positions - 1
     c_dc = np.zeros((k, d), dtype=np.int64)
-    c_dc[rows, cols] = f.varray([v for pay in payloads for v in pay])
+    c_dc[rows, cols] = f.varray(values)
     downloaded = np.zeros((k, d), dtype=bool)
     downloaded[rows, cols] = True
     downloaded = downloaded[:, :k]

@@ -10,8 +10,12 @@ product-matrix codecs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
-from .errors import IndexOutOfRange, PlanPayloadMismatch
+import numpy as np
+
+from .errors import DuplicateIndex, IndexOutOfRange, PlanPayloadMismatch
 
 SCHEMES = ("full", "lower", "upper", "gong", "rbt-pairwise")
 
@@ -37,18 +41,32 @@ class DownloadPlan:
     def per_node_counts(self) -> dict[int, int]:
         return {node: len(p) for node, p in zip(self.nodes, self.positions)}
 
+    @cached_property
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, position) of every planned symbol, in plan order: the
+        slot is the index of its node in `nodes`."""
+        lengths = [len(p) for p in self.positions]
+        slots = np.repeat(np.arange(len(self.nodes)), lengths)
+        return slots, np.fromiter(chain.from_iterable(self.positions), np.intp, sum(lengths))
+
     def check_positions(self, bound: int) -> None:
-        """Every position must lie in [1, bound]."""
-        # one set of the distinct positions is cheaper than a min and max per node
-        used = set().union(*self.positions)
-        if used and not (1 <= min(used) and max(used) <= bound):
+        """Every position must lie in [1, bound], and no node may list one twice."""
+        slots, positions = self.flat
+        if not positions.size:
+            return
+        if not (1 <= positions.min() and positions.max() <= bound):
             for node, pos in zip(self.nodes, self.positions):
                 if pos and not 1 <= min(pos) <= max(pos) <= bound:
                     raise IndexOutOfRange(f"node {node}: positions {pos} outside [1, {bound}]")
+        counts = np.bincount(slots * bound + positions - 1)
+        key = int(counts.argmax())
+        if counts[key] > 1:
+            raise DuplicateIndex(f"node {self.nodes[key // bound]}: position {key % bound + 1} "
+                                 "listed twice")
 
-    def check_payloads(self, payloads, bound: int) -> list[list[int]]:
-        """Payloads as lists, one per node, each as long as the node's
-        positions; every position must lie in [1, bound]."""
+    def check_payloads(self, payloads, bound: int) -> list[int]:
+        """The payloads' symbols in plan order.  There must be one payload
+        per node, as long as its positions, which check_positions checks."""
         payloads = [list(p) for p in payloads]
         if len(payloads) != len(self.nodes):
             raise PlanPayloadMismatch(
@@ -60,4 +78,4 @@ class DownloadPlan:
                     f"node {node}: payload has {len(pay)} symbols, plan expects {len(pos)}"
                 )
         self.check_positions(bound)
-        return payloads
+        return [v for pay in payloads for v in pay]

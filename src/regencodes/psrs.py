@@ -103,16 +103,16 @@ def eval_params(field: Field, n: int, k: int, d: int,
     if ntt:
         if points is not None:
             raise ParamsInvalid("pass either explicit points or ntt=True, not both")
-        pts = tuple(ntt_points(field, n))
+        points = ntt_points(field, n)
         ntt_size = 1 << (n - 1).bit_length()  # the transform size ntt_points used
     elif points is None:
-        pts = tuple(enumerate_points(field, n))
-    else:
-        pts = tuple(int(p) for p in points)
+        points = enumerate_points(field, n)
     # every point source is checked: the encoding conditions rest on distinct points
-    if len(pts) != n or len(set(pts)) != n:
+    pts = field.varray(points)
+    if pts.shape != (n,) or len(set(pts.tolist())) != n:
         raise ParamsInvalid("points must be n distinct field values")
-    return PsrsParams(field=field, n=n, k=k, d=d, form="eval", points=pts, ntt_size=ntt_size)
+    return PsrsParams(field=field, n=n, k=k, d=d, form="eval", points=tuple(pts.tolist()),
+                      ntt_size=ntt_size)
 
 
 def genpoly_params(field: Field, n: int, k: int, d: int,

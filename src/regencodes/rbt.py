@@ -30,17 +30,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .counting import OpCounter
-from .errors import (
-    FieldTooSmall,
-    IndexOutOfRange,
-    ParamsInvalid,
-    PlanPayloadMismatch,
-    WrongMessageLength,
-)
+from .errors import FieldTooSmall, IndexOutOfRange, ParamsInvalid, WrongMessageLength
 from .fragments import (
     Fragment,
+    assemble_rows,
+    check_codec,
     check_nodes,
-    check_shared_symbols,
     expand_rows,
     fragment_symbol,
     fragment_symbols,
@@ -151,12 +146,13 @@ def message_from_block(params: RbtParams, block: np.ndarray) -> list[int]:
     return block[_message_slots(params)].tolist()
 
 
+@lru_cache(maxsize=None)
 def _sys_points(params: RbtParams) -> np.ndarray:
-    """The finite evaluation points of rbt-sys: the canonical n points for
-    n <= q, those of the extended code at n = q+1."""
+    """The finite evaluation points of rbt-sys, read-only: the canonical n
+    points for n <= q, those of the extended code at n = q+1."""
     field, n = params.field, params.n
-    return np.array(enumerate_points(field, n) if n <= field.q else extended_points(field, n),
-                    dtype=np.int64)
+    return frozen(np.array(enumerate_points(field, n) if n <= field.q
+                           else extended_points(field, n), dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -320,11 +316,10 @@ def rbt_repair(params: RbtParams, responses: Sequence[tuple[int, int]] | Mapping
 def rbt_reconstruct_full(params: RbtParams, fragments: Sequence[Fragment],
                          counter: OpCounter | None = None) -> list[int]:
     """Recover the B message symbols from any k complete fragments."""
+    check_codec(params, fragments)
     nodes = [f.node for f in fragments]
     check_nodes(params.n, nodes, params.k)
-    rows = expand_rows(fragments, params.n, params.field)
-    check_shared_symbols(nodes, rows)
-    return _read_rows(params, nodes, rows, counter)
+    return _read_rows(params, nodes, expand_rows(fragments, params.n, params.field), counter)
 
 
 def _read_rows(params: RbtParams, nodes: Sequence[int], rows: np.ndarray,
@@ -387,20 +382,8 @@ def extract_payloads(cw: RbtCodeword, plan: DownloadPlan) -> list[list[int]]:
 def rbt_reconstruct_partial(params: RbtParams, plan: DownloadPlan, payloads,
                             counter: OpCounter | None = None) -> list[int]:
     """Reassemble the k full rows via symmetry, then reconstruct as usual."""
-    payloads = plan.check_payloads(payloads, params.n)
-    n, nodes = params.n, plan.nodes
-    check_nodes(n, nodes, params.k)
-    rows = [node - 1 for node, pos in zip(nodes, plan.positions) for _ in pos]
-    cols = [c - 1 for pos in plan.positions for c in pos]
-    a = np.zeros((n, n), dtype=np.int64)
-    sent = np.eye(n, dtype=bool)  # no node stores its diagonal zero
-    a[rows, cols] = params.field.varray([v for pay in payloads for v in pay])
-    sent[rows, cols] = True
-    # a shared symbol one node leaves out is read off the other's mirror entry
-    a = np.where(sent, a, a.T)
-    picked = [i - 1 for i in nodes]
-    held = (sent | sent.T)[picked]
-    if not held.all():
-        r, c = np.argwhere(~held)[0]
-        raise PlanPayloadMismatch(f"plan leaves out the symbol nodes {nodes[r]} and {c + 1} share")
-    return _read_rows(params, nodes, a[picked], counter)
+    values = plan.check_payloads(payloads, params.n)
+    check_nodes(params.n, plan.nodes, params.k)
+    slots, positions = plan.flat
+    rows = assemble_rows(plan.nodes, params.n, params.field, slots, positions - 1, values)
+    return _read_rows(params, plan.nodes, rows, counter)

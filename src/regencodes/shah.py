@@ -28,8 +28,8 @@ from .counting import OpCounter
 from .errors import FieldTooSmall, ParamsInvalid, SingularMatrix
 from .fragments import (
     Fragment,
+    check_codec,
     check_nodes,
-    check_shared_symbols,
     expand_rows,
     fragment_symbol,
     stored_fragments,
@@ -125,13 +125,12 @@ def shah_repair(params: ShahParams, responses: Sequence[tuple[int, int]] | Mappi
 def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],
                      counter: OpCounter | None = None) -> list[int]:
     """Erasure-decode the message from the packets held by k nodes."""
+    check_codec(params, fragments)
     n = params.n
     nodes = [f.node for f in fragments]
     check_nodes(n, nodes, params.k)
-    # checked before placing: a later node's copy of a shared packet
-    # overwrites an earlier node's, so the two copies must agree
+    # the two copies of a shared packet agree, so placing both is safe
     stored = expand_rows(fragments, n, params.field)
-    check_shared_symbols(nodes, stored)
     packets = np.zeros((n, n), dtype=np.int64)
     held = np.zeros(n, dtype=bool)
     for node, row in zip(nodes, stored):

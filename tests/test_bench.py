@@ -25,7 +25,7 @@ def test_rbt_vs_shah_ratio_increases():
 
 
 def test_shah_excluded_when_field_too_small():
-    report = bench_compare("rbt-vs-shah", [8], binary_field(3), check_trend=False)
+    report = bench_compare("rbt-vs-shah", [8], binary_field(3))
     assert [r.contender for r in report.rows] == ["rbt"]
     assert report.exclusions and report.exclusions[0][:2] == (8, "shah")
     csv = report_to_csv(report)

@@ -6,23 +6,27 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Under -O, patch the repair call of the rbt suite to return a fragment
-# with every symbol shifted; the self-test must still report the failure.
+# Under -O, patch the repair call codec makes for plain rbt to return a
+# fragment with every symbol shifted; the self-test must still report the
+# failure, under the rbt suite's name only.
 BROKEN_REPAIR = textwrap.dedent("""
     import sys
+    from regencodes import codec
     from regencodes.fragments import Fragment
     from regencodes.harness import selftest
 
     if __debug__:
         sys.exit(2)  # not running under -O
-    real = selftest.rbt_repair
+    real = codec.rbt_repair
 
     def wrong(params, responses, failed, counter=None):
         frag = real(params, responses, failed, counter)
+        if params.codec != "rbt":
+            return frag
         q = params.field.q
         return Fragment(frag.codec, frag.node, tuple((s + 1) % q for s in frag.symbols))
 
-    selftest.rbt_repair = wrong
+    codec.rbt_repair = wrong
     lines = []
     ok = selftest.run_selftest(out=lines.append)
     print("\\n".join(lines))
@@ -41,8 +45,11 @@ def _run_under_optimize(script: str) -> subprocess.CompletedProcess:
 
 def test_selftest_detects_wrong_fragment_under_optimize():
     proc = _run_under_optimize(BROKEN_REPAIR)
-    assert "selftest rbt: FAIL" in proc.stdout
-    assert "selftest mbr: ok" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if "FAIL" in line][0].startswith("selftest rbt: FAIL")
+    assert sum("FAIL" in line for line in lines) == 1
+    for tag in ("rbt-sys", "mbr-psrs", "mbr-vdm", "shah"):
+        assert f"selftest {tag}: ok" in lines
 
 
 # Under -O, give the mbr-conditions suite an encoding matrix whose last row
@@ -71,4 +78,4 @@ REPEATED_POINT = textwrap.dedent("""
 def test_selftest_mbr_conditions_detect_a_repeated_point_under_optimize():
     proc = _run_under_optimize(REPEATED_POINT)
     assert "selftest mbr-conditions: FAIL" in proc.stdout
-    assert "selftest mbr: ok" in proc.stdout
+    assert "selftest mbr-psrs: ok" in proc.stdout.splitlines()
