@@ -277,28 +277,35 @@ def solve_cost(n: int, cols: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FactoredInverse:
-    """The inverse of a square matrix kept as two triangular factors,
-    a^-1 = second @ first with `first` unit triangular.  A block that is
-    leading (or trailing) on both sides is the factored inverse of the same
-    block of a, which `block` takes."""
+    """The inverse of a square matrix a kept as the inverses of the two
+    triangular factors of a[perm]: a^-1 b = second @ first @ b[perm], with
+    `first` unit triangular.  `pivoted` says perm is not the identity.  For
+    an unpivoted factorization a block that is leading (or trailing) on both
+    sides is the factored inverse of the same block of a, which `block`
+    takes.  Arrays are read-only."""
 
     field: Field
     first: np.ndarray
     second: np.ndarray
+    perm: np.ndarray
+    pivoted: bool
 
     @property
     def rows(self) -> int:
         return self.first.shape[0]
 
     def block(self, part: slice) -> FactoredInverse:
-        return FactoredInverse(self.field, self.first[part, part], self.second[part, part])
+        first = self.first[part, part]
+        return FactoredInverse(self.field, first, self.second[part, part],
+                               self.perm[:len(first)], False)
 
 
 def mat_solve(a: FieldMatrix | FactoredInverse, b: np.ndarray,
               counter: OpCounter | None = None) -> np.ndarray:
     """Solve a @ x = b for x via Gauss-Jordan on the augmented system, or,
-    when `a` comes factored, by its two triangular products: n^2 mul and
-    n(n-1) add per column of b, the unit diagonal being free."""
+    when `a` comes factored, by its two triangular products on the permuted
+    rows of b: n^2 mul and n(n-1) add per column of b, the unit diagonal
+    being free."""
     rows, cols = b.shape
     if a.rows != rows:
         raise DimensionMismatch(f"rhs has {rows} rows, expected {a.rows}")
@@ -306,27 +313,18 @@ def mat_solve(a: FieldMatrix | FactoredInverse, b: np.ndarray,
         if counter is not None:
             counter.count_mul(cols * rows * rows)
             counter.count_add(cols * rows * (rows - 1))
+        if a.pivoted:
+            b = b[a.perm]
         return a.field.matmul(a.second, a.field.matmul(a.first, b))
     if a.rows != a.cols:
         raise DimensionMismatch(f"coefficient matrix {a.rows}x{a.cols} not square")
     return _gauss_jordan(a.field, a.a, b, counter)
 
 
-@dataclass(frozen=True)
-class TriangularInverses:
-    """P A = L U, kept as the inverses of its factors: a[perm] = L U with L
-    unit lower triangular and U upper triangular.  Arrays are read-only;
-    `mul` and `add` are the counted cost of building them."""
-
-    perm: np.ndarray
-    l_inv: np.ndarray
-    u_inv: np.ndarray
-    mul: int
-    add: int
-
-
-def lu_inverses(field: Field, a: np.ndarray) -> TriangularInverses:
-    """LU with first-nonzero row pivoting, then L^-1 and U^-1.
+def lu_inverses(field: Field, a: np.ndarray,
+                counter: OpCounter | None = None) -> FactoredInverse:
+    """LU with first-nonzero row pivoting, a[perm] = L U, returned as the
+    FactoredInverse with first = L^-1 and second = U^-1.
 
     A row j of a that equals e_j needs no elimination: no earlier step
     changes it, so it is never a pivot for another column, `perm` is that
@@ -341,8 +339,9 @@ def lu_inverses(field: Field, a: np.ndarray) -> TriangularInverses:
 
     Counts are those of the dense factorization and follow its structure:
     an update touches only the triangle a factor occupies, and a product
-    with a unit diagonal entry is free.  Raises SingularMatrix when a has
-    no nonzero pivot in some column.
+    with a unit diagonal entry is free: _lu_cost(n), charged to `counter`
+    by a call that returns.  Raises SingularMatrix when a has no nonzero
+    pivot in some column.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"cannot factorize an array of shape {a.shape}")
@@ -393,7 +392,11 @@ def lu_inverses(field: Field, a: np.ndarray) -> TriangularInverses:
     u_inv = field.vreduce(u_inv)
     for arr in (perm, l_inv, u_inv):
         arr.setflags(write=False)
-    return TriangularInverses(perm, l_inv, u_inv, *_lu_cost(n))
+    if counter is not None:
+        mul, add = _lu_cost(n)
+        counter.count_mul(mul)
+        counter.count_add(add)
+    return FactoredInverse(field, l_inv, u_inv, perm, bool((perm != np.arange(n)).any()))
 
 
 def is_singular(field: Field, a: np.ndarray) -> bool:
@@ -424,15 +427,6 @@ def data_collector(psi: np.ndarray, k: int, nodes: Sequence[int],
     rows = np.zeros((k, psi.shape[1]), dtype=np.int64)
     rows[[g - 1 for g in order]] = psi[[i - 1 for i in nodes]]
     return rows[:, :k], rows[:, k:]
-
-
-def collector_inverse(field: Field, phi_dc: np.ndarray, counter: OpCounter | None) -> np.ndarray:
-    """Phi_DC^-1; a singular Phi_DC means the encoding matrix breaks the
-    code's conditions."""
-    try:
-        return mat_inv(FieldMatrix(field, phi_dc), counter)
-    except SingularMatrix as exc:
-        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
 
 
 def lagrange_rows(field: Field, base: np.ndarray, query: np.ndarray

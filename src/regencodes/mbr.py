@@ -46,7 +46,6 @@ from .errors import (
     ParamsInvalid,
     PlanPayloadMismatch,
     SchemeBackendMismatch,
-    SingularMatrix,
     SingularStageMatrix,
     WrongFragmentCount,
     WrongHelperCount,
@@ -57,7 +56,6 @@ from .matrix import (
     FactoredInverse,
     FieldMatrix,
     check_message,
-    collector_inverse,
     data_collector,
     frozen,
     interpolation_inverse,
@@ -250,11 +248,7 @@ def _repair_inverse(params: MbrParams, helpers: tuple[int, ...]
     """Psi_repair^-1 for the helpers in this order, with the cost of the
     d x d Gauss-Jordan solve it stands for."""
     psi = mbr_build_encoding(params)
-    try:
-        inv = mat_inv(FieldMatrix(params.field, psi[[h - 1 for h in helpers]]))
-    except SingularMatrix as exc:
-        # cannot occur when the encoding-matrix conditions hold
-        raise SingularMatrix("repair system singular; code construction broken") from exc
+    inv = mat_inv(FieldMatrix(params.field, psi[[h - 1 for h in helpers]]))
     return frozen(inv), solve_cost(params.d, 1)
 
 
@@ -349,7 +343,7 @@ def _collector_inverse(params: MbrParams, nodes: tuple[int, ...], order: tuple[i
         phi_inv = interpolation_inverse(params.field, _psrs_points(params), rows, cost)
     else:
         phi_dc = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
-        phi_inv = collector_inverse(params.field, phi_dc, cost)
+        phi_inv = mat_inv(FieldMatrix(params.field, phi_dc), cost)
     return frozen(phi_inv), (cost.mul, cost.add)
 
 
@@ -462,7 +456,7 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     downloaded = downloaded[:, :k]
 
     phi, delta = data_collector(mbr_build_encoding(params), k, plan.nodes, plan.order)
-    fac = _stage_factors(params, plan.nodes, plan.order, lower)
+    inverse, cost = _stage_factors(params, plan.nodes, plan.order, lower)
     columns = range(k) if lower else range(k - 1, -1, -1)
     # (unknown rows, known rows) of each stage's column
     parts = [(slice(c, None), slice(None, c)) if lower
@@ -472,11 +466,11 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     for c, (todo, _) in zip(columns, parts):
         if missing[c]:
             raise PlanPayloadMismatch(f"plan leaves out C^Phi entries of column {c + 1}")
-        if fac.pivoted and is_singular(f, phi[todo, todo]):
+        if inverse.pivoted and is_singular(f, phi[todo, todo]):
             raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated")
 
-    _charge(counter, fac.cost)
-    t = mat_solve(fac.inverse, c_dc[:, k:], counter)
+    _charge(counter, cost)
+    t = mat_solve(inverse, c_dc[:, k:], counter)
     dt = f.matmul(delta, t.T)  # k x k
     d_phi = f.vsub(c_dc[:, :k], dt)  # meaningful where downloaded
     if counter is not None:
@@ -494,7 +488,7 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
             m = len(rhs)
             counter.count_mul(m * (k - m))
             counter.count_add(m * (k - m))
-        col = mat_solve(fac.inverse.block(todo), rhs[:, None], counter)[:, 0]
+        col = mat_solve(inverse.block(todo), rhs[:, None], counter)[:, 0]
         if trace is not None:
             trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known, rhs, f))
         s[todo, c] = col
@@ -503,19 +497,11 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     return message_from_block(params, np.concatenate([s, t], axis=1))
 
 
-@dataclass(frozen=True)
-class _StageFactors:
-    """Phi_DC^-1 as the inverses of its two triangular factors."""
-
-    inverse: FactoredInverse
-    pivoted: bool  # the factorization swapped rows: some stage block is singular
-    cost: tuple[int, int]
-
-
 @lru_cache(maxsize=_SET_CACHE_SIZE)
 def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, ...],
-                   trailing: bool) -> _StageFactors:
-    """Factorize Phi_DC once for every stage of a partial read.
+                   trailing: bool) -> tuple[FactoredInverse, tuple[int, int]]:
+    """Factorize Phi_DC once for every stage of a partial read, with the
+    cost of the factorization.
 
     A block of a triangular inverse is the inverse of that block whenever
     the block is leading (or trailing) on both sides.  `upper` and `gong`
@@ -525,18 +511,20 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, 
     J Phi_DC J = L' U', gives Phi_DC = U L with U = J L' J and L = J U' J,
     and the block [c:, c:] is inverted by L^-1[c:, c:] U^-1[c:, c:].
 
-    The factorization swaps rows exactly when some leading (trailing)
-    block is singular, which is when some stage system is.
+    The factorization swaps rows, and comes back `pivoted`, exactly when
+    some leading (trailing) block is singular, which is when some stage
+    system is.
     """
     phi = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
-    flip = (slice(None, None, -1),) * 2 if trailing else (slice(None),) * 2
-    try:
-        lu = lu_inverses(params.field, phi[flip])
-    except SingularMatrix as exc:
-        raise SingularMatrix("encoding-matrix conditions violated during reconstruction") from exc
-    pivoted = bool((lu.perm != np.arange(params.k)).any())
-    inverse = FactoredInverse(params.field, lu.l_inv[flip], lu.u_inv[flip])
-    return _StageFactors(inverse, pivoted, (lu.mul, lu.add))
+    cost = OpCounter()
+    if not trailing:
+        return lu_inverses(params.field, phi, cost), (cost.mul, cost.add)
+    lu = lu_inverses(params.field, phi[::-1, ::-1], cost)
+    # Phi_DC[perm] = J L' U' J = U L
+    perm = frozen((params.k - 1 - lu.perm)[::-1])
+    inverse = FactoredInverse(params.field, lu.first[::-1, ::-1], lu.second[::-1, ::-1], perm,
+                              lu.pivoted)
+    return inverse, (cost.mul, cost.add)
 
 
 def _stage_record(scheme: str, stage: int, c: int, phi: np.ndarray, s: np.ndarray,

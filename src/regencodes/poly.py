@@ -24,20 +24,6 @@ def trim(p: Sequence[int]) -> list[int]:
     return p
 
 
-def padded(p: Sequence[int], length: int) -> list[int]:
-    p = list(p)
-    if len(p) > length:
-        raise ValueError(f"polynomial of {len(p)} coefficients longer than {length}")
-    return p + [0] * (length - len(p))
-
-
-def poly_sub(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    n = max(len(a), len(b))
-    a = padded(a, n)
-    b = padded(b, n)
-    return [field.sub(x, y) for x, y in zip(a, b)]
-
-
 def poly_mul(field: Field, a: Sequence[int], b: Sequence[int],
              counter: OpCounter | None = None) -> list[int]:
     """Schoolbook product; on prime fields one int64 convolution, exact
@@ -125,13 +111,9 @@ def poly_from_roots(field: Field, roots: Sequence[int]) -> list[int]:
 
 
 def poly_derivative(field: Field, p: Sequence[int]) -> list[int]:
-    out = []
-    for i in range(1, len(p)):
-        coeff = 0
-        for _ in range(i):  # i * p[i] in the prime subfield
-            coeff = field.add(coeff, p[i])
-        out.append(coeff)
-    return out
+    """Formal derivative: coefficient i times i, an element of the prime
+    subfield (so i mod the characteristic)."""
+    return field.vmul(p[1:], np.arange(1, len(p)) % field.characteristic).tolist()
 
 
 def lagrange_basis(field: Field, points: Sequence[int]) -> np.ndarray:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .counting import OpCounter
 from .errors import (
-    DecodeMismatch,
     DuplicatePosition,
     FieldTooSmall,
     IndexOutOfRange,
@@ -54,11 +53,9 @@ from .poly import (
     lagrange_interpolate,
     poly_derivative,
     poly_divmod,
-    poly_eval,
     poly_eval_many,
     poly_from_roots,
     poly_mul,
-    poly_sub,
 )
 
 
@@ -229,9 +226,11 @@ def encode_eval(params: PsrsParams, msg: PsrsMessage,
     return poly_eval_many(field, c, params.points, counter)
 
 
-def _check_symbols(params: PsrsParams, pairs, minimum: int, zero_based: bool = False):
-    """(position, value) pairs: positions in range and distinct, at least
-    `minimum` and at most n of them, then values in the field."""
+def _check_symbols(params: PsrsParams, pairs, minimum: int,
+                   zero_based: bool = False) -> np.ndarray:
+    """The values of (position, value) pairs, after checking the positions
+    in range and distinct, at least `minimum` and at most n of them, then
+    the values in the field."""
     lo, hi = (0, params.n - 1) if zero_based else (1, params.n)
     seen = set()
     for pos, _ in pairs:
@@ -244,7 +243,7 @@ def _check_symbols(params: PsrsParams, pairs, minimum: int, zero_based: bool = F
         raise InsufficientSymbols(f"got {len(pairs)} symbols, need at least {minimum}")
     if len(pairs) > params.n:
         raise WrongFragmentCount(f"got {len(pairs)} symbols for codeword length {params.n}")
-    params.field.varray([val for _, val in pairs])
+    return params.field.varray([val for _, val in pairs])
 
 
 def decode_full_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
@@ -301,11 +300,13 @@ def generator_matrix(params: PsrsParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _systematic_rs_poly(field: Field, data: Sequence[int], gen: Sequence[int],
-                        shift: int, counter: OpCounter | None) -> list[int]:
-    """x^shift * data(x) - (x^shift * data(x) mod gen): a multiple of gen."""
+                        shift: int, n: int, counter: OpCounter | None) -> np.ndarray:
+    """The n coefficients of x^shift * data(x) - (x^shift * data(x) mod gen),
+    a multiple of gen."""
     shifted = [0] * shift + list(data)
-    _, rem = poly_divmod(field, shifted, list(gen), counter)
-    out = poly_sub(field, shifted, rem + [0] * (len(shifted) - len(rem)))
+    out = np.zeros(n, dtype=np.int64)
+    out[:len(shifted)] = shifted
+    out[:shift] = field.vneg(poly_divmod(field, shifted, list(gen), counter)[1])
     return out
 
 
@@ -316,18 +317,16 @@ def encode_genpoly(params: PsrsParams, msg: PsrsMessage,
     params.check_message(msg)
     field = params.field
     n, k, d = params.n, params.k, params.d
-    c0 = _systematic_rs_poly(field, msg.a, _generator(params, n - k), n - k, counter)
-    c = c0 + [0] * (n - len(c0))
+    c = _systematic_rs_poly(field, msg.a, _generator(params, n - k), n - k, n, counter)
     if d > k:
-        c1 = _systematic_rs_poly(field, msg.b, _generator(params, n - d), n - d, counter)
-        c1 = c1 + [0] * (n - len(c1))
-        c = [field.add(x, y) for x, y in zip(c, c1)]
+        c = field.vadd(c, _systematic_rs_poly(field, msg.b, _generator(params, n - d), n - d, n,
+                                              counter))
         if counter is not None:
             counter.count_add(n)
-    return c[:n]
+    return c.tolist()
 
 
-def _erasure_decode(field: Field, received: list[int], known: set[int], alpha: int,
+def _erasure_decode(field: Field, received: np.ndarray, known: list[int], alpha: int,
                     rho: int, counter: OpCounter | None) -> list[int]:
     """Forney erasure decoding: fill the unknown coefficients of `received`.
 
@@ -335,62 +334,40 @@ def _erasure_decode(field: Field, received: list[int], known: set[int], alpha: i
     erased positions are the complement of `known`.
     """
     n = len(received)
-    erased = [i for i in range(n) if i not in known]
+    erased = np.setdiff1d(np.arange(n), known)
     if len(erased) > rho:
         raise InsufficientSymbols(f"{len(erased)} erasures exceed correction capacity {rho}")
-    if not erased:
-        return list(received)
+    out = np.array(received, dtype=np.int64)
+    if not erased.size:
+        return out.tolist()
+    powers = np.array([field.pow_(alpha, i) for i in range(n)], dtype=np.int64)
     # syndromes of the erasure polynomial E = c - r: E(alpha^j) = -r(alpha^j)
-    syn = []
-    for j in range(rho):
-        syn.append(field.neg(poly_eval(field, received, field.pow_(alpha, j), counter)))
-    locators = [field.pow_(alpha, e) for e in erased]
-    lam = [1]
-    for x in locators:
-        # lam *= (1 - x * X)
-        nxt = [0] * (len(lam) + 1)
-        for i, c in enumerate(lam):
-            nxt[i] = field.add(nxt[i], c)
-            nxt[i + 1] = field.sub(nxt[i + 1], field.mul(c, x))
-        lam = nxt
-    omega_full = poly_mul(field, syn, lam, counter)
-    omega = omega_full[:rho]
-    lam_deriv = poly_derivative(field, lam)
-    out = list(received)
-    for e, x in zip(erased, locators):
-        xi = field.inv(x)
-        num = poly_eval(field, omega, xi, counter)
-        den = poly_eval(field, lam_deriv, xi, counter)
-        out[e] = field.neg(field.mul(x, field.div(num, den)))
-    return out
+    syn = field.vneg(poly_eval_many(field, out, powers[:rho], counter)).tolist()
+    x = powers[erased]  # the erasure locators
+    lam = poly_from_roots(field, x)[::-1]  # prod (1 - x_e X)
+    omega = poly_mul(field, syn, lam, counter)[:rho]
+    xi = field.vinv(x)
+    num = poly_eval_many(field, omega, xi, counter)
+    den = poly_eval_many(field, poly_derivative(field, lam), xi, counter)
+    out[erased] = field.vneg(field.vmul(x, field.vmul(num, field.vinv(den))))
+    return out.tolist()
 
 
 def decode_full_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],
-                        counter: OpCounter | None = None,
-                        cross_check: bool = False) -> PsrsMessage:
+                        counter: OpCounter | None = None) -> PsrsMessage:
     """Recover (a, b) from any >= d (degree, value) pairs (degrees 0-based)."""
     _require_form(params, "genpoly")
     pairs = list(coeffs)
-    _check_symbols(params, pairs, params.d, zero_based=True)
+    values = _check_symbols(params, pairs, params.d, zero_based=True)
     field = params.field
     n, k, d = params.n, params.k, params.d
-    received = [0] * n
-    known = set()
-    for deg, val in pairs:
-        received[deg] = field.check(val)
-        known.add(deg)
+    known = [deg for deg, _ in pairs]
+    received = np.zeros(n, dtype=np.int64)
+    received[known] = values
     c = _erasure_decode(field, received, known, params.alpha, n - d, counter)
     a = c[n - k:]
-    c0 = _systematic_rs_poly(field, a, _generator(params, n - k), n - k, counter)
-    c0 = c0 + [0] * (n - len(c0))
-    c1 = poly_sub(field, c, c0)
-    b = c1[n - d: n - k]
-    msg = PsrsMessage(tuple(a), tuple(b))
-    if cross_check:
-        oracle = solve_full_genpoly_linear(params, pairs)
-        if oracle != msg:
-            raise DecodeMismatch(f"Forney result {msg} disagrees with linear solve {oracle}")
-    return msg
+    c0 = _systematic_rs_poly(field, a, _generator(params, n - k), n - k, n, counter)
+    return PsrsMessage(tuple(a), tuple(field.vsub(c[n - d:n - k], c0[n - d:n - k]).tolist()))
 
 
 def solve_full_genpoly_linear(params: PsrsParams,
@@ -412,21 +389,16 @@ def decode_partial_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]]
     """Recover a from any >= k coefficients of c(x) when b is already known."""
     _require_form(params, "genpoly")
     pairs = list(coeffs)
-    _check_symbols(params, pairs, params.k, zero_based=True)
+    values = _check_symbols(params, pairs, params.k, zero_based=True)
     field = params.field
     n, k, d = params.n, params.k, params.d
     if len(b) != d - k:
         raise ParamsInvalid(f"b has {len(b)} symbols, expected {d - k}")
     field.varray(b)
-    if d > k:
-        c1 = _systematic_rs_poly(field, list(b), _generator(params, n - d), n - d, counter)
-        c1 = c1 + [0] * (n - len(c1))
-    else:
-        c1 = [0] * n
-    received = [0] * n
-    known = set()
-    for deg, val in pairs:
-        received[deg] = field.sub(field.check(val), c1[deg])
-        known.add(deg)
+    # for d = k, b is empty and c1 = 0, at no cost
+    c1 = _systematic_rs_poly(field, list(b), _generator(params, n - d), n - d, n, counter)
+    known = [deg for deg, _ in pairs]
+    received = np.zeros(n, dtype=np.int64)
+    received[known] = field.vsub(values, c1[known])
     c0 = _erasure_decode(field, received, known, params.alpha, n - k, counter)
     return c0[n - k:]

@@ -46,7 +46,6 @@ from .gf import Field, enumerate_points
 from .matrix import (
     FieldMatrix,
     check_message,
-    collector_inverse,
     congruence,
     data_collector,
     extended_points,
@@ -55,6 +54,7 @@ from .matrix import (
     interpolation_inverse,
     is_symmetric_zero_diag,
     mat_add,
+    mat_inv,
     mat_mul,
     mat_sub,
     require_skew_symmetric,
@@ -339,7 +339,7 @@ def _read_rows(params: RbtParams, nodes: Sequence[int], rows: np.ndarray,
         phi_inv = interpolation_inverse(field, _sys_points(params), [i - 1 for i in nodes],
                                         counter)
     else:
-        phi_inv = collector_inverse(field, phi_dc, counter)
+        phi_inv = mat_inv(FieldMatrix(field, phi_dc), counter)
     s_hat, t_hat = solve_message_block(field, phi_inv, delta_dc, d_dc, skew=True, counter=counter)
     if params.systematic:
         # undo the message remapping: the stored source block is [S, S P^t + T]

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .counting import OpCounter
-from .errors import FieldTooSmall, ParamsInvalid, SingularMatrix
+from .errors import FieldTooSmall, ParamsInvalid
 from .fragments import (
     Fragment,
     check_codec,
@@ -141,8 +141,4 @@ def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],
     rows, cols = triangle(n, 1, n)
     chosen = np.flatnonzero(held[rows] | held[cols])
     gen = FieldMatrix(params.field, _generator_rows(params)[chosen])
-    try:
-        sol = mat_solve(gen, packets[rows[chosen], cols[chosen]][:, None], counter)
-    except SingularMatrix as exc:
-        raise SingularMatrix("MDS decode failed; generator construction broken") from exc
-    return sol[:, 0].tolist()
+    return mat_solve(gen, packets[rows[chosen], cols[chosen]][:, None], counter)[:, 0].tolist()

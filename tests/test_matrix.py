@@ -19,7 +19,6 @@ from regencodes.errors import (
 from regencodes import matrix, rbt, shah
 from regencodes.gf import binary_field, enumerate_points, fermat_field, prime_field
 from regencodes.matrix import (
-    FactoredInverse,
     FieldMatrix,
     check_message,
     congruence,
@@ -253,39 +252,52 @@ def test_lu_inverses_match_reference(field):
             got = lu_inverses(field, a)
             perm, lower, upper = _lu_reference(field, a.tolist())
             assert got.perm.tolist() == perm
-            assert got.l_inv.tolist() == mat_inv(FieldMatrix(field, lower)).tolist()
-            assert got.u_inv.tolist() == mat_inv(FieldMatrix(field, upper)).tolist()
-            assert not any(x.flags.writeable for x in (got.perm, got.l_inv, got.u_inv))
-            pivoted += perm != list(range(n))
+            assert got.pivoted == (perm != list(range(n)))
+            assert got.first.tolist() == mat_inv(FieldMatrix(field, lower)).tolist()
+            assert got.second.tolist() == mat_inv(FieldMatrix(field, upper)).tolist()
+            assert not any(x.flags.writeable for x in (got.perm, got.first, got.second))
+            pivoted += got.pivoted
     assert pivoted > 0
 
 
 def test_lu_inverses_counts_and_singular():
     # factorization m(m+1)+1 mul and m^2 add per pivot (m rows below it),
     # then the two triangular inverses; n = 3 by hand: 11+1+7 mul, 5+4+4 add
+    # a call that raises SingularMatrix charges nothing
     rng = random.Random(7)
     counts = {}
     for n in (1, 2, 3, 32):
-        got = lu_inverses(F7 if n < 32 else fermat_field(),
-                          rand_invertible(F7 if n < 32 else fermat_field(), n, rng).a)
+        got = OpCounter()
+        lu_inverses(F7 if n < 32 else fermat_field(),
+                    rand_invertible(F7 if n < 32 else fermat_field(), n, rng).a, got)
         counts[n] = (got.mul, got.add)
     assert counts == {1: (1, 0), 2: (6, 3), 3: (19, 13), 32: (21_856, 21_328)}
+    got = OpCounter()
     with pytest.raises(SingularMatrix):
-        lu_inverses(F7, np.array([[1, 2], [2, 4]]))
+        lu_inverses(F7, np.array([[1, 2], [2, 4]]), got)
+    assert (got.mul, got.add) == (0, 0)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_mat_solve_factored(field):
-    # a leading block of the factored inverse solves the same block of a;
-    # two triangular products cost n^2 mul and n(n-1) add per column
+    # a leading block of an unpivoted factored inverse solves the same block
+    # of a, and a pivoted one solves a itself; two triangular products cost
+    # n^2 mul and n(n-1) add per column
     rng = random.Random(8)
-    checked = 0
+    checked = pivoted = 0
     for n in range(1, 7):
         a = rand_invertible(field, n, rng)
-        lu = lu_inverses(field, a.a)
-        if lu.perm.tolist() != list(range(n)):
+        if n > 1 and n % 2:
+            a.a[0, 0] = 0  # forces a row swap
+        try:
+            inverse = lu_inverses(field, a.a)
+        except SingularMatrix:
             continue
-        inverse = FactoredInverse(field, lu.l_inv, lu.u_inv)
+        if inverse.pivoted:
+            b = rand_matrix(field, n, 2, rng)
+            assert mat_solve(inverse, b).tolist() == mat_solve(a, b).tolist()
+            pivoted += 1
+            continue
         for m in range(1, n + 1):
             b = rand_matrix(field, m, 2, rng)
             block = FieldMatrix(field, a.a[:m, :m])
@@ -294,7 +306,7 @@ def test_mat_solve_factored(field):
             assert got.tolist() == mat_solve(block, b).tolist()
             assert (counter.mul, counter.add) == (2 * m * m, 2 * m * (m - 1))
             checked += 1
-    assert checked > 10
+    assert checked > 10 and pivoted
     with pytest.raises(DimensionMismatch):
         mat_solve(inverse, np.ones((n + 1, 1), dtype=np.int64))
 
@@ -381,17 +393,19 @@ def test_deflated_kernels_match_scalar_references(system):
             continue
         assert call(counter).tolist() == _gj_reference(field, a.tolist(), rhs.tolist())
         assert (counter.mul, counter.add) == solve_cost(n, rhs.shape[1])
+    counter = OpCounter()
     if x is None:
         with pytest.raises(SingularMatrix):
-            lu_inverses(field, a)
+            lu_inverses(field, a, counter)
+        assert (counter.mul, counter.add) == (0, 0)
         return
-    got = lu_inverses(field, a)
+    got = lu_inverses(field, a, counter)
     perm, lower, upper = _lu_reference(field, a.tolist())
     eye = np.eye(n, dtype=np.int64).tolist()
     assert got.perm.tolist() == perm
-    assert got.l_inv.tolist() == _gj_reference(field, lower, eye)
-    assert got.u_inv.tolist() == _gj_reference(field, upper, eye)
-    assert (got.mul, got.add) == _lu_formula(n)
+    assert got.first.tolist() == _gj_reference(field, lower, eye)
+    assert got.second.tolist() == _gj_reference(field, upper, eye)
+    assert (counter.mul, counter.add) == _lu_formula(n)
 
 
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
@@ -399,13 +413,14 @@ def test_deflated_kernels_on_empty_and_one_by_one_systems(field):
     empty = np.zeros((0, 0), dtype=np.int64)
     assert mat_inv(FieldMatrix(field, empty)).shape == (0, 0)
     assert mat_solve(FieldMatrix(field, empty), np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
-    got = lu_inverses(field, empty)
-    assert got.l_inv.shape == got.u_inv.shape == (0, 0) and (got.mul, got.add) == (0, 0)
+    counter = OpCounter()
+    got = lu_inverses(field, empty, counter)
+    assert got.first.shape == got.second.shape == (0, 0) and (counter.mul, counter.add) == (0, 0)
     for v in (1, field.q - 1):  # a unit row, and a dense one unless q = 2
         one = np.array([[v]], dtype=np.int64)
         assert mat_inv(FieldMatrix(field, one)).tolist() == [[field.inv(v)]]
         got = lu_inverses(field, one)
-        assert (got.l_inv.tolist(), got.u_inv.tolist()) == ([[1]], [[field.inv(v)]])
+        assert (got.first.tolist(), got.second.tolist()) == ([[1]], [[field.inv(v)]])
     zero = np.zeros((1, 1), dtype=np.int64)
     for call in (lambda: mat_inv(FieldMatrix(field, zero)), lambda: lu_inverses(field, zero)):
         with pytest.raises(SingularMatrix):

@@ -25,7 +25,7 @@ from regencodes.errors import (
 )
 from regencodes.fragments import Fragment
 from regencodes.gf import binary_field, enumerate_points, fermat_field, prime_field
-from regencodes.matrix import FieldMatrix, data_collector, mat_inv, mat_mul
+from regencodes.matrix import FieldMatrix, data_collector, mat_inv, mat_mul, mat_solve
 from regencodes.mbr import (
     MbrParams,
     assign_slots,
@@ -668,6 +668,23 @@ def test_singular_stage_matrix_exhaustive(params, schemes, singular):
                 else:
                     assert mbr_reconstruct_partial(params, plan, payloads) == u
     assert raised == singular
+
+
+def test_stage_factors_solve_phi_dc_when_pivoted():
+    # the factored Phi_DC^-1 of a partial read solves Phi_DC itself also when
+    # its factorization swapped rows, for the leading (upper, gong) and the
+    # reversed trailing (lower) factorization alike
+    params = MbrParams(F7, 7, 3, 4, backend="vandermonde")
+    rng = np.random.default_rng(23)
+    pivoted = 0
+    for nodes in itertools.permutations(range(1, 8), 3):
+        phi = data_collector(mbr_build_encoding(params), 3, nodes, (1, 2, 3))[0]
+        b = rng.integers(0, 7, (3, 2))
+        for trailing in (False, True):
+            inverse, _ = mbr._stage_factors(params, nodes, (1, 2, 3), trailing)
+            assert mat_solve(inverse, b).tolist() == mat_solve(FieldMatrix(F7, phi), b).tolist()
+            pivoted += inverse.pivoted
+    assert pivoted
 
 
 BIG = MbrParams(fermat_field(), 64, 32, 48)

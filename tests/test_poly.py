@@ -14,7 +14,6 @@ from regencodes.poly import (
     poly_eval_many,
     poly_from_roots,
     poly_mul,
-    poly_sub,
     trim,
 )
 
@@ -32,7 +31,9 @@ def test_divmod_reconstructs():
                 continue
             q, r = poly_divmod(field, num, den)
             back = poly_mul(field, q, den)
-            assert trim(poly_sub(field, num, back)) == trim(r)
+            size = max(len(num), len(back))
+            diff = field.vsub(num + [0] * (size - len(num)), back + [0] * (size - len(back)))
+            assert trim(diff.tolist()) == trim(r)
             assert len(trim(r)) < len(trim(den))
 
 
