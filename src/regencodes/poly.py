@@ -48,16 +48,19 @@ def poly_mul(field: Field, a: Sequence[int], b: Sequence[int],
 
 def poly_divmod(field: Field, num: Sequence[int], den: Sequence[int],
                 counter: OpCounter | None = None) -> tuple[list[int], list[int]]:
-    """Schoolbook synchronous division; returns (quotient, remainder)."""
+    """Schoolbook synchronous division; returns (quotient, remainder).
+    Every step is charged, also one whose leading coefficient is 0."""
     den = trim(den)
     if not den:
         raise DivisionByZero("polynomial division by zero")
-    num = list(num)
     lead_inv = field.inv(den[-1])
     deg_d = len(den) - 1
     rem = list(num)
     qlen = max(0, len(rem) - deg_d)
     quot = [0] * qlen
+    if counter is not None:
+        counter.count_mul(qlen * (len(den) + 1))
+        counter.count_add(qlen * len(den))
     for i in range(qlen - 1, -1, -1):
         c = rem[i + deg_d]
         if c == 0:
@@ -66,9 +69,6 @@ def poly_divmod(field: Field, num: Sequence[int], den: Sequence[int],
         quot[i] = factor
         for j, dj in enumerate(den):
             rem[i + j] = field.sub(rem[i + j], field.mul(factor, dj))
-        if counter is not None:
-            counter.count_mul(len(den) + 1)
-            counter.count_add(len(den))
     return quot, rem[:deg_d]
 
 

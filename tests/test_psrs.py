@@ -309,6 +309,33 @@ def test_ntt_encode_counts_fewer_ops_at_scale():
     assert c_fast.mul < c_naive.mul
 
 
+def _counts(call):
+    counter = OpCounter()
+    call(counter)
+    return counter.mul, counter.add
+
+
+def test_counts_do_not_depend_on_zero_symbols():
+    # counts are algebraic: a division step whose leading coefficient is 0
+    # is charged like any other, so zero symbols in the message change no count
+    gp = genpoly_params(F11, 8, 3, 5)
+    ev = eval_params(F11, 8, 3, 5)
+    calls = {
+        "encode_genpoly": lambda m, c: encode_genpoly(gp, m, c),
+        "decode_full_eval": lambda m, c: decode_full_eval(
+            ev, [(p, v) for p, v in enumerate(encode_eval(ev, m), 1)][2:7], c),
+        "decode_full_genpoly": lambda m, c: decode_full_genpoly(
+            gp, [(t, v) for t, v in enumerate(encode_genpoly(gp, m))][1:6], c),
+        "decode_partial_genpoly": lambda m, c: decode_partial_genpoly(
+            gp, [(t, v) for t, v in enumerate(encode_genpoly(gp, m))][2:5], list(m.b), c),
+    }
+    msgs = [PsrsMessage((1, 2, 3), (4, 5)), PsrsMessage((0, 0, 0), (0, 0)),
+            PsrsMessage((0, 2, 0), (4, 0)), PsrsMessage((1, 0, 0), (0, 5))]
+    for name, call in calls.items():
+        counts = {_counts(lambda c: call(m, c)) for m in msgs}
+        assert len(counts) == 1, (name, counts)
+
+
 def test_d_equals_k_degenerates_to_plain_rs():
     rng = random.Random(17)
     params = eval_params(F11, 8, 4, 4)
