@@ -9,13 +9,15 @@ range-checked once, by `Field.varray`, where they enter the library.
 Ops that perform field arithmetic accept an explicit OpCounter.
 
 The elimination kernels, Gauss-Jordan behind `mat_inv` and `mat_solve`
-and the LU of `lu_inverses`, skip the unit rows of their system.  Systematic
+and the LU of `lu_inverses` (a `FactoredInverse`, which `mat_solve` applies
+by two triangular products), skip the unit rows of their system.  Systematic
 codes put [I_k 0] in their encoding matrix, so about half the rows of a
 repair or data-collector system are unit vectors: a row e_s fixes unknown
 s, and elimination runs on the block that remains.  Over prime fields the
 row updates stay unreduced; only the pivot column and row are reduced
 before use, and the working array once at the end (n updates of values
 below p^2 stay far below 2^63).  Outputs, pivoting and `SingularMatrix`
+(which callers let pass: the codes' systems are invertible by construction)
 are those of the dense elimination, and so are the counted operations:
 OpCounter charges products regardless of zero entries.  `mat_mul` copies
 the unit rows of its left factor and leaves its zero rows at zero, again

@@ -22,9 +22,10 @@ S through its symmetry; a time-sharing schedule alternates the lower and
 upper halves to balance per-node traffic across rounds.
 
 Workloads repeat helper sets and node sets, so the repair inverse, the
-full-read inverse and the partial-read factorization are cached per set
-in small bounded caches.  Each entry keeps the counted cost of building
-it, charged on every call: a hit counts the same as a miss.
+full-read inverse and the partial-read factorization (a
+`matrix.FactoredInverse`) are cached per set in small bounded caches, each
+entry with the counted cost of building it, charged on every call: a hit
+counts the same as a miss.
 """
 
 from __future__ import annotations
@@ -517,14 +518,12 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, 
     """
     phi = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
     cost = OpCounter()
-    if not trailing:
-        return lu_inverses(params.field, phi, cost), (cost.mul, cost.add)
-    lu = lu_inverses(params.field, phi[::-1, ::-1], cost)
-    # Phi_DC[perm] = J L' U' J = U L
-    perm = frozen((params.k - 1 - lu.perm)[::-1])
-    inverse = FactoredInverse(params.field, lu.first[::-1, ::-1], lu.second[::-1, ::-1], perm,
-                              lu.pivoted)
-    return inverse, (cost.mul, cost.add)
+    lu = lu_inverses(params.field, phi[::-1, ::-1] if trailing else phi, cost)
+    if trailing:  # Phi_DC[perm] = J L' U' J = U L
+        perm = frozen((params.k - 1 - lu.perm)[::-1])
+        lu = FactoredInverse(lu.field, lu.first[::-1, ::-1], lu.second[::-1, ::-1], perm,
+                             lu.pivoted)
+    return lu, (cost.mul, cost.add)
 
 
 def _stage_record(scheme: str, stage: int, c: int, phi: np.ndarray, s: np.ndarray,

@@ -326,18 +326,19 @@ def encode_genpoly(params: PsrsParams, msg: PsrsMessage,
     return c.tolist()
 
 
-def _erasure_decode(field: Field, received: np.ndarray, known: list[int], alpha: int,
+def _erasure_decode(field: Field, n: int, known: list[int], values: np.ndarray, alpha: int,
                     rho: int, counter: OpCounter | None) -> list[int]:
-    """Forney erasure decoding: fill the unknown coefficients of `received`.
+    """Forney erasure decoding: the n coefficients of the codeword whose
+    coefficients at the degrees `known` are `values`.
 
     The codeword is assumed divisible by prod_{i<rho} (x - alpha^i); the
     erased positions are the complement of `known`.
     """
-    n = len(received)
     erased = np.setdiff1d(np.arange(n), known)
     if len(erased) > rho:
         raise InsufficientSymbols(f"{len(erased)} erasures exceed correction capacity {rho}")
-    out = np.array(received, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
+    out[known] = values
     if not erased.size:
         return out.tolist()
     powers = np.array([field.pow_(alpha, i) for i in range(n)], dtype=np.int64)
@@ -361,10 +362,7 @@ def decode_full_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],
     values = _check_symbols(params, pairs, params.d, zero_based=True)
     field = params.field
     n, k, d = params.n, params.k, params.d
-    known = [deg for deg, _ in pairs]
-    received = np.zeros(n, dtype=np.int64)
-    received[known] = values
-    c = _erasure_decode(field, received, known, params.alpha, n - d, counter)
+    c = _erasure_decode(field, n, [deg for deg, _ in pairs], values, params.alpha, n - d, counter)
     a = c[n - k:]
     c0 = _systematic_rs_poly(field, a, _generator(params, n - k), n - k, n, counter)
     return PsrsMessage(tuple(a), tuple(field.vsub(c[n - d:n - k], c0[n - d:n - k]).tolist()))
@@ -398,7 +396,6 @@ def decode_partial_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]]
     # for d = k, b is empty and c1 = 0, at no cost
     c1 = _systematic_rs_poly(field, list(b), _generator(params, n - d), n - d, n, counter)
     known = [deg for deg, _ in pairs]
-    received = np.zeros(n, dtype=np.int64)
-    received[known] = field.vsub(values, c1[known])
-    c0 = _erasure_decode(field, received, known, params.alpha, n - k, counter)
+    c0 = _erasure_decode(field, n, known, field.vsub(values, c1[known]), params.alpha, n - k,
+                         counter)
     return c0[n - k:]

@@ -9,6 +9,7 @@ from regencodes.matrix import FieldMatrix, mat_inv, vandermonde
 from regencodes.poly import (
     lagrange_basis,
     lagrange_interpolate,
+    poly_derivative,
     poly_divmod,
     poly_eval,
     poly_eval_many,
@@ -92,3 +93,13 @@ def test_from_roots_matches_repeated_products(field):
             want = poly_mul(field, want, [field.neg(r), 1])
         got = poly_from_roots(field, roots)
         assert got == want and all(type(c) is int for c in got)
+
+
+def test_derivative_in_the_prime_subfield():
+    # coefficient i is multiplied by i mod the characteristic: characteristic
+    # 2 drops the even terms, GF(11) the term of degree 11
+    p = list(range(1, 14))
+    assert poly_derivative(F16, p) == [v if i % 2 else 0 for i, v in enumerate(p) if i]
+    assert poly_derivative(F11, p) == [F11.mul(i % 11, v) for i, v in enumerate(p) if i]
+    assert poly_derivative(F11, p)[10] == 0
+    assert poly_derivative(F16, [5]) == poly_derivative(F16, []) == []

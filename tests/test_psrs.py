@@ -247,17 +247,44 @@ def test_decode_full_genpoly_full_codeword():
     assert decode_full_genpoly(params, list(enumerate(c))) == msg
 
 
-def test_forney_matches_linear_oracle():
+def _counts(call):
+    counter = OpCounter()
+    call(counter)
+    return counter.mul, counter.add
+
+
+# (field, n, k, d) with the (mul, add) of encode_genpoly, of
+# decode_full_genpoly from the top d coefficients (n - d erasures) and of
+# decode_partial_genpoly from the top k, for a = (1, .., k), b = (k+1, .., d)
+FORNEY_CASES = [
+    (F11, 9, 3, 6, [(39, 42), (72, 63), (165, 150)]),
+    (binary_field(4), 12, 4, 7, [(61, 66), (165, 151), (293, 274)]),
+    (binary_field(8), 20, 6, 11, [(151, 160), (501, 477), (895, 862)]),
+]
+
+
+@pytest.mark.parametrize("field,n,k,d,counts", FORNEY_CASES,
+                         ids=[repr(case[0]) for case in FORNEY_CASES])
+def test_forney_matches_linear_oracle(field, n, k, d, counts):
+    # in characteristic 2 the formal derivative of the erasure locator drops
+    # its even terms; Forney must still agree with the linear solve, with no
+    # erasure and with the most (n - d) erasures
     rng = random.Random(12)
-    params = genpoly_params(F11, 9, 3, 6)
-    for _ in range(100):
+    params = genpoly_params(field, n, k, d)
+    for trial in range(60):
         msg = rand_msg(params, rng)
         c = encode_genpoly(params, msg)
-        subset = rng.sample(range(9), 6)
+        subset = list(range(n)) if trial % 3 == 0 else rng.sample(range(n), d)
         pairs = [(t, c[t]) for t in subset]
         forney = decode_full_genpoly(params, pairs)
         oracle = solve_full_genpoly_linear(params, pairs)
         assert forney == oracle == msg
+    msg = PsrsMessage(tuple(range(1, k + 1)), tuple(range(k + 1, d + 1)))
+    c = encode_genpoly(params, msg)
+    assert [_counts(lambda ctr: encode_genpoly(params, msg, ctr)),
+            _counts(lambda ctr: decode_full_genpoly(params, list(enumerate(c))[n - d:], ctr)),
+            _counts(lambda ctr: decode_partial_genpoly(params, list(enumerate(c))[n - k:],
+                                                       list(msg.b), ctr))] == counts
 
 
 def test_decode_partial_genpoly_exhaustive():
@@ -307,12 +334,6 @@ def test_ntt_encode_counts_fewer_ops_at_scale():
     c_fast, c_naive = OpCounter(), OpCounter()
     assert encode_eval(fast, msg, c_fast) == encode_eval(naive, msg, c_naive)
     assert c_fast.mul < c_naive.mul
-
-
-def _counts(call):
-    counter = OpCounter()
-    call(counter)
-    return counter.mul, counter.add
 
 
 def test_counts_do_not_depend_on_zero_symbols():
