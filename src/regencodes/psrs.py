@@ -342,7 +342,7 @@ def _erasure_decode(field: Field, n: int, known: list[int], values: np.ndarray, 
     if not erased.size:
         return out.tolist()
     powers = np.array([field.pow_(alpha, i) for i in range(n)], dtype=np.int64)
-    # syndromes of the erasure polynomial E = c - r: E(alpha^j) = -r(alpha^j)
+    # syndromes of the erasure polynomial E = c - out: E(alpha^j) = -out(alpha^j)
     syn = field.vneg(poly_eval_many(field, out, powers[:rho], counter)).tolist()
     x = powers[erased]  # the erasure locators
     lam = poly_from_roots(field, x)[::-1]  # prod (1 - x_e X)
