@@ -191,6 +191,10 @@ class Field:
     def matmul(self, a, b) -> np.ndarray:
         raise NotImplementedError
 
+    def convolve(self, a, b) -> np.ndarray:
+        """Coefficients of the product of polynomials a and b; empty if either is."""
+        raise NotImplementedError
+
     def vprod(self, a) -> np.ndarray:
         """The product of each row of a 2-D array, by halving the rows."""
         a = np.asarray(a, np.int64)
@@ -238,17 +242,10 @@ class PrimeField(Field):
         self.p = p
         self.q = p
         # inverses by table: g^i and g^-i = g^(p-1-i) over the powers of a
-        # primitive root g, filled in place by doubling
-        g = primitive_element(self)
-        powers = np.ones(p - 1, dtype=np.int64)
-        done = 1
-        while done < p - 1:
-            block = powers[done:2 * done]
-            np.multiply(powers[:len(block)], pow(g, done, p), out=block)
-            block %= p
-            done += len(block)
+        # primitive root g
+        pw = powers(self, primitive_element(self), p - 1)
         self._inv = np.zeros(p, dtype=np.int64)
-        self._inv[powers[1:]] = powers[:0:-1]
+        self._inv[pw[1:]] = pw[:0:-1]
         self._inv[1] = 1
 
     @property
@@ -294,6 +291,11 @@ class PrimeField(Field):
     def matmul(self, a, b):
         # products stay below (p-1)^2 * inner < 2^63 for the sizes in use
         return (np.asarray(a, np.int64) @ np.asarray(b, np.int64)) % self.p
+
+    def convolve(self, a, b):
+        # exact in int64 for the same reason as dot
+        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+        return np.convolve(a, b) % self.p if a.size and b.size else np.zeros(0, np.int64)
 
     def dot(self, a, b):
         # products stay below (p-1)^2 < 2^33, so int64 sums of up to 2^30 are exact
@@ -417,6 +419,21 @@ class BinaryField(Field):
             out[lo : lo + chunk] = np.bitwise_xor.reduce(prod, axis=1)
         return out.astype(np.int64)
 
+    def convolve(self, a, b):
+        # the products a_i b_j, row i shifted right by i so that each column
+        # holds one degree, XORed down the rows; chunked by rows like matmul
+        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+        if not a.size or not b.size:
+            return np.zeros(0, np.int64)
+        out = np.zeros(len(a) + len(b) - 1, dtype=np.uint16)
+        chunk = max(1, (1 << 21) // len(out))
+        for lo in range(0, len(a), chunk):
+            prod = self._exp[self._log[a[lo:lo + chunk, None]] + self._log[b]]
+            rows = np.zeros((len(prod), len(prod) + len(b) - 1), dtype=np.uint16)
+            np.put_along_axis(rows, np.arange(len(prod))[:, None] + np.arange(len(b)), prod, axis=1)
+            out[lo:lo + rows.shape[1]] ^= np.bitwise_xor.reduce(rows, axis=0)
+        return out.astype(np.int64)
+
     def dot(self, a, b):
         prod = self._exp[self._log[np.asarray(a, np.int64)] + self._log[np.asarray(b, np.int64)]]
         return int(np.bitwise_xor.reduce(prod))
@@ -515,6 +532,21 @@ def primitive_element(field: Field) -> int:
         if all(pow(g, order // f, p) != 1 for f in factors):
             return g
     raise NonPrimeModulus(f"no primitive root found for {p}")
+
+
+def powers(field: Field, x, count: int) -> np.ndarray:
+    """x^0 .. x^(count-1) along a new last axis, for one value x or an array
+    of values; by doubling, one vmul per doubling."""
+    x = np.asarray(x, np.int64)
+    out = np.ones(x.shape + (count,), dtype=np.int64)
+    if count > 1:
+        out[..., 1] = x
+    done = 1  # out[..., :done + 1] holds x^0 .. x^done
+    while done + 1 < count:
+        step = min(done, count - 1 - done)
+        out[..., done + 1:done + 1 + step] = field.vmul(out[..., 1:step + 1], out[..., done, None])
+        done += step
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +655,4 @@ def ntt_interpolate(
 def ntt_points(field: Field, n: int) -> list[int]:
     """First n powers of the canonical root of unity of order next_pow2(n)."""
     f = _require_fermat(field)
-    size = 1
-    while size < n:
-        size *= 2
-    w = f.root_of_unity(size)
-    return [pow(w, j, f.p) for j in range(n)]
+    return powers(f, f.root_of_unity(1 << max(0, n - 1).bit_length()), n).tolist()

@@ -56,7 +56,7 @@ from .errors import (
     SingularMatrix,
     WrongMessageLength,
 )
-from .gf import Field, enumerate_points
+from .gf import Field, enumerate_points, powers
 
 
 class FieldMatrix:
@@ -529,14 +529,7 @@ def vandermonde(field: Field, n: int, k: int,
         raise DimensionMismatch(f"points of shape {pa.shape} for n={n}")
     if len(set(pa.tolist())) != n:
         raise DuplicatePoints("evaluation points must be distinct")
-    out = np.empty((n, k), dtype=np.int64)
-    if k > 0:
-        col = np.ones(n, dtype=np.int64)
-        for j in range(k):
-            out[:, j] = col
-            if j + 1 < k:
-                col = field.vmul(col, pa)
-    return out
+    return powers(field, pa, k)
 
 
 def extended_points(field: Field, n: int) -> list[int]:

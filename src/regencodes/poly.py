@@ -2,7 +2,9 @@
 
 Polynomials are plain lists of int coefficients, ascending degree, not
 normalized (trailing zeros allowed).  Only the routines on the encoding
-hot path take a counter.
+hot path take a counter.  The arithmetic runs through the field's vector
+kernels (Field.convolve, vmul, vsub), which hold every field-kind
+decision; poly_eval alone is scalar Horner, the tests' reference.
 """
 
 from __future__ import annotations
@@ -26,50 +28,37 @@ def trim(p: Sequence[int]) -> list[int]:
 
 def poly_mul(field: Field, a: Sequence[int], b: Sequence[int],
              counter: OpCounter | None = None) -> list[int]:
-    """Schoolbook product; on prime fields one int64 convolution, exact
-    because q <= 65537 keeps every sum of products far below 2^63."""
-    a = list(a)
-    b = list(b)
-    if not a or not b:
+    """Schoolbook product, one Field.convolve."""
+    if not len(a) or not len(b):
         return []
     if counter is not None:
         counter.count_mul(len(a) * len(b))
-        counter.count_add(max(0, len(a) * len(b) - (len(a) + len(b) - 1)))
-    if field.kind in ("prime", "fermat"):
-        return (np.convolve(np.asarray(a, np.int64), np.asarray(b, np.int64)) % field.q).tolist()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return out
+        counter.count_add((len(a) - 1) * (len(b) - 1))
+    return field.convolve(a, b).tolist()
 
 
 def poly_divmod(field: Field, num: Sequence[int], den: Sequence[int],
                 counter: OpCounter | None = None) -> tuple[list[int], list[int]]:
-    """Schoolbook synchronous division; returns (quotient, remainder).
+    """Schoolbook synchronous division; returns (quotient, remainder).  A
+    step takes one quotient coefficient, then subtracts that multiple of
+    the divisor from the remainder window with one vmul and one vsub.
     Every step is charged, also one whose leading coefficient is 0."""
-    den = trim(den)
-    if not den:
+    den = np.array(trim(den), dtype=np.int64)
+    if not den.size:
         raise DivisionByZero("polynomial division by zero")
-    lead_inv = field.inv(den[-1])
+    lead_inv = field.inv(int(den[-1]))
     deg_d = len(den) - 1
-    rem = list(num)
+    rem = np.array(num, dtype=np.int64)
     qlen = max(0, len(rem) - deg_d)
-    quot = [0] * qlen
+    quot = np.zeros(qlen, dtype=np.int64)
     if counter is not None:
         counter.count_mul(qlen * (len(den) + 1))
         counter.count_add(qlen * len(den))
     for i in range(qlen - 1, -1, -1):
-        c = rem[i + deg_d]
-        if c == 0:
-            continue
-        factor = field.mul(c, lead_inv)
-        quot[i] = factor
-        for j, dj in enumerate(den):
-            rem[i + j] = field.sub(rem[i + j], field.mul(factor, dj))
-    return quot, rem[:deg_d]
+        if rem[i + deg_d]:
+            quot[i] = field.mul(int(rem[i + deg_d]), lead_inv)
+            rem[i:i + deg_d + 1] = field.vsub(rem[i:i + deg_d + 1], field.vmul(den, quot[i]))
+    return quot.tolist(), rem[:deg_d].tolist()
 
 
 def poly_eval(field: Field, p: Sequence[int], x: int,

@@ -45,6 +45,7 @@ from .gf import (
     ntt_evaluate,
     ntt_interpolate,
     ntt_points,
+    powers,
     primitive_element,
 )
 from .matrix import FieldMatrix, frozen, mat_solve, systematic_generator
@@ -155,11 +156,8 @@ def _gen_matrix(params: PsrsParams) -> np.ndarray:
     pts = np.array(params.points, dtype=np.int64)
     out = np.zeros((n, d), dtype=np.int64)
     out[:, :k] = systematic_generator(field, n, k, pts)
-    if d > k:
-        col = field.vprod(field.vsub(pts[:, None], pts[None, :k]))
-        for i in range(d - k):
-            out[:, k + i] = col
-            col = field.vmul(col, pts)
+    gamma = field.vprod(field.vsub(pts[:, None], pts[None, :k]))
+    out[:, k:] = field.vmul(gamma[:, None], powers(field, pts, d - k))
     return frozen(out)
 
 
@@ -167,24 +165,16 @@ def _gen_matrix(params: PsrsParams) -> np.ndarray:
 def _generator(params: PsrsParams, num_roots: int) -> tuple[int, ...]:
     """Generator polynomial with roots alpha^0 .. alpha^(num_roots-1):
     g0 has n-k roots, g1 has n-d."""
-    field = params.field
-    roots = [field.pow_(params.alpha, i) for i in range(num_roots)]
-    return tuple(poly_from_roots(field, roots))
+    return tuple(poly_from_roots(params.field, powers(params.field, params.alpha, num_roots)))
 
 
 @lru_cache(maxsize=None)
 def _gen_coeff_map(params: PsrsParams) -> np.ndarray:
     """d x n matrix, read-only: row i is the codeword polynomial of the i-th
     unit message."""
-    rows = []
-    for i in range(params.d):
-        a = [0] * params.k
-        b = [0] * (params.d - params.k)
-        if i < params.k:
-            a[i] = 1
-        else:
-            b[i - params.k] = 1
-        rows.append(encode_genpoly(params, PsrsMessage(tuple(a), tuple(b))))
+    units = np.eye(params.d, dtype=np.int64).tolist()
+    rows = [encode_genpoly(params, PsrsMessage(tuple(u[:params.k]), tuple(u[params.k:])))
+            for u in units]
     return frozen(np.array(rows, dtype=np.int64))
 
 
@@ -276,15 +266,14 @@ def decode_partial_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
     """Recover a from any >= k symbols when b is already known."""
     _require_form(params, "eval")
     pairs = list(symbols)
-    _check_symbols(params, pairs, params.k)
+    values = _check_symbols(params, pairs, params.k)
     field = params.field
     if len(b) != params.d - params.k:
         raise ParamsInvalid(f"b has {len(b)} symbols, expected {params.d - params.k}")
     field.varray(b)
     delta = poly_mul(field, list(_gamma(params)), list(b), counter)
     zs = [params.points[pos - 1] for pos, _ in pairs]
-    dz = poly_eval_many(field, delta, zs, counter) if delta else [0] * len(zs)
-    phi_vals = [field.sub(val, dv) for (_, val), dv in zip(pairs, dz)]
+    phi_vals = field.vsub(values, poly_eval_many(field, delta, zs, counter))
     phi = lagrange_interpolate(field, zs[: params.k], phi_vals[: params.k], counter)
     return poly_eval_many(field, phi, params.points[: params.k], counter)
 
@@ -341,10 +330,10 @@ def _erasure_decode(field: Field, n: int, known: list[int], values: np.ndarray, 
     out[known] = values
     if not erased.size:
         return out.tolist()
-    powers = np.array([field.pow_(alpha, i) for i in range(n)], dtype=np.int64)
+    locators = powers(field, alpha, n)
     # syndromes of the erasure polynomial E = c - out: E(alpha^j) = -out(alpha^j)
-    syn = field.vneg(poly_eval_many(field, out, powers[:rho], counter)).tolist()
-    x = powers[erased]  # the erasure locators
+    syn = field.vneg(poly_eval_many(field, out, locators[:rho], counter)).tolist()
+    x = locators[erased]
     lam = poly_from_roots(field, x)[::-1]  # prod (1 - x_e X)
     omega = poly_mul(field, syn, lam, counter)[:rho]
     xi = field.vinv(x)

@@ -23,6 +23,7 @@ from regencodes.gf import (
     ntt_evaluate,
     ntt_interpolate,
     ntt_points,
+    powers,
     prime_field,
 )
 from regencodes.poly import poly_eval
@@ -427,6 +428,22 @@ def test_binary_matmul_runs_several_row_chunks():
     assert np.array_equal(got, want)
 
 
+def test_binary_convolve_runs_several_row_chunks():
+    # 1,100 rows by 2,099 output degrees exceed 2^21 products: the kernel
+    # takes 999 rows per chunk, so 2 chunks
+    f = binary_field(8)
+    rng = np.random.default_rng(22)
+    a = rng.integers(0, f.q, size=1_100)
+    b = rng.integers(0, f.q, size=1_000)
+    a[::5] = 0
+    prod = _clmul_ref(a[:, None], b[None, :], 8)
+    want = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+    for i in range(len(a)):  # independent of the kernel: one shifted row per a_i
+        want[i:i + len(b)] ^= prod[i]
+    got = f.convolve(a, b)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_binary_matmul_dimension_mismatch():
     f = binary_field(8)
     with pytest.raises(DimensionMismatch):
@@ -462,3 +479,21 @@ def test_vprod_is_the_product_of_each_row(field):
             want.append(p)
         got = field.vprod(a)
         assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("field", [prime_field(2), prime_field(11), prime_field(13), binary_field(4),
+                                   binary_field(8), fermat_field()], ids=repr)
+def test_powers_match_pow(field):
+    # one value and a 2-D array of values, 0 among them, for counts 0, 1, 2
+    # and counts that are not powers of two
+    rng = random.Random(field.q)
+    grid = np.array([[0, 1, rng.randrange(field.q)], [rng.randrange(field.q) for _ in range(3)]])
+    for count in (0, 1, 2, 3, 7, 20):
+        for x in (0, 1, rng.randrange(field.q)):
+            got = powers(field, x, count)
+            assert got.dtype == np.int64 and got.shape == (count,)
+            assert got.tolist() == [field.pow_(x, e) for e in range(count)]
+        got = powers(field, grid, count)
+        assert got.dtype == np.int64 and got.shape == (2, 3, count)
+        assert got.tolist() == [[[field.pow_(x, e) for e in range(count)] for x in row]
+                                for row in grid.tolist()]

@@ -1,8 +1,12 @@
-"""Every name a library module imports is used in that module.
+"""Static checks of the library modules.
 
-Package `__init__.py` files only re-export, so they are left out.  A name
-that perfbench imports from a module counts as used there: the benchmark
+Every name a library module imports is used in that module.  Package
+`__init__.py` files only re-export, so they are left out.  A name that
+perfbench imports from a module counts as used there: the benchmark
 reaches it through that module.
+
+No library module runs scalar field arithmetic in a loop: the vector
+kernels of `gf` do that work.
 """
 
 import ast
@@ -38,14 +42,19 @@ def _perfbench_imports() -> dict[str, set[str]]:
     return out
 
 
+def _library_modules():
+    """(path, module name, syntax tree) of every library module but the
+    package `__init__.py` files."""
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "__init__.py":
+            module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+            yield path, module, ast.parse(path.read_text())
+
+
 def test_no_unused_imports():
     kept = _perfbench_imports()
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
-        tree = ast.parse(path.read_text())
+    for path, module, tree in _library_modules():
         used = _used(tree) | kept.get(module, set())
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in _imported(tree).items() if name not in used]
@@ -56,3 +65,55 @@ def test_check_finds_an_unused_import():
     tree = ast.parse("from .errors import SingularMatrix, ParamsInvalid\n"
                      "raise ParamsInvalid('x')\n")
     assert set(_imported(tree)) - _used(tree) == {"SingularMatrix"}
+
+
+# the scalar Field methods; `add` is left out because `set.add` shares the name
+SCALAR_METHODS = {"mul", "sub", "neg", "div", "pow_"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _scalar_loop_calls(tree: ast.Module) -> list[tuple[str | None, str, int]]:
+    """(enclosing function, method, line) of each scalar field method called
+    inside a loop or a comprehension."""
+    found = []
+
+    def visit(node, func, looped):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func, looped = node.name, False
+        looped = looped or isinstance(node, LOOPS)
+        if (looped and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in SCALAR_METHODS):
+            found.append((func, node.func.attr, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, looped)
+
+    visit(tree, None, False)
+    return found
+
+
+def _scalar_loop_allowed(module: str, func: str | None, method: str) -> bool:
+    # gf defines the scalar arithmetic and the selftest checks it; poly_eval
+    # is the tests' scalar reference, and poly_divmod takes one quotient
+    # coefficient per step
+    return (module in ("regencodes.gf", "regencodes.harness.selftest")
+            or (module, func) == ("regencodes.poly", "poly_eval")
+            or (module, func, method) == ("regencodes.poly", "poly_divmod", "mul"))
+
+
+def test_no_scalar_field_loops():
+    loops = [f"{path.relative_to(ROOT)}:{line} {func} .{method}"
+             for path, module, tree in _library_modules()
+             for func, method, line in _scalar_loop_calls(tree)
+             if not _scalar_loop_allowed(module, func, method)]
+    assert loops == []
+
+
+def test_guard_finds_a_scalar_loop():
+    tree = ast.parse("def f(field, xs, seen):\n"
+                     "    ys = [field.mul(x, x) for x in xs]\n"
+                     "    for x in xs:\n"
+                     "        seen.add(field.neg(x))\n"
+                     "    return field.pow_(ys[0], 2)\n")
+    assert _scalar_loop_calls(tree) == [("f", "mul", 2), ("f", "neg", 4)]
+    assert not _scalar_loop_allowed("regencodes.poly", "poly_divmod", "sub")

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from regencodes.counting import OpCounter
 from regencodes.errors import DivisionByZero
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.matrix import FieldMatrix, mat_inv, vandermonde
@@ -20,6 +21,69 @@ from regencodes.poly import (
 
 F11 = prime_field(11)
 F16 = binary_field(4)
+POLY_FIELDS = [prime_field(2), F11, prime_field(13), F16, binary_field(8), fermat_field()]
+
+
+def _operand_pairs(field, rng):
+    """Pairs of coefficient lists: empty and length-1 operands, zero
+    coefficients inside and on top, all-zero operands and random lengths."""
+    def rand(n):
+        return [rng.randrange(field.q) for _ in range(n)]
+    pairs = [([], []), ([], rand(3)), (rand(2), []), (rand(1), rand(1)), (rand(1), rand(6)),
+             (rand(6), rand(1)), ([0, 0, 1, 0], rand(4)), (rand(5), [0]), ([0] * 3, [0] * 2)]
+    return pairs + [(rand(rng.randrange(1, 40)), rand(rng.randrange(1, 40))) for _ in range(20)]
+
+
+def _schoolbook_mul(field, a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def _schoolbook_divmod(field, num, den):
+    """Quotient and remainder by a divisor `den` with a nonzero top coefficient."""
+    rem, deg = list(num), len(den) - 1
+    quot = [0] * max(0, len(num) - deg)
+    for i in reversed(range(len(quot))):
+        quot[i] = field.div(rem[i + deg], den[-1])
+        for j, d in enumerate(den):
+            rem[i + j] = field.sub(rem[i + j], field.mul(quot[i], d))
+    return quot, rem[:deg]
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+def test_convolve_and_poly_mul_match_schoolbook(field):
+    # poly_mul charges len(a) len(b) mul and (len(a) - 1)(len(b) - 1) add,
+    # and nothing for an empty operand
+    rng = random.Random(field.q)
+    for a, b in _operand_pairs(field, rng):
+        want = _schoolbook_mul(field, a, b)
+        got = field.convolve(a, np.array(b, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want, (a, b)
+        counter = OpCounter()
+        assert poly_mul(field, tuple(a), b, counter) == want
+        charged = (len(a) * len(b), (len(a) - 1) * (len(b) - 1)) if a and b else (0, 0)
+        assert (counter.mul, counter.add) == charged
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+def test_divmod_matches_schoolbook(field):
+    # a trailing zero of the divisor is trimmed; each of the len(num) - deg
+    # steps is charged deg + 2 mul and deg + 1 add
+    rng = random.Random(field.q + 1)
+    for num, den in _operand_pairs(field, rng):
+        if not trim(den):
+            with pytest.raises(DivisionByZero):
+                poly_divmod(field, num, den)
+            continue
+        counter = OpCounter()
+        quot, rem = poly_divmod(field, num, den + [0], counter)
+        assert (quot, rem) == _schoolbook_divmod(field, num, trim(den)), (num, den)
+        assert all(type(c) is int for c in quot + rem)
+        steps = max(0, len(num) - len(trim(den)) + 1)
+        assert (counter.mul, counter.add) == (steps * (len(trim(den)) + 1), steps * len(trim(den)))
 
 
 def test_divmod_reconstructs():
@@ -84,7 +148,7 @@ def test_lagrange_basis_refuses_repeated_points():
 @pytest.mark.parametrize("field", [prime_field(2), F11, F16, binary_field(8), fermat_field()],
                          ids=repr)
 def test_from_roots_matches_repeated_products(field):
-    # the reference: one scalar poly_mul by X - r per root
+    # the reference: one poly_mul (one Field.convolve) by X - r per root
     rng = random.Random(field.q)
     for count in (0, 1, 2, 7, 33):
         roots = [rng.randrange(field.q) for _ in range(count)]
