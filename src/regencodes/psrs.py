@@ -238,10 +238,12 @@ def _check_symbols(params: PsrsParams, pairs, minimum: int,
 
 def decode_full_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
                      counter: OpCounter | None = None) -> PsrsMessage:
-    """Recover (a, b) from any >= d (position, value) pairs (positions 1-based)."""
+    """Recover (a, b) from any >= d (position, value) pairs (positions 1-based):
+    C interpolates the first d pairs, or, on a root-of-unity set, all n by
+    one inverse transform."""
     _require_form(params, "eval")
     pairs = list(symbols)
-    _check_symbols(params, pairs, params.d)
+    values = _check_symbols(params, pairs, params.d)
     field = params.field
     if (
         params.ntt_size is not None
@@ -252,18 +254,17 @@ def decode_full_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
         by_pos = {p: v for p, v in pairs}
         c = ntt_interpolate(field, [by_pos[p] for p in range(1, params.n + 1)], counter)
     else:
-        zs = [params.points[pos - 1] for pos, _ in pairs]
-        ys = [val for _, val in pairs]
-        c = lagrange_interpolate(field, zs, ys, counter)
+        zs = [params.points[pos - 1] for pos, _ in pairs[: params.d]]
+        c = lagrange_interpolate(field, zs, values[: params.d], counter)
     quot, rem = poly_divmod(field, c, list(_gamma(params)), counter)
     a = poly_eval_many(field, rem, params.points[: params.k], counter)
-    b = quot + [0] * (params.d - params.k - len(quot))
-    return PsrsMessage(tuple(a), tuple(b[: params.d - params.k]))
+    return PsrsMessage(tuple(a), tuple(quot[: params.d - params.k]))
 
 
 def decode_partial_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
                         b: Sequence[int], counter: OpCounter | None = None) -> list[int]:
-    """Recover a from any >= k symbols when b is already known."""
+    """Recover a from any >= k symbols when b is already known: Phi
+    interpolates C - Gamma B at the first k."""
     _require_form(params, "eval")
     pairs = list(symbols)
     values = _check_symbols(params, pairs, params.k)
@@ -272,9 +273,9 @@ def decode_partial_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
         raise ParamsInvalid(f"b has {len(b)} symbols, expected {params.d - params.k}")
     field.varray(b)
     delta = poly_mul(field, list(_gamma(params)), list(b), counter)
-    zs = [params.points[pos - 1] for pos, _ in pairs]
-    phi_vals = field.vsub(values, poly_eval_many(field, delta, zs, counter))
-    phi = lagrange_interpolate(field, zs[: params.k], phi_vals[: params.k], counter)
+    zs = [params.points[pos - 1] for pos, _ in pairs[: params.k]]
+    phi_vals = field.vsub(values[: params.k], poly_eval_many(field, delta, zs, counter))
+    phi = lagrange_interpolate(field, zs, phi_vals, counter)
     return poly_eval_many(field, phi, params.points[: params.k], counter)
 
 

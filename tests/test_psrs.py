@@ -9,6 +9,7 @@ from regencodes.counting import OpCounter
 from regencodes.errors import (
     DuplicatePosition,
     FieldTooSmall,
+    IndexOutOfRange,
     InsufficientSymbols,
     ParamsInvalid,
 )
@@ -285,6 +286,31 @@ def test_forney_matches_linear_oracle(field, n, k, d, counts):
             _counts(lambda ctr: decode_full_genpoly(params, list(enumerate(c))[n - d:], ctr)),
             _counts(lambda ctr: decode_partial_genpoly(params, list(enumerate(c))[n - k:],
                                                        list(msg.b), ctr))] == counts
+
+
+@pytest.mark.parametrize("field", [fermat_field(), binary_field(8)], ids=repr)
+def test_eval_decoders_read_only_the_symbols_they_need(field):
+    # at (64, 32, 48) a full read interpolates the first d = 48 pairs and a
+    # partial read evaluates Delta at and interpolates the first k = 32, so
+    # all 64 pairs cost what 48 do; the pairs past those are still checked
+    params = eval_params(field, 64, 32, 48)
+    rng = random.Random(19)
+    msg = rand_msg(params, rng)
+    pairs = list(enumerate(encode_eval(params, msg), 1))
+    rng.shuffle(pairs)
+    for read in (pairs, pairs[:48]):
+        full, part = OpCounter(), OpCounter()
+        assert decode_full_eval(params, read, full) == msg
+        assert tuple(decode_partial_eval(params, read, list(msg.b), part)) == msg.a
+        assert [(full.mul, full.add), (part.mul, part.add)] == [(3_840, 3_824), (4_048, 4_000)]
+    late = {DuplicatePosition: pairs[:48] + [(pairs[0][0], 0)],
+            IndexOutOfRange: pairs[:48] + [(65, 0)],
+            ValueError: pairs[:-1] + [(pairs[-1][0], field.q)]}
+    for error, read in late.items():
+        with pytest.raises(error):
+            decode_full_eval(params, read)
+        with pytest.raises(error):
+            decode_partial_eval(params, read, list(msg.b))
 
 
 def test_decode_partial_genpoly_exhaustive():
