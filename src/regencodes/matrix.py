@@ -494,11 +494,11 @@ def interpolation_inverse(field: Field, points: np.ndarray, rows: Sequence[int],
 def interpolation_cost(k: int, c: int) -> tuple[int, int]:
     """(mul, add) that interpolation_inverse counts for c missing systematic
     points: the c k + k(k-1) differences, the products of c rows of k and k
-    rows of k-1 of them, k inverses and two products per entry of the c
-    computed rows."""
+    rows of k-1 of them, the c k + k inverses of the c k differences and k
+    products, and two products per entry of the c computed rows."""
     if not c:
         return 0, 0
-    mul = c * (k - 1) + k * max(0, k - 2) + k + 2 * c * k
+    mul = c * (k - 1) + k * max(0, k - 2) + c * k + k + 2 * c * k
     return mul, c * k + k * (k - 1)
 
 
