@@ -30,7 +30,6 @@ counts the same as a miss.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -411,8 +410,7 @@ def mbr_timeshare_schedule(params: MbrParams, connected: Sequence[int],
     transmits 2d-(k-1) symbols."""
     if rounds < 1:
         raise ParamsInvalid("rounds must be >= 1")
-    return [dataclasses.replace(mbr_partial_plan(params, connected, timeshare_scheme(r)), phase=r)
-            for r in range(rounds)]
+    return [mbr_partial_plan(params, connected, timeshare_scheme(r)) for r in range(rounds)]
 
 
 def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,

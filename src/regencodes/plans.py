@@ -26,7 +26,6 @@ class DownloadPlan:
     nodes: tuple[int, ...]                    # connected nodes, list order
     order: tuple[int, ...]                    # g_j: 1-based slot of nodes[j]
     positions: tuple[tuple[int, ...], ...]    # per node, positions to transmit
-    phase: int | None = None                  # round index for time sharing
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
