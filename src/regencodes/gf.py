@@ -9,13 +9,14 @@ Three kinds of field are supported:
   has order 2^16 and therefore supports radix-2 number-theoretic
   transforms up to length 65536.
 
-Scalar values and evaluation points are plain ints in [0, q).  Every
-field also exposes vectorized numpy helpers (vadd/vmul/matmul/...) used
-by the matrix layer; binary fields back them with log/antilog tables,
-prime fields with int64 modular arithmetic and a table of inverses.
-`vprod` multiplies along rows.  `vsub_mul` and `vreduce`
-let an elimination loop leave its row updates unreduced mod p and reduce
-once at the end.
+Scalar values and evaluation points are plain ints in [0, q).  The
+scalar methods are the tests' reference arithmetic; the library computes
+through the vectorized numpy kernels (vadd/vmul/matmul/convolve/...),
+which hold every field-kind decision: log/antilog tables for binary
+fields, int64 modular arithmetic and a table of inverses for prime
+fields.  `vprod` multiplies along rows.  `vsub_mul` and `vreduce` let an
+elimination loop leave its row updates unreduced mod p and reduce once
+at the end.  `powers` gives x^0 .. x^(count-1) of a value or an array.
 
 All objects are immutable after construction and all operations are
 pure, so unrestricted concurrent use is safe.
@@ -619,8 +620,7 @@ def ntt_evaluate(
         raise ValueError(f"{len(coeffs)} coefficients exceed transform size {size}")
     p = f.p
     a = np.zeros(size, dtype=np.int64)
-    if coeffs:
-        a[: len(coeffs)] = f.varray(coeffs)
+    a[: len(coeffs)] = f.varray(coeffs)
     if size == 1:
         return [int(a[0])]
     a = _butterflies(a, f.root_of_unity(size), p)

@@ -20,6 +20,9 @@ Two constructions are provided:
 A Fermat-field fast path evaluates via the number-theoretic transform
 when the params are built with ntt=True, which takes the leading powers
 of a canonical power-of-two root of unity as evaluation points.
+
+Both forms compute through the vector kernels of `gf` and `poly`.  The
+evaluation-form decoders use only the first d (full) or k (partial) pairs.
 """
 
 from __future__ import annotations
@@ -293,10 +296,9 @@ def _systematic_rs_poly(field: Field, data: Sequence[int], gen: Sequence[int],
                         shift: int, n: int, counter: OpCounter | None) -> np.ndarray:
     """The n coefficients of x^shift * data(x) - (x^shift * data(x) mod gen),
     a multiple of gen."""
-    shifted = [0] * shift + list(data)
     out = np.zeros(n, dtype=np.int64)
-    out[:len(shifted)] = shifted
-    out[:shift] = field.vneg(poly_divmod(field, shifted, list(gen), counter)[1])
+    out[shift:shift + len(data)] = data
+    out[:shift] = field.vneg(poly_divmod(field, out[:shift + len(data)], gen, counter)[1])
     return out
 
 
