@@ -6,6 +6,9 @@ isolated.  Counts are algebraic: a matrix product of shape (r x m)(m x c)
 records r*m*c multiplications and r*c*(m-1) additions regardless of zero
 entries, matching the big-O accounting the comparisons are built on.
 Transfer-only operations (repair by transfer) never touch a counter.
+
+`charge` is the one writer of a counter: every kernel records its cost
+through it, and a `None` counter costs nothing.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ class OpCounter:
     mul: int = 0
     add: int = 0
 
-    def count_mul(self, n: int = 1) -> None:
-        self.mul += n
 
-    def count_add(self, n: int = 1) -> None:
-        self.add += n
+def charge(counter: OpCounter | None, mul: int = 0, add: int = 0) -> None:
+    """Add `mul` multiplications and `add` additions to `counter`; nothing
+    when it is None."""
+    if counter is not None:
+        counter.mul += mul
+        counter.add += add

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import OpCounter, charge
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -624,9 +624,7 @@ def ntt_evaluate(
     if size == 1:
         return [int(a[0])]
     a = _butterflies(a, f.root_of_unity(size), p)
-    if counter is not None:
-        counter.count_mul((size // 2) * stages)
-        counter.count_add(size * stages)
+    charge(counter, (size // 2) * stages, size * stages)
     return a.tolist()
 
 
@@ -646,9 +644,7 @@ def ntt_interpolate(
     a = _butterflies(f.varray(evals), f.inv(f.root_of_unity(size)), p)
     n_inv = f.inv(size % p)
     a = (a * n_inv) % p
-    if counter is not None:
-        counter.count_mul((size // 2) * stages + size)
-        counter.count_add(size * stages)
+    charge(counter, (size // 2) * stages + size, size * stages)
     return a.tolist()
 
 

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import OpCounter, charge
 from .errors import (
     DimensionMismatch,
     DuplicatePoints,
@@ -150,9 +150,7 @@ def mat_mul(field: Field, a: np.ndarray, b: np.ndarray,
     (rows, inner), (inner_b, cols) = a.shape, b.shape
     if inner != inner_b:
         raise DimensionMismatch(f"({rows}x{inner}) @ ({inner_b}x{cols})")
-    if counter is not None:
-        counter.count_mul(rows * cols * inner)
-        counter.count_add(rows * cols * max(0, inner - 1))
+    charge(counter, rows * cols * inner, rows * cols * max(0, inner - 1))
     if rows * inner * cols < _ROW_SKIP_MIN[field.kind]:
         return field.matmul(a, b)
     weight = a.sum(axis=1)
@@ -170,8 +168,7 @@ def mat_add(field: Field, a: np.ndarray, b: np.ndarray,
             counter: OpCounter | None = None) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    if counter is not None:
-        counter.count_add(a.size)
+    charge(counter, add=a.size)
     return field.vadd(a, b)
 
 
@@ -179,8 +176,7 @@ def mat_sub(field: Field, a: np.ndarray, b: np.ndarray,
             counter: OpCounter | None = None) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    if counter is not None:
-        counter.count_add(a.size)
+    charge(counter, add=a.size)
     return field.vsub(a, b)
 
 
@@ -250,10 +246,7 @@ def _gauss_jordan(field: Field, a: np.ndarray, b: np.ndarray,
         x[free] = field.vreduce(aug[:, m:])
     else:
         x = field.vreduce(aug[:, m:])
-    if counter is not None:
-        mul, add = solve_cost(n, cols)
-        counter.count_mul(mul)
-        counter.count_add(add)
+    charge(counter, *solve_cost(n, cols))
     return x
 
 
@@ -312,9 +305,7 @@ def mat_solve(a: FieldMatrix | FactoredInverse, b: np.ndarray,
     if a.rows != rows:
         raise DimensionMismatch(f"rhs has {rows} rows, expected {a.rows}")
     if isinstance(a, FactoredInverse):
-        if counter is not None:
-            counter.count_mul(cols * rows * rows)
-            counter.count_add(cols * rows * (rows - 1))
+        charge(counter, cols * rows * rows, cols * rows * (rows - 1))
         if a.pivoted:
             b = b[a.perm]
         return a.field.matmul(a.second, a.field.matmul(a.first, b))
@@ -394,10 +385,7 @@ def lu_inverses(field: Field, a: np.ndarray,
     u_inv = field.vreduce(u_inv)
     for arr in (perm, l_inv, u_inv):
         arr.setflags(write=False)
-    if counter is not None:
-        mul, add = _lu_cost(n)
-        counter.count_mul(mul)
-        counter.count_add(add)
+    charge(counter, *_lu_cost(n))
     return FactoredInverse(field, l_inv, u_inv, perm, bool((perm != np.arange(n)).any()))
 
 
@@ -484,10 +472,7 @@ def interpolation_inverse(field: Field, points: np.ndarray, rows: Sequence[int],
     c = len(missing)
     if c:
         out[missing] = lagrange_rows(field, points[rows], points[missing])[0]
-    if counter is not None:
-        mul, add = interpolation_cost(k, c)
-        counter.count_mul(mul)
-        counter.count_add(add)
+    charge(counter, *interpolation_cost(k, c))
     return out
 
 

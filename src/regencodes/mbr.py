@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import OpCounter, charge
 from .errors import (
     DuplicateHelper,
     DuplicateIndex,
@@ -208,9 +208,7 @@ def mbr_helper_response(fragment: Fragment, failed_row: Sequence[int] | np.ndarr
     # read as unsigned, a negative symbol is at least 2^63 >= q
     if symbols.size and symbols.view(np.uint64).max() >= field.q:
         raise ValueError("array values outside field range")
-    if counter is not None:
-        counter.count_mul(len(failed_row))
-        counter.count_add(max(0, len(failed_row) - 1))
+    charge(counter, len(failed_row), max(0, len(failed_row) - 1))
     return field.dot(symbols, failed_row)
 
 
@@ -232,14 +230,8 @@ def mbr_repair(params: MbrParams, responses: Sequence[tuple[int, int]], failed: 
     f = params.field
     values = f.varray([v for _, v in responses])
     inv, cost = _repair_inverse(params, tuple(helpers))
-    _charge(counter, cost)
+    charge(counter, *cost)
     return trusted_fragment(params.codec, failed, frozen(f.matmul(inv, values[:, None])[:, 0]))
-
-
-def _charge(counter: OpCounter | None, cost: tuple[int, int]) -> None:
-    if counter is not None:
-        counter.count_mul(cost[0])
-        counter.count_add(cost[1])
 
 
 @lru_cache(maxsize=_SET_CACHE_SIZE)
@@ -325,7 +317,7 @@ def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
     c_dc[[g - 1 for g in order]] = rows
     delta_dc = data_collector(mbr_build_encoding(params), k, nodes, order)[1]
     phi_inv, cost = _collector_inverse(params, tuple(nodes), order)
-    _charge(counter, cost)
+    charge(counter, *cost)
     s, t = solve_message_block(f, phi_inv, delta_dc, c_dc, skew=False, counter=counter)
     return message_from_block(params, np.concatenate([s, t], axis=1))
 
@@ -468,25 +460,19 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
         if inverse.pivoted and is_singular(f, phi[todo, todo]):
             raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated")
 
-    _charge(counter, cost)
+    charge(counter, *cost)
     t = mat_solve(inverse, c_dc[:, k:], counter)
     dt = f.matmul(delta, t.T)  # k x k
     d_phi = f.vsub(c_dc[:, :k], dt)  # meaningful where downloaded
-    if counter is not None:
-        # the k x (d-k) by (d-k) x k product and the subtraction
-        counter.count_mul(k * k * (d - k))
-        counter.count_add(k * k * max(0, d - k - 1))
-        counter.count_add(int(downloaded.sum()))
+    # the k x (d-k) by (d-k) x k product and the subtraction
+    charge(counter, k * k * (d - k), k * k * max(0, d - k - 1) + int(downloaded.sum()))
 
     s = np.zeros((k, k), dtype=np.int64)
     known = np.zeros(k, dtype=bool)
     for stage, (c, (todo, done)) in enumerate(zip(columns, parts), start=1):
         rhs = f.vsub(d_phi[todo, c], f.matmul(phi[todo, done], s[done, c][:, None])[:, 0])
-        if counter is not None:
-            # m unknowns: the substitution costs m(k-m) mul and add
-            m = len(rhs)
-            counter.count_mul(m * (k - m))
-            counter.count_add(m * (k - m))
+        m = len(rhs)  # m unknowns: the substitution costs m(k-m) mul and add
+        charge(counter, m * (k - m), m * (k - m))
         col = mat_solve(inverse.block(todo), rhs[:, None], counter)[:, 0]
         if trace is not None:
             trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known, rhs, f))

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import OpCounter, charge
 from .errors import DimensionMismatch, DivisionByZero
 from .gf import Field
 from .matrix import lagrange_rows
@@ -31,9 +31,7 @@ def poly_mul(field: Field, a: Sequence[int], b: Sequence[int],
     """Schoolbook product, one Field.convolve."""
     if not len(a) or not len(b):
         return []
-    if counter is not None:
-        counter.count_mul(len(a) * len(b))
-        counter.count_add((len(a) - 1) * (len(b) - 1))
+    charge(counter, len(a) * len(b), (len(a) - 1) * (len(b) - 1))
     return field.convolve(a, b).tolist()
 
 
@@ -51,9 +49,7 @@ def poly_divmod(field: Field, num: Sequence[int], den: Sequence[int],
     rem = np.array(num, dtype=np.int64)
     qlen = max(0, len(rem) - deg_d)
     quot = np.zeros(qlen, dtype=np.int64)
-    if counter is not None:
-        counter.count_mul(qlen * (len(den) + 1))
-        counter.count_add(qlen * len(den))
+    charge(counter, qlen * (len(den) + 1), qlen * len(den))
     for i in range(qlen - 1, -1, -1):
         if rem[i + deg_d]:
             quot[i] = field.mul(int(rem[i + deg_d]), lead_inv)
@@ -67,9 +63,8 @@ def poly_eval(field: Field, p: Sequence[int], x: int,
     acc = 0
     for c in reversed(list(p)):
         acc = field.add(field.mul(acc, x), c)
-    if counter is not None and len(p) > 1:
-        counter.count_mul(len(p) - 1)
-        counter.count_add(len(p) - 1)
+    steps = max(0, len(p) - 1)
+    charge(counter, steps, steps)
     return acc
 
 
@@ -80,9 +75,8 @@ def poly_eval_many(field: Field, p: Sequence[int], xs: Sequence[int],
     acc = field.varray([0] * len(xs))
     for c in reversed(list(p)):
         acc = field.vadd(field.vmul(acc, xs_arr), c)
-    if counter is not None and len(p) > 1:
-        counter.count_mul((len(p) - 1) * len(xs))
-        counter.count_add((len(p) - 1) * len(xs))
+    steps = max(0, len(p) - 1) * len(xs)
+    charge(counter, steps, steps)
     return acc.tolist()
 
 
@@ -134,7 +128,5 @@ def lagrange_interpolate(field: Field, points: Sequence[int], values: Sequence[i
     if n == 0:
         return []
     out = field.matmul(field.varray(values)[None, :], lagrange_basis(field, points))[0]
-    if counter is not None:
-        counter.count_mul(n * n)
-        counter.count_add(n * n)
+    charge(counter, n * n, n * n)
     return out.tolist()

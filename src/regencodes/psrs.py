@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import OpCounter, charge
 from .errors import (
     DuplicatePosition,
     FieldTooSmall,
@@ -195,16 +195,13 @@ def coding_polynomial(params: PsrsParams, msg: PsrsMessage,
     basis = _sys_basis(params)
     a_row = field.varray([list(msg.a)])
     phi = field.matmul(a_row, basis)[0]
-    if counter is not None:
-        counter.count_mul(k * k)
-        counter.count_add(k * max(0, k - 1))
+    charge(counter, k * k, k * max(0, k - 1))
     c = np.zeros(d, dtype=np.int64)
     c[:k] = phi
     if d > k:
         delta = poly_mul(field, list(_gamma(params)), list(msg.b), counter)
         c = field.vadd(c, field.varray(delta + [0] * (d - len(delta))))
-        if counter is not None:
-            counter.count_add(d)
+        charge(counter, add=d)
     return c.tolist()
 
 
@@ -313,8 +310,7 @@ def encode_genpoly(params: PsrsParams, msg: PsrsMessage,
     if d > k:
         c = field.vadd(c, _systematic_rs_poly(field, msg.b, _generator(params, n - d), n - d, n,
                                               counter))
-        if counter is not None:
-            counter.count_add(n)
+        charge(counter, add=n)
     return c.tolist()
 
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import OpCounter, charge
 from .errors import FieldTooSmall, IndexOutOfRange, ParamsInvalid, WrongMessageLength
 from .fragments import (
     Fragment,
@@ -209,8 +209,7 @@ def sign_fix(params: RbtParams, c_hat: np.ndarray, counter: OpCounter | None = N
     a = c_hat.copy()
     low = np.tril_indices(a.shape[0], k=-1)
     a[low] = field.vneg(a[low])
-    if counter is not None:
-        counter.count_add(len(low[0]))
+    charge(counter, add=len(low[0]))
     return a
 
 
@@ -223,8 +222,7 @@ def _unfix_rows(params: RbtParams, rows: np.ndarray, nodes: Sequence[int],
         for r, node in enumerate(nodes):
             if node > 1:
                 a[r, : node - 1] = field.vneg(a[r, : node - 1])
-                if counter is not None:
-                    counter.count_add(node - 1)
+                charge(counter, add=node - 1)
     return a
 
 
@@ -272,8 +270,8 @@ def rbt_encode_systematic(params: RbtParams, block,
     pul = mat_mul(field, p, u_l, counter)
     v = mat_sub(field, mat_sub(field, pur, pur.T, counter), mat_mul(field, pul, p.T, counter),
                 counter)
-    if counter is not None and field.characteristic != 2:
-        counter.count_add(u_r.size)  # negating U_R^t
+    if field.characteristic != 2:
+        charge(counter, add=u_r.size)  # negating U_R^t
     return _codeword(params, np.block([[u_l, u_r], [field.vneg(u_r.T), v]]), counter)
 
 

@@ -5,6 +5,7 @@ import pytest
 import regencodes
 import regencodes.harness
 from regencodes import errors, gf
+from regencodes.counting import OpCounter, charge
 
 
 @pytest.mark.parametrize("module", [regencodes, regencodes.harness], ids=lambda m: m.__name__)
@@ -25,3 +26,13 @@ def test_scalar_wrapper_is_gone():
         assert name not in regencodes.__all__
     assert not hasattr(errors, "FieldMismatch")
     assert not hasattr(gf.Field, "elem")
+
+
+def test_charge_accumulates_and_a_missing_counter_costs_nothing():
+    counter = OpCounter()
+    charge(counter, 3, 4)
+    charge(counter, mul=5)
+    charge(counter, add=2)
+    assert (counter.mul, counter.add) == (8, 6)
+    charge(None, 7, 7)
+    assert not hasattr(counter, "count_mul") and not hasattr(counter, "count_add")

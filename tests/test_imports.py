@@ -7,6 +7,10 @@ reaches it through that module.
 
 No library module runs scalar field arithmetic in a loop: the vector
 kernels of `gf` do that work.
+
+No library module but `counting` writes an operation counter: every
+charge goes through `counting.charge`, which alone knows that a `None`
+counter costs nothing.
 """
 
 import ast
@@ -117,3 +121,46 @@ def test_guard_finds_a_scalar_loop():
                      "    return field.pow_(ys[0], 2)\n")
     assert _scalar_loop_calls(tree) == [("f", "mul", 2), ("f", "neg", 4)]
     assert not _scalar_loop_allowed("regencodes.poly", "poly_divmod", "sub")
+
+
+COUNTER_METHODS = {"count_mul", "count_add"}
+
+
+def _name(node) -> str:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _counter_writes(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, what) of each counter write outside `counting.charge`: a name
+    containing `counter` compared with None, a store to a `.mul` or `.add`
+    attribute, and any use of `count_mul` or `count_add`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(side, ast.Constant) and side.value is None for side in sides)
+                    and any("counter" in _name(side) for side in sides)):
+                found.append((node.lineno, "None test"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and node.attr in ("mul", "add"):
+            found.append((node.lineno, f".{node.attr} store"))
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in COUNTER_METHODS:
+            found.append((node.lineno, _name(node)))
+    return sorted(found)
+
+
+def test_only_counting_writes_a_counter():
+    writes = [f"{path.relative_to(ROOT)}:{line} {what}"
+              for path, module, tree in _library_modules() if module != "regencodes.counting"
+              for line, what in _counter_writes(tree)]
+    assert writes == []
+
+
+def test_guard_finds_a_counter_write():
+    tree = ast.parse("def f(counter, cost, n):\n"
+                     "    if counter is not None and n:\n"
+                     "        counter.count_mul(n)\n"
+                     "    cost.add += n\n"
+                     "    return cost.mul, n is None, self_counter == None\n")
+    assert _counter_writes(tree) == [(2, "None test"), (3, "count_mul"), (4, ".add store"),
+                                     (5, "None test")]
