@@ -212,18 +212,14 @@ def _gauss_jordan(field: Field, a: np.ndarray, b: np.ndarray,
     """
     n, cols = b.shape
     unit, fixed = _unit_rows(a)
+    rest = _complement(unit, n)  # rows left to eliminate
+    free = _complement(fixed, n)  # and their unknowns
+    if len(free) != len(rest):
+        raise SingularMatrix("two unit rows on one column")
+    a_rest, rhs = a.take(rest, 0), b.take(rest, 0)
     if unit.size:
-        rest = _complement(unit, n)  # rows left to eliminate
-        free = _complement(fixed, n)  # and their unknowns
-        if len(free) != len(rest):
-            raise SingularMatrix("two unit rows on one column")
-        a_rest, rhs = a.take(rest, 0), b.take(rest, 0)
-        if rest.size:
-            rhs = field.vsub(rhs, field.matmul(a_rest.take(fixed, 1), b.take(unit, 0)))
-        aug = np.concatenate([a_rest.take(free, 1), rhs], axis=1)
-    else:
-        free = range(n)
-        aug = np.concatenate([a, b], axis=1)
+        rhs = field.vsub(rhs, field.matmul(a_rest.take(fixed, 1), b.take(unit, 0)))
+    aug = np.concatenate([a_rest.take(free, 1), rhs], axis=1)
     m = len(free)
     for col in range(m):
         column = field.vreduce(aug[:, col])
@@ -240,12 +236,9 @@ def _gauss_jordan(field: Field, a: np.ndarray, b: np.ndarray,
         aug[col] = row
         column[col] = 0
         aug = field.vsub_mul(aug, column[:, None], row[None, :])
-    if unit.size:
-        x = np.empty((n, cols), dtype=np.int64)
-        x[fixed] = b[unit]
-        x[free] = field.vreduce(aug[:, m:])
-    else:
-        x = field.vreduce(aug[:, m:])
+    x = np.empty((n, cols), dtype=np.int64)
+    x[fixed] = b[unit]
+    x[free] = field.vreduce(aug[:, m:])
     charge(counter, *solve_cost(n, cols))
     return x
 
@@ -341,7 +334,7 @@ def lu_inverses(field: Field, a: np.ndarray,
     n = a.shape[0]
     unit, fixed = _unit_rows(a)
     diag = unit[unit == fixed]  # rows equal to e_j
-    steps = _complement(diag, n).tolist() if diag.size else range(n)
+    steps = _complement(diag, n).tolist()
     lu = np.array(a, dtype=np.int64)
     perm = np.arange(n)
     piv_inv = np.ones(n, dtype=np.int64)
@@ -364,10 +357,9 @@ def lu_inverses(field: Field, a: np.ndarray,
     lu = field.vreduce(lu)
     # both inverses start from the unit rows' elementary factors
     l_inv, u_inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
-    if diag.size:
-        l_inv[:, diag] = field.vneg(np.tril(lu, -1)[:, diag])
-        u_inv[:, diag] = field.vneg(np.triu(lu, 1)[:, diag])
-        l_inv[diag, diag] = u_inv[diag, diag] = 1
+    l_inv[:, diag] = field.vneg(np.tril(lu, -1)[:, diag])
+    u_inv[:, diag] = field.vneg(np.triu(lu, 1)[:, diag])
+    l_inv[diag, diag] = u_inv[diag, diag] = 1
     # L^-1 = E_{n-2} ... E_0 with E_j = I - l_j e_j^t; row j of the partial
     # product is nonzero in columns 0..j only, with a unit diagonal
     for j in steps:

@@ -427,6 +427,33 @@ def test_deflated_kernels_on_empty_and_one_by_one_systems(field):
             call()
 
 
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
+@pytest.mark.parametrize("a, perm", [([[0, 1, 1], [1, 1, 0], [1, 1, 1]], [1, 0, 2]),
+                                     (eye(3).tolist(), [0, 1, 2])],
+                         ids=["no-unit-row", "identity"])
+def test_deflated_kernels_without_unit_rows_and_on_the_identity(field, a, perm):
+    # the first system is invertible over every field, needs a row swap in
+    # its first column and has no row that sums to 1; the second is unit
+    # rows only.  Counts are the dense ones at n = 3.
+    a = np.array(a, dtype=np.int64)
+    b = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
+    calls = [(lambda c: mat_inv(FieldMatrix(field, a), c), eye(3), (57, 36)),
+             (lambda c: mat_solve(FieldMatrix(field, a), b, c), b, (48, 30))]
+    for call, rhs, cost in calls:
+        counter = OpCounter()
+        assert call(counter).tolist() == _gj_reference(field, a.tolist(), rhs.tolist())
+        assert (counter.mul, counter.add) == cost
+    counter = OpCounter()
+    got = lu_inverses(field, a, counter)
+    _, lower, upper = _lu_reference(field, a.tolist())
+    assert got.perm.tolist() == perm and got.pivoted == (perm != [0, 1, 2])
+    assert got.first.tolist() == _gj_reference(field, lower, eye(3).tolist())
+    assert got.second.tolist() == _gj_reference(field, upper, eye(3).tolist())
+    assert (counter.mul, counter.add) == (19, 13)
+    if perm == [0, 1, 2]:
+        assert got.first.tolist() == got.second.tolist() == eye(3).tolist()
+
+
 # the deflated product
 
 @st.composite
