@@ -13,12 +13,13 @@ surviving node, with zero field operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DecodeMismatch,
+    DuplicateHelper,
     DuplicateIndex,
     IndexOutOfRange,
     InsufficientSymbols,
@@ -190,25 +191,20 @@ def check_nodes(n: int, nodes: Sequence[int], count: int) -> None:
         raise WrongFragmentCount(f"got {len(nodes)} fragments, expected {count}")
 
 
-def transfer_repair(params, responses: Sequence[tuple[int, int]] | Mapping[int, int],
-                    failed: int) -> Fragment:
+def transfer_repair(params, responses: Sequence[tuple[int, int]], failed: int) -> Fragment:
     """Rebuild the failed node's row by placement only.
 
-    `responses` maps each of the other n-1 nodes to the symbol it stores
+    `responses` pairs each of the other n-1 nodes with the symbol it stores
     in the failed node's column; symmetry makes that symbol the failed
-    row's entry in the helper's column.
+    row's entry in the helper's column.  A helper listed twice raises
+    DuplicateHelper.
     """
     n = params.n
     if not 1 <= failed <= n:
         raise IndexOutOfRange(f"node {failed} outside [1, {n}]")
-    if isinstance(responses, Mapping):
-        got = dict(responses)
-    else:
-        got = {}
-        for node, sym in responses:
-            if node in got:
-                raise MissingHelper(f"helper {node} supplied twice")
-            got[node] = sym
+    got = dict(responses)
+    if len(got) != len(responses):
+        raise DuplicateHelper(f"duplicate helper in {[node for node, _ in responses]}")
     expected = set(range(1, n + 1)) - {failed}
     if len(got) != len(expected):
         raise WrongHelperCount(f"got {len(got)} helpers, expected {len(expected)}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -301,7 +301,7 @@ def helper_repair_symbol(frag: Fragment, failed: int) -> int:
     return fragment_symbol(frag, failed)
 
 
-def rbt_repair(params: RbtParams, responses: Sequence[tuple[int, int]] | Mapping[int, int],
+def rbt_repair(params: RbtParams, responses: Sequence[tuple[int, int]],
                failed: int, counter: OpCounter | None = None) -> Fragment:
     """Rebuild the failed node's row by placement only: zero field operations."""
     return transfer_repair(params, responses, failed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def helper_repair_packet(params: ShahParams, frag: Fragment, failed: int) -> int
     return fragment_symbol(frag, failed)
 
 
-def shah_repair(params: ShahParams, responses: Sequence[tuple[int, int]] | Mapping[int, int],
+def shah_repair(params: ShahParams, responses: Sequence[tuple[int, int]],
                 failed: int, counter: OpCounter | None = None) -> Fragment:
     """Rebuild a node store by pure transfer: zero field operations."""
     return transfer_repair(params, responses, failed)

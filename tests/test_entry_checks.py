@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from regencodes.counting import OpCounter
-from regencodes.errors import DecodeMismatch, InsufficientSymbols, WrongMessageLength
+from regencodes.errors import (
+    DecodeMismatch,
+    DuplicateHelper,
+    InsufficientSymbols,
+    WrongMessageLength,
+)
 from regencodes.fragments import Fragment, fragment_symbol, stored_position
 from regencodes.gf import binary_field, fermat_field, ntt_interpolate, prime_field
 from regencodes.matrix import FieldMatrix
@@ -151,6 +156,16 @@ def test_transfer_repair_rejects_response_outside_field(params, repair):
         with pytest.raises(ValueError, match=RANGE):
             repair(params, responses, 1, counter)
         assert (counter.mul, counter.add) == (0, 0)
+
+
+@pytest.mark.parametrize("params, repair", TRANSFER_REPAIRS)
+def test_transfer_repair_rejects_a_helper_listed_twice(params, repair):
+    # helper 2 listed once more, and listed in place of helper n
+    frags = encoded(params)
+    responses = [(j, fragment_symbol(frags[j - 1], 1)) for j in range(2, params.n + 1)]
+    for listed in (responses + responses[:1], responses[:1] + responses[:-1]):
+        with pytest.raises(DuplicateHelper, match="duplicate helper"):
+            repair(params, listed, 1)
 
 
 @pytest.mark.parametrize("field", [F7, binary_field(3)], ids=repr)
