@@ -205,9 +205,7 @@ def mbr_helper_response(fragment: Fragment, failed_row: Sequence[int] | np.ndarr
         raise WrongFragmentCount(
             f"fragment length {len(symbols)} vs encoding row length {len(failed_row)}"
         )
-    # read as unsigned, a negative symbol is at least 2^63 >= q
-    if symbols.size and symbols.view(np.uint64).max() >= field.q:
-        raise ValueError("array values outside field range")
+    field.varray(symbols)  # a symbol outside the field raises ValueError
     charge(counter, len(failed_row), max(0, len(failed_row) - 1))
     return field.dot(symbols, failed_row)
 
