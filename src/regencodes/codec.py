@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .counting import OpCounter
 from .errors import ParamsInvalid
-from .fragments import Fragment, check_codec, fragment_symbol, fragment_symbols
+from .fragments import Fragment, check_codec, fragment_symbol
 from .gf import Field
 from .mbr import (
     MbrParams,
@@ -27,6 +27,7 @@ from .mbr import (
 )
 from .rbt import (
     RbtParams,
+    extract_payloads,
     rbt_encode,
     rbt_encode_systematic,
     rbt_partial_plan,
@@ -130,9 +131,7 @@ def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], sch
     check_codec(params, chosen)  # the full reads check their own fragments
     if scheme == "partial":
         plan = rbt_partial_plan(params, nodes)
-        payloads = [fragment_symbols(frags[node], pos)
-                    for node, pos in zip(plan.nodes, plan.positions)]
-        u = rbt_reconstruct_partial(params, plan, payloads, counter)
+        u = rbt_reconstruct_partial(params, plan, extract_payloads(chosen, plan), counter)
     else:
         if scheme == "timeshare":
             scheme = timeshare_scheme(phase)

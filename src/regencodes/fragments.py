@@ -1,4 +1,4 @@
-"""Fragment values and the stored-row layout of the transfer codecs.
+"""Fragment values, the MBR point and the stored-row layout of the transfer codecs.
 
 A fragment is the per-node unit of storage, tagged with its codec.
 
@@ -121,6 +121,24 @@ def fragment_symbols(frag: Fragment, columns: Sequence[int]) -> list[int]:
     return [row[c - 1 if c < node else c - 2] for c in columns]
 
 
+class MbrPoint:
+    """The unit-bandwidth MBR point of every codec, for params classes with
+    k and d: a node stores alpha = d symbols, a helper sends beta = 1, and
+    a message holds B = kd - C(k, 2) symbols."""
+
+    @property
+    def alpha(self) -> int:
+        return self.d
+
+    @property
+    def beta(self) -> int:
+        return 1
+
+    @property
+    def B(self) -> int:
+        return self.k * self.d - self.k * (self.k - 1) // 2
+
+
 def check_codec(params, fragments: Sequence[Fragment]) -> None:
     """Every fragment must carry the codec tag of `params`: another codec's
     fragments of the same shape would decode to a wrong result."""
@@ -131,12 +149,8 @@ def check_codec(params, fragments: Sequence[Fragment]) -> None:
 
 
 def expand_rows(fragments: Sequence[Fragment], n: int, field: Field) -> np.ndarray:
-    """The full matrix rows of the fragments (see assemble_rows)."""
-    for frag in fragments:
-        if len(frag.symbols) != n - 1:
-            raise WrongFragmentCount(
-                f"fragment of node {frag.node} has {len(frag.symbols)} symbols, expected {n - 1}"
-            )
+    """The full matrix rows of fragments checked by check_read (see
+    assemble_rows)."""
     nodes = [frag.node for frag in fragments]
     cols = np.arange(n - 1)
     columns = cols + (cols >= np.array(nodes)[:, None] - 1)  # skip each diagonal
@@ -189,6 +203,30 @@ def check_nodes(n: int, nodes: Sequence[int], count: int) -> None:
         raise InsufficientSymbols(f"got {len(nodes)} fragments, need {count}")
     if len(nodes) > count:
         raise WrongFragmentCount(f"got {len(nodes)} fragments, expected {count}")
+
+
+def check_read(params, fragments: Sequence[Fragment]) -> list[int]:
+    """The nodes of a full read's fragments, after checking the codec tag,
+    k distinct nodes in [1, n] and alpha symbols per fragment."""
+    check_codec(params, fragments)
+    nodes = [frag.node for frag in fragments]
+    check_nodes(params.n, nodes, params.k)
+    alpha = params.alpha
+    for frag in fragments:
+        if len(frag.symbols) != alpha:
+            raise WrongFragmentCount(
+                f"fragment of node {frag.node} has {len(frag.symbols)} symbols, expected {alpha}"
+            )
+    return nodes
+
+
+def planned_fragments(fragments: Sequence[Fragment], nodes: Sequence[int]) -> list[Fragment]:
+    """The fragment of each planned node, in plan order."""
+    by_node = {frag.node: frag for frag in fragments}
+    for node in nodes:
+        if node not in by_node:
+            raise InsufficientSymbols(f"no fragment for planned node {node}")
+    return [by_node[node] for node in nodes]
 
 
 def transfer_repair(params, responses: Sequence[tuple[int, int]], failed: int) -> Fragment:

@@ -46,14 +46,6 @@ class CostReport:
     def total_symbols(self) -> int:
         return sum(e.symbols for e in self.events)
 
-    @property
-    def total_mul(self) -> int:
-        return sum(e.mul for e in self.events)
-
-    @property
-    def total_add(self) -> int:
-        return sum(e.add for e in self.events)
-
     def per_node_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
         for e in self.events:

@@ -29,10 +29,9 @@ form: `systematic_generator` stacks it under I_k, and `interpolation_inverse`
 gives Phi_DC^-1 of a psrs or rbt-sys (n <= q) collector from it, computing
 only the rows of the systematic points the collector lacks.
 
-FieldMatrix pairs an array with its field where a matrix crosses the
-library boundary: the system of `mat_inv` and `mat_solve`, a codeword's
-check matrix and a partial-read stage record.  Its constructor copies
-and range-checks the data.
+FieldMatrix pairs an array with its field in one place only: the system
+of `mat_inv` and `mat_solve`, whose field and `rows` travel with it.  Its
+constructor copies and range-checks the data.
 
 Every codec keeps its message in one triangle of a symmetric (or skew)
 matrix: `triangle` gives the slots of those symbols, row-major, and
@@ -60,7 +59,8 @@ from .gf import Field, enumerate_points, powers
 
 
 class FieldMatrix:
-    """Immutable-by-convention dense matrix of field values."""
+    """The system of mat_inv and mat_solve: a dense matrix of field values
+    with its field."""
 
     __slots__ = ("field", "a")
 
@@ -80,23 +80,6 @@ class FieldMatrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    def tolist(self) -> list[list[int]]:
-        return self.a.tolist()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and self.field == other.field
-            and self.a.shape == other.a.shape
-            and bool((self.a == other.a).all())
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.a.shape, self.a.tobytes()))
-
-    def __repr__(self):
-        return f"FieldMatrix({self.field!r}, {self.a.tolist()})"
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ from .errors import (
     DuplicateIndex,
     FieldTooSmall,
     IndexOutOfRange,
-    InsufficientSymbols,
     ParamsInvalid,
     PlanPayloadMismatch,
     SchemeBackendMismatch,
@@ -50,7 +49,16 @@ from .errors import (
     WrongFragmentCount,
     WrongHelperCount,
 )
-from .fragments import Fragment, check_codec, check_nodes, row_fragments, trusted_fragment
+from .fragments import (
+    Fragment,
+    MbrPoint,
+    check_codec,
+    check_nodes,
+    check_read,
+    planned_fragments,
+    row_fragments,
+    trusted_fragment,
+)
 from .gf import Field
 from .matrix import (
     FactoredInverse,
@@ -59,7 +67,6 @@ from .matrix import (
     data_collector,
     frozen,
     interpolation_inverse,
-    is_singular,
     lu_inverses,
     mat_inv,
     mat_mul,
@@ -80,7 +87,7 @@ _SET_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
-class MbrParams:
+class MbrParams(MbrPoint):
     """Validated (n, k, d) parameter set at the unit-bandwidth MBR point."""
 
     field: Field
@@ -101,18 +108,6 @@ class MbrParams:
             raise FieldTooSmall(f"n={self.n} exceeds field size {self.field.q}")
         if self.ntt and (self.field.kind != "fermat" or self.backend != "psrs"):
             raise ParamsInvalid("ntt mode requires the Fermat field and the psrs backend")
-
-    @property
-    def alpha(self) -> int:
-        return self.d
-
-    @property
-    def beta(self) -> int:
-        return 1
-
-    @property
-    def B(self) -> int:
-        return self.k * (self.k + 1) // 2 + self.k * (self.d - self.k)
 
     @property
     def codec(self) -> str:
@@ -297,14 +292,7 @@ def assign_slots(params: MbrParams, nodes: Sequence[int]) -> tuple[int, ...]:
 def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
                          counter: OpCounter | None = None) -> list[int]:
     """Recover the B message symbols from any k complete fragments."""
-    check_codec(params, fragments)
-    nodes = [fr.node for fr in fragments]
-    check_nodes(params.n, nodes, params.k)
-    for fr in fragments:
-        if len(fr.symbols) != params.d:
-            raise WrongFragmentCount(
-                f"fragment of node {fr.node} has {len(fr.symbols)} symbols, expected {params.d}"
-            )
+    nodes = check_read(params, fragments)
     f, k = params.field, params.k
     rows = f.varray(np.stack([fr.symbols for fr in fragments]))
     if params.backend == "psrs" and sorted(nodes) == list(range(1, k + 1)):
@@ -365,11 +353,7 @@ def mbr_partial_plan(params: MbrParams, connected: Sequence[int], scheme: str) -
 
 def mbr_extract_payloads(fragments: Sequence[Fragment], plan: DownloadPlan) -> list[list[int]]:
     """What each planned node transmits; every position must lie in its fragment."""
-    by_node = {f.node: f for f in fragments}
-    for node in plan.nodes:
-        if node not in by_node:
-            raise InsufficientSymbols(f"no fragment for planned node {node}")
-    frags = [by_node[node] for node in plan.nodes]
+    frags = planned_fragments(fragments, plan.nodes)
     plan.check_positions(min((len(fr.symbols) for fr in frags), default=0))
     # a list gather from one tolist per row: cheaper than numpy fancy
     # indexing at d of a few dozen
@@ -377,14 +361,14 @@ def mbr_extract_payloads(fragments: Sequence[Fragment], plan: DownloadPlan) -> l
     return [[row[p - 1] for p in pos] for row, pos in zip(rows, plan.positions)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageRecord:
     """One stage of the column-by-column S solve, for inspection."""
 
     scheme: str
     stage: int
     s_column: int                       # 1-based column of S solved
-    matrix: FieldMatrix
+    matrix: np.ndarray                  # read-only int64 array
     rhs: tuple[int, ...]
     solved: tuple[tuple[int, int], ...]  # new (row, col) message positions in S
 
@@ -392,15 +376,6 @@ class StageRecord:
 def timeshare_scheme(phase: int) -> str:
     """Scheme of time-sharing round `phase`: lower on even rounds, upper on odd."""
     return "lower" if phase % 2 == 0 else "upper"
-
-
-def mbr_timeshare_schedule(params: MbrParams, connected: Sequence[int],
-                           rounds: int) -> list[DownloadPlan]:
-    """Alternating lower/upper plans; over two consecutive rounds every node
-    transmits 2d-(k-1) symbols."""
-    if rounds < 1:
-        raise ParamsInvalid("rounds must be >= 1")
-    return [mbr_partial_plan(params, connected, timeshare_scheme(r)) for r in range(rounds)]
 
 
 def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
@@ -452,11 +427,11 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
              else (slice(None, c + 1), slice(c + 1, None)) for c in columns]
     needed = (np.tril if lower else np.triu)(np.ones((k, k), dtype=bool))
     missing = (needed & ~downloaded).any(axis=0)
-    for c, (todo, _) in zip(columns, parts):
+    for c in columns:
         if missing[c]:
             raise PlanPayloadMismatch(f"plan leaves out C^Phi entries of column {c + 1}")
-        if inverse.pivoted and is_singular(f, phi[todo, todo]):
-            raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated")
+    if inverse.pivoted:  # some stage matrix is singular (see _stage_factors)
+        raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated")
 
     charge(counter, *cost)
     t = mat_solve(inverse, c_dc[:, k:], counter)
@@ -473,7 +448,7 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
         charge(counter, m * (k - m), m * (k - m))
         col = mat_solve(inverse.block(todo), rhs[:, None], counter)[:, 0]
         if trace is not None:
-            trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known, rhs, f))
+            trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known, rhs))
         s[todo, c] = col
         s[c, todo] = col
         known[c] = True
@@ -509,8 +484,7 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, 
 
 
 def _stage_record(scheme: str, stage: int, c: int, phi: np.ndarray, s: np.ndarray,
-                  d_phi: np.ndarray, known: np.ndarray, rhs: np.ndarray,
-                  field: Field) -> StageRecord:
+                  d_phi: np.ndarray, known: np.ndarray, rhs: np.ndarray) -> StageRecord:
     """Stage `stage`'s system before column c is filled in: `gong` solves
     the substituted system `rhs` belongs to, `lower` and `upper` the full
     system with unit rows for the known entries."""
@@ -522,6 +496,6 @@ def _stage_record(scheme: str, stage: int, c: int, phi: np.ndarray, s: np.ndarra
         rhs = np.where(known, s[:, c], d_phi[:, c])
     return StageRecord(
         scheme=scheme, stage=stage, s_column=c + 1,
-        matrix=FieldMatrix(field, matrix), rhs=tuple(rhs.tolist()),
+        matrix=frozen(matrix), rhs=tuple(rhs.tolist()),
         solved=tuple((min(r, c) + 1, max(r, c) + 1) for r in todo.tolist()),
     )

@@ -30,15 +30,17 @@ from typing import Sequence
 import numpy as np
 
 from .counting import OpCounter, charge
-from .errors import FieldTooSmall, IndexOutOfRange, ParamsInvalid, WrongMessageLength
+from .errors import FieldTooSmall, ParamsInvalid, WrongMessageLength
 from .fragments import (
     Fragment,
+    MbrPoint,
     assemble_rows,
-    check_codec,
     check_nodes,
+    check_read,
     expand_rows,
     fragment_symbol,
     fragment_symbols,
+    planned_fragments,
     stored_fragments,
     transfer_repair,
 )
@@ -68,7 +70,7 @@ from .poly import lagrange_basis
 
 
 @dataclass(frozen=True)
-class RbtParams:
+class RbtParams(MbrPoint):
     """Validated (n, k, d=n-1) parameter set."""
 
     field: Field
@@ -89,40 +91,23 @@ class RbtParams:
         return self.n - 1
 
     @property
-    def alpha(self) -> int:
-        return self.n - 1
-
-    @property
-    def beta(self) -> int:
-        return 1
-
-    @property
-    def B(self) -> int:
-        return (self.n - 1) * self.k - self.k * (self.k - 1) // 2
-
-    @property
     def codec(self) -> str:
         return "rbt-sys" if self.systematic else "rbt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RbtCodeword:
     """Symmetric zero-diagonal check matrix; row i is node i's fragment."""
 
     params: RbtParams
-    check: FieldMatrix
+    check: np.ndarray  # read-only int64 array
 
     def __post_init__(self):
-        if not is_symmetric_zero_diag(self.check.a) or self.check.rows != self.params.n:
+        if not is_symmetric_zero_diag(self.check) or len(self.check) != self.params.n:
             raise ValueError("check matrix must be n x n symmetric with zero diagonal")
 
-    def fragment(self, node: int) -> Fragment:
-        if not 1 <= node <= self.params.n:
-            raise IndexOutOfRange(f"node {node} outside [1, {self.params.n}]")
-        return self.fragments()[node - 1]
-
     def fragments(self) -> list[Fragment]:
-        return stored_fragments(self.params.codec, self.check.a)
+        return stored_fragments(self.params.codec, self.check)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +212,7 @@ def _unfix_rows(params: RbtParams, rows: np.ndarray, nodes: Sequence[int],
 
 
 def _codeword(params: RbtParams, c_hat: np.ndarray, counter: OpCounter | None) -> RbtCodeword:
-    return RbtCodeword(params, FieldMatrix(params.field, sign_fix(params, c_hat, counter)))
+    return RbtCodeword(params, frozen(sign_fix(params, c_hat, counter)))
 
 
 def rbt_encode(params: RbtParams, u: Sequence[int], counter: OpCounter | None = None) -> RbtCodeword:
@@ -287,19 +272,9 @@ def remapped_message(params: RbtParams, block) -> list[int]:
     return message_from_block(params, np.concatenate([u_l, t], axis=1))
 
 
-def source_from_codeword(cw: RbtCodeword) -> list[int]:
-    """Read the source symbols back out of a systematic codeword."""
-    return message_from_block(cw.params, cw.check.a)
-
-
 # ---------------------------------------------------------------------------
 # repair
 # ---------------------------------------------------------------------------
-
-def helper_repair_symbol(frag: Fragment, failed: int) -> int:
-    """The single symbol a helper transmits: its stored entry in the failed column."""
-    return fragment_symbol(frag, failed)
-
 
 def rbt_repair(params: RbtParams, responses: Sequence[tuple[int, int]],
                failed: int, counter: OpCounter | None = None) -> Fragment:
@@ -314,9 +289,7 @@ def rbt_repair(params: RbtParams, responses: Sequence[tuple[int, int]],
 def rbt_reconstruct_full(params: RbtParams, fragments: Sequence[Fragment],
                          counter: OpCounter | None = None) -> list[int]:
     """Recover the B message symbols from any k complete fragments."""
-    check_codec(params, fragments)
-    nodes = [f.node for f in fragments]
-    check_nodes(params.n, nodes, params.k)
+    nodes = check_read(params, fragments)
     return _read_rows(params, nodes, expand_rows(fragments, params.n, params.field), counter)
 
 
@@ -371,10 +344,10 @@ def rbt_partial_plan(params: RbtParams, connected: Sequence[int]) -> DownloadPla
                         order=tuple(range(1, k + 1)), positions=tuple(positions))
 
 
-def extract_payloads(cw: RbtCodeword, plan: DownloadPlan) -> list[list[int]]:
-    """What each planned node actually transmits, given the full codeword."""
-    frags = cw.fragments()
-    return [fragment_symbols(frags[node - 1], pos) for node, pos in zip(plan.nodes, plan.positions)]
+def extract_payloads(fragments: Sequence[Fragment], plan: DownloadPlan) -> list[list[int]]:
+    """What each planned node transmits, from the fragments of the planned nodes."""
+    frags = planned_fragments(fragments, plan.nodes)
+    return [fragment_symbols(frag, pos) for frag, pos in zip(frags, plan.positions)]
 
 
 def rbt_reconstruct_partial(params: RbtParams, plan: DownloadPlan, payloads,

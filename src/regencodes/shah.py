@@ -28,10 +28,9 @@ from .counting import OpCounter
 from .errors import FieldTooSmall, ParamsInvalid
 from .fragments import (
     Fragment,
-    check_codec,
-    check_nodes,
+    MbrPoint,
+    check_read,
     expand_rows,
-    fragment_symbol,
     stored_fragments,
     transfer_repair,
 )
@@ -50,7 +49,7 @@ from .matrix import (
 
 
 @dataclass(frozen=True)
-class ShahParams:
+class ShahParams(MbrPoint):
     field: Field
     n: int
     k: int
@@ -70,18 +69,6 @@ class ShahParams:
     @property
     def d(self) -> int:
         return self.n - 1
-
-    @property
-    def alpha(self) -> int:
-        return self.n - 1
-
-    @property
-    def beta(self) -> int:
-        return 1
-
-    @property
-    def B(self) -> int:
-        return (self.n - 1) * self.k - self.k * (self.k - 1) // 2
 
     @property
     def codec(self) -> str:
@@ -111,11 +98,6 @@ def shah_encode(params: ShahParams, u: Sequence[int],
     return stored_fragments(params.codec, packets)
 
 
-def helper_repair_packet(params: ShahParams, frag: Fragment, failed: int) -> int:
-    """Packet a helper resends: its copy of the edge shared with the failed node."""
-    return fragment_symbol(frag, failed)
-
-
 def shah_repair(params: ShahParams, responses: Sequence[tuple[int, int]],
                 failed: int, counter: OpCounter | None = None) -> Fragment:
     """Rebuild a node store by pure transfer: zero field operations."""
@@ -125,10 +107,8 @@ def shah_repair(params: ShahParams, responses: Sequence[tuple[int, int]],
 def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],
                      counter: OpCounter | None = None) -> list[int]:
     """Erasure-decode the message from the packets held by k nodes."""
-    check_codec(params, fragments)
     n = params.n
-    nodes = [f.node for f in fragments]
-    check_nodes(n, nodes, params.k)
+    nodes = check_read(params, fragments)
     # the two copies of a shared packet agree, so placing both is safe
     stored = expand_rows(fragments, n, params.field)
     packets = np.zeros((n, n), dtype=np.int64)

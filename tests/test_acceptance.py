@@ -14,6 +14,7 @@ import pytest
 
 from regencodes.counting import OpCounter
 from regencodes.errors import FieldTooSmall
+from regencodes.fragments import fragment_symbol
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.harness.bench import bench_compare
 from regencodes.harness.reports import field_size_report
@@ -29,8 +30,8 @@ from regencodes.mbr import (
     mbr_partial_plan,
     mbr_reconstruct_full,
     mbr_reconstruct_partial,
-    mbr_timeshare_schedule,
     repair_from_fragments,
+    timeshare_scheme,
 )
 from regencodes.psrs import (
     PsrsMessage,
@@ -49,7 +50,6 @@ from regencodes.rbt import (
     RbtParams,
     decision,
     extract_payloads,
-    helper_repair_symbol,
     rbt_build_encoding,
     rbt_encode,
     rbt_encode_systematic,
@@ -60,7 +60,7 @@ from regencodes.rbt import (
     remapped_message,
     source_block,
 )
-from regencodes.shah import ShahParams, helper_repair_packet, shah_encode, shah_repair
+from regencodes.shah import ShahParams, shah_encode, shah_repair
 
 
 @contextmanager
@@ -191,7 +191,7 @@ def test_criterion_3_exhaustive_round_trip(capsys, field):
                     cw = rbt_encode(params, u)
                     frags = {f.node: f for f in cw.fragments()}
                     for failed in range(1, n + 1):
-                        responses = [(i, helper_repair_symbol(frags[i], failed))
+                        responses = [(i, fragment_symbol(frags[i], failed))
                                      for i in frags if i != failed]
                         assert rbt_repair(params, responses, failed) == frags[failed]
                     for subset in itertools.combinations(range(1, n + 1), k):
@@ -225,7 +225,7 @@ def test_criterion_4_transfer_only_repair(capsys):
         frags = {f.node: f for f in rbt_encode(params, u).fragments()}
         for failed in range(1, 8):
             counter = OpCounter()
-            responses = [(i, helper_repair_symbol(frags[i], failed))
+            responses = [(i, fragment_symbol(frags[i], failed))
                          for i in frags if i != failed]
             assert rbt_repair(params, responses, failed, counter) == frags[failed]
             assert counter.mul == 0 and counter.add == 0
@@ -234,7 +234,7 @@ def test_criterion_4_transfer_only_repair(capsys):
                   for f in shah_encode(sparams, _rand(sparams.field, sparams.B, rng))}
         for failed in range(1, 6):
             counter = OpCounter()
-            responses = [(i, helper_repair_packet(sparams, stores[i], failed))
+            responses = [(i, fragment_symbol(stores[i], failed))
                          for i in stores if i != failed]
             assert shah_repair(sparams, responses, failed, counter) == stores[failed]
             assert counter.mul == 0 and counter.add == 0
@@ -273,7 +273,8 @@ def test_criterion_5_download_accounting(capsys):
                             plan = mbr_partial_plan(params, connected, scheme)
                             assert plan.total_symbols == params.B
                         assert mbr_partial_plan(vdm, connected, "gong").total_symbols == vdm.B
-                        for plan in mbr_timeshare_schedule(params, connected, 4):
+                        for r in range(4):
+                            plan = mbr_partial_plan(params, connected, timeshare_scheme(r))
                             assert plan.total_symbols == params.B
 
 
@@ -298,7 +299,8 @@ def test_criterion_6_balance_formulas(capsys):
             for d in range(1, n):
                 for k in range(1, d + 1):
                     params = MbrParams(f, n, k, d)
-                    r1, r2 = mbr_timeshare_schedule(params, list(range(1, k + 1)), 2)
+                    r1, r2 = (mbr_partial_plan(params, list(range(1, k + 1)), timeshare_scheme(r))
+                              for r in range(2))
                     c1, c2 = r1.per_node_counts(), r2.per_node_counts()
                     for node in c1:
                         assert c1[node] + c2[node] == 2 * d - (k - 1)
@@ -314,7 +316,7 @@ def test_criterion_7_field_size_advantage(capsys):
         params = RbtParams(f8, 8, 4)
         u = _rand(f8, params.B, rng)
         cw = rbt_encode(params, u)
-        assert rbt_reconstruct_full(params, [cw.fragment(i) for i in (1, 4, 6, 8)]) == u
+        assert rbt_reconstruct_full(params, [cw.fragments()[i - 1] for i in (1, 4, 6, 8)]) == u
         # ... while the packet baseline needs C(8,2)=28 <= q+1=9
         with pytest.raises(FieldTooSmall):
             ShahParams(f8, 8, 4)
@@ -395,8 +397,8 @@ def test_criterion_10_cross_path_equivalences(capsys):
             cw = rbt_encode(params, u)
             connected = sorted(rng.sample(range(1, 9), 4))
             plan = rbt_partial_plan(params, connected)
-            part = rbt_reconstruct_partial(params, plan, extract_payloads(cw, plan))
-            full = rbt_reconstruct_full(params, [cw.fragment(i) for i in connected])
+            part = rbt_reconstruct_partial(params, plan, extract_payloads(cw.fragments(), plan))
+            full = rbt_reconstruct_full(params, [cw.fragments()[i - 1] for i in connected])
             assert part == full == u
         mparams = MbrParams(f11, 8, 3, 5)
         for trial in range(50):
@@ -414,8 +416,8 @@ def test_criterion_10_cross_path_equivalences(capsys):
         for _ in range(50):
             u = _rand(f11, sparams.B, rng)
             block = source_block(sparams, u)
-            assert rbt_encode_systematic(sparams, block).check \
-                == rbt_encode(sparams, remapped_message(sparams, block)).check
+            assert np.array_equal(rbt_encode_systematic(sparams, block).check,
+                                  rbt_encode(sparams, remapped_message(sparams, block)).check)
 
         # generator-matrix encode == polynomial-evaluation encode
         pp = eval_params(f11, 9, 4, 6)

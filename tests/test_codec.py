@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from regencodes import codec, mbr, psrs, rbt, shah
 from regencodes.counting import OpCounter
-from regencodes.errors import FieldTooSmall, IndexOutOfRange, ParamsInvalid
-from regencodes.fragments import CODEC_TAGS, fragment_symbol
+from regencodes.errors import FieldTooSmall, IndexOutOfRange, ParamsInvalid, WrongFragmentCount
+from regencodes.fragments import CODEC_TAGS, Fragment, fragment_symbol
 from regencodes.gf import binary_field, fermat_field, prime_field
+from regencodes.harness.selftest import CODECS
 from regencodes.mbr import MbrParams, mbr_partial_plan
 from regencodes.rbt import RbtParams
 from regencodes.shah import ShahParams
@@ -160,3 +161,20 @@ def test_full_read_ignores_node_list_order(case):
     assert codec.reconstruct(params, frags, nodes, "full", listed)[0] == u
     assert codec.reconstruct(params, frags, sorted(nodes), "full", ascending)[0] == u
     assert (listed.mul, listed.add) == (ascending.mul, ascending.add)
+
+
+@pytest.mark.parametrize("case", CODECS, ids=lambda case: case[0])
+def test_every_codec_sits_at_the_mbr_point(case):
+    # every codec stores alpha = d symbols a node, sends beta = 1 a helper
+    # and holds B = kd - C(k, 2) message symbols; a full read refuses a
+    # fragment one symbol short and names its node
+    tag, field, n, k, d = case
+    params = codec.params_for(tag, field, n, k, d)
+    d = params.d
+    assert (params.alpha, params.beta, params.B) == (d, 1, k * d - k * (k - 1) // 2)
+    frags = {f.node: f for f in codec.encode(params, [1] * params.B)}
+    nodes = list(range(2, k + 2))
+    short = nodes[-1]
+    frags[short] = Fragment(tag, short, frags[short].symbols[:-1])
+    with pytest.raises(WrongFragmentCount, match=f"fragment of node {short} has {d - 1} symbols"):
+        codec.reconstruct(params, frags, nodes, "full")

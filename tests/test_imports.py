@@ -11,6 +11,10 @@ kernels of `gf` do that work.
 No library module but `counting` writes an operation counter: every
 charge goes through `counting.charge`, which alone knows that a `None`
 counter costs nothing.
+
+Every public function, class, method and property of the library is
+referenced by name somewhere in `src/`, `tests/` or `perfbench/`: a name
+nothing uses is dead code.
 """
 
 import ast
@@ -164,3 +168,57 @@ def test_guard_finds_a_counter_write():
                      "    return cost.mul, n is None, self_counter == None\n")
     assert _counter_writes(tree) == [(2, "None test"), (3, "count_mul"), (4, ".add store"),
                                      (5, "None test")]
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each public function and class of a module and each
+    public method and property of its classes; dunder methods are exempt."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item.lineno) for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+    return [(name, line) for name, line in found if not name.startswith("_")]
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every name a tree uses: names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_definition_is_referenced():
+    referenced = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            referenced |= _referenced(ast.parse(path.read_text()))
+    unreferenced = [f"{path.relative_to(ROOT)}:{line} {name}"
+                    for path, module, tree in _library_modules()
+                    for name, line in _public_definitions(tree) if name not in referenced]
+    assert unreferenced == []
+
+
+def test_guard_finds_an_unreferenced_definition():
+    tree = ast.parse("class Report:\n"
+                     "    def __len__(self):\n"
+                     "        return 0\n"
+                     "    @property\n"
+                     "    def total(self):\n"
+                     "        return helper()\n"
+                     "def helper():\n"
+                     "    return 1\n"
+                     "def _private():\n"
+                     "    return Report().total\n")
+    defined = _public_definitions(tree)
+    assert defined == [("total", 5), ("Report", 1), ("helper", 7)]
+    assert [name for name, _ in defined if name not in _referenced(tree)] == []
+    assert {name for name, _ in defined} - _referenced(ast.parse("helper()")) == {"total", "Report"}

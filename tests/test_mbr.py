@@ -39,10 +39,10 @@ from regencodes.mbr import (
     mbr_reconstruct_full,
     mbr_reconstruct_partial,
     mbr_repair,
-    mbr_timeshare_schedule,
     message_from_block,
     psi_row,
     repair_from_fragments,
+    timeshare_scheme,
 )
 from regencodes.plans import DownloadPlan
 from regencodes.psrs import PsrsParams, eval_params, generator_matrix
@@ -322,13 +322,12 @@ def test_collector_stage_systems():
 
 
 def test_timeshare_schedule():
-    plans = mbr_timeshare_schedule(REF7, [1, 2, 4], 4)
+    plans = [mbr_partial_plan(REF7, [1, 2, 4], timeshare_scheme(r)) for r in range(4)]
     assert [p.scheme for p in plans] == ["lower", "upper", "lower", "upper"]
     assert all(p.total_symbols == REF7.B for p in plans)
-    # one round equals the lower plan
-    single = mbr_timeshare_schedule(REF7, [1, 2, 4], 1)
+    # the first round is the lower plan
     lower = mbr_partial_plan(REF7, [1, 2, 4], "lower")
-    assert single[0].positions == lower.positions
+    assert plans[0].positions == lower.positions
     # two consecutive rounds: each node sends 2d-(k-1) symbols
     for a, b in zip(plans, plans[1:]):
         ca, cb = a.per_node_counts(), b.per_node_counts()
@@ -340,7 +339,8 @@ def test_timeshare_reconstruct_each_round():
     rng = random.Random(12)
     u = rand_message(REF7, rng)
     frags = mbr_encode(REF7, u)
-    for plan in mbr_timeshare_schedule(REF7, [2, 3, 5], 3):
+    for r in range(3):
+        plan = mbr_partial_plan(REF7, [2, 3, 5], timeshare_scheme(r))
         assert mbr_reconstruct_partial(REF7, plan, mbr_extract_payloads(frags, plan)) == u
 
 
@@ -517,7 +517,7 @@ def test_backward_stage_systems(scheme, matrices):
         ((1, 2), (2, 2)),
         ((1, 1),),
     ]
-    assert all(len(r.rhs) == r.matrix.rows for r in trace)
+    assert all(len(r.rhs) == len(r.matrix) for r in trace)
     if scheme == "upper":
         # identity rows carry S entries solved in earlier stages
         assert trace[1].rhs[2] == u[5]  # u6 = S[2,3]

@@ -9,7 +9,6 @@ from regencodes.fragments import Fragment, fragment_symbol
 from regencodes.gf import binary_field, prime_field
 from regencodes.shah import (
     ShahParams,
-    helper_repair_packet,
     shah_encode,
     shah_reconstruct,
     shah_repair,
@@ -82,7 +81,7 @@ def test_repair_round_trip_zero_ops():
     for failed in range(1, 6):
         counter = OpCounter()
         responses = [
-            (i, helper_repair_packet(P5, frags[i], failed)) for i in frags if i != failed
+            (i, fragment_symbol(frags[i], failed)) for i in frags if i != failed
         ]
         got = shah_repair(P5, responses, failed, counter)
         assert got == frags[failed]
