@@ -518,6 +518,7 @@ def test_backward_stage_systems(scheme, matrices):
         ((1, 1),),
     ]
     assert all(len(r.rhs) == len(r.matrix) for r in trace)
+    assert all(r.matrix.dtype == np.int64 and not r.matrix.flags.writeable for r in trace)
     if scheme == "upper":
         # identity rows carry S entries solved in earlier stages
         assert trace[1].rhs[2] == u[5]  # u6 = S[2,3]

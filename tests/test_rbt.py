@@ -134,6 +134,7 @@ def test_phi_any_k_rows_independent():
 def test_encode_zero_and_char2_signfix():
     cw = rbt_encode(REF4, [0] * 9)
     assert cw.check.tolist() == [[0] * 5] * 5
+    assert cw.check.dtype == np.int64 and not cw.check.flags.writeable
     rng = random.Random(1)
     u = rand_message(REF4, rng)
     # char 2: check matrix equals the raw congruence elementwise
