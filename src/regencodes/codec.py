@@ -3,8 +3,10 @@
 The CLI and the cluster simulator reach the codecs only through this
 module.  SCHEMES is the one table of which reconstruction schemes each
 codec tag supports; the family a tag belongs to (rbt, mbr or shah) is
-its prefix.  Every call returns the symbols each node sent alongside its
-result, so callers account for traffic the same way.
+its prefix.  A helper or node list that does not fit the code raises a
+typed RegenError before any fragment is read.  Every call returns the
+symbols each node sent alongside its result, so callers account for
+traffic the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ from typing import Mapping, Sequence
 
 from .counting import OpCounter
 from .errors import ParamsInvalid
-from .fragments import Fragment, check_codec, fragment_symbol
+from .fragments import (
+    Fragment,
+    check_codec,
+    check_helpers,
+    check_nodes,
+    fragment_symbol,
+    planned_fragments,
+    transfer_repair,
+)
 from .gf import Field
 from .mbr import (
     MbrParams,
@@ -33,10 +43,9 @@ from .rbt import (
     rbt_partial_plan,
     rbt_reconstruct_full,
     rbt_reconstruct_partial,
-    rbt_repair,
     source_block,
 )
-from .shah import ShahParams, shah_encode, shah_reconstruct, shah_repair
+from .shah import ShahParams, shah_encode, shah_reconstruct
 
 # `partial` is the pairwise rbt plan; `timeshare` alternates lower and upper
 # rounds as mbr.timeshare_scheme says
@@ -89,36 +98,34 @@ def repair(params, frags: Mapping[int, Fragment], failed: int,
            counter: OpCounter | None = None) -> tuple[Fragment, dict[int, int]]:
     """Regenerate node `failed` from `frags` (node -> fragment).
 
-    Helpers default to every other node in ascending order, cut to the
-    first d for the product-matrix codecs.  Each helper sends one symbol:
-    a product-matrix helper its inner product with the failed node's
-    encoding row, a transfer helper the symbol it stores in the failed
-    node's column.
+    Helpers default to the first d other nodes in ascending order (all of
+    them for the transfer codecs, where d = n-1).  Each helper sends one
+    symbol: a product-matrix helper its inner product with the failed
+    node's encoding row, a transfer helper the symbol it stores in the
+    failed node's column.
     """
-    family = _family(params.codec)
     if helpers is None:
-        helpers = sorted(i for i in frags if i != failed)
-        if family == "mbr":
-            helpers = helpers[: params.d]
-    if family == "mbr":
-        frag = repair_from_fragments(params, [frags[i] for i in helpers], failed, counter)
-    else:
-        check_codec(params, [frags[i] for i in helpers])
-        responses = [(i, fragment_symbol(frags[i], failed)) for i in helpers]
-        transfer = rbt_repair if family == "rbt" else shah_repair
-        frag = transfer(params, responses, failed, counter)
-    return frag, {i: 1 for i in helpers}
+        helpers = sorted(i for i in frags if i != failed)[: params.d]
+    check_helpers(params, helpers, failed)
+    chosen = planned_fragments(frags.values(), helpers)
+    sent = {i: 1 for i in helpers}
+    if _family(params.codec) == "mbr":
+        return repair_from_fragments(params, chosen, failed, counter), sent
+    check_codec(params, chosen)
+    responses = [(h.node, fragment_symbol(h, failed)) for h in chosen]
+    return transfer_repair(params, responses, failed), sent
 
 
 def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], scheme: str,
                 counter: OpCounter | None = None,
                 phase: int = 0) -> tuple[list[int], dict[int, int]]:
-    """Rebuild the message from the fragments of `nodes`.
+    """Rebuild the message from the fragments of k distinct `nodes`.
 
     A `timeshare` read runs the plan `mbr.timeshare_scheme(phase)` picks.
     """
     check_scheme(params.codec, scheme)
-    chosen = [frags[i] for i in nodes]
+    check_nodes(params.n, nodes, params.k)
+    chosen = planned_fragments(frags.values(), nodes)
     if scheme == "full":
         family = _family(params.codec)
         if family == "rbt":

@@ -91,10 +91,6 @@ class DecodeMismatch(RegenError):
 
 # repair
 
-class MissingHelper(RegenError):
-    pass
-
-
 class DuplicateHelper(RegenError):
     pass
 

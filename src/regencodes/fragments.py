@@ -1,6 +1,8 @@
-"""Fragment values, the MBR point and the stored-row layout of the transfer codecs.
+"""Fragment values, the MBR point, the shared checks and the transfer codecs' rows.
 
-A fragment is the per-node unit of storage, tagged with its codec.
+A fragment is the per-node unit of storage, tagged with its codec.  Every
+codec sits at the MBR point (MbrPoint), reads k distinct nodes
+(check_read) and repairs from d helpers (check_helpers).
 
 The rbt check matrix and the shah packet matrix are both symmetric n x n
 matrices with a zero diagonal, and node i stores row i without its
@@ -23,7 +25,6 @@ from .errors import (
     DuplicateIndex,
     IndexOutOfRange,
     InsufficientSymbols,
-    MissingHelper,
     ParamsInvalid,
     PlanPayloadMismatch,
     WrongFragmentCount,
@@ -229,25 +230,31 @@ def planned_fragments(fragments: Sequence[Fragment], nodes: Sequence[int]) -> li
     return [by_node[node] for node in nodes]
 
 
+def check_helpers(params, helpers: Sequence[int], failed: int) -> None:
+    """The repair contract of every codec: a failed node in [1, n] and d
+    distinct helpers in [1, n] other than it."""
+    n, d = params.n, params.d
+    if not 1 <= failed <= n:
+        raise IndexOutOfRange(f"node {failed} outside [1, {n}]")
+    if len(set(helpers)) != len(helpers):
+        raise DuplicateHelper(f"duplicate helper in {list(helpers)}")
+    if failed in helpers:
+        raise DuplicateHelper(f"failed node {failed} cannot help itself")
+    if len(helpers) != d:
+        raise WrongHelperCount(f"got {len(helpers)} helpers, need d={d}")
+    for h in helpers:
+        if not 1 <= h <= n:
+            raise IndexOutOfRange(f"helper {h} outside [1, {n}]")
+
+
 def transfer_repair(params, responses: Sequence[tuple[int, int]], failed: int) -> Fragment:
     """Rebuild the failed node's row by placement only.
 
-    `responses` pairs each of the other n-1 nodes with the symbol it stores
-    in the failed node's column; symmetry makes that symbol the failed
-    row's entry in the helper's column.  A helper listed twice raises
-    DuplicateHelper.
+    `responses` pairs each of the other n-1 nodes (check_helpers, as d =
+    n-1) with the symbol it stores in the failed node's column; symmetry
+    makes that symbol the failed row's entry in the helper's column.
     """
-    n = params.n
-    if not 1 <= failed <= n:
-        raise IndexOutOfRange(f"node {failed} outside [1, {n}]")
-    got = dict(responses)
-    if len(got) != len(responses):
-        raise DuplicateHelper(f"duplicate helper in {[node for node, _ in responses]}")
-    expected = set(range(1, n + 1)) - {failed}
-    if len(got) != len(expected):
-        raise WrongHelperCount(f"got {len(got)} helpers, expected {len(expected)}")
-    if set(got) != expected:
-        raise MissingHelper(f"helper set mismatch, missing {sorted(expected - set(got))}")
-    frag = Fragment(params.codec, failed, [got[i] for i in sorted(expected)])
+    check_helpers(params, [node for node, _ in responses], failed)
+    frag = Fragment(params.codec, failed, [symbol for _, symbol in sorted(responses)])
     params.field.varray(frag.symbols)  # a response outside the field raises ValueError
     return frag

@@ -60,7 +60,6 @@ class CostReport:
 @dataclass
 class ClusterState:
     params: object
-    codec: str
     message: list[int] | None = None
     nodes: dict[int, Fragment | None] = dc_field(default_factory=dict)
     original: dict[int, Fragment] = dc_field(default_factory=dict)
@@ -89,7 +88,7 @@ def parse_script(script: str) -> list[tuple[int, list[str]]]:
 def sim_run(params, script: str, u: list[int] | None = None,
             seed: int = 2024) -> tuple[CostReport, ClusterState]:
     """Execute a scenario script against the codec selected by `params`."""
-    state = ClusterState(params=params, codec=params.codec)
+    state = ClusterState(params=params)
     report = CostReport()
     rng = random.Random(seed)
 
@@ -110,7 +109,7 @@ def sim_run(params, script: str, u: list[int] | None = None,
                 state.nodes = {f.node: f for f in frags}
                 state.original = dict(state.nodes)
                 report.events.append(EventRecord(
-                    index=idx, kind="encode", detail=state.codec,
+                    index=idx, kind="encode", detail=params.codec,
                     symbols=sum(len(f.symbols) for f in frags),
                     mul=counter.mul, add=counter.add,
                 ))
@@ -163,7 +162,7 @@ def sim_run(params, script: str, u: list[int] | None = None,
                 for i in nodes:
                     if state.nodes.get(i) is None:
                         raise ScriptInvalid(f"line {lineno}: node {i} unavailable")
-                codec.check_scheme(state.codec, scheme, ScriptInvalid)
+                codec.check_scheme(params.codec, scheme, ScriptInvalid)
                 counter = OpCounter()
                 got, per_node = codec.reconstruct(params, state.alive(), nodes, scheme,
                                                   counter, state.timeshare_phase)

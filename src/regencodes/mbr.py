@@ -38,7 +38,6 @@ import numpy as np
 
 from .counting import OpCounter, charge
 from .errors import (
-    DuplicateHelper,
     DuplicateIndex,
     FieldTooSmall,
     IndexOutOfRange,
@@ -47,12 +46,12 @@ from .errors import (
     SchemeBackendMismatch,
     SingularStageMatrix,
     WrongFragmentCount,
-    WrongHelperCount,
 )
 from .fragments import (
     Fragment,
     MbrPoint,
     check_codec,
+    check_helpers,
     check_nodes,
     check_read,
     planned_fragments,
@@ -208,23 +207,12 @@ def mbr_helper_response(fragment: Fragment, failed_row: Sequence[int] | np.ndarr
 def mbr_repair(params: MbrParams, responses: Sequence[tuple[int, int]], failed: int,
                counter: OpCounter | None = None) -> Fragment:
     """Exact repair of a lost fragment from d helper responses."""
-    if not 1 <= failed <= params.n:
-        raise IndexOutOfRange(f"node {failed} outside [1, {params.n}]")
     helpers = [h for h, _ in responses]
-    if len(set(helpers)) != len(helpers):
-        raise DuplicateHelper(f"duplicate helper in {helpers}")
-    if failed in helpers:
-        raise DuplicateHelper(f"failed node {failed} cannot help itself")
-    if len(helpers) != params.d:
-        raise WrongHelperCount(f"got {len(helpers)} helpers, need d={params.d}")
-    for h in helpers:
-        if not 1 <= h <= params.n:
-            raise IndexOutOfRange(f"helper {h} outside [1, {params.n}]")
-    f = params.field
-    values = f.varray([v for _, v in responses])
+    check_helpers(params, helpers, failed)
+    values = params.field.varray([v for _, v in responses])[:, None]
     inv, cost = _repair_inverse(params, tuple(helpers))
     charge(counter, *cost)
-    return trusted_fragment(params.codec, failed, frozen(f.matmul(inv, values[:, None])[:, 0]))
+    return trusted_fragment(params.codec, failed, frozen(params.field.matmul(inv, values)[:, 0]))
 
 
 @lru_cache(maxsize=_SET_CACHE_SIZE)

@@ -72,7 +72,7 @@ def poly_eval_many(field: Field, p: Sequence[int], xs: Sequence[int],
                    counter: OpCounter | None = None) -> list[int]:
     """Horner evaluation at many points, vectorized across the points."""
     xs_arr = field.varray(list(xs))
-    acc = field.varray([0] * len(xs))
+    acc = np.zeros(len(xs), dtype=np.int64)
     for c in reversed(list(p)):
         acc = field.vadd(field.vmul(acc, xs_arr), c)
     steps = max(0, len(p) - 1) * len(xs)

@@ -116,16 +116,14 @@ def eval_params(field: Field, n: int, k: int, d: int,
                       ntt_size=ntt_size)
 
 
-def genpoly_params(field: Field, n: int, k: int, d: int,
-                   alpha: int | None = None) -> PsrsParams:
-    """Generator-polynomial-form parameters; alpha defaults to a primitive element."""
+def genpoly_params(field: Field, n: int, k: int, d: int) -> PsrsParams:
+    """Generator-polynomial-form parameters; alpha is a primitive element."""
     if not 1 <= k <= d < n:
         raise ParamsInvalid(f"need 1 <= k <= d < n, got (n={n}, k={k}, d={d})")
     if n > field.q - 1:
         raise FieldTooSmall(f"generator form needs n <= q-1, got n={n}, q={field.q}")
-    if alpha is None:
-        alpha = primitive_element(field)
-    return PsrsParams(field=field, n=n, k=k, d=d, form="genpoly", alpha=int(alpha))
+    return PsrsParams(field=field, n=n, k=k, d=d, form="genpoly",
+                      alpha=primitive_element(field))
 
 
 def _require_form(params: PsrsParams, form: str):
@@ -193,8 +191,7 @@ def coding_polynomial(params: PsrsParams, msg: PsrsMessage,
     field = params.field
     k, d = params.k, params.d
     basis = _sys_basis(params)
-    a_row = field.varray([list(msg.a)])
-    phi = field.matmul(a_row, basis)[0]
+    phi = field.matmul(field.varray(msg.a)[None, :], basis)[0]
     charge(counter, k * k, k * max(0, k - 1))
     c = np.zeros(d, dtype=np.int64)
     c[:k] = phi
@@ -365,7 +362,7 @@ def solve_full_genpoly_linear(params: PsrsParams,
     field = params.field
     use = pairs[: params.d]
     cols = _gen_coeff_map(params).T[[deg for deg, _ in use]]  # d x d
-    rhs = field.varray([[val] for _, val in use])
+    rhs = field.varray([val for _, val in use])[:, None]
     vec = mat_solve(FieldMatrix(field, cols), rhs)[:, 0].tolist()
     return PsrsMessage(tuple(vec[: params.k]), tuple(vec[params.k:]))
 

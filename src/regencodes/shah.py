@@ -6,8 +6,9 @@ the p-th edge in lexicographic order, i.e. the p-th slot of the strict
 upper triangle of a symmetric n x n packet matrix with zero diagonal,
 and node i stores row i of that matrix without its diagonal
 (fragments.py): the n-1 packets of its incident edges, so every packet
-lives on exactly two nodes.  Repair is pure transfer: the other endpoint
-of each lost edge resends its copy.  Any k nodes jointly hold exactly
+lives on exactly two nodes.  Repair is pure transfer
+(fragments.transfer_repair): the other endpoint of each lost edge
+resends its copy.  Any k nodes jointly hold exactly
 C(k,2) + k(n-k) = B distinct packets, which erasure-decode the message.
 
 The MDS code is the doubly extended RS code in systematic form, so the
@@ -32,7 +33,6 @@ from .fragments import (
     check_read,
     expand_rows,
     stored_fragments,
-    transfer_repair,
 )
 from .gf import Field
 from .matrix import (
@@ -96,12 +96,6 @@ def shah_encode(params: ShahParams, u: Sequence[int],
                      counter)
     packets = symmetric_from_triangle(field, n, triangle(n, 1, n), u + parity[:, 0].tolist())
     return stored_fragments(params.codec, packets)
-
-
-def shah_repair(params: ShahParams, responses: Sequence[tuple[int, int]],
-                failed: int, counter: OpCounter | None = None) -> Fragment:
-    """Rebuild a node store by pure transfer: zero field operations."""
-    return transfer_repair(params, responses, failed)
 
 
 def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],

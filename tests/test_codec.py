@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from regencodes import codec, mbr, psrs, rbt, shah
 from regencodes.counting import OpCounter
-from regencodes.errors import FieldTooSmall, IndexOutOfRange, ParamsInvalid, WrongFragmentCount
+from regencodes.errors import (
+    DuplicateHelper,
+    FieldTooSmall,
+    IndexOutOfRange,
+    InsufficientSymbols,
+    ParamsInvalid,
+    WrongFragmentCount,
+    WrongHelperCount,
+)
 from regencodes.fragments import CODEC_TAGS, Fragment, fragment_symbol
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.harness.selftest import CODECS
@@ -178,3 +186,47 @@ def test_every_codec_sits_at_the_mbr_point(case):
     frags[short] = Fragment(tag, short, frags[short].symbols[:-1])
     with pytest.raises(WrongFragmentCount, match=f"fragment of node {short} has {d - 1} symbols"):
         codec.reconstruct(params, frags, nodes, "full")
+
+
+def _bad_repairs(n, d):
+    """(failed node, helpers or None for the default, node without a
+    fragment, error): check_helpers' checks in its order, then a helper
+    whose fragment is missing."""
+    others = list(range(2, n + 1))
+    return [
+        (n + 1, None, None, IndexOutOfRange),
+        (1, others[: d - 1] + others[:1], None, DuplicateHelper),
+        (1, [1] + others[: d - 1], None, DuplicateHelper),
+        (1, others[: d - 1], None, WrongHelperCount),
+        (1, others[: d - 1] + [n + 1], None, IndexOutOfRange),
+        (1, others[:d], others[0], InsufficientSymbols),
+    ]
+
+
+@pytest.mark.parametrize("case", CODECS, ids=lambda case: case[0])
+def test_repair_checks_its_helpers_before_reading(case):
+    # every codec repairs from d distinct helpers in [1, n] other than the
+    # failed node, and says which rule a helper list breaks with a typed
+    # error before any field operation
+    params = codec.params_for(*case)
+    encoded = {f.node: f for f in codec.encode(params, [1] * params.B)}
+    for failed, helpers, absent, error in _bad_repairs(params.n, params.d):
+        frags = {i: f for i, f in encoded.items() if i != absent}
+        counter = OpCounter()
+        with pytest.raises(error):
+            codec.repair(params, frags, failed, helpers, counter)
+        assert (counter.mul, counter.add) == (0, 0)
+
+
+@pytest.mark.parametrize("case", CODECS, ids=lambda case: case[0])
+def test_reconstruct_checks_its_nodes_before_reading(case):
+    params = codec.params_for(*case)
+    n, k = params.n, params.k
+    frags = {f.node: f for f in codec.encode(params, [1] * params.B)}
+    lost = {i: f for i, f in frags.items() if i != k}
+    for scheme in codec.SCHEMES[params.codec]:
+        for nodes in ([0] + list(range(2, k + 1)), list(range(1, k)) + [n + 1]):
+            with pytest.raises(IndexOutOfRange):
+                codec.reconstruct(params, frags, nodes, scheme)
+        with pytest.raises(InsufficientSymbols, match=f"no fragment for planned node {k}"):
+            codec.reconstruct(params, lost, list(range(1, k + 1)), scheme)

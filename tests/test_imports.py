@@ -15,6 +15,10 @@ counter costs nothing.
 Every public function, class, method and property of the library is
 referenced by name somewhere in `src/`, `tests/` or `perfbench/`: a name
 nothing uses is dead code.
+
+No module-level library function only forwards its own parameters to
+another call: callers call the target.  A forwarder that perfbench
+imports stays, because the benchmark reaches it by that name.
 """
 
 import ast
@@ -222,3 +226,57 @@ def test_guard_finds_an_unreferenced_definition():
     assert defined == [("total", 5), ("Report", 1), ("helper", 7)]
     assert [name for name, _ in defined if name not in _referenced(tree)] == []
     assert {name for name, _ in defined} - _referenced(ast.parse("helper()")) == {"total", "Report"}
+
+
+def _forwarders(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each module-level function whose body, past its
+    docstring, only returns one call that passes some of the function's
+    own parameters on, in order, as positional arguments."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if not isinstance(call, ast.Call) or call.keywords or not call.args:
+            continue
+        params = [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+        if not all(isinstance(arg, ast.Name) and arg.id in params for arg in call.args):
+            continue
+        places = [params.index(arg.id) for arg in call.args]
+        if places == sorted(set(places)):
+            found.append((node.name, node.lineno))
+    return found
+
+
+def test_no_pure_forwarders():
+    kept = _perfbench_imports()
+    forwarders = [f"{path.relative_to(ROOT)}:{line} {name}"
+                  for path, module, tree in _library_modules()
+                  for name, line in _forwarders(tree) if name not in kept.get(module, set())]
+    assert forwarders == []
+
+
+def test_guard_finds_a_forwarder():
+    tree = ast.parse("def repair(params, responses, failed, counter=None):\n"
+                     "    \"\"\"Rebuild by placement.\"\"\"\n"
+                     "    return transfer(params, responses, failed)\n"
+                     "def swapped(a, b):\n"
+                     "    return g(b, a)\n"
+                     "def keyword(a, b):\n"
+                     "    return g(a, b=b)\n"
+                     "def computed(a, b):\n"
+                     "    return g(a, b + 1)\n"
+                     "def two_steps(a):\n"
+                     "    a = h(a)\n"
+                     "    return g(a)\n"
+                     "def no_arguments(a):\n"
+                     "    return g()\n"
+                     "class Codec:\n"
+                     "    def repair(self, a):\n"
+                     "        return g(a)\n")
+    assert _forwarders(tree) == [("repair", 1)]

@@ -7,10 +7,10 @@ import pytest
 
 from regencodes.counting import OpCounter
 from regencodes.errors import (
+    DuplicateHelper,
     DuplicateIndex,
     FieldTooSmall,
     IndexOutOfRange,
-    MissingHelper,
     NotSkewSymmetric,
     ParamsInvalid,
     PlanPayloadMismatch,
@@ -186,7 +186,7 @@ def test_repair_validation():
     with pytest.raises(WrongHelperCount):
         rbt_repair(REF4, responses, 5)
     bad = responses + [(5, 0)]
-    with pytest.raises(MissingHelper):
+    with pytest.raises(DuplicateHelper):  # the failed node cannot help itself
         rbt_repair(REF4, bad, 5)
 
 

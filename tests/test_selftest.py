@@ -17,16 +17,16 @@ BROKEN_REPAIR = textwrap.dedent("""
 
     if __debug__:
         sys.exit(2)  # not running under -O
-    real = codec.rbt_repair
+    real = codec.transfer_repair
 
-    def wrong(params, responses, failed, counter=None):
-        frag = real(params, responses, failed, counter)
+    def wrong(params, responses, failed):
+        frag = real(params, responses, failed)
         if params.codec != "rbt":
             return frag
         q = params.field.q
         return Fragment(frag.codec, frag.node, tuple((s + 1) % q for s in frag.symbols))
 
-    codec.rbt_repair = wrong
+    codec.transfer_repair = wrong
     lines = []
     ok = selftest.run_selftest(out=lines.append)
     print("\\n".join(lines))
