@@ -3,8 +3,8 @@
 Every kernel takes the field first and numpy int64 arrays of field
 values after, and returns int64 arrays: products, sums, the congruent
 transformation, Vandermonde builders, skew-symmetric validation and the
-full-read solve of a product-matrix data collector, which the rbt and
-mbr codecs share.  Kernels trust their arrays; values from callers are
+full-read solve of a product-matrix data collector, whose rows come in
+its node order, which the rbt and mbr codecs share.  Kernels trust their arrays; values from callers are
 range-checked once, by `Field.varray`, where they enter the library.
 Ops that perform field arithmetic accept an explicit OpCounter.
 
@@ -382,16 +382,6 @@ def _lu_cost(n: int) -> tuple[int, int]:
         mul += 1 + m + m * m + m * j + m + j * (n - j)
         add += m * m + m * (j + 1) + j * (n - j)
     return mul, add
-
-
-def data_collector(psi: np.ndarray, k: int, nodes: Sequence[int],
-                   order: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Phi_DC and Delta_DC of a product-matrix data collector: the first k
-    and the remaining columns of psi's rows, the row of node nodes[j]
-    (1-based) placed in row order[j]-1."""
-    rows = np.zeros((k, psi.shape[1]), dtype=np.int64)
-    rows[[g - 1 for g in order]] = psi[[i - 1 for i in nodes]]
-    return rows[:, :k], rows[:, k:]
 
 
 def lagrange_rows(field: Field, base: np.ndarray, query: np.ndarray

@@ -14,12 +14,15 @@ Repair: each of d helpers sends the inner product of its row with the
 failed node's encoding row; the collected vector equals
 Psi_repair M psi_f, and one d x d solve returns the lost fragment.
 
-Reconstruction: k rows give C_DC = Psi_DC M; T is solved first from the
-Delta columns, then S from the rest.  The partial schemes download only
-the Delta columns plus one triangular half of the Phi columns (exactly B
-symbols) and recover S column by column, reusing already-solved rows of
-S through its symmetry; a time-sharing schedule alternates the lower and
-upper halves to balance per-node traffic across rounds.
+Reconstruction: k rows give C_DC = Psi_DC M, row j from the j-th node
+read; T is solved first from the Delta columns, then S from the rest.
+The partial schemes download only the Delta columns plus one triangular
+half of the Phi columns (exactly B symbols) and recover S column by
+column, reusing already-solved rows of S through its symmetry; a
+time-sharing schedule alternates the lower and upper halves to balance
+per-node traffic across rounds.  Which node fills which row matters only
+there: a partial plan lists its nodes in the slot order assign_slots
+picks, and node j of the plan fills row j of Phi_DC.
 
 Workloads repeat helper sets and node sets, so the repair inverse, the
 full-read inverse and the partial-read factorization (a
@@ -38,7 +41,6 @@ import numpy as np
 
 from .counting import OpCounter, charge
 from .errors import (
-    DuplicateIndex,
     FieldTooSmall,
     IndexOutOfRange,
     ParamsInvalid,
@@ -63,7 +65,6 @@ from .matrix import (
     FactoredInverse,
     FieldMatrix,
     check_message,
-    data_collector,
     frozen,
     interpolation_inverse,
     lu_inverses,
@@ -254,27 +255,14 @@ def _claimed_slots(params: MbrParams) -> dict[int, int]:
 
 
 def assign_slots(params: MbrParams, nodes: Sequence[int]) -> tuple[int, ...]:
-    """Greedy slot order: a node whose row of Phi is a unit vector e_s
-    claims slot s, which satisfies the lower, upper and time-sharing
-    constraints at once; the rest fill the remaining slots in ascending
-    order."""
-    k = params.k
+    """The k nodes in slot order, greedily: a node whose row of Phi is a
+    unit vector e_s claims slot s, which satisfies the lower, upper and
+    time-sharing constraints at once; the rest fill the remaining slots in
+    list order."""
     claimed = _claimed_slots(params)
-    slots: dict[int, int] = {}
-    taken = set()
-    for node in nodes:
-        if node in claimed:
-            slots[node] = claimed[node]
-            taken.add(claimed[node])
-    free = [s for s in range(1, k + 1) if s not in taken]
-    it = iter(free)
-    order = []
-    for node in nodes:
-        if node in slots:
-            order.append(slots[node])
-        else:
-            order.append(next(it))
-    return tuple(order)
+    by_slot = {claimed[i]: i for i in nodes if i in claimed}
+    rest = iter([i for i in nodes if i not in claimed])
+    return tuple(by_slot[s] if s in by_slot else next(rest) for s in range(1, params.k + 1))
 
 
 def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
@@ -286,29 +274,26 @@ def mbr_reconstruct_full(params: MbrParams, fragments: Sequence[Fragment],
     if params.backend == "psrs" and sorted(nodes) == list(range(1, k + 1)):
         # systematic fast path: rows 1..k are [S T] verbatim
         return message_from_block(params, rows[np.argsort(nodes)])
-    order = assign_slots(params, nodes)
-    c_dc = np.zeros((k, params.d), dtype=np.int64)
-    c_dc[[g - 1 for g in order]] = rows
-    delta_dc = data_collector(mbr_build_encoding(params), k, nodes, order)[1]
-    phi_inv, cost = _collector_inverse(params, tuple(nodes), order)
+    # any row order gives the same S and T: row j of C_DC is node j's
+    delta_dc = mbr_build_encoding(params)[[i - 1 for i in nodes], k:]
+    phi_inv, cost = _collector_inverse(params, tuple(nodes))
     charge(counter, *cost)
-    s, t = solve_message_block(f, phi_inv, delta_dc, c_dc, skew=False, counter=counter)
+    s, t = solve_message_block(f, phi_inv, delta_dc, rows, skew=False, counter=counter)
     return message_from_block(params, np.concatenate([s, t], axis=1))
 
 
 @lru_cache(maxsize=_SET_CACHE_SIZE)
-def _collector_inverse(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, ...]
+def _collector_inverse(params: MbrParams, nodes: tuple[int, ...]
                        ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Phi_DC^-1 of the nodes in these slots, with its cost: in closed form
+    """Phi_DC^-1 of the nodes in this order, with its cost: in closed form
     for psrs, whose Phi is the Lagrange basis at its first k points, by
     Gauss-Jordan for the Vandermonde backend."""
     cost = OpCounter()
+    rows = [i - 1 for i in nodes]
     if params.backend == "psrs":
-        rows = np.empty(params.k, dtype=np.intp)
-        rows[[g - 1 for g in order]] = [i - 1 for i in nodes]
         phi_inv = interpolation_inverse(params.field, _psrs_points(params), rows, cost)
     else:
-        phi_dc = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
+        phi_dc = mbr_build_encoding(params)[rows, :params.k]
         phi_inv = mat_inv(FieldMatrix(params.field, phi_dc), cost)
     return frozen(phi_inv), (cost.mul, cost.add)
 
@@ -327,16 +312,13 @@ def mbr_partial_plan(params: MbrParams, connected: Sequence[int], scheme: str) -
         raise ParamsInvalid(f"unknown partial scheme {scheme!r}")
     if scheme == "gong" and params.backend != "vandermonde":
         raise SchemeBackendMismatch("the gong scheme runs on the vandermonde backend")
-    nodes = list(connected)
-    check_nodes(params.n, nodes, params.k)
+    check_nodes(params.n, connected, params.k)
     k, d = params.k, params.d
-    order = assign_slots(params, nodes)
-    positions = []
-    for g in order:
-        phi_cols = range(1, g + 1) if scheme == "lower" else range(g, k + 1)
-        positions.append(tuple(list(phi_cols) + list(range(k + 1, d + 1))))
-    return DownloadPlan(scheme=scheme, nodes=tuple(nodes), order=order,
-                        positions=tuple(positions))
+    delta = tuple(range(k + 1, d + 1))
+    positions = tuple((tuple(range(1, g + 1)) if scheme == "lower" else tuple(range(g, k + 1)))
+                      + delta for g in range(1, k + 1))
+    return DownloadPlan(scheme=scheme, nodes=assign_slots(params, connected),
+                        positions=positions)
 
 
 def mbr_extract_payloads(fragments: Sequence[Fragment], plan: DownloadPlan) -> list[list[int]]:
@@ -391,15 +373,11 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     check_nodes(params.n, plan.nodes, params.k)
     f = params.field
     k, d = params.k, params.d
-    if not 1 <= min(plan.order) <= max(plan.order) <= k:
-        raise IndexOutOfRange(f"plan slots {plan.order} outside [1, {k}]")
-    if len(set(plan.order)) != k:
-        raise DuplicateIndex(f"repeated slot in plan order {plan.order}")
     lower = plan.scheme == "lower"
 
-    # scatter payloads: C^Delta is complete, C^Phi only on the plan's triangle
-    slots, positions = plan.flat
-    rows = np.asarray(plan.order, dtype=np.intp)[slots] - 1
+    # scatter payloads into the row of their node: C^Delta is complete,
+    # C^Phi only on the plan's triangle
+    rows, positions = plan.flat
     cols = positions - 1
     c_dc = np.zeros((k, d), dtype=np.int64)
     c_dc[rows, cols] = f.varray(values)
@@ -407,8 +385,9 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     downloaded[rows, cols] = True
     downloaded = downloaded[:, :k]
 
-    phi, delta = data_collector(mbr_build_encoding(params), k, plan.nodes, plan.order)
-    inverse, cost = _stage_factors(params, plan.nodes, plan.order, lower)
+    psi_dc = mbr_build_encoding(params)[[i - 1 for i in plan.nodes]]
+    phi, delta = psi_dc[:, :k], psi_dc[:, k:]
+    inverse, cost = _stage_factors(params, plan.nodes, lower)
     columns = range(k) if lower else range(k - 1, -1, -1)
     # (unknown rows, known rows) of each stage's column
     parts = [(slice(c, None), slice(None, c)) if lower
@@ -444,8 +423,8 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
 
 
 @lru_cache(maxsize=_SET_CACHE_SIZE)
-def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, ...],
-                   trailing: bool) -> tuple[FactoredInverse, tuple[int, int]]:
+def _stage_factors(params: MbrParams, nodes: tuple[int, ...], trailing: bool
+                   ) -> tuple[FactoredInverse, tuple[int, int]]:
     """Factorize Phi_DC once for every stage of a partial read, with the
     cost of the factorization.
 
@@ -461,7 +440,7 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], order: tuple[int, 
     some leading (trailing) block is singular, which is when some stage
     system is.
     """
-    phi = data_collector(mbr_build_encoding(params), params.k, nodes, order)[0]
+    phi = mbr_build_encoding(params)[[i - 1 for i in nodes], :params.k]
     cost = OpCounter()
     lu = lu_inverses(params.field, phi[::-1, ::-1] if trailing else phi, cost)
     if trailing:  # Phi_DC[perm] = J L' U' J = U L

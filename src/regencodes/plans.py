@@ -1,10 +1,10 @@
 """Partial-download plans shared by the codecs.
 
 A plan fixes, for each connected node, which stored symbol positions it
-transmits, plus the slot order g mapping each connected node to its row
-of the collector matrix.  Positions are 1-based: matrix column indices
-for the repair-by-transfer codecs, fragment symbol indices for the
-product-matrix codecs.
+transmits.  Its node list is the slot order: node j of a plan fills row
+j of the collector matrix Phi_DC.  Positions are 1-based: matrix column
+indices for the repair-by-transfer codecs, fragment symbol indices for
+the product-matrix codecs.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ SCHEMES = ("full", "lower", "upper", "gong", "rbt-pairwise")
 @dataclass(frozen=True)
 class DownloadPlan:
     scheme: str
-    nodes: tuple[int, ...]                    # connected nodes, list order
-    order: tuple[int, ...]                    # g_j: 1-based slot of nodes[j]
+    nodes: tuple[int, ...]                    # connected nodes, in slot order
     positions: tuple[tuple[int, ...], ...]    # per node, positions to transmit
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not len(self.nodes) == len(self.order) == len(self.positions):
-            raise ValueError("nodes, order and positions must have equal lengths")
+        if len(self.nodes) != len(self.positions):
+            raise ValueError("nodes and positions must have equal lengths")
 
     @property
     def total_symbols(self) -> int:

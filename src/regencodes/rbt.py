@@ -49,7 +49,6 @@ from .matrix import (
     FieldMatrix,
     check_message,
     congruence,
-    data_collector,
     extended_points,
     extended_vandermonde,
     frozen,
@@ -304,7 +303,8 @@ def _read_rows(params: RbtParams, nodes: Sequence[int], rows: np.ndarray,
     # undoing the sign fix and Psi^t leaves Psi_DC M for the skew message M
     c_hat_dc = _unfix_rows(params, rows, nodes, counter)
     d_dc = mat_mul(field, c_hat_dc, _psi_t_inv(params), counter)
-    phi_dc, delta_dc = data_collector(rbt_build_encoding(params), k, nodes, range(1, k + 1))
+    psi_dc = rbt_build_encoding(params)[[i - 1 for i in nodes]]
+    phi_dc, delta_dc = psi_dc[:, :k], psi_dc[:, k:]
     if params.systematic and params.n <= field.q:
         # Phi is the Lagrange basis at the first k of n finite points
         phi_inv = interpolation_inverse(field, _sys_points(params), [i - 1 for i in nodes],
@@ -340,8 +340,7 @@ def rbt_partial_plan(params: RbtParams, connected: Sequence[int]) -> DownloadPla
         cols = unconnected + nodes[j::2] + (nodes[j - 3::-2] if j > 2 else [])
         cols.sort()
         positions.append(tuple(cols))
-    return DownloadPlan(scheme="rbt-pairwise", nodes=tuple(nodes),
-                        order=tuple(range(1, k + 1)), positions=tuple(positions))
+    return DownloadPlan(scheme="rbt-pairwise", nodes=tuple(nodes), positions=tuple(positions))
 
 
 def extract_payloads(fragments: Sequence[Fragment], plan: DownloadPlan) -> list[list[int]]:

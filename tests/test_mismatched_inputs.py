@@ -97,7 +97,7 @@ def _rbt_partial(plan_edit):
     positions = [list(p) for p in plan.positions]
     payloads = [fragment_symbols(frags[node], pos) for node, pos in zip(plan.nodes, positions)]
     plan_edit(positions, payloads, frags)
-    edited = DownloadPlan(plan.scheme, plan.nodes, plan.order, tuple(map(tuple, positions)))
+    edited = DownloadPlan(plan.scheme, plan.nodes, tuple(map(tuple, positions)))
     return params, u, edited, payloads
 
 
@@ -136,9 +136,9 @@ def test_a_position_listed_twice_is_refused():
     assert mbr_reconstruct_partial(params, plan, payloads) == u
     first = plan.positions[0][0]
     positions = ((*plan.positions[0], first),) + plan.positions[1:]
-    repeated = DownloadPlan(plan.scheme, plan.nodes, plan.order, positions)
+    repeated = DownloadPlan(plan.scheme, plan.nodes, positions)
     wrong = (payloads[0][0] + 1) % 11
-    with pytest.raises(DuplicateIndex, match=f"node 2: position {first} listed twice"):
+    with pytest.raises(DuplicateIndex, match=f"node 4: position {first} listed twice"):
         mbr_reconstruct_partial(params, repeated, [payloads[0] + [wrong]] + payloads[1:])
     with pytest.raises(DuplicateIndex):
         mbr_extract_payloads([frags[i] for i in plan.nodes], repeated)

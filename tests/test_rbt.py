@@ -304,8 +304,7 @@ def _pairwise_walk_plan(params, nodes):
             omit[chosen].add(nodes[other - 1])
     positions = tuple(tuple(c for c in range(1, params.n + 1) if c != node and c not in omit[j])
                       for j, node in enumerate(nodes, start=1))
-    return DownloadPlan(scheme="rbt-pairwise", nodes=tuple(nodes),
-                        order=tuple(range(1, k + 1)), positions=positions)
+    return DownloadPlan(scheme="rbt-pairwise", nodes=tuple(nodes), positions=positions)
 
 
 def test_partial_plan_matches_pairwise_walk():
