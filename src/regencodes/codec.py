@@ -29,10 +29,12 @@ from .mbr import (
     MbrParams,
     mbr_encode,
     mbr_extract_payloads,
+    mbr_helper_response,
     mbr_partial_plan,
     mbr_reconstruct_full,
     mbr_reconstruct_partial,
-    repair_from_fragments,
+    mbr_repair,
+    psi_row,
     timeshare_scheme,
 )
 from .rbt import (
@@ -108,10 +110,12 @@ def repair(params, frags: Mapping[int, Fragment], failed: int,
         helpers = sorted(i for i in frags if i != failed)[: params.d]
     check_helpers(params, helpers, failed)
     chosen = planned_fragments(frags.values(), helpers)
+    check_codec(params, chosen)
     sent = {i: 1 for i in helpers}
     if _family(params.codec) == "mbr":
-        return repair_from_fragments(params, chosen, failed, counter), sent
-    check_codec(params, chosen)
+        row = psi_row(params, failed)
+        responses = [(h.node, mbr_helper_response(h, row, params.field, counter)) for h in chosen]
+        return mbr_repair(params, responses, failed, counter), sent
     responses = [(h.node, fragment_symbol(h, failed)) for h in chosen]
     return transfer_repair(params, responses, failed), sent
 

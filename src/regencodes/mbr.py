@@ -52,7 +52,6 @@ from .errors import (
 from .fragments import (
     Fragment,
     MbrPoint,
-    check_codec,
     check_helpers,
     check_nodes,
     check_read,
@@ -224,17 +223,6 @@ def _repair_inverse(params: MbrParams, helpers: tuple[int, ...]
     psi = mbr_build_encoding(params)
     inv = mat_inv(FieldMatrix(params.field, psi[[h - 1 for h in helpers]]))
     return frozen(inv), solve_cost(params.d, 1)
-
-
-def repair_from_fragments(params: MbrParams, fragments: Sequence[Fragment], failed: int,
-                          counter: OpCounter | None = None) -> Fragment:
-    """Convenience: compute helper responses from whole fragments, then repair."""
-    check_codec(params, fragments)
-    row = psi_row(params, failed)
-    responses = [
-        (f.node, mbr_helper_response(f, row, params.field, counter)) for f in fragments
-    ]
-    return mbr_repair(params, responses, failed, counter)
 
 
 # ---------------------------------------------------------------------------

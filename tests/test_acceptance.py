@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from regencodes import codec
 from regencodes.counting import OpCounter
 from regencodes.errors import FieldTooSmall
 from regencodes.fragments import fragment_symbol, transfer_repair
@@ -30,7 +31,6 @@ from regencodes.mbr import (
     mbr_partial_plan,
     mbr_reconstruct_full,
     mbr_reconstruct_partial,
-    repair_from_fragments,
     timeshare_scheme,
 )
 from regencodes.psrs import (
@@ -210,8 +210,8 @@ def test_criterion_3_exhaustive_round_trip(capsys, field):
                         for failed in range(1, n + 1):
                             others = [i for i in range(1, n + 1) if i != failed]
                             for helpers in itertools.combinations(others, d):
-                                got = repair_from_fragments(
-                                    params, [frags[i - 1] for i in helpers], failed)
+                                got, _ = codec.repair(
+                                    params, {i: frags[i - 1] for i in helpers}, failed, helpers)
                                 assert got == frags[failed - 1]
 
 

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from regencodes import codec
 from regencodes.counting import OpCounter
 from regencodes.errors import (
     DecodeMismatch,
@@ -29,7 +30,6 @@ from regencodes.mbr import (
     mbr_reconstruct_partial,
     mbr_repair,
     psi_row,
-    repair_from_fragments,
 )
 from regencodes.psrs import (
     PsrsMessage,
@@ -180,7 +180,7 @@ def test_helper_response_rejects_symbol_outside_field(field):
         with pytest.raises(ValueError, match=RANGE):
             mbr_helper_response(helper, row, field)
         with pytest.raises(ValueError, match=RANGE):
-            repair_from_fragments(params, [helper] + frags[2:5], 1)
+            codec.repair(params, {f.node: f for f in [helper] + frags[2:5]}, 1)
 
 
 @pytest.mark.parametrize("field", [F7, binary_field(8), fermat_field()], ids=repr)
@@ -409,7 +409,7 @@ def test_codec_built_fragments_are_read_only():
         frags = encoded(params)
         produced += frags
         if isinstance(params, MbrParams):
-            produced.append(repair_from_fragments(params, frags[1:5], 1))
+            produced.append(codec.repair(params, {f.node: f for f in frags}, 1)[0])
         elif isinstance(params, RbtParams):
             responses = [(j, fragment_symbol(frags[j - 1], 1)) for j in range(2, params.n + 1)]
             produced.append(rbt_repair(params, responses, 1))

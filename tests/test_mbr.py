@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regencodes import mbr, psrs
+from regencodes import codec, mbr, psrs
 from regencodes.counting import OpCounter
 from regencodes.errors import (
     DuplicateHelper,
@@ -41,7 +41,6 @@ from regencodes.mbr import (
     mbr_repair,
     message_from_block,
     psi_row,
-    repair_from_fragments,
     timeshare_scheme,
 )
 from regencodes.plans import DownloadPlan
@@ -170,13 +169,13 @@ def test_repair_exhaustive():
         for failed in range(1, 7):
             helpers = [i for i in range(1, 7) if i != failed]
             for subset in itertools.combinations(helpers, 4):
-                got = repair_from_fragments(REF7, [frags[i - 1] for i in subset], failed)
+                got, _ = codec.repair(REF7, {i: frags[i - 1] for i in subset}, failed, subset)
                 assert got == frags[failed - 1]
 
 
 def test_repair_zero_codeword():
     frags = mbr_encode(REF7, [0] * 9)
-    got = repair_from_fragments(REF7, [frags[i - 1] for i in (2, 3, 4, 5)], 1)
+    got, _ = codec.repair(REF7, {i: frags[i - 1] for i in (2, 3, 4, 5)}, 1, (2, 3, 4, 5))
     assert got == frags[0]
 
 
@@ -194,7 +193,7 @@ def test_repaired_systematic_fragment_exposes_message():
     rng = random.Random(6)
     u = rand_message(REF7, rng)
     frags = mbr_encode(REF7, u)
-    got = repair_from_fragments(REF7, [frags[i - 1] for i in (2, 3, 4, 5)], 1)
+    got, _ = codec.repair(REF7, {i: frags[i - 1] for i in (2, 3, 4, 5)}, 1, (2, 3, 4, 5))
     assert list(got.symbols) == list(frags[0].symbols) == u[:4]
 
 
@@ -367,7 +366,8 @@ def test_exhaustive_small_n_repair_and_reconstruct():
                 for failed in range(1, n + 1):
                     helpers = [i for i in range(1, n + 1) if i != failed]
                     subset = helpers[:d]
-                    got = repair_from_fragments(params, [frags[i - 1] for i in subset], failed)
+                    got, _ = codec.repair(params, {i: frags[i - 1] for i in subset}, failed,
+                                          subset)
                     assert got == frags[failed - 1]
 
 
@@ -787,7 +787,7 @@ def _repair_case(draw):
 def test_repair_returns_lost_fragment(case):
     params, failed, helpers, seed = case
     frags = mbr_encode(params, rand_message(params, random.Random(seed)))
-    got = repair_from_fragments(params, [frags[h - 1] for h in helpers], failed)
+    got, _ = codec.repair(params, {h: frags[h - 1] for h in helpers}, failed, helpers)
     assert got == frags[failed - 1]
 
 

@@ -18,7 +18,6 @@ from regencodes.mbr import (
     mbr_partial_plan,
     mbr_reconstruct_full,
     mbr_reconstruct_partial,
-    repair_from_fragments,
 )
 from regencodes.plans import DownloadPlan
 from regencodes.psrs import eval_params
@@ -55,9 +54,6 @@ def _encoded(tag, field, n, k, d, seed=0):
 
 def _entries(tag):
     yield "full read", lambda p, f: FULL_READS[tag.split("-")[0]](p, [f[i] for i in READ_NODES])
-    if tag.startswith("mbr"):
-        yield "repair_from_fragments", lambda p, f: repair_from_fragments(
-            p, [f[i] for i in range(1, p.d + 1)], p.n)
     yield "codec.repair", lambda p, f: codec.repair(p, {i: f[i] for i in range(1, p.n)}, p.n)
     for scheme in codec.SCHEMES[tag]:
         yield f"codec.reconstruct {scheme}", (
