@@ -51,7 +51,7 @@ from .gf import (
     powers,
     primitive_element,
 )
-from .matrix import FieldMatrix, frozen, mat_solve, systematic_generator
+from .matrix import frozen, systematic_generator
 from .poly import (
     lagrange_basis,
     lagrange_interpolate,
@@ -167,16 +167,6 @@ def _generator(params: PsrsParams, num_roots: int) -> tuple[int, ...]:
     """Generator polynomial with roots alpha^0 .. alpha^(num_roots-1):
     g0 has n-k roots, g1 has n-d."""
     return tuple(poly_from_roots(params.field, powers(params.field, params.alpha, num_roots)))
-
-
-@lru_cache(maxsize=None)
-def _gen_coeff_map(params: PsrsParams) -> np.ndarray:
-    """d x n matrix, read-only: row i is the codeword polynomial of the i-th
-    unit message."""
-    units = np.eye(params.d, dtype=np.int64).tolist()
-    rows = [encode_genpoly(params, PsrsMessage(tuple(u[:params.k]), tuple(u[params.k:])))
-            for u in units]
-    return frozen(np.array(rows, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +341,6 @@ def decode_full_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],
     a = c[n - k:]
     c0 = _systematic_rs_poly(field, a, _generator(params, n - k), n - k, n, counter)
     return PsrsMessage(tuple(a), tuple(field.vsub(c[n - d:n - k], c0[n - d:n - k]).tolist()))
-
-
-def solve_full_genpoly_linear(params: PsrsParams,
-                              coeffs: Sequence[tuple[int, int]]) -> PsrsMessage:
-    """Independent oracle: solve the message from d codeword coefficients directly."""
-    _require_form(params, "genpoly")
-    pairs = list(coeffs)
-    _check_symbols(params, pairs, params.d, zero_based=True)
-    field = params.field
-    use = pairs[: params.d]
-    cols = _gen_coeff_map(params).T[[deg for deg, _ in use]]  # d x d
-    rhs = field.varray([val for _, val in use])[:, None]
-    vec = mat_solve(FieldMatrix(field, cols), rhs)[:, 0].tolist()
-    return PsrsMessage(tuple(vec[: params.k]), tuple(vec[params.k:]))
 
 
 def decode_partial_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],

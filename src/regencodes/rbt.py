@@ -259,18 +259,6 @@ def rbt_encode_systematic(params: RbtParams, block,
     return _codeword(params, np.block([[u_l, u_r], [field.vneg(u_r.T), v]]), counter)
 
 
-def remapped_message(params: RbtParams, block) -> list[int]:
-    """Message vector whose congruence encoding equals the systematic encoding.
-
-    Solves the systematic conditions S = U_L and S P^t + T = U_R.
-    """
-    field, k = params.field, params.k
-    block = _check_block(params, block)
-    u_l, u_r = block[:, :k], block[:, k:]
-    t = mat_sub(field, u_r, mat_mul(field, u_l, parity_block(params).T))
-    return message_from_block(params, np.concatenate([u_l, t], axis=1))
-
-
 # ---------------------------------------------------------------------------
 # repair
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from regencodes.psrs import (
     eval_params,
     generator_matrix,
     genpoly_params,
-    solve_full_genpoly_linear,
 )
 from regencodes.rbt import (
     RbtParams,
@@ -57,10 +56,11 @@ from regencodes.rbt import (
     rbt_reconstruct_full,
     rbt_reconstruct_partial,
     rbt_repair,
-    remapped_message,
     source_block,
 )
 from regencodes.shah import ShahParams, shah_encode
+
+from oracles import remapped_message, solve_full_genpoly_linear
 
 
 @contextmanager

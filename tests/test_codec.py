@@ -49,7 +49,6 @@ CACHED_BUILDERS = {
     "shah._generator_rows": lambda: shah._generator_rows(ShahParams(F11, 5, 3)),
     "psrs._sys_basis": lambda: psrs._sys_basis(psrs.eval_params(F11, 6, 3, 4)),
     "psrs._gen_matrix": lambda: psrs._gen_matrix(psrs.eval_params(F11, 6, 3, 4)),
-    "psrs._gen_coeff_map": lambda: psrs._gen_coeff_map(psrs.genpoly_params(F11, 6, 3, 4)),
 }
 
 

@@ -41,7 +41,6 @@ from regencodes.psrs import (
     encode_genpoly,
     eval_params,
     genpoly_params,
-    solve_full_genpoly_linear,
 )
 from regencodes.rbt import (
     RbtParams,
@@ -52,7 +51,6 @@ from regencodes.rbt import (
     rbt_reconstruct_full,
     rbt_reconstruct_partial,
     rbt_repair,
-    remapped_message,
     source_block,
 )
 from regencodes.shah import ShahParams, shah_encode, shah_reconstruct
@@ -229,16 +227,6 @@ def test_mbr_partial_read_rejects_payload_outside_field(params):
             mbr_reconstruct_partial(params, plan, payloads)
 
 
-def test_linear_oracle_rejects_value_outside_field():
-    params = genpoly_params(F7, 6, 3, 4)
-    c = encode_genpoly(params, PsrsMessage((1, 2, 3), (4,)))
-    for bad in bad_values(F7):
-        pairs = [(t, c[t]) for t in range(4)]
-        pairs[2] = (2, bad)
-        with pytest.raises(ValueError, match=RANGE):
-            solve_full_genpoly_linear(params, pairs)
-
-
 @pytest.mark.parametrize("field", [F7, binary_field(4)], ids=repr)
 def test_psrs_symbols_checked_where_they_enter(field):
     # a symbol outside the field must not be reduced or wrap around: over
@@ -302,8 +290,7 @@ def test_non_integer_symbols_are_refused(entry, bad):
         NON_INTEGER_ENTRIES[entry](bad)
 
 
-@pytest.mark.parametrize("entry", [rbt_encode_systematic, remapped_message],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entry", [rbt_encode_systematic], ids=lambda f: f.__name__)
 def test_source_block_checked_where_it_enters(entry):
     params = RbtParams(F11, 6, 3, systematic=True)
     block = source_block(params, message(params)).tolist()
@@ -322,7 +309,6 @@ def test_source_block_as_list_encodes_like_the_array():
     block = source_block(params, message(params))
     assert np.array_equal(rbt_encode_systematic(params, block.tolist()).check,
                           rbt_encode_systematic(params, block).check)
-    assert remapped_message(params, block.tolist()) == remapped_message(params, block)
 
 
 def test_message_symbols_checked_where_they_enter():

@@ -28,8 +28,9 @@ from regencodes.psrs import (
     eval_params,
     generator_matrix,
     genpoly_params,
-    solve_full_genpoly_linear,
 )
+
+from oracles import solve_full_genpoly_linear
 
 F7 = prime_field(7)
 F11 = prime_field(11)

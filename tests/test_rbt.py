@@ -41,9 +41,10 @@ from regencodes.rbt import (
     rbt_reconstruct_full,
     rbt_reconstruct_partial,
     rbt_repair,
-    remapped_message,
     source_block,
 )
+
+from oracles import remapped_message
 
 F4 = binary_field(2)
 F7 = prime_field(7)
