@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DuplicateIndex, IndexOutOfRange, PlanPayloadMismatch
 
-SCHEMES = ("full", "lower", "upper", "gong", "rbt-pairwise")
+SCHEMES = ("lower", "upper", "gong", "rbt-pairwise")
 
 
 @dataclass(frozen=True)

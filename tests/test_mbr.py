@@ -252,6 +252,13 @@ def test_partial_plan_reference_shape():
     assert plan.total_symbols == REF7.B == 9
 
 
+@pytest.mark.parametrize("scheme", ["full", "timeshare"])
+def test_a_plan_names_a_partial_scheme(scheme):
+    # a full read and a time-sharing round build no plan of their own
+    with pytest.raises(ValueError, match="unknown scheme"):
+        DownloadPlan(scheme, (1, 2, 4), ((1, 4), (1, 2, 4), (1, 2, 3, 4)))
+
+
 def test_partial_plan_total_is_B_sweep():
     f = prime_field(13)
     for n in range(2, 11):
