@@ -302,9 +302,9 @@ def mbr_partial_plan(params: MbrParams, connected: Sequence[int], scheme: str) -
         raise SchemeBackendMismatch("the gong scheme runs on the vandermonde backend")
     check_nodes(params.n, connected, params.k)
     k, d = params.k, params.d
-    delta = tuple(range(k + 1, d + 1))
-    positions = tuple((tuple(range(1, g + 1)) if scheme == "lower" else tuple(range(g, k + 1)))
-                      + delta for g in range(1, k + 1))
+    lower, delta = scheme == "lower", tuple(range(k + 1, d + 1))
+    positions = tuple(tuple(range(1, g + 1) if lower else range(g, k + 1)) + delta
+                      for g in range(1, k + 1))
     return DownloadPlan(scheme=scheme, nodes=assign_slots(params, connected),
                         positions=positions)
 

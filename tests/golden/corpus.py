@@ -101,17 +101,12 @@ def codec_entries(case, ntt=False):
         name += " ntt"
     rng = Random(name)
     u = [rng.randrange(params.field.q) for _ in range(params.B)]
-    frags = []
     yield f"# {name}", None
-
-    def encode(counter):
-        frags[:] = codec.encode(params, u, counter)
-        return _symbols(frags), {}
-    yield "encode", _result(encode)
+    yield "encode", _result(lambda c: (_symbols(codec.encode(params, u, c)), {}))
     if ntt:
         yield "encode_columns", _result(
             lambda c: (_symbols(mbr_encode_columns(params, u, c)), {}))
-    by_node = {frag.node: frag for frag in frags}
+    by_node = {frag.node: frag for frag in codec.encode(params, u)}
     everyone = range(1, params.n + 1)
     for failed in everyone:
         others = [i for i in everyone if i != failed]
