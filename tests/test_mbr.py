@@ -238,6 +238,21 @@ def test_assign_slots_greedy():
     assert assign_slots(vdm_q, [4, 2, 6]) == (4, 2, 6)
 
 
+@pytest.mark.parametrize("params, claimed", [
+    (REF7, {1: 1, 2: 2, 3: 3}),  # systematic node i claims slot i
+    (MbrParams(F7, 6, 3, 4, backend="vandermonde"), {}),
+    (MbrParams(F7, 7, 3, 4, backend="vandermonde"), {7: 1}),  # node 7 sits at the point 0
+], ids=["psrs", "vdm", "vdm-zero-point"])
+def test_assign_slots_places_claimed_nodes(params, claimed):
+    # every node list comes back as the same nodes, each claimed node in
+    # its slot and the rest in list order
+    for nodes in itertools.permutations(range(1, params.n + 1), params.k):
+        slots = assign_slots(params, nodes)
+        assert sorted(slots) == sorted(nodes)
+        assert all(slots[claimed[i] - 1] == i for i in nodes if i in claimed)
+        assert [i for i in slots if i not in claimed] == [i for i in nodes if i not in claimed]
+
+
 def test_partial_plan_lists_nodes_in_slot_order():
     # node j of a plan fills row j of Phi_DC, whatever order they came in
     assert mbr_partial_plan(REF7, [3, 5, 1], "lower").nodes == (1, 5, 3)
