@@ -148,21 +148,6 @@ def _sys_basis(params: PsrsParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _gen_matrix(params: PsrsParams) -> np.ndarray:
-    """[Phi Delta] with Phi[l, i] = L_i(x_l), the systematic generator at
-    the points, and Delta[l, j] = Gamma(x_l) x_l^j, Gamma(x_l) the product
-    of x_l - x_s over the first k points; read-only."""
-    field = params.field
-    n, k, d = params.n, params.k, params.d
-    pts = np.array(params.points, dtype=np.int64)
-    out = np.zeros((n, d), dtype=np.int64)
-    out[:, :k] = systematic_generator(field, n, k, pts)
-    gamma = field.vprod(field.vsub(pts[:, None], pts[None, :k]))
-    out[:, k:] = field.vmul(gamma[:, None], powers(field, pts, d - k))
-    return frozen(out)
-
-
-@lru_cache(maxsize=None)
 def _generator(params: PsrsParams, num_roots: int) -> tuple[int, ...]:
     """Generator polynomial with roots alpha^0 .. alpha^(num_roots-1):
     g0 has n-k roots, g1 has n-d."""
@@ -267,9 +252,19 @@ def decode_partial_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
 
 
 def generator_matrix(params: PsrsParams) -> np.ndarray:
-    """n x d matrix [Phi Delta], read-only; the top k rows are [I_k 0]."""
+    """n x d matrix [Phi Delta], read-only, with Phi[l, i] = L_i(x_l), the
+    systematic generator at the points, and Delta[l, j] = Gamma(x_l) x_l^j,
+    Gamma(x_l) the product of x_l - x_s over the first k points; the top k
+    rows are [I_k 0]."""
     _require_form(params, "eval")
-    return _gen_matrix(params)
+    field = params.field
+    n, k, d = params.n, params.k, params.d
+    pts = np.array(params.points, dtype=np.int64)
+    out = np.zeros((n, d), dtype=np.int64)
+    out[:, :k] = systematic_generator(field, n, k, pts)
+    gamma = field.vprod(field.vsub(pts[:, None], pts[None, :k]))
+    out[:, k:] = field.vmul(gamma[:, None], powers(field, pts, d - k))
+    return frozen(out)
 
 
 # ---------------------------------------------------------------------------

@@ -140,32 +140,23 @@ def _sys_points(params: RbtParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _phi(params: RbtParams) -> np.ndarray:
-    """n x k block, read-only: extended Vandermonde for rbt, the systematic
-    generator (Lagrange basis at the first k points) for rbt-sys."""
+def rbt_build_encoding(params: RbtParams) -> np.ndarray:
+    """Square encoding matrix [Phi | (0; I)], read-only, Phi as the module
+    docstring says.  Block lower triangular over Phi_top and I, it is
+    invertible: Phi_top is I for rbt-sys, else Vandermonde at k finite points."""
     field, n, k = params.field, params.n, params.k
-    if not params.systematic:
-        return frozen(extended_vandermonde(field, n, k))
-    return frozen(systematic_generator(field, n, k, _sys_points(params)))
+    psi = np.zeros((n, n), dtype=np.int64)
+    psi[:, :k] = (systematic_generator(field, n, k, _sys_points(params)) if params.systematic
+                  else extended_vandermonde(field, n, k))
+    psi[k:, k:] = np.eye(n - k, dtype=np.int64)
+    return frozen(psi)
 
 
 def parity_block(params: RbtParams) -> np.ndarray:
-    """(n-k) x k parity rows of the systematic encoding block."""
+    """(n-k) x k parity rows of the systematic encoding block, read-only."""
     if not params.systematic:
         raise ParamsInvalid("parity block exists only in systematic mode")
-    return _phi(params)[params.k:]
-
-
-@lru_cache(maxsize=None)
-def rbt_build_encoding(params: RbtParams) -> np.ndarray:
-    """Square encoding matrix [Phi | (0; I)], read-only.  Block lower
-    triangular over Phi_top and I, it is invertible: Phi_top is I for
-    rbt-sys, else a Vandermonde block at k distinct finite points."""
-    n, k = params.n, params.k
-    psi = np.zeros((n, n), dtype=np.int64)
-    psi[:, :k] = _phi(params)
-    psi[k:, k:] = np.eye(n - k, dtype=np.int64)
-    return frozen(psi)
+    return rbt_build_encoding(params)[params.k:, :params.k]
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +165,7 @@ def _psi_t_inv(params: RbtParams) -> np.ndarray:
     A = Phi_top^-1: I for rbt-sys, the transposed Lagrange basis at the
     first k points for plain rbt.  Read-only."""
     field, n, k = params.field, params.n, params.k
-    phi = _phi(params)
+    phi = rbt_build_encoding(params)[:, :k]
     if params.systematic:
         a = np.eye(k, dtype=np.int64)
     else:
@@ -185,33 +176,20 @@ def _psi_t_inv(params: RbtParams) -> np.ndarray:
     return frozen(out)
 
 
-def sign_fix(params: RbtParams, c_hat: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Negate the strictly lower triangle; identity pathway in characteristic 2."""
+def sign_fix(params: RbtParams, rows: np.ndarray, nodes: Sequence[int],
+             counter: OpCounter | None = None) -> np.ndarray:
+    """Negate each row's entries left of its node's diagonal (a whole matrix's
+    strictly lower triangle); its own inverse, the identity in characteristic 2."""
     field = params.field
     if field.characteristic == 2:
-        return c_hat
-    a = c_hat.copy()
-    low = np.tril_indices(a.shape[0], k=-1)
-    a[low] = field.vneg(a[low])
-    charge(counter, add=len(low[0]))
-    return a
-
-
-def _unfix_rows(params: RbtParams, rows: np.ndarray, nodes: Sequence[int],
-                counter: OpCounter | None) -> np.ndarray:
-    """Inverse sign fix applied to full rows of the check matrix."""
-    field = params.field
-    a = rows.copy()
-    if field.characteristic != 2:
-        for r, node in enumerate(nodes):
-            if node > 1:
-                a[r, : node - 1] = field.vneg(a[r, : node - 1])
-                charge(counter, add=node - 1)
-    return a
+        return rows
+    left = np.arange(rows.shape[1]) < np.asarray(nodes)[:, None] - 1
+    charge(counter, add=int(left.sum()))
+    return np.where(left, field.vneg(rows), rows)
 
 
 def _codeword(params: RbtParams, c_hat: np.ndarray, counter: OpCounter | None) -> RbtCodeword:
-    return RbtCodeword(params, frozen(sign_fix(params, c_hat, counter)))
+    return RbtCodeword(params, frozen(sign_fix(params, c_hat, range(1, params.n + 1), counter)))
 
 
 def rbt_encode(params: RbtParams, u: Sequence[int], counter: OpCounter | None = None) -> RbtCodeword:
@@ -289,7 +267,7 @@ def _read_rows(params: RbtParams, nodes: Sequence[int], rows: np.ndarray,
         return message_from_block(params, rows[np.argsort(nodes)])
 
     # undoing the sign fix and Psi^t leaves Psi_DC M for the skew message M
-    c_hat_dc = _unfix_rows(params, rows, nodes, counter)
+    c_hat_dc = sign_fix(params, rows, nodes, counter)
     d_dc = mat_mul(field, c_hat_dc, _psi_t_inv(params), counter)
     psi_dc = rbt_build_encoding(params)[[i - 1 for i in nodes]]
     phi_dc, delta_dc = psi_dc[:, :k], psi_dc[:, k:]

@@ -42,14 +42,13 @@ CACHED_BUILDERS = {
     "mbr_build_encoding[vdm]":
         lambda: mbr.mbr_build_encoding(MbrParams(F11, 6, 3, 4, backend="vandermonde")),
     "rbt_build_encoding": lambda: rbt.rbt_build_encoding(RbtParams(F11, 6, 3)),
-    "rbt._phi": lambda: rbt._phi(RBT_SYS),
-    "rbt._phi[plain]": lambda: rbt._phi(RbtParams(F11, 6, 3)),
+    "rbt_build_encoding[sys]": lambda: rbt.rbt_build_encoding(RBT_SYS),
+    "rbt_build_encoding[sys, n=q+1]":
+        lambda: rbt.rbt_build_encoding(RbtParams(F11, 12, 5, systematic=True)),
     "rbt._psi_t_inv": lambda: rbt._psi_t_inv(RBT_SYS),
     "rbt._psi_t_inv[plain]": lambda: rbt._psi_t_inv(RbtParams(F11, 6, 3)),
-    "rbt._phi[n=q+1]": lambda: rbt._phi(RbtParams(F11, 12, 5, systematic=True)),
     "shah._generator_rows": lambda: shah._generator_rows(ShahParams(F11, 5, 3)),
     "psrs._sys_basis": lambda: psrs._sys_basis(psrs.eval_params(F11, 6, 3, 4)),
-    "psrs._gen_matrix": lambda: psrs._gen_matrix(psrs.eval_params(F11, 6, 3, 4)),
 }
 
 
@@ -65,6 +64,14 @@ def test_cached_builders_return_read_only_arrays(name):
     with pytest.raises(ValueError):
         a += 1
     assert np.array_equal(a, before)
+
+
+def test_generator_matrix_is_read_only():
+    # built afresh on each call; mbr_build_encoding caches and shares it
+    g = psrs.generator_matrix(psrs.eval_params(F11, 6, 3, 4))
+    assert g.dtype == np.int64 and not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0, 0] = 1
 
 
 def test_default_repair_helpers():

@@ -573,7 +573,7 @@ def test_rbt_sys_phi_is_v_times_top_inverse(field):
     for n in range(2, field.q + 2):
         for k in range(1, n):
             v = vandermonde(field, n, k) if n <= field.q else extended_vandermonde(field, n, k)
-            phi = rbt._phi(RbtParams(field, n, k, systematic=True))
+            phi = rbt.rbt_build_encoding(RbtParams(field, n, k, systematic=True))[:, :k]
             assert np.array_equal(phi, _v_top_inverse(field, v, k)), (n, k)
 
 

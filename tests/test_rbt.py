@@ -159,7 +159,14 @@ def test_signfix_involution():
     rng = random.Random(3)
     params = RbtParams(F7, 6, 3)
     m = rbt_build_message(params, rand_message(params, rng))
-    assert np.array_equal(sign_fix(params, sign_fix(params, m)), m)
+    nodes = range(1, params.n + 1)
+    assert np.array_equal(sign_fix(params, sign_fix(params, m, nodes), nodes), m)
+    # a read's rows flip as they do in the whole matrix, at node - 1 add each
+    counter = OpCounter()
+    read = [5, 1, 3]
+    got = sign_fix(params, m[[i - 1 for i in read]], read, counter)
+    assert np.array_equal(got, sign_fix(params, m, nodes)[[i - 1 for i in read]])
+    assert (counter.mul, counter.add) == (0, 4 + 0 + 2)
 
 
 def test_repair_round_trip_and_zero_ops():
@@ -429,7 +436,7 @@ def test_systematic_reads_every_node_set(n):
         if n <= F7.q:
             rows = [i - 1 for i in nodes]
             got = interpolation_inverse(F7, rbt._sys_points(params), rows)
-            assert got.tolist() == mat_inv(FieldMatrix(F7, rbt._phi(params)[rows])).tolist()
+            assert got.tolist() == mat_inv(FieldMatrix(F7, rbt_build_encoding(params)[rows, :params.k])).tolist()
         assert rbt_reconstruct_full(params, [cw.fragments()[i - 1] for i in nodes]) == u
         plan = rbt_partial_plan(params, nodes)
         assert rbt_reconstruct_partial(params, plan, extract_payloads(cw.fragments(), plan)) == u
