@@ -104,19 +104,6 @@ def int_array(data) -> np.ndarray:
         raise ValueError("array values outside field range") from exc
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 class Field:
     """Base class; use prime_field / binary_field / fermat_field / field_new."""
 
@@ -236,10 +223,11 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise NonPrimeModulus(f"{p} is not prime")
+        # the bound first: trial division then needs at most 256 candidates
         if p > _MAX_PRIME:
             raise NonPrimeModulus(f"primes above {_MAX_PRIME} are not supported")
+        if _prime_factors(p) != [p]:
+            raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
         self.q = p
         # inverses by table: g^i and g^-i = g^(p-1-i) over the powers of a

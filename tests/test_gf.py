@@ -48,6 +48,13 @@ def test_field_new_interned():
 def test_field_new_rejects_bad_params():
     with pytest.raises(NonPrimeModulus):
         field_new("prime", 6)
+    for p in (0, 1, 65535):
+        with pytest.raises(NonPrimeModulus, match="is not prime"):
+            field_new("prime", p)
+    # refused by size before any trial division, which would take about
+    # 10^15 steps here
+    with pytest.raises(NonPrimeModulus, match="above 65537"):
+        field_new("prime", 10**30)
     with pytest.raises(UnsupportedDegree):
         field_new("binary", 17)
     with pytest.raises(UnsupportedDegree):
