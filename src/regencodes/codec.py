@@ -130,6 +130,7 @@ def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], sch
     check_scheme(params.codec, scheme)
     check_nodes(params.n, nodes, params.k)
     chosen = planned_fragments(frags.values(), nodes)
+    check_codec(params, chosen)
     if scheme == "full":
         family = _family(params.codec)
         if family == "rbt":
@@ -139,7 +140,6 @@ def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], sch
         else:
             u = shah_reconstruct(params, chosen, counter)
         return u, {i: params.alpha for i in nodes}
-    check_codec(params, chosen)  # the full reads check their own fragments
     if scheme == "partial":
         plan = rbt_partial_plan(params, nodes)
         u = rbt_reconstruct_partial(params, plan, extract_payloads(chosen, plan), counter)

@@ -141,12 +141,17 @@ class MbrPoint:
 
 
 def check_codec(params, fragments: Sequence[Fragment]) -> None:
-    """Every fragment must carry the codec tag of `params`: another codec's
-    fragments of the same shape would decode to a wrong result."""
-    tag = params.codec
+    """Every fragment must carry the codec tag of `params` and alpha symbols:
+    another codec's fragments of the same shape would decode to a wrong
+    result, and a short or long one would shift the symbols it holds."""
+    tag, alpha = params.codec, params.alpha
     for frag in fragments:
         if frag.codec != tag:
             raise ParamsInvalid(f"fragment of node {frag.node} is {frag.codec}, params are {tag}")
+        if len(frag.symbols) != alpha:
+            raise WrongFragmentCount(
+                f"fragment of node {frag.node} has {len(frag.symbols)} symbols, expected {alpha}"
+            )
 
 
 def expand_rows(fragments: Sequence[Fragment], n: int, field: Field) -> np.ndarray:
@@ -207,17 +212,11 @@ def check_nodes(n: int, nodes: Sequence[int], count: int) -> None:
 
 
 def check_read(params, fragments: Sequence[Fragment]) -> list[int]:
-    """The nodes of a full read's fragments, after checking the codec tag,
-    k distinct nodes in [1, n] and alpha symbols per fragment."""
-    check_codec(params, fragments)
+    """The nodes of a full read's fragments, after checking k distinct nodes
+    in [1, n], then each fragment's codec tag and length (check_codec)."""
     nodes = [frag.node for frag in fragments]
     check_nodes(params.n, nodes, params.k)
-    alpha = params.alpha
-    for frag in fragments:
-        if len(frag.symbols) != alpha:
-            raise WrongFragmentCount(
-                f"fragment of node {frag.node} has {len(frag.symbols)} symbols, expected {alpha}"
-            )
+    check_codec(params, fragments)
     return nodes
 
 

@@ -199,18 +199,24 @@ def test_full_read_ignores_node_list_order(case):
 @pytest.mark.parametrize("case", CODECS, ids=lambda case: case[0])
 def test_every_codec_sits_at_the_mbr_point(case):
     # every codec stores alpha = d symbols a node, sends beta = 1 a helper
-    # and holds B = kd - C(k, 2) message symbols; a full read refuses a
-    # fragment one symbol short and names its node
+    # and holds B = kd - C(k, 2) message symbols; a repair and a read of
+    # every scheme refuse a fragment one symbol short or long and name its node
     tag, field, n, k, d = case
     params = codec.params_for(tag, field, n, k, d)
     d = params.d
     assert (params.alpha, params.beta, params.B) == (d, 1, k * d - k * (k - 1) // 2)
-    frags = {f.node: f for f in codec.encode(params, [1] * params.B)}
+    encoded = {f.node: f for f in codec.encode(params, [1] * params.B)}
     nodes = list(range(2, k + 2))
-    short = nodes[-1]
-    frags[short] = Fragment(tag, short, frags[short].symbols[:-1])
-    with pytest.raises(WrongFragmentCount, match=f"fragment of node {short} has {d - 1} symbols"):
-        codec.reconstruct(params, frags, nodes, "full")
+    bad = nodes[-1]  # also one of node 1's default helpers 2 .. d+1
+    symbols = encoded[bad].symbols
+    for wrong in (symbols[:-1], np.append(symbols, 0)):
+        frags = {**encoded, bad: Fragment(tag, bad, wrong)}
+        match = f"fragment of node {bad} has {len(wrong)} symbols, expected {d}"
+        with pytest.raises(WrongFragmentCount, match=match):
+            codec.repair(params, frags, 1)
+        for scheme in codec.SCHEMES[tag]:
+            with pytest.raises(WrongFragmentCount, match=match):
+                codec.reconstruct(params, frags, nodes, scheme)
 
 
 def _bad_repairs(n, d):
