@@ -93,7 +93,7 @@ def _bench_mbr_naive_vs_ntt(sizes, field, seed) -> BenchReport:
     report = BenchReport(family="mbr-naive-vs-ntt")
     rng = random.Random(seed)
     for n in sizes:
-        if n % 8 or (3 * n) % 8:
+        if n % 8:
             raise ParamsInvalid(f"mbr-naive-vs-ntt sweeps k=3n/8, d=n/2; n={n} must be a multiple of 8")
         k, d = 3 * n // 8, n // 2
         params = MbrParams(field, n, k, d, ntt=True)

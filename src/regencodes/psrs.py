@@ -40,7 +40,6 @@ from .errors import (
     IndexOutOfRange,
     InsufficientSymbols,
     ParamsInvalid,
-    WrongFragmentCount,
 )
 from .gf import (
     Field,
@@ -191,8 +190,8 @@ def encode_eval(params: PsrsParams, msg: PsrsMessage,
 def _check_symbols(params: PsrsParams, pairs, minimum: int,
                    zero_based: bool = False) -> np.ndarray:
     """The values of (position, value) pairs, after checking the positions
-    in range and distinct, at least `minimum` and at most n of them, then
-    the values in the field."""
+    in range and distinct (so at most n of them) and at least `minimum` of
+    them, then the values in the field."""
     lo, hi = (0, params.n - 1) if zero_based else (1, params.n)
     seen = set()
     for pos, _ in pairs:
@@ -203,8 +202,6 @@ def _check_symbols(params: PsrsParams, pairs, minimum: int,
         seen.add(pos)
     if len(pairs) < minimum:
         raise InsufficientSymbols(f"got {len(pairs)} symbols, need at least {minimum}")
-    if len(pairs) > params.n:
-        raise WrongFragmentCount(f"got {len(pairs)} symbols for codeword length {params.n}")
     return params.field.varray([val for _, val in pairs])
 
 

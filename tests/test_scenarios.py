@@ -29,9 +29,10 @@ CODECS = {
 
 
 def _fits(name: str, params, script: str) -> bool:
-    if "scheme lower" in script or "scheme upper" in script or "scheme timeshare" in script:
-        return name == "mbr-psrs"
-    if "with" in script:  # explicit d-helper sets are product-matrix repairs
+    # lower, upper and timeshare reads and explicit d-helper sets are
+    # product-matrix operations, which both mbr backends support
+    words = ("scheme lower", "scheme upper", "scheme timeshare", "with")
+    if any(word in script for word in words):
         return name.startswith("mbr")
     return True
 
