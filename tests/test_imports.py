@@ -19,10 +19,17 @@ nothing uses is dead code.
 No module-level library function only forwards its own parameters to
 another call: callers call the target.  A forwarder that perfbench
 imports stays, because the benchmark reaches it by that name.
+
+The library's caches are a fixed list: a new cache, or a new size for
+one, is added to CACHES on purpose.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import regencodes
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "regencodes"
@@ -280,3 +287,36 @@ def test_guard_finds_a_forwarder():
                      "    def repair(self, a):\n"
                      "        return g(a)\n")
     assert _forwarders(tree) == [("repair", 1)]
+
+
+# (module, function, maxsize) of every cache in the library
+CACHES = {
+    ("regencodes.gf", "_bit_reverse_permutation", None),
+    ("regencodes.harness.cli", "build_parser", 1),
+    ("regencodes.matrix", "triangle", None),
+    ("regencodes.mbr", "_collector_inverse", 8),
+    ("regencodes.mbr", "_psrs_params", None),
+    ("regencodes.mbr", "_psrs_points", None),
+    ("regencodes.mbr", "_repair_inverse", 8),
+    ("regencodes.mbr", "_stage_factors", 8),
+    ("regencodes.mbr", "mbr_build_encoding", None),
+    ("regencodes.psrs", "_gamma", None),
+    ("regencodes.psrs", "_generator", None),
+    ("regencodes.psrs", "_sys_basis", None),
+    ("regencodes.rbt", "_psi_t_inv", None),
+    ("regencodes.rbt", "_sys_points", None),
+    ("regencodes.rbt", "rbt_build_encoding", None),
+    ("regencodes.shah", "_generator_rows", None),
+}
+
+
+def test_cache_inventory():
+    # every function with cache_info that a library module defines, found
+    # the way perfbench's clear_caches finds the caches it empties
+    found = set()
+    for info in pkgutil.walk_packages(regencodes.__path__, "regencodes."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found.add((module.__name__, name, value.cache_parameters()["maxsize"]))
+    assert found == CACHES
