@@ -22,7 +22,8 @@ when the params are built with ntt=True, which takes the leading powers
 of a canonical power-of-two root of unity as evaluation points.
 
 Both forms compute through the vector kernels of `gf` and `poly`.  The
-evaluation-form decoders use only the first d (full) or k (partial) pairs.
+evaluation-form decoders use only the first d (full) or k (partial)
+pairs; `generator_matrix`, uncached, builds that form's [Phi Delta].
 """
 
 from __future__ import annotations

@@ -1,19 +1,19 @@
 """Repair-by-transfer codes built from congruences of skew-symmetric matrices.
 
-An (n, k, d=n-1) code stores the rows of a symmetric check matrix with
-zero diagonal.  Encoding forms a skew-symmetric message matrix, applies
-the congruent transformation by a square encoding matrix, then flips the
-sign of the strictly lower triangle to obtain the symmetric check matrix
-(a no-op in characteristic 2).  Because rows and columns of a symmetric
-matrix agree, a lost row is rebuilt by pure placement of one stored
-symbol from each surviving node: repair performs zero field operations.
+An (n, k, d=n-1) code stores the rows of a symmetric check matrix with zero
+diagonal.  Encoding forms a skew-symmetric message matrix, applies the
+congruent transformation by a square encoding matrix, then flips the sign of
+the strictly lower triangle (sign_fix, a no-op in characteristic 2; a read
+undoes it on its k rows).  Because rows and columns of a symmetric matrix
+agree, a lost row is rebuilt by pure placement of one stored symbol from
+each surviving node: repair performs zero field operations.
 
-Plain rbt's Phi is an extended Vandermonde matrix.  The systematic
-variant's Phi is the Lagrange basis at the first k of the same kind of
-points (matrix.systematic_generator, no elimination), so it embeds the
-source block verbatim in the first k rows and computes only the trailing
-block V, which costs O(k(n-k)^2 + k^2(n-k)) multiplications instead of
-the two full n x n congruence products.
+Phi, the first k columns of the encoding matrix [Phi | (0; I)], is
+extended Vandermonde for rbt.  rbt-sys's Phi is the Lagrange basis at the
+first k of the same kind of points (matrix.systematic_generator, no
+elimination), so it embeds the source block verbatim in the first k rows
+and computes only the trailing block V, which costs O(k(n-k)^2 + k^2(n-k))
+multiplications instead of the two full n x n congruence products.
 
 A pairwise decision rule drives the partial-download plan: for every
 pair of connected nodes the shared symbol is transmitted exactly once,
