@@ -8,26 +8,27 @@ its node order, which the rbt and mbr codecs share.  Kernels trust their arrays;
 range-checked once, by `Field.varray`, where they enter the library.
 Ops that perform field arithmetic accept an explicit OpCounter.
 
-The elimination kernels, Gauss-Jordan behind `mat_inv` and `mat_solve`
-and the LU of `lu_inverses` (a `FactoredInverse`, which `mat_solve` applies
-by two triangular products), skip the unit rows of their system.  Systematic
-codes put [I_k 0] in their encoding matrix, so about half the rows of a
-repair or data-collector system are unit vectors: a row e_s fixes unknown
-s, and elimination runs on the block that remains.  Over prime fields the
-row updates stay unreduced; only the pivot column and row are reduced
-before use, and the working array once at the end (n updates of values
-below p^2 stay far below 2^63).  Outputs, pivoting and `SingularMatrix`
-(which callers let pass: the codes' systems are invertible by construction)
-are those of the dense elimination, and so are the counted operations:
-OpCounter charges products regardless of zero entries.  `mat_mul` copies
-the unit rows of its left factor and leaves its zero rows at zero, again
-at the dense count.
+The elimination kernels, Gauss-Jordan behind `mat_inv`, `mat_solve` and
+`is_singular` and the LU of `lu_inverses` (a `FactoredInverse`, which
+`mat_solve` applies by two triangular products), skip the unit rows of their
+system.  Systematic codes put [I_k 0] in their encoding matrix, so about half
+the rows of a repair or data-collector system are unit vectors: a row e_s
+fixes unknown s, and elimination runs on the block that remains.  Over prime
+fields the row updates stay unreduced; only the pivot column and row are
+reduced before use, and the working array once at the end (n updates of
+values below p^2 stay far below 2^63).  Outputs, pivoting and
+`SingularMatrix` are those of the dense elimination, and so are the counted
+operations: OpCounter charges products regardless of zero entries.  The LU
+does not pivot: a zero pivot, which means a singular leading block, raises
+`SingularMatrix`.  `mat_mul` copies the unit rows of its left factor and
+leaves its zero rows at zero, again at the dense count.
 
 Every systematic generator (psrs, rbt-sys, shah) is the Lagrange basis at
 the first k of its points, which `lagrange_rows` evaluates in barycentric
 form: `systematic_generator` stacks it under I_k, and `interpolation_inverse`
 gives Phi_DC^-1 of a psrs or rbt-sys (n <= q) collector from it, computing
-only the rows of the systematic points the collector lacks.
+only the rows of the systematic points the collector lacks;
+`collector_inverse` alone picks it or Gauss-Jordan for a full read.
 
 FieldMatrix pairs an array with its field in one place only: the system
 of `mat_inv` and `mat_solve`, whose field and `rows` travel with it.  Its
@@ -66,8 +67,6 @@ class FieldMatrix:
 
     def __init__(self, field: Field, data):
         a = np.array(field.varray(data), dtype=np.int64)
-        if a.ndim == 1 and not a.size:  # empty row list
-            a = a.reshape(0, 0)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected 2-D data, got shape {a.shape}")
         self.field = field
@@ -248,42 +247,34 @@ def solve_cost(n: int, cols: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FactoredInverse:
-    """The inverse of a square matrix a kept as the inverses of the two
-    triangular factors of a[perm]: a^-1 b = second @ first @ b[perm], with
-    `first` unit triangular.  `pivoted` says perm is not the identity.  For
-    an unpivoted factorization a block that is leading (or trailing) on both
-    sides is the factored inverse of the same block of a, which `block`
-    takes.  Arrays are read-only."""
+    """The inverse of a square matrix a = L U kept as the inverses of its two
+    triangular factors: a^-1 b = second @ first @ b, with `first` unit
+    triangular.  A block that is leading (or trailing) on both sides is the
+    factored inverse of the same block of a, which `block` takes.  Arrays
+    are read-only."""
 
     field: Field
     first: np.ndarray
     second: np.ndarray
-    perm: np.ndarray
-    pivoted: bool
 
     @property
     def rows(self) -> int:
         return self.first.shape[0]
 
     def block(self, part: slice) -> FactoredInverse:
-        first = self.first[part, part]
-        return FactoredInverse(self.field, first, self.second[part, part],
-                               self.perm[:len(first)], False)
+        return FactoredInverse(self.field, self.first[part, part], self.second[part, part])
 
 
 def mat_solve(a: FieldMatrix | FactoredInverse, b: np.ndarray,
               counter: OpCounter | None = None) -> np.ndarray:
     """Solve a @ x = b for x via Gauss-Jordan on the augmented system, or,
-    when `a` comes factored, by its two triangular products on the permuted
-    rows of b: n^2 mul and n(n-1) add per column of b, the unit diagonal
-    being free."""
+    when `a` comes factored, by its two triangular products: n^2 mul and
+    n(n-1) add per column of b, the unit diagonal being free."""
     rows, cols = b.shape
     if a.rows != rows:
         raise DimensionMismatch(f"rhs has {rows} rows, expected {a.rows}")
     if isinstance(a, FactoredInverse):
         charge(counter, cols * rows * rows, cols * rows * (rows - 1))
-        if a.pivoted:
-            b = b[a.perm]
         return a.field.matmul(a.second, a.field.matmul(a.first, b))
     if a.rows != a.cols:
         raise DimensionMismatch(f"coefficient matrix {a.rows}x{a.cols} not square")
@@ -292,12 +283,13 @@ def mat_solve(a: FieldMatrix | FactoredInverse, b: np.ndarray,
 
 def lu_inverses(field: Field, a: np.ndarray,
                 counter: OpCounter | None = None) -> FactoredInverse:
-    """LU with first-nonzero row pivoting, a[perm] = L U, returned as the
-    FactoredInverse with first = L^-1 and second = U^-1.
+    """LU without pivoting, a = L U, returned as the FactoredInverse with
+    first = L^-1 and second = U^-1.  It exists exactly when every leading
+    block of a is invertible; otherwise some pivot is zero, and
+    SingularMatrix is raised.
 
     A row j of a that equals e_j needs no elimination: no earlier step
-    changes it, so it is never a pivot for another column, `perm` is that
-    of the dense factorization, and it is row j of L, U, L^-1 and U^-1.
+    changes it, its pivot is 1, and it is row j of L, U, L^-1 and U^-1.
     Its elementary factor of L^-1, I - l_j e_j^t, commutes with those of
     the earlier steps, and its factor of U^-1, I - u_j e_j^t, with those
     of the later steps.  So both inverses start from the identity with
@@ -309,8 +301,7 @@ def lu_inverses(field: Field, a: np.ndarray,
     Counts are those of the dense factorization and follow its structure:
     an update touches only the triangle a factor occupies, and a product
     with a unit diagonal entry is free: _lu_cost(n), charged to `counter`
-    by a call that returns.  Raises SingularMatrix when a has no nonzero
-    pivot in some column.
+    by a call that returns.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"cannot factorize an array of shape {a.shape}")
@@ -319,18 +310,11 @@ def lu_inverses(field: Field, a: np.ndarray,
     diag = unit[unit == fixed]  # rows equal to e_j
     steps = _complement(diag, n).tolist()
     lu = np.array(a, dtype=np.int64)
-    perm = np.arange(n)
     piv_inv = np.ones(n, dtype=np.int64)
     for j in steps:
         column = field.vreduce(lu[j:, j])
         if column[0] == 0:
-            nz = np.flatnonzero(column)
-            if not nz.size:
-                raise SingularMatrix(f"zero pivot column {j}")
-            p = int(nz[0])
-            lu[[j, j + p]] = lu[[j + p, j]]
-            perm[[j, j + p]] = perm[[j + p, j]]
-            column[[0, p]] = column[[p, 0]]
+            raise SingularMatrix(f"zero pivot in column {j}")
         piv_inv[j] = field.inv(int(column[0]))
         below = slice(j + 1, None)
         factors = field.vmul(column[1:], piv_inv[j])
@@ -358,16 +342,14 @@ def lu_inverses(field: Field, a: np.ndarray,
         u_inv[j, cols] = row
         u_inv[:j, cols] = field.vsub_mul(u_inv[:j, cols], lu[:j, j, None], row[None, :])
     u_inv = field.vreduce(u_inv)
-    for arr in (perm, l_inv, u_inv):
-        arr.setflags(write=False)
     charge(counter, *_lu_cost(n))
-    return FactoredInverse(field, l_inv, u_inv, perm, bool((perm != np.arange(n)).any()))
+    return FactoredInverse(field, frozen(l_inv), frozen(u_inv))
 
 
 def is_singular(field: Field, a: np.ndarray) -> bool:
     """Whether the square array `a` has no inverse over the field."""
     try:
-        lu_inverses(field, a)
+        _gauss_jordan(field, a, np.eye(len(a), dtype=np.int64), None)
     except SingularMatrix:
         return True
     return False
@@ -439,6 +421,15 @@ def interpolation_inverse(field: Field, points: np.ndarray, rows: Sequence[int],
         out[missing] = lagrange_rows(field, points[rows], points[missing])[0]
     charge(counter, *interpolation_cost(k, c))
     return out
+
+
+def collector_inverse(field: Field, phi: np.ndarray, points: np.ndarray | None,
+                      rows: Sequence[int], counter: OpCounter | None = None) -> np.ndarray:
+    """Phi_DC^-1 of rows `rows` of `phi`: interpolation_inverse when `phi` is
+    the Lagrange basis at the first k of `points`, else Gauss-Jordan."""
+    if points is not None:
+        return interpolation_inverse(field, points, rows, counter)
+    return mat_inv(FieldMatrix(field, phi[rows]), counter)
 
 
 def interpolation_cost(k: int, c: int) -> tuple[int, int]:

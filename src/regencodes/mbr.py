@@ -46,6 +46,7 @@ from .errors import (
     ParamsInvalid,
     PlanPayloadMismatch,
     SchemeBackendMismatch,
+    SingularMatrix,
     SingularStageMatrix,
     WrongFragmentCount,
 )
@@ -64,8 +65,8 @@ from .matrix import (
     FactoredInverse,
     FieldMatrix,
     check_message,
+    collector_inverse,
     frozen,
-    interpolation_inverse,
     lu_inverses,
     mat_inv,
     mat_mul,
@@ -277,12 +278,9 @@ def _collector_inverse(params: MbrParams, nodes: tuple[int, ...]
     for psrs, whose Phi is the Lagrange basis at its first k points, by
     Gauss-Jordan for the Vandermonde backend."""
     cost = OpCounter()
-    rows = [i - 1 for i in nodes]
-    if params.backend == "psrs":
-        phi_inv = interpolation_inverse(params.field, _psrs_points(params), rows, cost)
-    else:
-        phi_dc = mbr_build_encoding(params)[rows, :params.k]
-        phi_inv = mat_inv(FieldMatrix(params.field, phi_dc), cost)
+    points = _psrs_points(params) if params.backend == "psrs" else None
+    phi_inv = collector_inverse(params.field, mbr_build_encoding(params)[:, :params.k], points,
+                                [i - 1 for i in nodes], cost)
     return frozen(phi_inv), (cost.mul, cost.add)
 
 
@@ -375,7 +373,6 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
 
     psi_dc = mbr_build_encoding(params)[[i - 1 for i in plan.nodes]]
     phi, delta = psi_dc[:, :k], psi_dc[:, k:]
-    inverse, cost = _stage_factors(params, plan.nodes, lower)
     columns = range(k) if lower else range(k - 1, -1, -1)
     # (unknown rows, known rows) of each stage's column
     parts = [(slice(c, None), slice(None, c)) if lower
@@ -385,9 +382,8 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     for c in columns:
         if missing[c]:
             raise PlanPayloadMismatch(f"plan leaves out C^Phi entries of column {c + 1}")
-    if inverse.pivoted:  # some stage matrix is singular (see _stage_factors)
-        raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated")
 
+    inverse, cost = _stage_factors(params, plan.nodes, lower)
     charge(counter, *cost)
     t = mat_solve(inverse, c_dc[:, k:], counter)
     dt = f.matmul(delta, t.T)  # k x k
@@ -424,17 +420,19 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], trailing: bool
     J Phi_DC J = L' U', gives Phi_DC = U L with U = J L' J and L = J U' J,
     and the block [c:, c:] is inverted by L^-1[c:, c:] U^-1[c:, c:].
 
-    The factorization swaps rows, and comes back `pivoted`, exactly when
-    some leading (trailing) block is singular, which is when some stage
-    system is.
+    The LU does not pivot: it hits a zero pivot, and SingularStageMatrix is
+    raised, exactly when some leading (trailing) block is singular, which
+    is when some stage system is.
     """
     phi = mbr_build_encoding(params)[[i - 1 for i in nodes], :params.k]
     cost = OpCounter()
-    lu = lu_inverses(params.field, phi[::-1, ::-1] if trailing else phi, cost)
-    if trailing:  # Phi_DC[perm] = J L' U' J = U L
-        perm = frozen((params.k - 1 - lu.perm)[::-1])
-        lu = FactoredInverse(lu.field, lu.first[::-1, ::-1], lu.second[::-1, ::-1], perm,
-                             lu.pivoted)
+    try:
+        lu = lu_inverses(params.field, phi[::-1, ::-1] if trailing else phi, cost)
+    except SingularMatrix as exc:
+        raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated"
+                                  ) from exc
+    if trailing:  # Phi_DC = J L' U' J = U L
+        lu = FactoredInverse(lu.field, lu.first[::-1, ::-1], lu.second[::-1, ::-1])
     return lu, (cost.mul, cost.add)
 
 

@@ -46,16 +46,14 @@ from .fragments import (
 )
 from .gf import Field, enumerate_points
 from .matrix import (
-    FieldMatrix,
     check_message,
+    collector_inverse,
     congruence,
     extended_points,
     extended_vandermonde,
     frozen,
-    interpolation_inverse,
     is_symmetric_zero_diag,
     mat_add,
-    mat_inv,
     mat_mul,
     mat_sub,
     require_skew_symmetric,
@@ -269,14 +267,11 @@ def _read_rows(params: RbtParams, nodes: Sequence[int], rows: np.ndarray,
     # undoing the sign fix and Psi^t leaves Psi_DC M for the skew message M
     c_hat_dc = sign_fix(params, rows, nodes, counter)
     d_dc = mat_mul(field, c_hat_dc, _psi_t_inv(params), counter)
-    psi_dc = rbt_build_encoding(params)[[i - 1 for i in nodes]]
-    phi_dc, delta_dc = psi_dc[:, :k], psi_dc[:, k:]
-    if params.systematic and params.n <= field.q:
-        # Phi is the Lagrange basis at the first k of n finite points
-        phi_inv = interpolation_inverse(field, _sys_points(params), [i - 1 for i in nodes],
-                                        counter)
-    else:
-        phi_inv = mat_inv(FieldMatrix(field, phi_dc), counter)
+    psi, picked = rbt_build_encoding(params), [i - 1 for i in nodes]
+    # rbt-sys's Phi is the Lagrange basis at the first k of n <= q finite points
+    points = _sys_points(params) if params.systematic and params.n <= field.q else None
+    phi_inv = collector_inverse(field, psi[:, :k], points, picked, counter)
+    delta_dc = psi[picked, k:]
     s_hat, t_hat = solve_message_block(field, phi_inv, delta_dc, d_dc, skew=True, counter=counter)
     if params.systematic:
         # undo the message remapping: the stored source block is [S, S P^t + T]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from unittest import mock
@@ -19,12 +20,14 @@ from regencodes.errors import (
 from regencodes import matrix, rbt, shah
 from regencodes.gf import binary_field, enumerate_points, fermat_field, prime_field
 from regencodes.matrix import (
+    FactoredInverse,
     FieldMatrix,
     check_message,
     congruence,
     extended_vandermonde,
     interpolation_cost,
     interpolation_inverse,
+    is_singular,
     is_skew_symmetric,
     lu_inverses,
     mat_inv,
@@ -55,6 +58,15 @@ def rand_invertible(field, n, rng):
         except SingularMatrix:
             continue
         return m
+
+
+def rand_factorable(field, n, rng):
+    """A random n x n matrix whose leading blocks are all invertible: it has
+    an LU factorization without row swaps."""
+    while True:
+        a = rand_matrix(field, n, n, rng)
+        if not any(is_singular(field, a[:m, :m]) for m in range(1, n + 1)):
+            return a
 
 
 def rand_skew(field, n, rng):
@@ -219,96 +231,116 @@ def test_check_message_range_before_length():
 
 
 def _lu_reference(field, a):
-    """Doolittle LU with first-nonzero row pivoting, one entry at a time."""
+    """Doolittle LU without row swaps, one entry at a time: (L, U), or None
+    at a zero pivot."""
     n = len(a)
     a = [list(row) for row in a]
-    perm = list(range(n))
     for j in range(n):
-        p = next(r for r in range(j, n) if a[r][j])
-        a[j], a[p] = a[p], a[j]
-        perm[j], perm[p] = perm[p], perm[j]
+        if not a[j][j]:
+            return None
         for i in range(j + 1, n):
             a[i][j] = field.div(a[i][j], a[j][j])
             for c in range(j + 1, n):
                 a[i][c] = field.sub(a[i][c], field.mul(a[i][j], a[j][c]))
     lower = [[1 if c == i else a[i][c] if c < i else 0 for c in range(n)] for i in range(n)]
     upper = [[a[i][c] if c >= i else 0 for c in range(n)] for i in range(n)]
-    return perm, lower, upper
+    return lower, upper
 
 
 @pytest.mark.parametrize("field", FIELDS + [F7], ids=repr)
 def test_lu_inverses_match_reference(field):
+    # the LU does not pivot: a matrix with a zero pivot, such as one with
+    # a[0, 0] = 0, raises SingularMatrix and charges nothing
+    assert [f.name for f in dataclasses.fields(FactoredInverse)] == ["field", "first", "second"]
     rng = random.Random(6)
-    pivoted = 0
+    raised = 0
     for n in range(1, 9):
         for trial in range(30):
             a = rand_invertible(field, n, rng).a
             if trial % 2 and n > 1:
-                a[0, 0] = 0  # forces a row swap in the first column
-                try:
-                    mat_inv(FieldMatrix(field, a))
-                except SingularMatrix:
-                    continue
-            got = lu_inverses(field, a)
-            perm, lower, upper = _lu_reference(field, a.tolist())
-            assert got.perm.tolist() == perm
-            assert got.pivoted == (perm != list(range(n)))
+                a[0, 0] = 0  # a zero first pivot
+            reference = _lu_reference(field, a.tolist())
+            counter = OpCounter()
+            if reference is None:
+                with pytest.raises(SingularMatrix):
+                    lu_inverses(field, a, counter)
+                assert (counter.mul, counter.add) == (0, 0)
+                raised += 1
+                continue
+            got = lu_inverses(field, a, counter)
+            lower, upper = reference
             assert got.first.tolist() == mat_inv(FieldMatrix(field, lower)).tolist()
             assert got.second.tolist() == mat_inv(FieldMatrix(field, upper)).tolist()
-            assert not any(x.flags.writeable for x in (got.perm, got.first, got.second))
-            pivoted += got.pivoted
-    assert pivoted > 0
+            assert not any(x.flags.writeable for x in (got.first, got.second))
+            assert (counter.mul, counter.add) == _lu_formula(n)
+    assert raised > 0
 
 
 def test_lu_inverses_counts_and_singular():
     # factorization m(m+1)+1 mul and m^2 add per pivot (m rows below it),
     # then the two triangular inverses; n = 3 by hand: 11+1+7 mul, 5+4+4 add
-    # a call that raises SingularMatrix charges nothing
+    # a call that raises SingularMatrix charges nothing: a singular matrix,
+    # and an invertible one whose first pivot is zero
     rng = random.Random(7)
     counts = {}
     for n in (1, 2, 3, 32):
+        field = F7 if n < 32 else fermat_field()
         got = OpCounter()
-        lu_inverses(F7 if n < 32 else fermat_field(),
-                    rand_invertible(F7 if n < 32 else fermat_field(), n, rng).a, got)
+        lu_inverses(field, rand_factorable(field, n, rng), got)
         counts[n] = (got.mul, got.add)
     assert counts == {1: (1, 0), 2: (6, 3), 3: (19, 13), 32: (21_856, 21_328)}
-    got = OpCounter()
-    with pytest.raises(SingularMatrix):
-        lu_inverses(F7, np.array([[1, 2], [2, 4]]), got)
-    assert (got.mul, got.add) == (0, 0)
+    for a, column in (([[1, 2], [2, 4]], 1), ([[0, 1], [1, 0]], 0)):
+        got = OpCounter()
+        with pytest.raises(SingularMatrix, match=f"zero pivot in column {column}"):
+            lu_inverses(F7, np.array(a), got)
+        assert (got.mul, got.add) == (0, 0)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_mat_solve_factored(field):
-    # a leading block of an unpivoted factored inverse solves the same block
-    # of a, and a pivoted one solves a itself; two triangular products cost
-    # n^2 mul and n(n-1) add per column
+    # a leading block of a factored inverse solves the same block of a; two
+    # triangular products cost n^2 mul and n(n-1) add per column
     rng = random.Random(8)
-    checked = pivoted = 0
+    checked = 0
     for n in range(1, 7):
-        a = rand_invertible(field, n, rng)
-        if n > 1 and n % 2:
-            a.a[0, 0] = 0  # forces a row swap
-        try:
-            inverse = lu_inverses(field, a.a)
-        except SingularMatrix:
-            continue
-        if inverse.pivoted:
-            b = rand_matrix(field, n, 2, rng)
-            assert mat_solve(inverse, b).tolist() == mat_solve(a, b).tolist()
-            pivoted += 1
-            continue
+        a = rand_factorable(field, n, rng)
+        inverse = lu_inverses(field, a)
         for m in range(1, n + 1):
             b = rand_matrix(field, m, 2, rng)
-            block = FieldMatrix(field, a.a[:m, :m])
+            block = FieldMatrix(field, a[:m, :m])
             counter = OpCounter()
             got = mat_solve(inverse.block(slice(None, m)), b, counter)
             assert got.tolist() == mat_solve(block, b).tolist()
             assert (counter.mul, counter.add) == (2 * m * m, 2 * m * (m - 1))
             checked += 1
-    assert checked > 10 and pivoted
+    assert checked > 10
     with pytest.raises(DimensionMismatch):
         mat_solve(inverse, np.ones((n + 1, 1), dtype=np.int64))
+
+
+def _leibniz_det(field, a):
+    """det a as the signed sum over permutations, one product at a time."""
+    n, det = len(a), 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = field.mul(term, a[i][j])
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        det = field.add(det, field.neg(term) if odd else term)
+    return det
+
+
+@pytest.mark.parametrize("field, sizes", [(prime_field(2), (1, 2, 3)),
+                                          (binary_field(1), (1, 2, 3)),
+                                          (prime_field(3), (2,))],
+                         ids=["prime-2", "binary-2", "prime-3"])
+def test_is_singular_matches_the_determinant(field, sizes):
+    # every matrix of these sizes; is_singular asks Gauss-Jordan, not the LU
+    with mock.patch.object(matrix, "lu_inverses", side_effect=AssertionError):
+        for n in sizes:
+            for cells in itertools.product(range(field.q), repeat=n * n):
+                a = np.array(cells, dtype=np.int64).reshape(n, n)
+                assert is_singular(field, a) == (_leibniz_det(field, a.tolist()) == 0)
 
 
 def test_lu_inverses_checks_shape():
@@ -394,15 +426,15 @@ def test_deflated_kernels_match_scalar_references(system):
         assert call(counter).tolist() == _gj_reference(field, a.tolist(), rhs.tolist())
         assert (counter.mul, counter.add) == solve_cost(n, rhs.shape[1])
     counter = OpCounter()
-    if x is None:
+    reference = _lu_reference(field, a.tolist())
+    if reference is None:  # a zero pivot: a is singular or needs a row swap
         with pytest.raises(SingularMatrix):
             lu_inverses(field, a, counter)
         assert (counter.mul, counter.add) == (0, 0)
         return
     got = lu_inverses(field, a, counter)
-    perm, lower, upper = _lu_reference(field, a.tolist())
+    lower, upper = reference
     eye = np.eye(n, dtype=np.int64).tolist()
-    assert got.perm.tolist() == perm
     assert got.first.tolist() == _gj_reference(field, lower, eye)
     assert got.second.tolist() == _gj_reference(field, upper, eye)
     assert (counter.mul, counter.add) == _lu_formula(n)
@@ -428,13 +460,14 @@ def test_deflated_kernels_on_empty_and_one_by_one_systems(field):
 
 
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
-@pytest.mark.parametrize("a, perm", [([[0, 1, 1], [1, 1, 0], [1, 1, 1]], [1, 0, 2]),
-                                     (eye(3).tolist(), [0, 1, 2])],
-                         ids=["no-unit-row", "identity"])
-def test_deflated_kernels_without_unit_rows_and_on_the_identity(field, a, perm):
-    # the first system is invertible over every field, needs a row swap in
-    # its first column and has no row that sums to 1; the second is unit
-    # rows only.  Counts are the dense ones at n = 3.
+@pytest.mark.parametrize("a", [[[0, 1, 1], [1, 1, 0], [1, 1, 1]],
+                               [[1, 1, 0], [1, 0, 1], [1, 1, 1]], eye(3).tolist()],
+                         ids=["no-unit-row", "no-unit-row-no-swap", "identity"])
+def test_deflated_kernels_without_unit_rows_and_on_the_identity(field, a):
+    # the first two systems are invertible over every field and have no row
+    # that sums to 1; the first needs a row swap in its first column, which
+    # Gauss-Jordan makes and the LU refuses.  The third is unit rows only.
+    # Counts are the dense ones at n = 3.
     a = np.array(a, dtype=np.int64)
     b = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
     calls = [(lambda c: mat_inv(FieldMatrix(field, a), c), eye(3), (57, 36)),
@@ -444,13 +477,18 @@ def test_deflated_kernels_without_unit_rows_and_on_the_identity(field, a, perm):
         assert call(counter).tolist() == _gj_reference(field, a.tolist(), rhs.tolist())
         assert (counter.mul, counter.add) == cost
     counter = OpCounter()
+    reference = _lu_reference(field, a.tolist())
+    if reference is None:
+        with pytest.raises(SingularMatrix, match="zero pivot in column 0"):
+            lu_inverses(field, a, counter)
+        assert (counter.mul, counter.add) == (0, 0)
+        return
     got = lu_inverses(field, a, counter)
-    _, lower, upper = _lu_reference(field, a.tolist())
-    assert got.perm.tolist() == perm and got.pivoted == (perm != [0, 1, 2])
+    lower, upper = reference
     assert got.first.tolist() == _gj_reference(field, lower, eye(3).tolist())
     assert got.second.tolist() == _gj_reference(field, upper, eye(3).tolist())
     assert (counter.mul, counter.add) == (19, 13)
-    if perm == [0, 1, 2]:
+    if (a == eye(3)).all():
         assert got.first.tolist() == got.second.tolist() == eye(3).tolist()
 
 

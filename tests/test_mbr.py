@@ -25,7 +25,7 @@ from regencodes.errors import (
 )
 from regencodes.fragments import Fragment
 from regencodes.gf import binary_field, enumerate_points, fermat_field, prime_field
-from regencodes.matrix import FieldMatrix, mat_inv, mat_mul, mat_solve
+from regencodes.matrix import FieldMatrix, is_singular, mat_inv, mat_mul, mat_solve
 from regencodes.mbr import (
     MbrParams,
     assign_slots,
@@ -696,21 +696,43 @@ def test_singular_stage_matrix_exhaustive(params, schemes, singular):
     assert raised == singular
 
 
-def test_stage_factors_solve_phi_dc_when_pivoted():
-    # the factored Phi_DC^-1 of a partial read solves Phi_DC itself also when
-    # its factorization swapped rows, for the leading (upper, gong) and the
-    # reversed trailing (lower) factorization alike
+def test_stage_factors_solve_phi_dc_or_raise():
+    # the stage LU does not pivot: the factors of a partial read raise
+    # SingularStageMatrix exactly when some leading (upper, gong) or trailing
+    # (lower) block of Phi_DC is singular, and otherwise solve Phi_DC itself
     params = MbrParams(F7, 7, 3, 4, backend="vandermonde")
     rng = np.random.default_rng(23)
-    pivoted = 0
+    raised = solved = 0
     for nodes in itertools.permutations(range(1, 8), 3):
         phi = mbr_build_encoding(params)[[i - 1 for i in nodes], :3]
         b = rng.integers(0, 7, (3, 2))
         for trailing in (False, True):
+            blocks = [phi[c:, c:] if trailing else phi[:c + 1, :c + 1] for c in range(3)]
+            if any(is_singular(F7, block) for block in blocks):
+                with pytest.raises(SingularStageMatrix):
+                    mbr._stage_factors(params, nodes, trailing)
+                raised += 1
+                continue
             inverse, _ = mbr._stage_factors(params, nodes, trailing)
             assert mat_solve(inverse, b).tolist() == mat_solve(FieldMatrix(F7, phi), b).tolist()
-            pivoted += inverse.pivoted
-    assert pivoted
+            solved += 1
+    assert raised and solved
+
+
+def test_plan_payload_mismatch_comes_before_a_singular_stage():
+    # a node order with a singular stage block, read by a plan that leaves
+    # out a C^Phi entry: the plan is refused before the stages are factored
+    params = MbrParams(F7, 7, 3, 4, backend="vandermonde")
+    frags = mbr_encode(params, rand_message(params, random.Random(24)))
+    nodes = next(nodes for nodes in itertools.permutations(range(1, 8), 3)
+                 if _some_stage_singular(params, nodes, "lower"))
+    plan = _hand_plan(params, nodes, "lower")
+    with pytest.raises(SingularStageMatrix):
+        mbr_reconstruct_partial(params, plan, mbr_extract_payloads(frags, plan))
+    short = DownloadPlan(scheme="lower", nodes=plan.nodes,
+                         positions=(plan.positions[0][1:],) + plan.positions[1:])
+    with pytest.raises(PlanPayloadMismatch, match="column 1"):
+        mbr_reconstruct_partial(params, short, mbr_extract_payloads(frags, short))
 
 
 BIG = MbrParams(fermat_field(), 64, 32, 48)
