@@ -450,16 +450,19 @@ def field_new(kind: str, parameter: int | None = None) -> Field:
     """Create (or fetch the cached) field of the given kind.
 
     kind "prime" takes the prime p, "binary" the degree m, "fermat" no
-    parameter.  Instances are interned so repeated calls return the same
-    object.
+    parameter; a missing, extra or non-integer parameter raises ValueError.
+    Instances are interned by kind and integer parameter, so repeated calls
+    return the same object.
     """
-    f = _FIELD_CACHE.get((kind, parameter))
+    cls = _FIELD_KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown field kind {kind!r}")
+    if (parameter is None) != (cls is FermatField):
+        raise ValueError(f"field kind {kind!r} takes {'one' if parameter is None else 'no'} parameter")
+    key = (kind, None if parameter is None else as_int(parameter))
+    f = _FIELD_CACHE.get(key)
     if f is None:
-        cls = _FIELD_KINDS.get(kind)
-        if cls is None:
-            raise ValueError(f"unknown field kind {kind!r}")
-        f = cls() if cls is FermatField else cls(int(parameter))
-        _FIELD_CACHE[kind, parameter] = f
+        f = _FIELD_CACHE[key] = cls() if parameter is None else cls(key[1])
     return f
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regencodes.counting import OpCounter
 from regencodes.errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -59,6 +60,16 @@ def test_field_new_rejects_bad_params():
         field_new("binary", 17)
     with pytest.raises(UnsupportedDegree):
         field_new("binary", 0)
+
+
+def test_field_new_refuses_non_integers_and_interns_by_value():
+    # never folded: 7.9 is not GF(7), nor "7" a second GF(7); a missing or
+    # extra parameter is refused too
+    for args in (("prime", 7.9), ("binary", 8.5), ("prime", "7"), ("fermat", 5), ("prime",),
+                 ("binary",)):
+        with pytest.raises(ValueError):
+            field_new(*args)
+    assert field_new("prime", np.int64(7)) is field_new("prime", 7)
 
 
 def test_arith_examples():
@@ -301,15 +312,16 @@ def test_ntt_matches_horner_all_sizes(size):
 def test_ntt_interpolate_round_trip():
     ff = fermat_field()
     rng = random.Random(7)
-    for size in (2, 8, 64):
+    for size in (1, 2, 8, 64):
         coeffs = [rng.randrange(ff.q) for _ in range(size)]
-        evals = ntt_evaluate(ff, coeffs, size)
-        assert ntt_interpolate(ff, evals) == coeffs
+        counter = OpCounter()
+        evals = ntt_evaluate(ff, coeffs, size, counter)
+        assert ntt_interpolate(ff, evals, counter) == coeffs
+        if size == 1:  # the constant itself, at no cost
+            assert evals == coeffs and (counter.mul, counter.add) == (0, 0)
 
 
 def test_ntt_counts_ops():
-    from regencodes.counting import OpCounter
-
     ff = fermat_field()
     c = OpCounter()
     ntt_evaluate(ff, [1, 2, 3], 8, counter=c)
