@@ -42,10 +42,6 @@ class EventRecord:
 class CostReport:
     events: list[EventRecord] = dc_field(default_factory=list)
 
-    @property
-    def total_symbols(self) -> int:
-        return sum(e.symbols for e in self.events)
-
     def per_node_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
         for e in self.events:

@@ -110,6 +110,9 @@ def test_mat_inv_examples():
     assert mat_inv(m).tolist() == [[1, 0], [6, 1]]
     with pytest.raises(SingularMatrix):
         mat_inv(FieldMatrix(F7, [[1, 1], [1, 1]]))
+    for data in ([], [1, 2]):  # 1-D data, an empty list too
+        with pytest.raises(DimensionMismatch):
+            FieldMatrix(F7, data)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
