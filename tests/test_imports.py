@@ -21,7 +21,8 @@ another call: callers call the target.  A forwarder that perfbench
 imports stays, because the benchmark reaches it by that name.
 
 The library's caches are a fixed list: a new cache, or a new size for
-one, is added to CACHES on purpose.
+one, is added to CACHES on purpose.  So are the places that wrap an array
+in a `FieldMatrix`: a new wrap is added to FIELD_MATRIX_WRAPS on purpose.
 """
 
 import ast
@@ -320,3 +321,41 @@ def test_cache_inventory():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 found.add((module.__name__, name, value.cache_parameters()["maxsize"]))
     assert found == CACHES
+
+
+# (module, enclosing function) of every FieldMatrix(...) call in the library
+FIELD_MATRIX_WRAPS = [
+    ("regencodes.matrix", "collector_inverse"),
+    ("regencodes.mbr", "_repair_inverse"),
+    ("regencodes.shah", "shah_reconstruct"),
+]
+
+
+def _field_matrix_wraps(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each FieldMatrix(...) call."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and _name(node.func) == "FieldMatrix":
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_field_matrix_wrap_inventory():
+    wraps = sorted((module, func) for path, module, tree in _library_modules()
+                   for func, _ in _field_matrix_wraps(tree))
+    assert wraps == FIELD_MATRIX_WRAPS
+
+
+def test_guard_finds_a_field_matrix_wrap():
+    tree = ast.parse("def solve(field, a, b):\n"
+                     "    x = mat_solve(FieldMatrix(field, a), b)\n"
+                     "    return x, matrix.FieldMatrix(field, b)\n"
+                     "EMPTY = FieldMatrix(F, [[]])\n")
+    assert _field_matrix_wraps(tree) == [("solve", 2), ("solve", 3), (None, 4)]
