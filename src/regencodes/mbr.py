@@ -22,7 +22,9 @@ column, reusing already-solved rows of S through its symmetry; a
 time-sharing schedule alternates the lower and upper halves to balance
 per-node traffic across rounds.  Which node fills which row matters only
 there: a partial plan lists its nodes in the slot order assign_slots
-picks, and node j of the plan fills row j of Phi_DC.
+picks, and node j of the plan fills row j of Phi_DC.  The stages share
+one LU of Phi_DC without pivoting, so an order that leaves a stage block
+singular raises SingularStageMatrix.
 
 Workloads repeat helper sets and node sets, so the repair inverse, the
 full-read inverse and the partial-read factorization (a
@@ -420,9 +422,8 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], trailing: bool
     J Phi_DC J = L' U', gives Phi_DC = U L with U = J L' J and L = J U' J,
     and the block [c:, c:] is inverted by L^-1[c:, c:] U^-1[c:, c:].
 
-    The LU does not pivot: it hits a zero pivot, and SingularStageMatrix is
-    raised, exactly when some leading (trailing) block is singular, which
-    is when some stage system is.
+    A singular leading (trailing) block, which is a singular stage system,
+    gives the LU a zero pivot and raises SingularStageMatrix.
     """
     phi = mbr_build_encoding(params)[[i - 1 for i in nodes], :params.k]
     cost = OpCounter()
