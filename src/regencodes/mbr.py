@@ -430,8 +430,8 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], trailing: bool
     try:
         lu = lu_inverses(params.field, phi[::-1, ::-1] if trailing else phi, cost)
     except SingularMatrix as exc:
-        raise SingularStageMatrix("stage matrix singular; slot ordering constraint violated"
-                                  ) from exc
+        msg = "stage matrix singular; slot ordering constraint violated"
+        raise SingularStageMatrix(msg) from exc
     if trailing:  # Phi_DC = J L' U' J = U L
         lu = FactoredInverse(lu.field, lu.first[::-1, ::-1], lu.second[::-1, ::-1])
     return lu, (cost.mul, cost.add)
