@@ -180,8 +180,15 @@ class Field:
         raise NotImplementedError
 
     def convolve(self, a, b) -> np.ndarray:
-        """Coefficients of the product of polynomials a and b; empty if either is."""
-        raise NotImplementedError
+        """Coefficients of the product of polynomials a and b, empty if either
+        is: one matmul of the Toeplitz matrix of a, entry [i, j] = a[i - j],
+        by b."""
+        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+        if not a.size or not b.size:
+            return np.zeros(0, np.int64)
+        pad = np.zeros(len(b) - 1, np.int64)
+        rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, a, pad]), len(b))
+        return self.matmul(rows[:, ::-1], b[:, None])[:, 0]
 
     def vprod(self, a) -> np.ndarray:
         """The product of each row of a 2-D array, by halving the rows."""
@@ -194,7 +201,7 @@ class Field:
 
     def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Inner product of two equal-length vectors of field values."""
-        raise NotImplementedError
+        return int(self.matmul([a], np.reshape(b, (-1, 1)))[0, 0])
 
     def vsub_mul(self, a, b, c) -> np.ndarray:
         """a - b * c, broadcast, for field values b and c.  A prime field
@@ -280,11 +287,6 @@ class PrimeField(Field):
     def matmul(self, a, b):
         # products stay below (p-1)^2 * inner < 2^63 for the sizes in use
         return (np.asarray(a, np.int64) @ np.asarray(b, np.int64)) % self.p
-
-    def convolve(self, a, b):
-        # exact in int64 for the same reason as dot
-        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
-        return np.convolve(a, b) % self.p if a.size and b.size else np.zeros(0, np.int64)
 
     def dot(self, a, b):
         # products stay below (p-1)^2 < 2^33, so int64 sums of up to 2^30 are exact
@@ -407,25 +409,6 @@ class BinaryField(Field):
             prod = self._exp[loga[lo : lo + chunk] + logb]
             out[lo : lo + chunk] = np.bitwise_xor.reduce(prod, axis=1)
         return out.astype(np.int64)
-
-    def convolve(self, a, b):
-        # the products a_i b_j, row i shifted right by i so that each column
-        # holds one degree, XORed down the rows; chunked by rows like matmul
-        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
-        if not a.size or not b.size:
-            return np.zeros(0, np.int64)
-        out = np.zeros(len(a) + len(b) - 1, dtype=np.uint16)
-        chunk = max(1, (1 << 21) // len(out))
-        for lo in range(0, len(a), chunk):
-            prod = self._exp[self._log[a[lo:lo + chunk, None]] + self._log[b]]
-            rows = np.zeros((len(prod), len(prod) + len(b) - 1), dtype=np.uint16)
-            np.put_along_axis(rows, np.arange(len(prod))[:, None] + np.arange(len(b)), prod, axis=1)
-            out[lo:lo + rows.shape[1]] ^= np.bitwise_xor.reduce(rows, axis=0)
-        return out.astype(np.int64)
-
-    def dot(self, a, b):
-        prod = self._exp[self._log[np.asarray(a, np.int64)] + self._log[np.asarray(b, np.int64)]]
-        return int(np.bitwise_xor.reduce(prod))
 
     def vprod(self, a):
         # the sum of the logs of a row; a zero entry, whose log is the

@@ -171,8 +171,8 @@ def coding_polynomial(params: PsrsParams, msg: PsrsMessage,
     c = np.zeros(d, dtype=np.int64)
     c[:k] = phi
     if d > k:
-        delta = poly_mul(field, list(_gamma(params)), list(msg.b), counter)
-        c = field.vadd(c, field.varray(delta + [0] * (d - len(delta))))
+        # Gamma (k+1 coefficients) times B (d-k) has exactly d coefficients
+        c = field.vadd(c, poly_mul(field, list(_gamma(params)), list(msg.b), counter))
         charge(counter, add=d)
     return c.tolist()
 
@@ -188,12 +188,15 @@ def encode_eval(params: PsrsParams, msg: PsrsMessage,
     return poly_eval_many(field, c, params.points, counter)
 
 
-def _check_symbols(params: PsrsParams, pairs, minimum: int,
-                   zero_based: bool = False) -> np.ndarray:
-    """The values of (position, value) pairs, after checking the positions
-    in range and distinct (so at most n of them) and at least `minimum` of
-    them, then the values in the field."""
-    lo, hi = (0, params.n - 1) if zero_based else (1, params.n)
+def _check_symbols(params: PsrsParams, form: str, symbols, minimum: int,
+                   b: Sequence[int] | None = None) -> tuple[list, np.ndarray]:
+    """The (position, value) pairs of `symbols` and their values, after
+    checking the form; the positions (1-based for eval, 0-based degrees for
+    genpoly) in range, distinct and at least `minimum`; the values; a partial
+    decode's known b."""
+    _require_form(params, form)
+    pairs = list(symbols)
+    lo, hi = (1, params.n) if form == "eval" else (0, params.n - 1)
     seen = set()
     for pos, _ in pairs:
         if not lo <= pos <= hi:
@@ -203,7 +206,12 @@ def _check_symbols(params: PsrsParams, pairs, minimum: int,
         seen.add(pos)
     if len(pairs) < minimum:
         raise InsufficientSymbols(f"got {len(pairs)} symbols, need at least {minimum}")
-    return params.field.varray([val for _, val in pairs])
+    values = params.field.varray([val for _, val in pairs])
+    if b is not None:
+        if len(b) != params.d - params.k:
+            raise ParamsInvalid(f"b has {len(b)} symbols, expected {params.d - params.k}")
+        params.field.varray(b)
+    return pairs, values
 
 
 def decode_full_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
@@ -211,9 +219,7 @@ def decode_full_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
     """Recover (a, b) from any >= d (position, value) pairs (positions 1-based):
     C interpolates the first d pairs, or, on a root-of-unity set, all n by
     one inverse transform."""
-    _require_form(params, "eval")
-    pairs = list(symbols)
-    values = _check_symbols(params, pairs, params.d)
+    pairs, values = _check_symbols(params, "eval", symbols, params.d)
     field = params.field
     if (
         params.ntt_size is not None
@@ -235,13 +241,8 @@ def decode_partial_eval(params: PsrsParams, symbols: Sequence[tuple[int, int]],
                         b: Sequence[int], counter: OpCounter | None = None) -> list[int]:
     """Recover a from any >= k symbols when b is already known: Phi
     interpolates C - Gamma B at the first k."""
-    _require_form(params, "eval")
-    pairs = list(symbols)
-    values = _check_symbols(params, pairs, params.k)
+    pairs, values = _check_symbols(params, "eval", symbols, params.k, b)
     field = params.field
-    if len(b) != params.d - params.k:
-        raise ParamsInvalid(f"b has {len(b)} symbols, expected {params.d - params.k}")
-    field.varray(b)
     delta = poly_mul(field, list(_gamma(params)), list(b), counter)
     zs = [params.points[pos - 1] for pos, _ in pairs[: params.k]]
     phi_vals = field.vsub(values[: params.k], poly_eval_many(field, delta, zs, counter))
@@ -300,11 +301,10 @@ def _erasure_decode(field: Field, n: int, known: list[int], values: np.ndarray, 
     coefficients at the degrees `known` are `values`.
 
     The codeword is assumed divisible by prod_{i<rho} (x - alpha^i); the
-    erased positions are the complement of `known`.
+    erased positions are the complement of `known`, which the callers make
+    at most rho: distinct degrees in [0, n-1], at least n - rho of them.
     """
     erased = np.setdiff1d(np.arange(n), known)
-    if len(erased) > rho:
-        raise InsufficientSymbols(f"{len(erased)} erasures exceed correction capacity {rho}")
     out = np.zeros(n, dtype=np.int64)
     out[known] = values
     if not erased.size:
@@ -325,9 +325,7 @@ def _erasure_decode(field: Field, n: int, known: list[int], values: np.ndarray, 
 def decode_full_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],
                         counter: OpCounter | None = None) -> PsrsMessage:
     """Recover (a, b) from any >= d (degree, value) pairs (degrees 0-based)."""
-    _require_form(params, "genpoly")
-    pairs = list(coeffs)
-    values = _check_symbols(params, pairs, params.d, zero_based=True)
+    pairs, values = _check_symbols(params, "genpoly", coeffs, params.d)
     field = params.field
     n, k, d = params.n, params.k, params.d
     c = _erasure_decode(field, n, [deg for deg, _ in pairs], values, params.alpha, n - d, counter)
@@ -339,14 +337,9 @@ def decode_full_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],
 def decode_partial_genpoly(params: PsrsParams, coeffs: Sequence[tuple[int, int]],
                            b: Sequence[int], counter: OpCounter | None = None) -> list[int]:
     """Recover a from any >= k coefficients of c(x) when b is already known."""
-    _require_form(params, "genpoly")
-    pairs = list(coeffs)
-    values = _check_symbols(params, pairs, params.k, zero_based=True)
+    pairs, values = _check_symbols(params, "genpoly", coeffs, params.k, b)
     field = params.field
     n, k, d = params.n, params.k, params.d
-    if len(b) != d - k:
-        raise ParamsInvalid(f"b has {len(b)} symbols, expected {d - k}")
-    field.varray(b)
     # for d = k, b is empty and c1 = 0, at no cost
     c1 = _systematic_rs_poly(field, list(b), _generator(params, n - d), n - d, n, counter)
     known = [deg for deg, _ in pairs]

@@ -445,8 +445,8 @@ def test_binary_matmul_runs_several_row_chunks():
 
 
 def test_binary_convolve_runs_several_row_chunks():
-    # 1,100 rows by 2,099 output degrees exceed 2^21 products: the kernel
-    # takes 999 rows per chunk, so 2 chunks
+    # the Toeplitz matrix of a has 2,099 rows of 1,000 entries; matmul takes
+    # 2^21 // 1,000 = 2,097 rows per chunk, so 2 chunks
     f = binary_field(8)
     rng = np.random.default_rng(22)
     a = rng.integers(0, f.q, size=1_100)
