@@ -73,8 +73,10 @@ _INT64, _UINT64 = np.dtype(np.int64), np.dtype(np.uint64)
 
 
 def as_int(value) -> int:
-    """`value` as an int; one that is not an integer (a float, a string)
-    raises ValueError, never folded to one."""
+    """`value` as an int; one that is not an integer (a float, a string, a
+    bool) raises ValueError, never folded to one."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError as exc:
@@ -83,11 +85,15 @@ def as_int(value) -> int:
 
 def int_array(data) -> np.ndarray:
     """`data` as an int64 array, `data` itself when it is one; a value that
-    is not an integer (2.5, "3") or too wide for int64 raises ValueError."""
+    is not an integer (2.5, "3", True) or too wide for int64 raises ValueError."""
     try:
         if isinstance(data, (list, tuple)):
             try:  # a flat sequence of ints, read without numpy's type discovery
-                return np.frombuffer(array.array("q", data), _INT64)
+                a = np.frombuffer(array.array("q", data), _INT64)
+                # a bool is 0 or 1: the type scan runs only on lists of those
+                if not a.size or a.max() > 1 or bool not in map(type, data):
+                    return a
+                raise ValueError("symbols must be integers, got bool")
             except TypeError:
                 pass  # nested, or not all integers: numpy tells which
         a = np.asarray(data)
@@ -95,7 +101,7 @@ def int_array(data) -> np.ndarray:
             return a
         if a.dtype.kind == "O" or not a.size:
             return np.array([as_int(v) for v in a.flat], dtype=np.int64).reshape(a.shape)
-        if a.dtype.kind not in "biu":
+        if a.dtype.kind not in "iu":
             raise ValueError(f"symbols must be integers, got {a.dtype}")
         if a.dtype == np.uint64 and a.max() > np.iinfo(np.int64).max:
             raise ValueError("array values outside field range")

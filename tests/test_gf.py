@@ -479,6 +479,17 @@ def test_varray_accepts_exactly_the_field_values(field):
             field.varray(bad)
 
 
+def test_booleans_are_not_integers():
+    # bool is an int subclass, so True once read as 1: as a degree, a list
+    # entry and a numpy bool array
+    with pytest.raises(ValueError, match="expected an integer, got True"):
+        field_new("binary", True)
+    for bad in ([True, False], (0, 1, False), np.array([True, False]), [[True], [False]]):
+        with pytest.raises(ValueError, match="must be integers, got bool"):
+            prime_field(7).varray(bad)
+    assert prime_field(7).varray([0, 1, 1]).tolist() == [0, 1, 1]
+
+
 @pytest.mark.parametrize("field", SMALL_FIELDS + BIG_FIELDS, ids=repr)
 def test_vprod_is_the_product_of_each_row(field):
     rng = random.Random(field.q)
