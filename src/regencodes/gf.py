@@ -192,8 +192,7 @@ class Field:
         a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
         if not a.size or not b.size:
             return np.zeros(0, np.int64)
-        pad = np.zeros(len(b) - 1, np.int64)
-        rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, a, pad]), len(b))
+        rows = np.lib.stride_tricks.sliding_window_view(np.pad(a, len(b) - 1), len(b))
         return self.matmul(rows[:, ::-1], b[:, None])[:, 0]
 
     def vprod(self, a) -> np.ndarray:
