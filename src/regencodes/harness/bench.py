@@ -28,6 +28,7 @@ from ..gf import Field
 from ..mbr import MbrParams, mbr_encode_columns
 
 FAMILIES = ("rbt-vs-shah", "mbr-naive-vs-ntt")
+_SEED = 7  # of the random messages, so every sweep is reproducible
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,16 @@ class BenchReport:
         return {r.n: r.multiplications for r in self.rows if r.contender == contender}
 
 
-def bench_compare(family: str, sizes, field: Field, seed: int = 7) -> BenchReport:
+def bench_compare(family: str, sizes, field: Field) -> BenchReport:
     """Sweep one family over the sizes, then check its trend (above) over
     the sizes where both contenders ran; a failed trend raises
     TrendViolation.  Every contender but the column-wise NTT encoder
     encodes through `regencodes.codec`.
     """
     if family == "rbt-vs-shah":
-        return _bench_rbt_vs_shah(list(sizes), field, seed)
+        return _bench_rbt_vs_shah(list(sizes), field)
     if family == "mbr-naive-vs-ntt":
-        return _bench_mbr_naive_vs_ntt(list(sizes), field, seed)
+        return _bench_mbr_naive_vs_ntt(list(sizes), field)
     raise ParamsInvalid(f"unknown bench family {family!r}; families: {FAMILIES}")
 
 
@@ -66,9 +67,9 @@ def _rand(field: Field, count: int, rng: random.Random) -> list[int]:
     return [rng.randrange(field.q) for _ in range(count)]
 
 
-def _bench_rbt_vs_shah(sizes, field, seed) -> BenchReport:
+def _bench_rbt_vs_shah(sizes, field) -> BenchReport:
     report = BenchReport(family="rbt-vs-shah")
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     for n in sizes:
         if n % 2:
             raise ParamsInvalid(f"rbt-vs-shah sweeps k=n/2; n={n} is odd")
@@ -87,11 +88,11 @@ def _bench_rbt_vs_shah(sizes, field, seed) -> BenchReport:
     return report
 
 
-def _bench_mbr_naive_vs_ntt(sizes, field, seed) -> BenchReport:
+def _bench_mbr_naive_vs_ntt(sizes, field) -> BenchReport:
     if field.kind != "fermat":
         raise WrongField("mbr-naive-vs-ntt runs on the Fermat field")
     report = BenchReport(family="mbr-naive-vs-ntt")
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     for n in sizes:
         if n % 8:
             raise ParamsInvalid(f"mbr-naive-vs-ntt sweeps k=3n/8, d=n/2; n={n} must be a multiple of 8")

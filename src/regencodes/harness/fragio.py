@@ -161,11 +161,9 @@ def write_message(path: str | os.PathLike, field: Field, symbols) -> None:
     _write_all(path, _pack(field, symbols))
 
 
-def read_message(path: str | os.PathLike, field: Field, count: int | None = None) -> list[int]:
+def read_message(path: str | os.PathLike, field: Field, count: int) -> list[int]:
     raw = _read_all(path)
     w = symbol_width(field)
-    if len(raw) % w:
-        raise WrongMessageLength(f"{path}: length {len(raw)} is not a multiple of width {w}")
-    if count is not None and len(raw) != count * w:
-        raise WrongMessageLength(f"{path}: {len(raw) // w} symbols, expected {count}")
+    if len(raw) != count * w:
+        raise WrongMessageLength(f"{path}: {len(raw)} bytes, expected {count} symbols of width {w}")
     return _unpack(field, raw, path).tolist()

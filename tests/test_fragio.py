@@ -84,7 +84,7 @@ def test_message_length_validation(tmp_path):
     path = tmp_path / "msg.bin"
     path.write_bytes(b"\x01\x02\x03")  # not a multiple of 4
     with pytest.raises(WrongMessageLength):
-        read_message(path, field)
+        read_message(path, field, 1)
     write_message(path, field, [1, 2, 3])
     with pytest.raises(WrongMessageLength):
         read_message(path, field, 4)
@@ -96,7 +96,7 @@ def test_symbols_outside_field_are_refused(tmp_path):
         for bad in (field.q, 255):
             path.write_bytes(bytes([1, bad, 2]))
             with pytest.raises(ParamsInvalid):
-                read_message(path, field)
+                read_message(path, field, 3)
             write_fragment(path, field, 6, 3, 4, Fragment("mbr-psrs", 2, (1, 2, 3, 4)))
             raw = bytearray(path.read_bytes())
             raw[-1] = bad
