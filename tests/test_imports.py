@@ -23,6 +23,9 @@ imports stays, because the benchmark reaches it by that name.
 The library's caches are a fixed list: a new cache, or a new size for
 one, is added to CACHES on purpose.  So are the places that wrap an array
 in a `FieldMatrix`: a new wrap is added to FIELD_MATRIX_WRAPS on purpose.
+Each field operation has one kernel: a `Field` subclass that replaces a
+method with a real body is a second kernel, added to FIELD_OVERRIDES on
+purpose.
 """
 
 import ast
@@ -359,3 +362,79 @@ def test_guard_finds_a_field_matrix_wrap():
                      "    return x, matrix.FieldMatrix(field, b)\n"
                      "EMPTY = FieldMatrix(F, [[]])\n")
     assert _field_matrix_wraps(tree) == [("solve", 2), ("solve", 3), (None, 4)]
+
+
+# (class, method) of every method that a Field subclass in gf defines where
+# an ancestor has a real body; the calls are per set-up, begin and one pass
+# of a perfbench workload at seed 11
+FIELD_OVERRIDES = [
+    ("BinaryField", "vprod"),  # a sum of logs: 67 calls on archive-gf256, 35 on churn-cli
+    ("PrimeField", "dot"),  # Python ints: rebuild-fermat's helper responses, 816 calls
+    ("PrimeField", "vreduce"),  # rebuild-fermat's eliminations, 712 calls
+    ("PrimeField", "vsub_mul"),  # unreduced updates: rebuild-fermat's eliminations, 494 calls
+]
+
+
+def _stub(func: ast.FunctionDef) -> bool:
+    """Whether the body of `func`, past its docstring, is `raise NotImplementedError`."""
+    body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and _name(body[0].exc) == "NotImplementedError")
+
+
+def _field_overrides(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) of each method or alias that a subclass of Field
+    defines where an ancestor has a real body; dunder methods aside."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def ancestors(cls):
+        for base in cls.bases:
+            if _name(base) in classes:
+                yield classes[_name(base)]
+                yield from ancestors(classes[_name(base)])
+
+    def real(cls, name):
+        return any(isinstance(node, ast.FunctionDef) and node.name == name and not _stub(node)
+                   for node in cls.body)
+
+    found = []
+    for cls in classes.values():
+        chain = list(ancestors(cls))
+        if "Field" not in [c.name for c in chain]:
+            continue
+        names = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+        names += [_name(t) for node in cls.body if isinstance(node, ast.Assign)
+                  for t in node.targets]
+        found += [(cls.name, name) for name in names
+                  if not name.startswith("__") and any(real(a, name) for a in chain)]
+    return sorted(found)
+
+
+def test_field_override_inventory():
+    assert _field_overrides(ast.parse((SRC / "gf.py").read_text())) == FIELD_OVERRIDES
+
+
+def test_guard_finds_a_field_override():
+    tree = ast.parse("class Field:\n"
+                     "    def stub(self):\n"
+                     "        \"\"\"Only a docstring.\"\"\"\n"
+                     "        raise NotImplementedError\n"
+                     "    def kernel(self):\n"
+                     "        return 1\n"
+                     "    def __eq__(self, other):\n"
+                     "        return True\n"
+                     "class Prime(Field):\n"
+                     "    def stub(self):\n"
+                     "        return 2\n"
+                     "    def kernel(self):\n"
+                     "        return 2\n"
+                     "    def __eq__(self, other):\n"
+                     "        return False\n"
+                     "    def own(self):\n"
+                     "        return 3\n"
+                     "class Fermat(Prime):\n"
+                     "    stub = own = kernel\n"
+                     "class Other:\n"
+                     "    def kernel(self):\n"
+                     "        return 4\n")
+    assert _field_overrides(tree) == [("Fermat", "own"), ("Fermat", "stub"), ("Prime", "kernel")]
