@@ -102,6 +102,29 @@ def test_cli_wrong_message_length_exit1(tmp_path, capsys):
     assert "ERROR WrongMessageLength" in capsys.readouterr().err
 
 
+def test_cli_missing_message_file_exit1(tmp_path, capsys):
+    out = tmp_path / "f"
+    code = run(["encode", str(tmp_path / "absent.bin"), "--codec", "mbr-psrs", "--n", "6",
+                "--k", "3", "--d", "4", "--field", "prime:7", "--out-dir", str(out)])
+    assert code == 1
+    assert "ERROR FileNotFound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_fragments_of_two_encodes_exit1(tmp_path, capsys):
+    # same codec, field, n and d, but k = 3 and k = 2: the same file size
+    frags = encode_files(tmp_path, "mbr-psrs", "prime:7", 6, 3, 4)[2]
+    other = tmp_path / "other"
+    other.mkdir()
+    other = encode_files(other, "mbr-psrs", "prime:7", 6, 2, 4)[2]
+    (other / "frag_0002.rgc").replace(frags / "frag_0002.rgc")
+    code = run(["reconstruct", "--nodes", "1,2,3", "--frags", str(frags),
+                "--out", str(tmp_path / "o.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ERROR ParamsInvalid" in err and "header disagrees with other fragments" in err
+
+
 def test_cli_usage_error_exit2():
     with pytest.raises(SystemExit) as exc:
         main(["encode"])  # missing required args

@@ -13,6 +13,7 @@ from regencodes.counting import OpCounter
 from regencodes.errors import (
     DecodeMismatch,
     DuplicateHelper,
+    IndexOutOfRange,
     InsufficientSymbols,
     WrongMessageLength,
 )
@@ -350,6 +351,23 @@ def test_fragment_refuses_non_integer_symbols():
         Fragment("rbt", 1, (WIDE, 3))
     frag = Fragment("rbt", 1, (np.int64(2), np.uint8(3)))
     assert frag.symbols.dtype == np.int64 and frag.symbols.tolist() == [2, 3]
+
+
+def test_fragment_refuses_a_bad_tag_node_or_shape():
+    for args, match in ((("mds", 1, (1, 2)), "unknown codec tag 'mds'"),
+                        (("rbt", 0, (1, 2)), "node index 0 must be >= 1"),
+                        (("rbt", 1, [[1, 2], [3, 4]]), r"flat sequence, got shape \(2, 2\)")):
+        with pytest.raises(ValueError, match=match):
+            Fragment(*args)
+
+
+def test_fragment_symbol_refuses_its_own_and_outside_columns():
+    frag = Fragment("rbt", 2, (5, 6, 7))  # n = 4: node 2 stores columns 1, 3 and 4
+    assert [fragment_symbol(frag, c) for c in (1, 3, 4)] == [5, 6, 7]
+    for column, match in ((2, "node 2 does not store its diagonal zero"),
+                          (0, r"node 0 outside \[1, 4\]"), (5, r"node 5 outside \[1, 4\]")):
+        with pytest.raises(IndexOutOfRange, match=match):
+            fragment_symbol(frag, column)
 
 
 def test_fragment_refuses_non_integer_node():
