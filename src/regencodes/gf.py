@@ -11,12 +11,12 @@ Three kinds of field are supported:
 
 Scalar values and evaluation points are plain ints in [0, q).  The
 scalar methods are the tests' reference arithmetic; the library computes
-through the vectorized numpy kernels (vadd/vmul/matmul/convolve/...),
-which hold every field-kind decision: log/antilog tables for binary
-fields, int64 modular arithmetic and a table of inverses for prime
-fields.  `vprod` multiplies along rows.  `vsub_mul` and `vreduce` let an
-elimination loop leave its row updates unreduced mod p and reduce once
-at the end.  `powers` gives x^0 .. x^(count-1) of a value or an array.
+through the vectorized numpy kernels, which hold every field-kind
+decision: log/antilog tables for binary fields, int64 modular arithmetic
+and a table of inverses for prime fields.  `matmul` is the one product
+kernel, behind `convolve` (by a Toeplitz matrix) and binary `dot`.
+`vprod` multiplies along rows; `vsub_mul` and `vreduce` let an elimination
+leave its updates unreduced mod p.  `powers` gives x^0 .. x^(count-1).
 
 All objects are immutable after construction and all operations are
 pure, so unrestricted concurrent use is safe.

@@ -21,9 +21,9 @@ A Fermat-field fast path evaluates via the number-theoretic transform
 when the params are built with ntt=True, which takes the leading powers
 of a canonical power-of-two root of unity as evaluation points.
 
-Both forms compute through the vector kernels of `gf` and `poly`.  The
-evaluation-form decoders use only the first d (full) or k (partial)
-pairs; `generator_matrix`, uncached, builds that form's [Phi Delta].
+Both forms compute through the `gf` and `poly` kernels, and the decoders
+check their input in `_check_symbols`.  The evaluation-form ones read only
+the first d (full) or k (partial) pairs; `generator_matrix` builds [Phi Delta].
 """
 
 from __future__ import annotations
