@@ -54,8 +54,8 @@ from .shah import ShahParams, shah_encode, shah_reconstruct
 SCHEMES = {
     "rbt": ("full", "partial"),
     "rbt-sys": ("full", "partial"),
-    "mbr-psrs": ("full", "lower", "upper", "gong", "timeshare"),
-    "mbr-vdm": ("full", "lower", "upper", "gong", "timeshare"),
+    "mbr-psrs": ("full", "lower", "upper", "timeshare"),
+    "mbr-vdm": ("full", "lower", "upper", "timeshare"),
     "shah": ("full",),
 }
 
@@ -79,9 +79,9 @@ def params_for(tag: str, field: Field, n: int, k: int, d: int | None = None):
     return RbtParams(field, n, k, systematic=(tag == "rbt-sys"))
 
 
-def check_scheme(tag: str, scheme: str, error: type[Exception] = ParamsInvalid) -> None:
+def check_scheme(tag: str, scheme: str) -> None:
     if scheme not in SCHEMES[tag]:
-        raise error(f"scheme {scheme!r} not supported by codec {tag}")
+        raise ParamsInvalid(f"scheme {scheme!r} not supported by codec {tag}")
 
 
 def encode(params, u: Sequence[int], counter: OpCounter | None = None) -> list[Fragment]:

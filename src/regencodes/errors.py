@@ -99,11 +99,13 @@ class WrongHelperCount(RegenError):
     pass
 
 
-# partial-download plans
+# encoder backend (column-wise encoding needs the psrs backend)
 
 class SchemeBackendMismatch(RegenError):
     pass
 
+
+# partial-download plans
 
 class PlanPayloadMismatch(RegenError):
     pass

@@ -111,7 +111,8 @@ def int_array(data) -> np.ndarray:
 
 
 class Field:
-    """Base class; use prime_field / binary_field / fermat_field / field_new."""
+    """Base class; use prime_field / binary_field / fermat_field / field_new,
+    which intern fields, so two fields are equal only when identical."""
 
     kind: str
     q: int
@@ -219,17 +220,6 @@ class Field:
         by vsub_mul."""
         return np.array(a, np.int64)
 
-    # -- identity / serialization -----------------------------------------
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 class PrimeField(Field):
     kind = "prime"
@@ -304,9 +294,6 @@ class PrimeField(Field):
 
     def vreduce(self, a):
         return np.asarray(a, np.int64) % self.p
-
-    def _key(self):
-        return (self.kind, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -422,9 +409,6 @@ class BinaryField(Field):
         out = self._exp[logs.sum(axis=1) % (self.q - 1)].astype(np.int64)
         out[(logs == 2 * (self.q - 1)).any(axis=1)] = 0
         return out
-
-    def _key(self):
-        return (self.kind, self.m, self.poly)
 
     def __repr__(self):
         return f"GF(2^{self.m})"

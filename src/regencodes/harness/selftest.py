@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import codec
 from ..counting import OpCounter
-from ..errors import ParamsInvalid, SchemeBackendMismatch
+from ..errors import ParamsInvalid
 from ..fragments import Fragment
 from ..gf import binary_field, fermat_field, ntt_evaluate, ntt_points, prime_field
 from ..matrix import extended_vandermonde, is_singular
@@ -144,10 +144,6 @@ def _suite_codec(case, other):
                f"repair of node {failed} cost field ops")
     for nodes, scheme in itertools.product(itertools.combinations(frags, params.k),
                                            codec.SCHEMES[tag]):
-        if (tag, scheme) == ("mbr-psrs", "gong"):
-            _check_raises(SchemeBackendMismatch, "mbr-psrs ran the gong plan",
-                          codec.reconstruct, params, frags, nodes, scheme)
-            continue
         got, sent = codec.reconstruct(params, frags, nodes, scheme)
         _check(got == u, f"{scheme} read from {nodes} wrong")
         _check(scheme == "full" or sum(sent.values()) == params.B,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .. import codec
 from ..counting import OpCounter
-from ..errors import RegenError, ReconstructionMismatch, ScriptInvalid
+from ..errors import ParamsInvalid, RegenError, ReconstructionMismatch, ScriptInvalid
 from ..fragments import Fragment
 
 
@@ -158,7 +158,10 @@ def sim_run(params, script: str, u: list[int] | None = None,
                 for i in nodes:
                     if state.nodes.get(i) is None:
                         raise ScriptInvalid(f"line {lineno}: node {i} unavailable")
-                codec.check_scheme(params.codec, scheme, ScriptInvalid)
+                try:
+                    codec.check_scheme(params.codec, scheme)
+                except ParamsInvalid as exc:
+                    raise ScriptInvalid(f"line {lineno}: {exc}") from exc
                 counter = OpCounter()
                 got, per_node = codec.reconstruct(params, state.alive(), nodes, scheme,
                                                   counter, state.timeshare_phase)

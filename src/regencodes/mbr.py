@@ -8,7 +8,8 @@ Psi: the partially systematic Reed-Solomon generator (first k rows are
 [I_k 0], so the code is systematic) and a plain Vandermonde matrix.  Both
 evaluate a basis of the polynomials of degree < d at n distinct points,
 so the conditions hold by construction; the tests and `regencodes
-selftest` check them, not the build.
+selftest` check them, not the build.  Only the first has a column-wise
+PSRS encoder: mbr_encode_columns raises SchemeBackendMismatch on the other.
 
 Repair: each of d helpers sends the inner product of its row with the
 failed node's encoding row; the collected vector equals
@@ -290,7 +291,7 @@ def _collector_inverse(params: MbrParams, nodes: tuple[int, ...]
 # partial downloading
 # ---------------------------------------------------------------------------
 
-PARTIAL_SCHEMES = ("lower", "upper", "gong")
+PARTIAL_SCHEMES = ("lower", "upper")
 
 
 def mbr_partial_plan(params: MbrParams, connected: Sequence[int], scheme: str) -> DownloadPlan:
@@ -298,8 +299,6 @@ def mbr_partial_plan(params: MbrParams, connected: Sequence[int], scheme: str) -
     Phi part: exactly B symbols."""
     if scheme not in PARTIAL_SCHEMES:
         raise ParamsInvalid(f"unknown partial scheme {scheme!r}")
-    if scheme == "gong" and params.backend != "vandermonde":
-        raise SchemeBackendMismatch("the gong scheme runs on the vandermonde backend")
     check_nodes(params.n, connected, params.k)
     k, d = params.k, params.d
     lower, delta = scheme == "lower", tuple(range(k + 1, d + 1))
@@ -343,17 +342,16 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     mbr_reconstruct_full exactly.
 
     Stage by stage one column c of S is solved, forward for `lower` and
-    backward for `upper` and `gong`.  The entries of column c already known
-    through symmetry (S[r, c] = S[c, r]) are substituted out, which leaves
-    a trailing block of Phi_DC for `lower` and a leading block for the
-    others.  One factorization of Phi_DC per node set holds the inverse of
-    every such block as a pair of triangular blocks (see _stage_factors),
-    so T and every stage are each one mat_solve of two triangular
-    matrix-vector products.
+    backward for `upper`.  The entries of column c already known through
+    symmetry (S[r, c] = S[c, r]) are substituted out, which leaves a
+    trailing block of Phi_DC for `lower` and a leading block for `upper`.
+    One factorization of Phi_DC per node set holds the inverse of every
+    such block as a pair of triangular blocks (see _stage_factors), so T
+    and every stage are each one mat_solve of two triangular matrix-vector
+    products.
 
-    A `trace` list receives one StageRecord per stage: for `lower` and
-    `upper` the system with the unit row e_r for every known entry r and
-    row r of Phi_DC otherwise, for `gong` the substituted square system.
+    A `trace` list receives one StageRecord per stage: the system with the
+    unit row e_r for every known entry r and row r of Phi_DC otherwise.
     """
     if plan.scheme not in PARTIAL_SCHEMES:
         raise ParamsInvalid(f"plan scheme {plan.scheme!r} is not a partial scheme")
@@ -401,7 +399,7 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
         charge(counter, m * (k - m), m * (k - m))
         col = mat_solve(inverse.block(todo), rhs[:, None], counter)[:, 0]
         if trace is not None:
-            trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known, rhs))
+            trace.append(_stage_record(plan.scheme, stage, c, phi, s, d_phi, known))
         s[todo, c] = col
         s[c, todo] = col
         known[c] = True
@@ -415,8 +413,8 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], trailing: bool
     cost of the factorization.
 
     A block of a triangular inverse is the inverse of that block whenever
-    the block is leading (or trailing) on both sides.  `upper` and `gong`
-    stages solve leading blocks: with Phi_DC = L U, the block [:m, :m] is
+    the block is leading (or trailing) on both sides.  `upper` stages
+    solve leading blocks: with Phi_DC = L U, the block [:m, :m] is
     L[:m, :m] U[:m, :m], inverted by U^-1[:m, :m] L^-1[:m, :m].  `lower`
     stages solve trailing blocks: the LU of the reversed matrix,
     J Phi_DC J = L' U', gives Phi_DC = U L with U = J L' J and L = J U' J,
@@ -438,16 +436,12 @@ def _stage_factors(params: MbrParams, nodes: tuple[int, ...], trailing: bool
 
 
 def _stage_record(scheme: str, stage: int, c: int, phi: np.ndarray, s: np.ndarray,
-                  d_phi: np.ndarray, known: np.ndarray, rhs: np.ndarray) -> StageRecord:
-    """Stage `stage`'s system before column c is filled in: `gong` solves
-    the substituted system `rhs` belongs to, `lower` and `upper` the full
+                  d_phi: np.ndarray, known: np.ndarray) -> StageRecord:
+    """Stage `stage`'s system before column c is filled in: the full
     system with unit rows for the known entries."""
     todo = np.flatnonzero(~known)
-    if scheme == "gong":
-        matrix = phi[np.ix_(todo, todo)]
-    else:
-        matrix = np.where(known[:, None], np.eye(len(known), dtype=np.int64), phi)
-        rhs = np.where(known, s[:, c], d_phi[:, c])
+    matrix = np.where(known[:, None], np.eye(len(known), dtype=np.int64), phi)
+    rhs = np.where(known, s[:, c], d_phi[:, c])
     return StageRecord(
         scheme=scheme, stage=stage, s_column=c + 1,
         matrix=frozen(matrix), rhs=tuple(rhs.tolist()),

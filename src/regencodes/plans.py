@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DuplicateIndex, IndexOutOfRange, PlanPayloadMismatch
 
-SCHEMES = ("lower", "upper", "gong", "rbt-pairwise")
+SCHEMES = ("lower", "upper", "rbt-pairwise")
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,7 @@ def test_criterion_5_download_accounting(capsys):
                         for scheme in ("lower", "upper"):
                             plan = mbr_partial_plan(params, connected, scheme)
                             assert plan.total_symbols == params.B
-                        assert mbr_partial_plan(vdm, connected, "gong").total_symbols == vdm.B
+                        assert mbr_partial_plan(vdm, connected, "upper").total_symbols == vdm.B
                         for r in range(4):
                             plan = mbr_partial_plan(params, connected, timeshare_scheme(r))
                             assert plan.total_symbols == params.B

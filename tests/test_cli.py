@@ -64,8 +64,8 @@ def test_cli_round_trip_mbr_lower(tmp_path):
     encode_round_trip(tmp_path, "mbr-psrs", "prime:7", 6, 3, 4, "lower")
 
 
-def test_cli_round_trip_mbr_vdm_gong(tmp_path):
-    encode_round_trip(tmp_path, "mbr-vdm", "prime:11", 7, 3, 5, "gong")
+def test_cli_round_trip_mbr_vdm_upper(tmp_path):
+    encode_round_trip(tmp_path, "mbr-vdm", "prime:11", 7, 3, 5, "upper")
 
 
 def test_cli_round_trip_rbt_partial(tmp_path):
@@ -175,10 +175,15 @@ def test_cli_scheme_codec_mismatch(tmp_path, capsys):
     frags = tmp_path / "frags"
     run(["encode", str(msg), "--codec", "mbr-psrs", "--n", "6", "--k", "3",
          "--d", "4", "--field", "prime:7", "--out-dir", str(frags)])
-    code = run(["reconstruct", "--nodes", "1,2,4", "--scheme", "gong",
+    code = run(["reconstruct", "--nodes", "1,2,4", "--scheme", "partial",
                 "--frags", str(frags), "--out", str(tmp_path / "o.bin")])
     assert code == 1
-    assert "ERROR SchemeBackendMismatch" in capsys.readouterr().err
+    assert "ERROR ParamsInvalid" in capsys.readouterr().err
+    # a scheme no codec lists is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["reconstruct", "--nodes", "1,2,4", "--scheme", "gong",
+             "--frags", str(frags), "--out", str(tmp_path / "o.bin")])
+    assert exc.value.code == 2
 
 
 def _encode_gf7(tmp_path):

@@ -101,10 +101,8 @@ def test_timeshare_alternates_with_phase():
         assert per_node == mbr_partial_plan(params, nodes, scheme).per_node_counts()
 
 
-@pytest.mark.parametrize("tag, schemes", [("mbr-psrs", ("lower", "upper", "timeshare")),
-                                          ("mbr-vdm", ("lower", "upper", "gong", "timeshare"))],
-                         ids=["mbr-psrs", "mbr-vdm"])
-def test_partial_read_counts_come_in_slot_order(tag, schemes):
+@pytest.mark.parametrize("tag", ["mbr-psrs", "mbr-vdm"])
+def test_partial_read_counts_come_in_slot_order(tag):
     # node j of the per-node dict a partial read returns fills row j of
     # Phi_DC, whatever order the nodes were listed in; the counts add to B
     params = codec.params_for(tag, prime_field(7), 6, 3, 4)
@@ -112,7 +110,7 @@ def test_partial_read_counts_come_in_slot_order(tag, schemes):
     frags = {f.node: f for f in codec.encode(params, u)}
     for nodes in itertools.permutations(range(1, params.n + 1), params.k):
         slots = mbr.assign_slots(params, nodes)
-        for scheme in schemes:
+        for scheme in ("lower", "upper", "timeshare"):
             got, per_node = codec.reconstruct(params, frags, nodes, scheme)
             assert got == u
             assert tuple(per_node) == slots

@@ -31,11 +31,11 @@ FIELD_SPECS = {"shah": "binary:6"}
 SUPPORTED = {
     "rbt": ("full", "partial"),
     "rbt-sys": ("full", "partial"),
-    "mbr-psrs": ("full", "lower", "upper", "gong", "timeshare"),
-    "mbr-vdm": ("full", "lower", "upper", "gong", "timeshare"),
+    "mbr-psrs": ("full", "lower", "upper", "timeshare"),
+    "mbr-vdm": ("full", "lower", "upper", "timeshare"),
     "shah": ("full",),
 }
-ALL_SCHEMES = ("full", "partial", "lower", "upper", "gong", "timeshare")
+ALL_SCHEMES = ("full", "partial", "lower", "upper", "timeshare")
 UNSUPPORTED = [(tag, s) for tag in CODEC_TAGS for s in ALL_SCHEMES if s not in SUPPORTED[tag]]
 
 
@@ -114,8 +114,6 @@ def test_cli_and_simulator_agree_on_every_supported_scheme(tmp_path, tag):
     u = _message(tag)
     script = ["encode"]
     for scheme in SUPPORTED[tag]:
-        if scheme == "gong" and tag == "mbr-psrs":
-            continue  # the gong plan runs on the vandermonde backend only
         out = tmp_path / f"{scheme}.bin"
         assert main(["reconstruct", "--nodes", "1,2,4", "--scheme", scheme,
                      "--frags", str(frags), "--out", str(out)]) == 0

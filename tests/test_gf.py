@@ -45,6 +45,7 @@ def test_field_new_interned():
     assert field_new("binary", 4) is field_new("binary", 4)
     assert field_new("fermat") is field_new("fermat")
     assert field_new("prime", np.int64(7)) is field_new("prime", 7)
+    assert prime_field(65537) != fermat_field()
 
 
 def test_field_new_rejects_bad_params():

@@ -135,6 +135,15 @@ def test_encode_ntt_mode_matches_native():
         assert mbr_encode(params, u) == mbr_encode_columns(params, u)
 
 
+def test_encode_columns_requires_psrs():
+    # the column-wise encoder runs the PSRS encoder, which the vandermonde
+    # backend does not have
+    params = MbrParams(F7, 7, 3, 4, backend="vandermonde")
+    u = rand_message(params, random.Random(4))
+    with pytest.raises(SchemeBackendMismatch, match="requires the psrs backend"):
+        mbr_encode_columns(params, u)
+
+
 def test_helper_response_examples():
     zero = Fragment("mbr-psrs", 1, (0, 0, 0, 0))
     assert mbr_helper_response(zero, [1, 2, 3, 4], F7) == 0
@@ -257,7 +266,7 @@ def test_partial_plan_lists_nodes_in_slot_order():
     # node j of a plan fills row j of Phi_DC, whatever order they came in
     assert mbr_partial_plan(REF7, [3, 5, 1], "lower").nodes == (1, 5, 3)
     vdm_q = MbrParams(F7, 7, 3, 4, backend="vandermonde")
-    assert mbr_partial_plan(vdm_q, [4, 2, 7], "gong").nodes == (7, 4, 2)
+    assert mbr_partial_plan(vdm_q, [4, 2, 7], "upper").nodes == (7, 4, 2)
 
 
 def test_partial_plan_reference_shape():
@@ -284,7 +293,7 @@ def test_partial_plan_total_is_B_sweep():
                     plan = mbr_partial_plan(params, list(range(1, k + 1)), scheme)
                     assert plan.total_symbols == params.B
                 vdm = MbrParams(f if n <= 13 else fermat_field(), n, k, d, backend="vandermonde")
-                plan = mbr_partial_plan(vdm, list(range(1, k + 1)), "gong")
+                plan = mbr_partial_plan(vdm, list(range(1, k + 1)), "upper")
                 assert plan.total_symbols == vdm.B
 
 
@@ -292,11 +301,6 @@ def test_partial_plan_k1():
     params = MbrParams(F7, 6, 1, 4)
     plan = mbr_partial_plan(params, [3], "lower")
     assert plan.total_symbols == params.B == params.d
-
-
-def test_gong_requires_vandermonde():
-    with pytest.raises(SchemeBackendMismatch):
-        mbr_partial_plan(REF7, [1, 2, 4], "gong")
 
 
 def test_partial_reconstruct_matches_full():
@@ -311,14 +315,14 @@ def test_partial_reconstruct_matches_full():
                 assert mbr_reconstruct_partial(REF7, plan, payloads) == u
 
 
-def test_partial_reconstruct_gong():
+def test_partial_reconstruct_vandermonde_upper():
     rng = random.Random(10)
     params = MbrParams(F7, 6, 3, 4, backend="vandermonde")
     for _ in range(10):
         u = rand_message(params, rng)
         frags = mbr_encode(params, u)
         for subset in itertools.combinations(range(1, 7), 3):
-            plan = mbr_partial_plan(params, list(subset), "gong")
+            plan = mbr_partial_plan(params, list(subset), "upper")
             payloads = mbr_extract_payloads(frags, plan)
             assert mbr_reconstruct_partial(params, plan, payloads) == u
 
@@ -505,7 +509,6 @@ REF7_VDM = MbrParams(F7, 6, 3, 4, backend="vandermonde")
         (REF7, [1, 2, 4], "upper", 165, 102),
         (REF7_VDM, [2, 4, 6], "lower", 165, 102),
         (REF7_VDM, [2, 4, 6], "upper", 165, 102),
-        (REF7_VDM, [2, 4, 6], "gong", 108, 64),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -520,27 +523,20 @@ def test_partial_op_counts(params, nodes, scheme, gj_mul, gj_add):
     assert counter.mul < gj_mul and counter.add < gj_add
 
 
-@pytest.mark.parametrize(
-    "scheme,matrices",
-    [
-        ("upper", [[[1, 2, 4], [1, 4, 2], [1, 6, 1]],
-                   [[1, 2, 4], [1, 4, 2], [0, 0, 1]],
-                   [[1, 2, 4], [0, 1, 0], [0, 0, 1]]]),
-        ("gong", [[[1, 2, 4], [1, 4, 2], [1, 6, 1]],
-                  [[1, 2], [1, 4]],
-                  [[1]]]),
-    ],
-)
-def test_backward_stage_systems(scheme, matrices):
+def test_backward_stage_systems():
     from regencodes.mbr import StageRecord
 
     u = rand_message(REF7_VDM, random.Random(18))
     frags = mbr_encode(REF7_VDM, u)
-    plan = mbr_partial_plan(REF7_VDM, [2, 4, 6], scheme)
+    plan = mbr_partial_plan(REF7_VDM, [2, 4, 6], "upper")
     trace: list[StageRecord] = []
     assert mbr_reconstruct_partial(REF7_VDM, plan, mbr_extract_payloads(frags, plan),
                                    trace=trace) == u
-    assert [r.matrix.tolist() for r in trace] == matrices
+    assert [r.matrix.tolist() for r in trace] == [
+        [[1, 2, 4], [1, 4, 2], [1, 6, 1]],
+        [[1, 2, 4], [1, 4, 2], [0, 0, 1]],
+        [[1, 2, 4], [0, 1, 0], [0, 0, 1]],
+    ]
     assert [r.stage for r in trace] == [1, 2, 3]
     assert [r.s_column for r in trace] == [3, 2, 1]
     assert [r.solved for r in trace] == [
@@ -550,10 +546,9 @@ def test_backward_stage_systems(scheme, matrices):
     ]
     assert all(len(r.rhs) == len(r.matrix) for r in trace)
     assert all(r.matrix.dtype == np.int64 and not r.matrix.flags.writeable for r in trace)
-    if scheme == "upper":
-        # identity rows carry S entries solved in earlier stages
-        assert trace[1].rhs[2] == u[5]  # u6 = S[2,3]
-        assert trace[2].rhs[1:] == (u[1], u[2])  # u2 = S[1,2], u3 = S[1,3]
+    # identity rows carry S entries solved in earlier stages
+    assert trace[1].rhs[2] == u[5]  # u6 = S[2,3]
+    assert trace[2].rhs[1:] == (u[1], u[2])  # u2 = S[1,2], u3 = S[1,3]
 
 
 @st.composite
@@ -571,15 +566,12 @@ def _partial_case(draw):
 
 @given(_partial_case())
 @settings(max_examples=200)
-def test_partial_schemes_recover_or_refuse(case):
+def test_partial_schemes_recover(case):
     params, nodes, seed = case
     u = rand_message(params, random.Random(seed))
     frags = mbr_encode(params, u)
-    for scheme in ("lower", "upper", "gong"):
-        try:
-            plan = mbr_partial_plan(params, nodes, scheme)
-        except SchemeBackendMismatch:
-            continue
+    for scheme in ("lower", "upper"):
+        plan = mbr_partial_plan(params, nodes, scheme)
         payloads = mbr_extract_payloads(frags, plan)
         assert mbr_reconstruct_partial(params, plan, payloads) == u
 
@@ -591,7 +583,7 @@ def test_vandermonde_zero_point_takes_slot_one():
     u = rand_message(params, random.Random(19))
     frags = mbr_encode(params, u)
     for nodes in itertools.permutations(range(1, 8), 3):
-        for scheme in ("lower", "upper", "gong"):
+        for scheme in ("lower", "upper"):
             plan = mbr_partial_plan(params, nodes, scheme)
             if 7 in nodes:
                 assert plan.nodes[0] == 7
@@ -652,7 +644,7 @@ def _hand_plan(params, nodes, scheme):
 
 def _some_stage_singular(params, nodes, scheme):
     """Whether a stage system is singular: a `lower` stage solves a trailing
-    block of Phi_DC, an `upper` or `gong` stage a leading block."""
+    block of Phi_DC, an `upper` stage a leading block."""
     k = params.k
     phi = mbr_build_encoding(params)[[i - 1 for i in nodes], :k]
     for c in range(k):
@@ -665,17 +657,16 @@ def _some_stage_singular(params, nodes, scheme):
 
 
 @pytest.mark.parametrize(
-    "params,schemes,singular",
+    "params,singular",
     [
-        (MbrParams(F7, 7, 3, 4), ("lower", "upper"), 170),
-        (MbrParams(prime_field(5), 5, 2, 3), ("lower", "upper"), 8),
-        (MbrParams(F7, 7, 3, 4, backend="vandermonde"), ("lower", "upper", "gong"), 60),
-        (MbrParams(prime_field(5), 5, 2, 3, backend="vandermonde"),
-         ("lower", "upper", "gong"), 4),
+        (MbrParams(F7, 7, 3, 4), 170),
+        (MbrParams(prime_field(5), 5, 2, 3), 8),
+        (MbrParams(F7, 7, 3, 4, backend="vandermonde"), 60),
+        (MbrParams(prime_field(5), 5, 2, 3, backend="vandermonde"), 4),
     ],
     ids=["psrs-gf7", "psrs-gf5", "vdm-gf7", "vdm-gf5"],
 )
-def test_singular_stage_matrix_exhaustive(params, schemes, singular):
+def test_singular_stage_matrix_exhaustive(params, singular):
     # every node tuple, which is every slot assignment once: a read raises
     # SingularStageMatrix exactly when one of its stage blocks is singular,
     # and returns the message otherwise
@@ -684,7 +675,7 @@ def test_singular_stage_matrix_exhaustive(params, schemes, singular):
     frags = mbr_encode(params, u)
     raised = 0
     for nodes in itertools.permutations(range(1, n + 1), k):
-        for scheme in schemes:
+        for scheme in ("lower", "upper"):
             plan = _hand_plan(params, nodes, scheme)
             payloads = mbr_extract_payloads(frags, plan)
             if _some_stage_singular(params, nodes, scheme):
@@ -698,7 +689,7 @@ def test_singular_stage_matrix_exhaustive(params, schemes, singular):
 
 def test_stage_factors_solve_phi_dc_or_raise():
     # the stage LU does not pivot: the factors of a partial read raise
-    # SingularStageMatrix exactly when some leading (upper, gong) or trailing
+    # SingularStageMatrix exactly when some leading (upper) or trailing
     # (lower) block of Phi_DC is singular, and otherwise solve Phi_DC itself
     params = MbrParams(F7, 7, 3, 4, backend="vandermonde")
     rng = np.random.default_rng(23)
@@ -880,12 +871,11 @@ def test_cached_calls_match_cold_calls(case, data):
                  for h in helpers[:params.d]]
     calls = {"repair": lambda c: mbr_repair(params, responses, failed, c),
              "full": lambda c: mbr_reconstruct_full(params, [frags[i - 1] for i in nodes], c)}
-    for scheme in ("lower", "upper", "gong"):
-        if scheme != "gong" or params.backend == "vandermonde":
-            plan = mbr_partial_plan(params, nodes, scheme)
-            payloads = mbr_extract_payloads(frags, plan)
-            calls[scheme] = lambda c, plan=plan, payloads=payloads: mbr_reconstruct_partial(
-                params, plan, payloads, c)
+    for scheme in ("lower", "upper"):
+        plan = mbr_partial_plan(params, nodes, scheme)
+        payloads = mbr_extract_payloads(frags, plan)
+        calls[scheme] = lambda c, plan=plan, payloads=payloads: mbr_reconstruct_partial(
+            params, plan, payloads, c)
     for name, call in calls.items():
         _clear_set_caches()
         runs = []

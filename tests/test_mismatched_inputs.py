@@ -78,8 +78,6 @@ def test_fragments_of_the_same_codec_pass_every_entry(case):
     tag, _, field, n, k, d = case
     params, u, frags = _encoded(tag, field, n, k, d)
     for name, entry in _entries(tag):
-        if (tag, name) == ("mbr-psrs", "codec.reconstruct gong"):
-            continue  # the gong plan runs on the vandermonde backend only
         out = entry(params, frags)
         result = out[0] if isinstance(out, tuple) else out
         assert result == u or result == frags[n], name

@@ -1,4 +1,4 @@
-"""Run the scripted scenario corpus against every codec it fits.
+"""Run the scripted scenario corpus against every codec.
 
 The simulator verifies each repaired fragment and each reconstruction
 against the originals, so a passing run means no scripted scenario ever
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from regencodes.errors import ScriptInvalid, WrongHelperCount
 from regencodes.gf import binary_field, prime_field
 from regencodes.harness.simulator import sim_run
 from regencodes.mbr import MbrParams
@@ -28,13 +29,15 @@ CODECS = {
 }
 
 
-def _fits(name: str, params, script: str) -> bool:
-    # lower, upper and timeshare reads and explicit d-helper sets are
-    # product-matrix operations, which both mbr backends support
-    words = ("scheme lower", "scheme upper", "scheme timeshare", "with")
-    if any(word in script for word in words):
-        return name.startswith("mbr")
-    return True
+# explicit d-helper sets and lower, upper and timeshare reads are
+# product-matrix operations: on a transfer codec (d = n-1 = 5, full and
+# pairwise reads only) those scenarios stop with a typed error
+REFUSED = {}
+for name in ("rbt", "rbt-sys", "shah"):
+    REFUSED["double_fault_sequential", name] = (
+        WrongHelperCount, r"event 3 \(line 5\): got 4 helpers, need d=5")
+    REFUSED["partial_reads", name] = (
+        ScriptInvalid, f"line 3: scheme 'lower' not supported by codec {name}")
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
@@ -42,9 +45,13 @@ def _fits(name: str, params, script: str) -> bool:
 def test_scenario(path, name):
     script = path.read_text()
     params = CODECS[name]
-    if not _fits(name, params, script):
-        pytest.skip(f"{path.stem} is specific to another codec family")
-    report, state = sim_run(params, script, seed=zlib.crc32(path.stem.encode()) & 0xFFFF)
+    seed = zlib.crc32(path.stem.encode()) & 0xFFFF
+    if (path.stem, name) in REFUSED:
+        error, match = REFUSED[path.stem, name]
+        with pytest.raises(error, match=match):
+            sim_run(params, script, seed=seed)
+        return
+    report, state = sim_run(params, script, seed=seed)
     assert state.message is not None
     # transfer-only families never spend field ops on repair
     if name in ("rbt", "rbt-sys", "shah"):

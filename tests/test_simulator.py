@@ -83,32 +83,35 @@ def test_fixed_message():
     assert state.message == u
 
 
-SCRIPT_ERRORS = [  # (script, the ScriptInvalid message it gives)
-    ("fail 1", "line 1: encode must come first"),
-    ("encode\nfail 9", "line 2: no node 9"),
-    ("encode\nrepair 1", "line 2: node 1 has not failed"),
-    ("encode\nfly 1", "line 2: unknown command 'fly'"),
-    ("encode\nfail 1\nreconstruct 1,2,4", "line 3: node 1 unavailable"),
-    ("encode\nreconstruct 1,2,4 scheme bogus", "bogus"),
-    ("encode x", "line 1: encode takes no arguments"),
-    ("encode\nencode", "line 2: message already encoded"),
-    ("encode\nfail 2\nfail 2", "line 3: node 2 already failed"),
-    ("encode\nfail 2\nrepair 2 using 1,3,4,5", r"line 3: expected 'repair i \[with h,h,...\]'"),
-    ("encode\nreconstruct 1,2,3 lower", r"line 2: expected 'reconstruct i,j,... \[scheme s\]'"),
-    ("encode\nreconstruct 1,2,3 mode lower", "line 2: expected 'scheme <name>'"),
-    ("encode\nfail x", "line 2: bad node 'x'"),
-    ("encode\nreconstruct 1,x,3", "line 2: bad node list '1,x,3'"),
-    ("encode\nfail", "line 2: expected 'fail <node>'"),
+MBR7, RBT7 = MbrParams(F7, 6, 3, 4), RbtParams(F7, 6, 3)
+SCRIPT_ERRORS = [  # (params, script, the ScriptInvalid message it gives)
+    (MBR7, "fail 1", "line 1: encode must come first"),
+    (MBR7, "encode\nfail 9", "line 2: no node 9"),
+    (MBR7, "encode\nrepair 1", "line 2: node 1 has not failed"),
+    (MBR7, "encode\nfly 1", "line 2: unknown command 'fly'"),
+    (MBR7, "encode\nfail 1\nreconstruct 1,2,4", "line 3: node 1 unavailable"),
+    (MBR7, "encode\nreconstruct 1,2,4 scheme bogus",
+     "line 2: scheme 'bogus' not supported by codec mbr-psrs"),
+    (MBR7, "encode\nreconstruct 1,2,4 scheme gong",
+     "line 2: scheme 'gong' not supported by codec mbr-psrs"),
+    (RBT7, "encode\nreconstruct 1,2,4 scheme gong",
+     "line 2: scheme 'gong' not supported by codec rbt"),
+    (MBR7, "encode x", "line 1: encode takes no arguments"),
+    (MBR7, "encode\nencode", "line 2: message already encoded"),
+    (MBR7, "encode\nfail 2\nfail 2", "line 3: node 2 already failed"),
+    (MBR7, "encode\nfail 2\nrepair 2 using 1,3,4,5", r"line 3: expected 'repair i \[with h,h,...\]'"),
+    (MBR7, "encode\nreconstruct 1,2,3 lower", r"line 2: expected 'reconstruct i,j,... \[scheme s\]'"),
+    (MBR7, "encode\nreconstruct 1,2,3 mode lower", "line 2: expected 'scheme <name>'"),
+    (MBR7, "encode\nfail x", "line 2: bad node 'x'"),
+    (MBR7, "encode\nreconstruct 1,x,3", "line 2: bad node list '1,x,3'"),
+    (MBR7, "encode\nfail", "line 2: expected 'fail <node>'"),
 ]
 
 
 def test_script_errors():
-    params = MbrParams(F7, 6, 3, 4)
-    for script, match in SCRIPT_ERRORS:
+    for params, script, match in SCRIPT_ERRORS:
         with pytest.raises(ScriptInvalid, match=match):
             sim_run(params, script)
-    with pytest.raises(ScriptInvalid):
-        sim_run(RbtParams(F7, 6, 3), "encode\nreconstruct 1,2,4 scheme gong")
 
 
 def test_codec_error_annotated_with_event_index():
