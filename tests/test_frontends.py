@@ -35,7 +35,8 @@ SUPPORTED = {
     "mbr-vdm": ("full", "lower", "upper", "timeshare"),
     "shah": ("full",),
 }
-ALL_SCHEMES = ("full", "partial", "lower", "upper", "timeshare")
+REMOVED = "gong"  # ran upper's read; no codec lists it, so every codec refuses it
+ALL_SCHEMES = ("full", "partial", "lower", "upper", "timeshare", REMOVED)
 UNSUPPORTED = [(tag, s) for tag in CODEC_TAGS for s in ALL_SCHEMES if s not in SUPPORTED[tag]]
 
 
@@ -82,10 +83,16 @@ def test_cli_mbr_requires_d(tmp_path, capsys, tag):
 def test_cli_rejects_unsupported_scheme(tmp_path, capsys, tag, scheme):
     frags = _cli_encode(tmp_path, tag)
     capsys.readouterr()
-    code = main(["reconstruct", "--nodes", "1,2,3", "--scheme", scheme,
-                 "--frags", str(frags), "--out", str(tmp_path / "out.bin")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("ERROR ParamsInvalid")
+    args = ["reconstruct", "--nodes", "1,2,3", "--scheme", scheme,
+            "--frags", str(frags), "--out", str(tmp_path / "out.bin")]
+    if scheme == REMOVED:  # not a --scheme choice: a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "invalid choice: 'gong'" in capsys.readouterr().err
+    else:
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("ERROR ParamsInvalid")
     assert not (tmp_path / "out.bin").exists()
 
 
