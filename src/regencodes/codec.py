@@ -22,7 +22,6 @@ from .fragments import (
     check_nodes,
     fragment_symbol,
     planned_fragments,
-    transfer_repair,
 )
 from .gf import Field
 from .mbr import (
@@ -45,6 +44,7 @@ from .rbt import (
     rbt_partial_plan,
     rbt_reconstruct_full,
     rbt_reconstruct_partial,
+    rbt_repair,
     source_block,
 )
 from .shah import ShahParams, shah_encode, shah_reconstruct
@@ -117,7 +117,7 @@ def repair(params, frags: Mapping[int, Fragment], failed: int,
         responses = [(h.node, mbr_helper_response(h, row, params.field, counter)) for h in chosen]
         return mbr_repair(params, responses, failed, counter), sent
     responses = [(h.node, fragment_symbol(h, failed)) for h in chosen]
-    return transfer_repair(params, responses, failed), sent
+    return rbt_repair(params, responses, failed), sent
 
 
 def reconstruct(params, frags: Mapping[int, Fragment], nodes: Sequence[int], scheme: str,

@@ -9,7 +9,7 @@ matrices with a zero diagonal, and node i stores row i without its
 diagonal entry (alpha = n-1 symbols).  Row i and column i agree, so the
 symbol node j stores in column i is the one node i stores in column j:
 a lost row is rebuilt by pure placement of one stored symbol from each
-surviving node, with zero field operations.
+surviving node, with zero field operations (rbt.rbt_repair).
 """
 
 from __future__ import annotations
@@ -244,16 +244,3 @@ def check_helpers(params, helpers: Sequence[int], failed: int) -> None:
     for h in helpers:
         if not 1 <= h <= n:
             raise IndexOutOfRange(f"helper {h} outside [1, {n}]")
-
-
-def transfer_repair(params, responses: Sequence[tuple[int, int]], failed: int) -> Fragment:
-    """Rebuild the failed node's row by placement only.
-
-    `responses` pairs each of the other n-1 nodes (check_helpers, as d =
-    n-1) with the symbol it stores in the failed node's column; symmetry
-    makes that symbol the failed row's entry in the helper's column.
-    """
-    check_helpers(params, [node for node, _ in responses], failed)
-    frag = Fragment(params.codec, failed, [symbol for _, symbol in sorted(responses)])
-    params.field.varray(frag.symbols)  # a response outside the field raises ValueError
-    return frag

@@ -369,7 +369,6 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     c_dc[rows, cols] = f.varray(values)
     downloaded = np.zeros((k, d), dtype=bool)
     downloaded[rows, cols] = True
-    downloaded = downloaded[:, :k]
 
     psi_dc = mbr_build_encoding(params)[[i - 1 for i in plan.nodes]]
     phi, delta = psi_dc[:, :k], psi_dc[:, k:]
@@ -377,11 +376,15 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     # (unknown rows, known rows) of each stage's column
     parts = [(slice(c, None), slice(None, c)) if lower
              else (slice(None, c + 1), slice(c + 1, None)) for c in columns]
-    needed = (np.tril if lower else np.triu)(np.ones((k, k), dtype=bool))
+    # every C^Delta column and the scheme's triangle of C^Phi; the first
+    # stage column left out is named, then the first Delta column
+    needed = np.ones((k, d), dtype=bool)
+    needed[:, :k] = (np.tril if lower else np.triu)(needed[:, :k])
     missing = (needed & ~downloaded).any(axis=0)
-    for c in columns:
-        if missing[c]:
-            raise PlanPayloadMismatch(f"plan leaves out C^Phi entries of column {c + 1}")
+    if missing.any():
+        c = next(c for c in [*columns, *range(k, d)] if missing[c])
+        part = "Phi" if c < k else "Delta"
+        raise PlanPayloadMismatch(f"plan leaves out C^{part} entries of column {c + 1}")
 
     inverse, cost = _stage_factors(params, plan.nodes, lower)
     charge(counter, *cost)
@@ -389,7 +392,7 @@ def mbr_reconstruct_partial(params: MbrParams, plan: DownloadPlan, payloads,
     dt = f.matmul(delta, t.T)  # k x k
     d_phi = f.vsub(c_dc[:, :k], dt)  # meaningful where downloaded
     # the k x (d-k) by (d-k) x k product and the subtraction
-    charge(counter, k * k * (d - k), k * k * max(0, d - k - 1) + int(downloaded.sum()))
+    charge(counter, k * k * (d - k), k * k * max(0, d - k - 1) + int(downloaded[:, :k].sum()))
 
     s = np.zeros((k, k), dtype=np.int64)
     known = np.zeros(k, dtype=bool)

@@ -35,6 +35,7 @@ from .fragments import (
     Fragment,
     MbrPoint,
     assemble_rows,
+    check_helpers,
     check_nodes,
     check_read,
     expand_rows,
@@ -42,7 +43,6 @@ from .fragments import (
     fragment_symbols,
     planned_fragments,
     stored_fragments,
-    transfer_repair,
 )
 from .gf import Field, enumerate_points
 from .matrix import (
@@ -64,6 +64,7 @@ from .matrix import (
 )
 from .plans import DownloadPlan
 from .poly import lagrange_basis
+from .shah import ShahParams
 
 
 @dataclass(frozen=True)
@@ -239,10 +240,17 @@ def rbt_encode_systematic(params: RbtParams, block,
 # repair
 # ---------------------------------------------------------------------------
 
-def rbt_repair(params: RbtParams, responses: Sequence[tuple[int, int]],
+def rbt_repair(params: RbtParams | ShahParams, responses: Sequence[tuple[int, int]],
                failed: int, counter: OpCounter | None = None) -> Fragment:
-    """Rebuild the failed node's row by placement only: zero field operations."""
-    return transfer_repair(params, responses, failed)
+    """Rebuild the failed node's row of an rbt, rbt-sys or shah code by
+    placement only: each of the other n-1 nodes sends the symbol it stores
+    in the failed node's column, which symmetry makes the failed row's
+    entry in the helper's column.  No field operation runs, so `counter`
+    is never charged."""
+    check_helpers(params, [node for node, _ in responses], failed)
+    frag = Fragment(params.codec, failed, [symbol for _, symbol in sorted(responses)])
+    params.field.varray(frag.symbols)  # a response outside the field raises ValueError
+    return frag
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ upper triangle of a symmetric n x n packet matrix with zero diagonal,
 and node i stores row i of that matrix without its diagonal
 (fragments.py): the n-1 packets of its incident edges, so every packet
 lives on exactly two nodes.  Repair is pure transfer
-(fragments.transfer_repair): the other endpoint of each lost edge
+(rbt.rbt_repair): the other endpoint of each lost edge
 resends its copy.  Any k nodes jointly hold exactly
 C(k,2) + k(n-k) = B distinct packets, which erasure-decode the message.
 
@@ -102,15 +102,14 @@ def shah_reconstruct(params: ShahParams, fragments: Sequence[Fragment],
                      counter: OpCounter | None = None) -> list[int]:
     """Erasure-decode the message from the packets held by k nodes."""
     n = params.n
-    nodes = check_read(params, fragments)
+    idx = np.array(check_read(params, fragments)) - 1
     # the two copies of a shared packet agree, so placing both is safe
     stored = expand_rows(fragments, n, params.field)
     packets = np.zeros((n, n), dtype=np.int64)
+    packets[idx] = stored
+    packets[:, idx] = stored.T
     held = np.zeros(n, dtype=bool)
-    for node, row in zip(nodes, stored):
-        packets[node - 1] = row
-        packets[:, node - 1] = row
-        held[node - 1] = True
+    held[idx] = True
     # k nodes hold C(k,2) + k(n-k) = B edges, in packet order along the triangle
     rows, cols = triangle(n, 1, n)
     chosen = np.flatnonzero(held[rows] | held[cols])

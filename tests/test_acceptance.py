@@ -15,7 +15,7 @@ import pytest
 from regencodes import codec
 from regencodes.counting import OpCounter
 from regencodes.errors import FieldTooSmall
-from regencodes.fragments import fragment_symbol, transfer_repair
+from regencodes.fragments import fragment_symbol
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.harness.bench import bench_compare
 from regencodes.harness.reports import field_size_report
@@ -232,10 +232,10 @@ def test_criterion_4_transfer_only_repair(capsys):
         sparams = ShahParams(binary_field(6), 5, 3)
         stores = {f.node: f
                   for f in shah_encode(sparams, _rand(sparams.field, sparams.B, rng))}
-        for failed in range(1, 6):  # transfer_repair takes no counter: placement only
+        for failed in range(1, 6):  # placement only
             responses = [(i, fragment_symbol(stores[i], failed))
                          for i in stores if i != failed]
-            assert transfer_repair(sparams, responses, failed) == stores[failed]
+            assert rbt_repair(sparams, responses, failed) == stores[failed]
 
 
 # ------------------------------------------------------------------------ 5 ---

@@ -1,8 +1,18 @@
 import pytest
 
-from regencodes.errors import ParamsInvalid, WrongField
+from regencodes.errors import ParamsInvalid, TrendViolation, WrongField
+from regencodes.fragments import Fragment
 from regencodes.gf import binary_field, fermat_field
-from regencodes.harness.bench import bench_compare, report_to_csv
+from regencodes.harness import bench
+from regencodes.harness.bench import (
+    BenchReport,
+    BenchRow,
+    _assert_crossover,
+    _assert_increasing_ratio,
+    bench_compare,
+    report_to_csv,
+)
+from regencodes.harness.cli import main
 
 
 def test_single_size_two_rows_no_trend():
@@ -51,3 +61,42 @@ def test_bad_family_and_sizes():
         bench_compare("rbt-vs-shah", [9], binary_field(16))
     with pytest.raises(ParamsInvalid):
         bench_compare("mbr-naive-vs-ntt", [12], fermat_field())
+
+
+def test_ntt_encoding_that_disagrees_is_a_trend_violation(monkeypatch, tmp_path, capsys):
+    real = bench.mbr_encode_columns
+
+    def shifted(params, u, counter=None):
+        frags = real(params, u, counter)
+        first = frags[0]
+        symbols = [(first.symbols[0] + 1) % params.field.q, *first.symbols[1:]]
+        return [Fragment(first.codec, first.node, symbols)] + frags[1:]
+
+    monkeypatch.setattr(bench, "mbr_encode_columns", shifted)
+    with pytest.raises(TrendViolation, match="n=32: NTT encoding disagrees"):
+        bench_compare("mbr-naive-vs-ntt", [32], fermat_field())
+    report = tmp_path / "bench.csv"
+    assert main(["bench", "--family", "mbr-naive-vs-ntt", "--sizes", "32", "--field", "fermat",
+                 "--report", str(report)]) == 1
+    assert "ERROR TrendViolation: n=32: NTT encoding disagrees" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def _report(family, counts):
+    """A report of (n, contender) -> multiplications."""
+    return BenchReport(family, [BenchRow(n, c, mul, 0, 0) for (n, c), mul in counts.items()])
+
+
+def test_trend_checks_fail_on_hand_built_reports():
+    flat = _report("rbt-vs-shah", {(8, "shah"): 20, (8, "rbt"): 10,
+                                   (12, "shah"): 40, (12, "rbt"): 20})
+    with pytest.raises(TrendViolation, match="shah/rbt ratio not strictly increasing at n=12"):
+        _assert_increasing_ratio(flat, "shah", "rbt")
+    never = _report("mbr-naive-vs-ntt", {(32, "naive"): 10, (32, "ntt"): 10,
+                                         (64, "naive"): 20, (64, "ntt"): 30})
+    with pytest.raises(TrendViolation, match=r"ntt never drops below naive across n=\[32, 64\]"):
+        _assert_crossover(never, "naive", "ntt")
+    shrinks = _report("mbr-naive-vs-ntt", {(32, "naive"): 40, (32, "ntt"): 10,
+                                           (64, "naive"): 60, (64, "ntt"): 20})
+    with pytest.raises(TrendViolation, match="naive/ntt gain shrinks at n=64"):
+        _assert_crossover(shrinks, "naive", "ntt")

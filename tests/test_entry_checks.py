@@ -17,7 +17,7 @@ from regencodes.errors import (
     InsufficientSymbols,
     WrongMessageLength,
 )
-from regencodes.fragments import Fragment, fragment_symbol, stored_position, transfer_repair
+from regencodes.fragments import Fragment, fragment_symbol, fragment_symbols, stored_position
 from regencodes.gf import binary_field, fermat_field, ntt_interpolate, prime_field
 from regencodes.matrix import FieldMatrix
 from regencodes.mbr import (
@@ -141,28 +141,27 @@ def test_full_read_refuses_copies_of_a_shared_symbol_that_disagree(params, read,
     assert (counter.mul, counter.add) == (0, 0)
 
 
-TRANSFER_REPAIRS = [pytest.param(p, repair, id=p.codec) for p, repair in
-                    [(p, rbt_repair) for p in RBT] + [(ShahParams(F11, 5, 3), transfer_repair)]]
+TRANSFER_REPAIRS = [pytest.param(p, id=p.codec) for p in RBT + [ShahParams(F11, 5, 3)]]
 
 
-@pytest.mark.parametrize("params, repair", TRANSFER_REPAIRS)
-def test_transfer_repair_rejects_response_outside_field(params, repair):
+@pytest.mark.parametrize("params", TRANSFER_REPAIRS)
+def test_transfer_repair_rejects_response_outside_field(params):
     frags = encoded(params)
     for bad in (99,) + bad_values(params.field):
         responses = [(j, fragment_symbol(frags[j - 1], 1)) for j in range(2, params.n + 1)]
         responses[0] = (2, bad)
         with pytest.raises(ValueError, match=RANGE):
-            repair(params, responses, 1)
+            rbt_repair(params, responses, 1)
 
 
-@pytest.mark.parametrize("params, repair", TRANSFER_REPAIRS)
-def test_transfer_repair_rejects_a_helper_listed_twice(params, repair):
+@pytest.mark.parametrize("params", TRANSFER_REPAIRS)
+def test_transfer_repair_rejects_a_helper_listed_twice(params):
     # helper 2 listed once more, and listed in place of helper n
     frags = encoded(params)
     responses = [(j, fragment_symbol(frags[j - 1], 1)) for j in range(2, params.n + 1)]
     for listed in (responses + responses[:1], responses[:1] + responses[:-1]):
         with pytest.raises(DuplicateHelper, match="duplicate helper"):
-            repair(params, listed, 1)
+            rbt_repair(params, listed, 1)
 
 
 @pytest.mark.parametrize("field", [F7, binary_field(3)], ids=repr)
@@ -368,6 +367,8 @@ def test_fragment_symbol_refuses_its_own_and_outside_columns():
                           (0, r"node 0 outside \[1, 4\]"), (5, r"node 5 outside \[1, 4\]")):
         with pytest.raises(IndexOutOfRange, match=match):
             fragment_symbol(frag, column)
+        with pytest.raises(IndexOutOfRange, match=match):  # the list gather's fallback
+            fragment_symbols(frag, [1, column])
 
 
 def test_fragment_refuses_non_integer_node():

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_field_new_rejects_bad_params():
     # never folded: 7.9 is not GF(7), nor "7" a second GF(7); a missing or
     # extra parameter is refused too
     for args in (("prime", 7.9), ("binary", 8.5), ("prime", "7"), ("fermat", 5), ("prime",),
-                 ("binary",)):
+                 ("binary",), ("nope", 3)):
         with pytest.raises(ValueError):
             field_new(*args)
 
@@ -258,6 +259,8 @@ def test_ntt_points_are_plain_ints():
 def test_enumerate_points_too_many():
     with pytest.raises(FieldTooSmall):
         enumerate_points(prime_field(7), 8)
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_points(prime_field(7), -1)
 
 
 def test_ntt_constant_poly():
@@ -276,6 +279,17 @@ def test_ntt_rejects_bad_input():
         ntt_evaluate(ff, [1], 3)
     with pytest.raises(WrongField):
         ntt_evaluate(prime_field(7), [1], 2)
+    with pytest.raises(ValueError, match="3 coefficients exceed transform size 2"):
+        ntt_evaluate(ff, [1, 2, 3], 2)
+    # a size past the largest root-of-unity order is refused before the
+    # transform's array is allocated
+    with mock.patch("numpy.zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(NotPowerOfTwo, match="exceeds 65536"):
+            ntt_evaluate(ff, [1], 1 << 17)
+    with pytest.raises(NotPowerOfTwo):
+        ff.root_of_unity(3)
+    with pytest.raises(UnsupportedDegree):
+        ff.root_of_unity(1 << 17)
 
 
 def test_ntt_matches_horner():

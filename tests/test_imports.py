@@ -17,8 +17,7 @@ referenced by name somewhere in `src/`, `tests/` or `perfbench/`: a name
 nothing uses is dead code.
 
 No module-level library function only forwards its own parameters to
-another call: callers call the target.  A forwarder that perfbench
-imports stays, because the benchmark reaches it by that name.
+another call: callers call the target.
 
 The library's caches are a fixed list: a new cache, or a new size for
 one, is added to CACHES on purpose.  So are the places that wrap an array
@@ -265,10 +264,9 @@ def _forwarders(tree: ast.Module) -> list[tuple[str, int]]:
 
 
 def test_no_pure_forwarders():
-    kept = _perfbench_imports()
     forwarders = [f"{path.relative_to(ROOT)}:{line} {name}"
                   for path, module, tree in _library_modules()
-                  for name, line in _forwarders(tree) if name not in kept.get(module, set())]
+                  for name, line in _forwarders(tree)]
     assert forwarders == []
 
 

@@ -30,9 +30,11 @@ from regencodes.matrix import (
     is_singular,
     is_skew_symmetric,
     lu_inverses,
+    mat_add,
     mat_inv,
     mat_mul,
     mat_solve,
+    mat_sub,
     require_skew_symmetric,
     solve_cost,
     vandermonde,
@@ -94,6 +96,12 @@ def test_mat_mul_identity_and_zero():
 def test_mat_mul_shape_check():
     with pytest.raises(DimensionMismatch):
         mat_mul(F7, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+    square, wide = np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)
+    for op in (mat_add, mat_sub):
+        with pytest.raises(DimensionMismatch, match=r"\(2, 2\) vs \(2, 3\)"):
+            op(F7, square, wide)
+    with pytest.raises(DimensionMismatch, match="congruence"):
+        congruence(F7, wide, square)
 
 
 def test_mat_mul_counts():
@@ -113,6 +121,11 @@ def test_mat_inv_examples():
     for data in ([], [1, 2]):  # 1-D data, an empty list too
         with pytest.raises(DimensionMismatch):
             FieldMatrix(F7, data)
+    wide = FieldMatrix(F7, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(DimensionMismatch, match="cannot invert 2x3"):
+        mat_inv(wide)
+    with pytest.raises(DimensionMismatch, match="2x3 not square"):
+        mat_solve(wide, np.zeros((2, 1), dtype=np.int64))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -146,6 +159,8 @@ def test_vandermonde_examples():
     assert ones.tolist() == [[1], [1], [1], [1]]
     with pytest.raises(DuplicatePoints):
         vandermonde(F7, 2, 2, [3, 3])
+    with pytest.raises(DimensionMismatch, match="points of shape"):
+        vandermonde(F7, 3, 2, [1, 2])
 
 
 @pytest.mark.parametrize("field,n,k", [(F7, 6, 3), (F7, 7, 4), (binary_field(4), 16, 5),
@@ -191,6 +206,8 @@ def test_extended_vandermonde_square_full_rank():
 def test_extended_vandermonde_bounds():
     with pytest.raises(FieldTooSmall):
         extended_vandermonde(F4, 6, 2)
+    with pytest.raises(DimensionMismatch, match="k=4 exceeds n=3"):
+        extended_vandermonde(F7, 3, 4)
 
 
 def test_congruence_identity_and_zero():

@@ -70,6 +70,8 @@ def test_params():
         MbrParams(F7, 8, 3, 4)
     with pytest.raises(ParamsInvalid):
         MbrParams(F7, 6, 3, 4, ntt=True)  # ntt needs the Fermat field
+    with pytest.raises(ParamsInvalid, match="unknown backend 'x'"):
+        MbrParams(F7, 6, 3, 4, backend="x")
 
 
 def test_message_matrix_reference_layout():
@@ -196,6 +198,10 @@ def test_repair_validation():
         mbr_repair(REF7, resp, 1)
     with pytest.raises(DuplicateHelper):
         mbr_repair(REF7, resp + [resp[0]], 1)
+    with pytest.raises(IndexOutOfRange, match=r"node 0 outside \[1, 6\]"):
+        psi_row(REF7, 0)
+    with pytest.raises(WrongFragmentCount, match="length 4 vs encoding row length 3"):
+        mbr_helper_response(frags[1], row[:3], F7)
 
 
 def test_repaired_systematic_fragment_exposes_message():
@@ -276,11 +282,22 @@ def test_partial_plan_reference_shape():
     assert plan.total_symbols == REF7.B == 9
 
 
-@pytest.mark.parametrize("scheme", ["full", "timeshare"])
+@pytest.mark.parametrize("scheme", ["full", "timeshare", "bogus"])
 def test_a_plan_names_a_partial_scheme(scheme):
     # a full read and a time-sharing round build no plan of their own
     with pytest.raises(ValueError, match="unknown scheme"):
         DownloadPlan(scheme, (1, 2, 4), ((1, 4), (1, 2, 4), (1, 2, 3, 4)))
+    with pytest.raises(ParamsInvalid, match="unknown partial scheme"):
+        mbr_partial_plan(REF7, [1, 2, 4], scheme)
+
+
+def test_a_plan_lists_positions_per_node_and_an_mbr_read_an_mbr_scheme():
+    with pytest.raises(ValueError, match="equal lengths"):
+        DownloadPlan("lower", (1, 2), ((1,),))
+    pairwise = DownloadPlan("rbt-pairwise", (1, 2, 4), ((1, 4), (1, 2, 4), (1, 2, 3, 4)))
+    frags = mbr_encode(REF7, [0] * 9)
+    with pytest.raises(ParamsInvalid, match="'rbt-pairwise' is not a partial scheme"):
+        mbr_reconstruct_partial(REF7, pairwise, mbr_extract_payloads(frags, pairwise))
 
 
 def test_partial_plan_total_is_B_sweep():
@@ -590,19 +607,24 @@ def test_vandermonde_zero_point_takes_slot_one():
             assert mbr_reconstruct_partial(params, plan, mbr_extract_payloads(frags, plan)) == u
 
 
-def test_plan_missing_stage_entry():
+@pytest.mark.parametrize("scheme, column, part", [
+    ("lower", 1, "Phi"),  # node 2 keeps back C^Phi[2, 1]
+    ("lower", 4, "Delta"),  # node 2 keeps back its C^Delta entry; once decoded as a zero
+    ("upper", 4, "Delta"),
+])
+def test_plan_missing_stage_entry(scheme, column, part):
     # a hand-built plan that leaves out an entry a stage needs is refused,
     # not solved with a zero in its place
     import dataclasses
 
     from regencodes.errors import PlanPayloadMismatch
 
-    plan = mbr_partial_plan(REF7, [1, 2, 4], "lower")
+    plan = mbr_partial_plan(REF7, [1, 2, 4], scheme)
     positions = list(plan.positions)
-    positions[1] = positions[1][1:]  # node 2 keeps back C^Phi[2, 1]
+    positions[1] = tuple(p for p in positions[1] if p != column)  # node 2 is slot 2
     plan = dataclasses.replace(plan, positions=tuple(positions))
     frags = mbr_encode(REF7, [i % 7 for i in range(9)])
-    with pytest.raises(PlanPayloadMismatch):
+    with pytest.raises(PlanPayloadMismatch, match=rf"C\^{part} entries of column {column}"):
         mbr_reconstruct_partial(REF7, plan, mbr_extract_payloads(frags, plan))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regencodes.counting import OpCounter
-from regencodes.errors import DivisionByZero
+from regencodes.errors import DimensionMismatch, DivisionByZero
 from regencodes.gf import binary_field, fermat_field, prime_field
 from regencodes.matrix import FieldMatrix, mat_inv, vandermonde
 from regencodes.poly import (
@@ -118,6 +118,9 @@ def test_interpolation_round_trip():
             coeffs = [rng.randrange(field.q) for _ in range(6)]
             vals = [poly_eval(field, coeffs, x) for x in pts]
             assert lagrange_interpolate(field, pts, vals) == coeffs
+    assert lagrange_interpolate(F11, [], []) == []
+    with pytest.raises(DimensionMismatch, match="2 points but 1 values"):
+        lagrange_interpolate(F11, [1, 2], [1])
 
 
 def test_eval_many_matches_scalar():

@@ -56,6 +56,17 @@ def test_params_validation():
         eval_params(F7, 8, 2, 3)
     with pytest.raises(FieldTooSmall):
         genpoly_params(F7, 7, 2, 3)  # genpoly needs n <= q-1
+    with pytest.raises(ParamsInvalid, match="not both"):
+        eval_params(fermat_field(), 4, 2, 3, points=[1, 2, 3, 4], ntt=True)
+    with pytest.raises(ParamsInvalid, match="k=0"):
+        genpoly_params(F7, 6, 0, 3)
+    # a message of the wrong shape, the wrong form's encoder and a wrong-length b
+    with pytest.raises(ParamsInvalid, match=r"message shape \(2, 1\)"):
+        encode_eval(REF7, PsrsMessage((1, 2), (3,)))
+    with pytest.raises(ParamsInvalid, match="requires genpoly form"):
+        encode_genpoly(REF7, PsrsMessage((1, 2, 3), (4,)))
+    with pytest.raises(ParamsInvalid, match="b has 2 symbols, expected 1"):
+        decode_partial_eval(REF7, [(1, 1), (2, 2), (3, 3)], [1, 2])
 
 
 def test_generator_matrix_reference_values():

@@ -29,10 +29,12 @@ from regencodes.matrix import (
 )
 from regencodes.plans import DownloadPlan
 from regencodes.rbt import (
+    RbtCodeword,
     RbtParams,
     decision,
     extract_payloads,
     message_from_block,
+    parity_block,
     rbt_build_encoding,
     rbt_build_message,
     rbt_encode,
@@ -254,6 +256,10 @@ def test_systematic_rejects_bad_block():
         rbt_encode_systematic(params, bad)
     with pytest.raises(ParamsInvalid):
         rbt_encode_systematic(RbtParams(F7, 6, 3), block)
+    with pytest.raises(ParamsInvalid, match="only in systematic mode"):
+        parity_block(RbtParams(F7, 6, 3))
+    with pytest.raises(ValueError, match="symmetric with zero diagonal"):
+        RbtCodeword(params, np.ones((6, 6), dtype=np.int64))
 
 
 def test_systematic_reconstruct_fast_path_agrees():

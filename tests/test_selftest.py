@@ -17,7 +17,7 @@ BROKEN_REPAIR = textwrap.dedent("""
 
     if __debug__:
         sys.exit(2)  # not running under -O
-    real = codec.transfer_repair
+    real = codec.rbt_repair
 
     def wrong(params, responses, failed):
         frag = real(params, responses, failed)
@@ -26,7 +26,7 @@ BROKEN_REPAIR = textwrap.dedent("""
         q = params.field.q
         return Fragment(frag.codec, frag.node, tuple((s + 1) % q for s in frag.symbols))
 
-    codec.transfer_repair = wrong
+    codec.rbt_repair = wrong
     lines = []
     ok = selftest.run_selftest(out=lines.append)
     print("\\n".join(lines))

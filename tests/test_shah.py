@@ -4,9 +4,10 @@ import random
 import pytest
 
 from regencodes.counting import OpCounter
-from regencodes.errors import FieldTooSmall, IndexOutOfRange, WrongHelperCount
-from regencodes.fragments import Fragment, fragment_symbol, transfer_repair
+from regencodes.errors import FieldTooSmall, IndexOutOfRange, ParamsInvalid, WrongHelperCount
+from regencodes.fragments import Fragment, fragment_symbol
 from regencodes.gf import binary_field, prime_field
+from regencodes.rbt import rbt_repair
 from regencodes.shah import (
     ShahParams,
     shah_encode,
@@ -25,6 +26,8 @@ def test_params_and_field_bound():
     assert P5.N == 10 and P5.B == 9 and P5.alpha == 4
     with pytest.raises(FieldTooSmall):
         ShahParams(binary_field(3), 8, 4)  # C(8,2)=28 > 9
+    with pytest.raises(ParamsInvalid, match="k=0"):
+        ShahParams(F64, 5, 0)
 
 
 def distinct_codeword(params, rng):
@@ -81,14 +84,14 @@ def test_repair_round_trip_zero_ops():
         responses = [
             (i, fragment_symbol(frags[i], failed)) for i in frags if i != failed
         ]
-        # placement only: transfer_repair takes no counter and does no field operation
-        assert transfer_repair(P5, responses, failed) == frags[failed]
+        # placement only: rbt_repair does no field operation
+        assert rbt_repair(P5, responses, failed) == frags[failed]
 
 
 def test_repair_wrong_helper_count():
     frags = {f.node: f for f in shah_encode(P5, [1] * 9)}
     with pytest.raises(WrongHelperCount):
-        transfer_repair(P5, [(1, 0), (2, 0)], 5)
+        rbt_repair(P5, [(1, 0), (2, 0)], 5)
 
 
 def test_distinct_packet_count_is_B():

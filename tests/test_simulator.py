@@ -1,6 +1,8 @@
 import pytest
 
-from regencodes.errors import ScriptInvalid
+from regencodes import codec
+from regencodes.errors import ReconstructionMismatch, ScriptInvalid
+from regencodes.fragments import Fragment
 from regencodes.gf import binary_field, prime_field
 from regencodes.harness.simulator import sim_run
 from regencodes.mbr import MbrParams
@@ -143,3 +145,29 @@ def test_repair_with_unavailable_helper_is_script_error():
         sim_run(params, "encode\nfail 1\nfail 2\nrepair 1 with 2,3,4,5")
     with pytest.raises(ScriptInvalid, match="helper 9 unavailable"):
         sim_run(params, "encode\nfail 1\nrepair 1 with 2,3,4,9")
+
+
+def test_a_wrong_repair_or_read_is_a_reconstruction_mismatch(monkeypatch):
+    # one symbol altered in what the codec returns: the simulator compares
+    # against the encoded fragments and message, and names the event
+    params = RbtParams(F7, 6, 3)
+    real_repair, real_reconstruct = codec.repair, codec.reconstruct
+
+    def repair(*args, **kwargs):
+        frag, sent = real_repair(*args, **kwargs)
+        symbols = [(frag.symbols[0] + 1) % 7, *frag.symbols[1:]]
+        return Fragment(frag.codec, frag.node, symbols), sent
+
+    def reconstruct(*args, **kwargs):
+        u, sent = real_reconstruct(*args, **kwargs)
+        return [(u[0] + 1) % 7] + u[1:], sent
+
+    monkeypatch.setattr(codec, "repair", repair)
+    with pytest.raises(ReconstructionMismatch,
+                       match=r"^event 2 \(line 3\): repair of node 4 altered the fragment"):
+        sim_run(params, "encode\nfail 4\nrepair 4")
+    monkeypatch.setattr(codec, "repair", real_repair)
+    monkeypatch.setattr(codec, "reconstruct", reconstruct)
+    with pytest.raises(ReconstructionMismatch, match=r"^event 1 \(line 2\): reconstruction "
+                                                     r"from \[1, 2, 3\] does not match"):
+        sim_run(params, "encode\nreconstruct 1,2,3")
